@@ -356,8 +356,8 @@ def _analysis_hill(scenario: Scenario) -> dict:
     return {"alpha_hat": float(est), "se": float(se), "gof": gof}
 
 
-def _limit_spec_for(scenario: Scenario, phi: WindowFunctional) -> LimitSpec:
-    calE, _, _, method = response_curve(scenario, phi)
+def _limit_spec_for(scenario: Scenario, phi: WindowFunctional, calE, method: str) -> LimitSpec:
+    """Limit law of phi's integral, from its response curve (calE, method)."""
     law = scenario.law()
     if isinstance(law.w_model, ConstantRate):
         g_sampler = law.w_model.w0
@@ -381,7 +381,7 @@ def _analysis_stable_limit(scenario: Scenario, workers: int) -> dict:
     for spec_str in scenario.functionals:
         phi = make_functional(spec_str, scenario.window_h)
         calE, cal0, se, method = response_curve(scenario, phi)
-        lspec = _limit_spec_for(scenario, phi)
+        lspec = _limit_spec_for(scenario, phi, calE, method)
         per_T = {}
         reports = []
         for t_index, T in enumerate(scenario.T_ladder):
