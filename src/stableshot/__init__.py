@@ -5,7 +5,6 @@ reference samples, and path-space (M1) diagnostics."""
 
 from ._backend import backend_name
 from .cycles import (
-    Cycle,
     CycleDecomposition,
     collect_cycle_lengths,
     cycle_tail_table,

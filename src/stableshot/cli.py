@@ -68,11 +68,12 @@ def main(argv=None) -> int:
     # run
     try:
         scenario = Scenario.from_yaml(args.scenario)
+        if args.seed is not None:
+            scenario = replace(scenario, seed=args.seed)
+        validate(scenario)
     except (ValueError, OSError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
     report = run(scenario, workers=args.workers)
     files = emit(report, args.out, fmt=args.format)
     for g in report.gofs():

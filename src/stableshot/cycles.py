@@ -10,7 +10,6 @@ are positive.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -22,30 +21,12 @@ from .rng import RngStream
 from .traffic import JointLaw, TrafficConfig, build_path, simulate_sessions
 
 __all__ = [
-    "Cycle",
     "CycleDecomposition",
     "decompose_cycles",
     "collect_cycle_lengths",
     "cycle_tail_table",
     "hill_alpha",
-    "cycles_to_csv",
 ]
-
-
-@dataclass(frozen=True)
-class Cycle:
-    s_start: float
-    busy_end: float
-    s_end: float
-    index: int
-
-    def __post_init__(self):
-        if not self.s_start < self.busy_end <= self.s_end:
-            raise ValueError("cycle must be busy-then-idle")
-
-    @property
-    def length(self) -> float:
-        return self.s_end - self.s_start
 
 
 class CycleDecomposition:
@@ -72,15 +53,6 @@ class CycleDecomposition:
     @property
     def lengths(self) -> np.ndarray:
         return self.s_end - self.s_start
-
-    @property
-    def cycles(self):
-        return [
-            Cycle(float(a), float(b), float(c), i + 1)
-            for i, (a, b, c) in enumerate(
-                zip(self.s_start, self.busy_end, self.s_end)
-            )
-        ]
 
 
 def decompose_cycles(path, T, use_level=False) -> CycleDecomposition:
@@ -214,10 +186,3 @@ def hill_alpha(samples, k: int):
     est = k / denom
     return est, est / math.sqrt(k)
 
-
-def cycles_to_csv(decomposition: CycleDecomposition, dest) -> None:
-    with open(dest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "s_start", "busy_end", "s_end", "length"])
-        for c in decomposition.cycles:
-            writer.writerow([c.index, c.s_start, c.busy_end, c.s_end, c.length])

@@ -16,10 +16,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import traffic
 from ._backend import kernels
 from .heavy_rand import TailDist, tail_quantile_a
 from .rng import RngStream
-from .traffic import ShotNoisePath, TrafficConfig, stationary_window_draws
+from .traffic import ShotNoisePath, TrafficConfig
 
 __all__ = [
     "WindowFunctional",
@@ -33,6 +34,7 @@ __all__ = [
     "cycle_integrals",
     "EmpiricalPath",
     "empirical_path",
+    "monte_carlo_response",
     "estimate_calE",
     "empirical_cdf",
 ]
@@ -48,6 +50,11 @@ class WindowFunctional:
     leading axes.  ``continuity_assertion`` records that the long-session
     response w -> E[phi(w + X_h(0))] is a.s. continuous under the limiting
     rate law (set automatically by the built-ins for atomic rate laws).
+    ``form`` records how a built-in reads one scalar statistic s of the
+    window, x(0) or for 'window_sup' the sup: ``("le", b)`` for
+    1{s <= b}, ``("min", b)`` for min(s, b); None when phi is known only
+    through ``fn``.  Monte Carlo response curves use it to evaluate many
+    shifts w at once from the sorted draws of s.
     """
 
     name: str
@@ -57,10 +64,13 @@ class WindowFunctional:
     fn: Callable
     sup_norm: float
     continuity_assertion: bool = False
+    form: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind not in ("pointwise", "window_sup"):
             raise ValueError(f"unsupported functional kind {self.kind!r}")
+        if self.form is not None and self.form[0] not in ("le", "min"):
+            raise ValueError(f"unsupported functional form {self.form!r}")
         if self.h < 0:
             raise ValueError("window length must be nonnegative")
         offs = np.asarray(self.offsets, dtype=float)
@@ -95,7 +105,7 @@ def clipped(b: float) -> WindowFunctional:
 
     return WindowFunctional(
         name=f"clipped_{b:g}", h=0.0, kind="pointwise", offsets=(0.0,),
-        fn=fn, sup_norm=float(b), continuity_assertion=True,
+        fn=fn, sup_norm=float(b), continuity_assertion=True, form=("min", float(b)),
     )
 
 
@@ -107,7 +117,7 @@ def cdf_indicator(x: float) -> WindowFunctional:
 
     return WindowFunctional(
         name=f"cdf_le_{x:g}", h=0.0, kind="pointwise", offsets=(0.0,),
-        fn=fn, sup_norm=1.0, continuity_assertion=True,
+        fn=fn, sup_norm=1.0, continuity_assertion=True, form=("le", float(x)),
     )
 
 
@@ -119,7 +129,7 @@ def idle_indicator() -> WindowFunctional:
 
     return WindowFunctional(
         name="idle", h=0.0, kind="pointwise", offsets=(0.0,),
-        fn=fn, sup_norm=1.0, continuity_assertion=True,
+        fn=fn, sup_norm=1.0, continuity_assertion=True, form=("le", 0.0),
     )
 
 
@@ -131,7 +141,7 @@ def window_sup_indicator(b: float, h: float) -> WindowFunctional:
 
     return WindowFunctional(
         name=f"sup_le_{b:g}_h{h:g}", h=float(h), kind="window_sup", offsets=(0.0,),
-        fn=fn, sup_norm=1.0, continuity_assertion=True,
+        fn=fn, sup_norm=1.0, continuity_assertion=True, form=("le", float(b)),
     )
 
 
@@ -266,6 +276,78 @@ def empirical_path(
     )
 
 
+def monte_carlo_response(phi: WindowFunctional, config: TrafficConfig, n_mc: int, rng: RngStream):
+    """Response curve w -> E[phi(w + X_h(0))] over n_mc shared stationary
+    window draws.
+
+    Returns (calE, samples): ``calE(w)`` is the vector of draw means, one
+    per entry of w; ``samples(w)`` the per-draw values phi(w + X_h(0)) at
+    one scalar w.  For a phi with a ``form``, calE works on the sorted
+    statistic: indicator means are bit-identical to the per-point means,
+    and ``min`` means agree with them to rounding for w >= 0 (prefix sums
+    of the sorted draws; a negative w could cancel terms).
+    """
+    if n_mc < 1:
+        raise ValueError("n_mc must be >= 1")
+    if phi.kind == "window_sup":
+        values, sups = traffic.stationary_window_draws(
+            config, n_mc, rng, offsets=phi.offsets, with_sup=True
+        )
+        stat = sups
+
+        def samples(w):
+            return phi(values + w, sups + w)
+
+    else:
+        values = traffic.stationary_window_draws(config, n_mc, rng, offsets=phi.offsets)
+        stat = values[:, 0]
+
+        def samples(w):
+            return phi(values + w)
+
+    if phi.form is not None:
+        return _sorted_response(phi.form, np.sort(stat)), samples
+
+    def calE(w):
+        w_arr = np.atleast_1d(np.asarray(w, dtype=float))
+        return np.array([float(np.mean(samples(wv))) for wv in w_arr])
+
+    return calE, samples
+
+
+def _sorted_response(form, s):
+    """calE of 1{s + w <= b} or min(s + w, b) from the sorted draws s."""
+    op, b = form
+    n = s.size
+    prefix = np.concatenate([[0.0], np.cumsum(s)]) if op == "min" else None
+
+    def calE(w):
+        w_arr = np.atleast_1d(np.asarray(w, dtype=float))
+        k = _count_le(s, w_arr, b)
+        if op == "le":
+            return k / n
+        return (prefix[k] + k * w_arr + (n - k) * b) / n
+
+    return calE
+
+
+def _count_le(s, w, b):
+    """#{i : fl(s[i] + w) <= b} for each w, by bisection on the sorted s.
+
+    fl(s + w) is nondecreasing in s, so the predicate holds on a prefix of
+    s and the count is exact, ties and roundoff at b included.
+    """
+    lo = np.zeros(w.shape, dtype=np.int64)
+    hi = np.full(w.shape, s.size, dtype=np.int64)
+    for _ in range(s.size.bit_length()):
+        mid = (lo + hi) // 2
+        open_ = mid < hi
+        ok = open_ & (s[np.minimum(mid, s.size - 1)] + w <= b)
+        lo = np.where(ok, mid + 1, lo)
+        hi = np.where(open_ & ~ok, mid, hi)
+    return lo
+
+
 def estimate_calE(
     w: float,
     phi: WindowFunctional,
@@ -274,18 +356,10 @@ def estimate_calE(
     rng: RngStream,
 ):
     """Monte Carlo estimate of E[phi(w + X_h(0))] with its standard error."""
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
-    if phi.kind == "window_sup":
-        values, sups = stationary_window_draws(
-            config, n_mc, rng, offsets=phi.offsets, with_sup=True
-        )
-        samples = phi(values + w, sups + w)
-    else:
-        values = stationary_window_draws(config, n_mc, rng, offsets=phi.offsets)
-        samples = phi(values + w)
-    est = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else math.inf
+    _, samples = monte_carlo_response(phi, config, n_mc, rng)
+    draws = samples(w)
+    est = float(np.mean(draws))
+    se = float(np.std(draws, ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else math.inf
     return est, se
 
 

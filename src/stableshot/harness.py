@@ -105,10 +105,16 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
+        """Scenario from a mapping of its fields; ValueError on anything
+        else, on unknown keys and on values of the wrong type."""
+        if not isinstance(d, dict):
+            got = "an empty document" if d is None else type(d).__name__
+            raise ValueError(f"a scenario must be a mapping of fields, got {got}")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-        return cls(**d)
+        defaults = cls()
+        return cls(**{k: _typed(k, v, getattr(defaults, k)) for k, v in d.items()})
 
     def to_yaml(self, dest) -> None:
         with open(dest, "w") as fh:
@@ -117,7 +123,11 @@ class Scenario:
     @classmethod
     def from_yaml(cls, src) -> "Scenario":
         with open(src) as fh:
-            return cls.from_dict(yaml.safe_load(fh))
+            try:
+                d = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:
+                raise ValueError(f"not valid YAML: {exc}") from exc
+        return cls.from_dict(d)
 
     # -- derived objects ---------------------------------------------------
 
@@ -140,9 +150,50 @@ class Scenario:
         )
 
 
+def _number(x):
+    """float(x) for an int, a float or a numeric string (YAML 1.1 reads
+    1e3 as a string), else None."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return float(x)
+    if isinstance(x, str):
+        try:
+            return float(x)
+        except ValueError:
+            return None
+    return None
+
+
+def _typed(key: str, value, default):
+    """``value`` for scenario field ``key`` if it has the type of the
+    field's default (numbers as floats); ValueError otherwise."""
+    if isinstance(default, bool):
+        ok, want = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, str):
+        ok, want = isinstance(value, str), "a string"
+    elif isinstance(default, float):
+        ok, want = _number(value) is not None, "a number"
+        value = _number(value) if ok else value
+    elif isinstance(default[0], str):
+        ok = isinstance(value, (list, tuple)) and all(isinstance(x, str) for x in value)
+        want = "a list of strings"
+    else:
+        ok = isinstance(value, (list, tuple)) and all(_number(x) is not None for x in value)
+        want = "a list of numbers"
+        value = [_number(x) for x in value] if ok else value
+    if not ok:
+        raise ValueError(f"scenario field {key!r} must be {want}, got {value!r}")
+    return value
+
+
 def validate(scenario: Scenario) -> list:
     """Diagnostics list; raises ValueError on anything fatal."""
     notes = []
+    for key in ("lam", "alpha", "xm"):
+        v = getattr(scenario, key)
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{key} must be finite and positive, got {v!r}")
     if not 1 < scenario.alpha < 2:
         raise ValueError("tail index must lie in (1, 2)")
     if scenario.replicates < 1:
@@ -207,8 +258,9 @@ def exact_poisson_calE(phi: WindowFunctional, nu: float, w0: float):
 
 
 def response_curve(scenario: Scenario, phi: WindowFunctional, n_mc: int = 100_000):
-    """(calE, calE(0), se, method): exact where a closed form exists,
-    otherwise a Monte Carlo curve over shared stationary window draws."""
+    """(calE, cal0, se, method): exact where a closed form exists,
+    otherwise a Monte Carlo curve over shared stationary window draws, with
+    cal0 and se the mean of phi over the draws and its standard error."""
     law = scenario.law()
     exactable = (
         isinstance(law.w_model, ConstantRate)
@@ -221,28 +273,9 @@ def response_curve(scenario: Scenario, phi: WindowFunctional, n_mc: int = 100_00
     key = zlib.crc32(phi.name.encode()) % 2**31
     rng = RngStream(scenario.seed, stream_id=2**31).substream(key)
     cfg = scenario.config(horizon=1.0, rng=rng)
-    from .traffic import stationary_window_draws
-
-    if phi.kind == "window_sup":
-        values, sups = stationary_window_draws(
-            cfg, n_mc, rng, offsets=phi.offsets, with_sup=True
-        )
-    else:
-        values = stationary_window_draws(cfg, n_mc, rng, offsets=phi.offsets)
-        sups = None
-
-    def calE(w):
-        w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-        out = np.empty(w_arr.size)
-        for i, wv in enumerate(w_arr):
-            if sups is None:
-                out[i] = float(np.mean(phi(values + wv)))
-            else:
-                out[i] = float(np.mean(phi(values + wv, sups + wv)))
-        return out
-
-    cal0 = float(calE(0.0)[0])
-    base = phi(values) if sups is None else phi(values, sups)
+    calE, samples = fns.monte_carlo_response(phi, cfg, n_mc, rng)
+    base = samples(0.0)
+    cal0 = float(np.mean(base))
     se = float(np.std(base, ddof=1) / math.sqrt(n_mc))
     return calE, cal0, se, "monte_carlo"
 
@@ -541,20 +574,7 @@ class Report:
     backend: str = ""
 
     def gofs(self) -> list:
-        out = []
-
-        def walk(obj):
-            if isinstance(obj, GofReport):
-                out.append(obj)
-            elif isinstance(obj, dict):
-                for v in obj.values():
-                    walk(v)
-            elif isinstance(obj, (list, tuple)):
-                for v in obj:
-                    walk(v)
-
-        walk(self.blocks)
-        return out
+        return _gofs(self.blocks)
 
     @property
     def all_passed(self) -> bool:
@@ -573,24 +593,22 @@ class Report:
             if "error" in block:
                 lines.append(f"  error: {block['error']}")
                 continue
-            for g in _collect_gofs(block):
+            for g in _gofs(block):
                 lines.append("  " + g.line())
         verdict = "PASS" if self.all_passed else "FAIL"
         lines.append(f"overall: {verdict}")
         return "\n".join(lines) + "\n"
 
 
-def _collect_gofs(block) -> list:
-    out = []
-    if isinstance(block, GofReport):
-        return [block]
-    if isinstance(block, dict):
-        for v in block.values():
-            out.extend(_collect_gofs(v))
-    elif isinstance(block, (list, tuple)):
-        for v in block:
-            out.extend(_collect_gofs(v))
-    return out
+def _gofs(obj) -> list:
+    """Every GofReport in a nest of dicts, lists and tuples, in order."""
+    if isinstance(obj, GofReport):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [g for v in obj for g in _gofs(v)]
+    return []
 
 
 def run(scenario: Scenario, workers: Optional[int] = None) -> Report:

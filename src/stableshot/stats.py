@@ -18,7 +18,6 @@ __all__ = [
     "GofReport",
     "ks_threshold",
     "ks_two_sample",
-    "ks_against_cdf",
     "ecf_distance",
     "rate_regression",
     "iqr",
@@ -59,17 +58,6 @@ def ks_threshold(n: int, level: float = 0.01) -> float:
     if n <= 0:
         raise ValueError("n must be positive")
     return math.sqrt(-math.log(level / 2.0) / 2.0) / math.sqrt(n)
-
-
-def ks_against_cdf(sample, cdf, name: str, level: float = 0.01) -> GofReport:
-    x = np.sort(np.asarray(sample, dtype=float))
-    n = x.size
-    if n == 0:
-        raise ValueError("empty sample")
-    c = cdf(x)
-    grid = np.arange(1, n + 1) / n
-    stat = float(max(np.max(grid - c), np.max(c - (grid - 1.0 / n))))
-    return GofReport(name, stat, ks_threshold(n, level), n)
 
 
 def ks_two_sample(a, b, name: str, level: float = 0.01) -> GofReport:

@@ -25,7 +25,6 @@ from .heavy_rand import TailDist
 from .rng import RngStream
 
 __all__ = [
-    "SessionTriple",
     "Sessions",
     "ConstantRate",
     "IndependentRate",
@@ -43,24 +42,13 @@ __all__ = [
     "path_from_csv",
 ]
 
-
-@dataclass(frozen=True)
-class SessionTriple:
-    """One transmission session: arrival time, duration, rate."""
-
-    gamma: float
-    y: float
-    w: float
-
-    def __post_init__(self):
-        if self.y <= 0:
-            raise ValueError("session duration must be positive")
-        if self.w < 0:
-            raise ValueError("session rate must be nonnegative")
+# cells of one block of stationary_window_draws' padded event matrix
+# (1 MiB of float64): bounds its memory whatever the draw count
+_BLOCK_CELLS = 1 << 17
 
 
 class Sessions:
-    """Column store of session triples, indexable as SessionTriple."""
+    """Column store of session triples (arrival time, duration, rate)."""
 
     def __init__(self, gamma, y, w):
         self.gamma = np.asarray(gamma, dtype=float)
@@ -75,15 +63,6 @@ class Sessions:
 
     def __len__(self):
         return len(self.gamma)
-
-    def __getitem__(self, i):
-        if isinstance(i, (int, np.integer)):
-            return SessionTriple(float(self.gamma[i]), float(self.y[i]), float(self.w[i]))
-        return Sessions(self.gamma[i], self.y[i], self.w[i])
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     @classmethod
     def concat(cls, *parts: "Sessions") -> "Sessions":
@@ -217,7 +196,9 @@ class ShotNoisePath:
     ``times`` are merged event timestamps strictly inside (t0, t1]; the
     level / count after event i are ``levels[i]`` / ``counts[i]``.  Counts
     are exact integers; levels carry compensated running sums with slack
-    ``eps_num = 1e-9 * accumulated |w|``.
+    ``eps_num = 1e-9 * accumulated |w|``, and are exactly 0 wherever the
+    count is 0, so level-based functionals such as ``idle`` see the same
+    idle time as the count-based cycles whatever the rates.
     """
 
     def __init__(self, t0, t1, times, rate_delta, count_delta, init_level, init_count):
@@ -238,6 +219,7 @@ class ShotNoisePath:
             raise ValueError("event times must be strictly increasing (merged)")
         self.levels = self.init_level + kernels.compensated_cumsum(self.rate_delta)
         self.counts = self.init_count + np.cumsum(self.count_delta)
+        self.levels[self.counts == 0] = 0.0  # drop float residues of departed rates
         self.eps_num = 1e-9 * float(np.abs(self.rate_delta).sum())
         if self.init_count < 0 or np.any(self.counts < 0):
             raise ValueError("occupancy count went negative")
@@ -355,7 +337,7 @@ def stationary_window_draws(
     """n i.i.d. draws of the stationary window observed at ``offsets``.
 
     Returns an (n, k) matrix of levels X(o_j); with ``with_sup`` also the
-    vector of sup X over [0, h] (per-draw event sweep, noticeably slower).
+    vector of sup X over [0, h], for all draws in one vectorized pass.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -363,8 +345,24 @@ def stationary_window_draws(
     h = config.window_h
     if np.any((offsets < 0) | (offsets > h)):
         raise ValueError("offsets must lie in [0, h]")
+    owner, gamma, end, w = _window_sessions(config, n, rng)
+
+    values = np.zeros((n, len(offsets)))
+    for j, o in enumerate(offsets):
+        mask = (gamma <= o) & (o < end)
+        np.add.at(values[:, j], owner[mask], w[mask])
+
+    if not with_sup:
+        return values
+    return values, _window_sups(owner, gamma, end, w, n, h)
+
+
+def _window_sessions(config: TrafficConfig, n: int, rng: RngStream):
+    """(owner, gamma, end, w) of the sessions of n independent stationary
+    windows on [0, h]: the sessions alive at 0, then the fresh arrivals in
+    [0, h); ``owner`` is the draw index of each session."""
     gen = rng.generator()
-    lam, law = config.lam, config.law
+    lam, law, h = config.lam, config.law, config.window_h
     nu = lam * law.mean_y
 
     n_init = gen.poisson(nu, n)
@@ -385,36 +383,63 @@ def stationary_window_draws(
         owner = np.concatenate([owner0, ownerf])
     else:
         gamma, dur, w, owner = g0, y0, w0, owner0
-
-    values = np.zeros((n, len(offsets)))
-    end = gamma + dur
-    for j, o in enumerate(offsets):
-        mask = (gamma <= o) & (o < end)
-        np.add.at(values[:, j], owner[mask], w[mask])
-
-    if not with_sup:
-        return values
-
-    sups = np.empty(n)
-    order = np.argsort(owner, kind="stable")
-    gamma, end, w, owner = gamma[order], end[order], w[order], owner[order]
-    bounds_idx = np.searchsorted(owner, np.arange(n + 1))
-    for i in range(n):
-        lo, hi = bounds_idx[i], bounds_idx[i + 1]
-        sups[i] = _window_sup(gamma[lo:hi], end[lo:hi], w[lo:hi], h)
-    return values, sups
+    return owner, gamma, gamma + dur, w
 
 
-def _window_sup(gamma, end, w, h):
-    # sup over [0, h] of the step superposition of the given sessions;
-    # every post-event level with event time in (0, h] is attained in [0, h]
-    base = float(w[(gamma <= 0.0) & (end > 0.0)].sum())
+def _window_sups(owner, gamma, end, w, n: int, h: float) -> np.ndarray:
+    """sup over [0, h] of each draw's step superposition, draws 0..n-1.
+
+    Every post-event level with event time in (0, h] is attained in
+    [0, h].  Each sup adds the same floats in the same order as a sweep of
+    one draw's sessions in index order: a 1-D ``.sum()`` of the rates
+    alive at 0, plus a sequential cumsum of the event deltas (arrivals,
+    then departures) in stable time order; so it is bit-identical to one.
+    """
+    # base level: numpy's pairwise .sum() splits by length, so each row is
+    # summed in a matrix of its own exact live count
+    live = (gamma <= 0.0) & (end > 0.0)
+    by_owner = np.argsort(owner[live], kind="stable")
+    w_live = w[live][by_owner]
+    n_live = np.bincount(owner[live], minlength=n)
+    first_live = np.cumsum(n_live) - n_live
+    base = np.zeros(n)
+    for k in np.unique(n_live[n_live > 0]):
+        rows = np.flatnonzero(n_live == k)
+        base[rows] = w_live[first_live[rows, None] + np.arange(k)].sum(axis=1)
+
+    # events in (0, h], grouped by draw in sweep order (a stable sort of
+    # the owners, which come in four sorted runs), then per block one
+    # +inf-padded row of times per draw, stably sorted row by row; the
+    # row-wise cumsum adds sequentially, and the zero deltas of the
+    # padding only repeat a row's last level
     t_ev = np.concatenate([gamma, end])
     d_ev = np.concatenate([w, -w])
+    o_ev = np.concatenate([owner, owner])
     inside = (t_ev > 0.0) & (t_ev <= h)
-    t_ev, d_ev = t_ev[inside], d_ev[inside]
-    levels = base + np.cumsum(d_ev[np.argsort(t_ev, kind="stable")])
-    return float(max(base, levels.max(initial=base)))
+    t_ev, d_ev, o_ev = t_ev[inside], d_ev[inside], o_ev[inside]
+    by_owner = np.argsort(o_ev, kind="stable")
+    t_ev, d_ev, o_ev = t_ev[by_owner], d_ev[by_owner], o_ev[by_owner]
+    n_ev = np.bincount(o_ev, minlength=n)
+    first_ev = np.append(0, np.cumsum(n_ev))
+    col = np.arange(o_ev.size) - first_ev[o_ev]
+
+    sups = base.copy()
+    rows_per_block = max(1, _BLOCK_CELLS // max(1, int(n_ev.max(initial=0))))
+    for a in range(0, n, rows_per_block):
+        b = min(a + rows_per_block, n)
+        e0, e1 = first_ev[a], first_ev[b]
+        if e0 == e1:
+            continue
+        shape = (b - a, int(n_ev[a:b].max()))
+        cells = (o_ev[e0:e1] - a, col[e0:e1])
+        times = np.full(shape, np.inf)
+        times[cells] = t_ev[e0:e1]
+        steps = np.zeros(shape)
+        steps[cells] = d_ev[e0:e1]
+        steps = np.take_along_axis(steps, np.argsort(times, axis=1, kind="stable"), axis=1)
+        levels = base[a:b, None] + np.cumsum(steps, axis=1)
+        np.maximum(sups[a:b], levels.max(axis=1), out=sups[a:b])
+    return sups
 
 
 def stationary_snapshot(config: TrafficConfig, n: int, rng: RngStream, offsets=(0.0,)):

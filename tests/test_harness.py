@@ -1,11 +1,18 @@
 """Scenario plumbing, determinism, report emission, and the CLI."""
 
+import math
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stableshot import Report, Scenario, builtin_scenarios, emit, run
+from stableshot import Report, RngStream, Scenario, builtin_scenarios, emit, run
 from stableshot.cli import main
-from stableshot.harness import make_functional, validate
+from stableshot.functionals import _sorted_response, monte_carlo_response
+from stableshot.harness import make_functional, response_curve, validate
+from stableshot.traffic import stationary_window_draws
 
 
 def tiny_scenario(**overrides):
@@ -30,6 +37,27 @@ class TestScenario:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario keys"):
             Scenario.from_dict({"name": "x", "bogus": 1})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [None, [1, 2], "text", {"replicates": "abc"}, {"replicates": True},
+         {"lam": "fast"}, {"T_ladder": 1000.0}, {"functionals": [1]},
+         {"stationary_init": "yes"}, {"name": 3}],
+    )
+    def test_wrongly_typed_document_rejected(self, doc):
+        with pytest.raises(ValueError):
+            Scenario.from_dict(doc)
+
+    def test_yaml_numbers_without_a_dot(self):
+        # YAML 1.1 reads 1e3 as a string
+        sc = Scenario.from_dict({"lam": "1e-1", "T_ladder": ["1e3", 1e4], "replicates": 5})
+        assert sc.lam == 0.1 and sc.T_ladder == (1e3, 1e4) and sc.replicates == 5
+
+    @pytest.mark.parametrize("key", ["lam", "alpha", "xm"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_validate_rejects_nonpositive_or_nonfinite(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            validate(tiny_scenario(**{key: value}))
 
     def test_validate_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -128,6 +156,27 @@ class TestCli:
         bad.write_text("alpha: 3.0\nname: bad\n")
         assert main(["validate", "--scenario", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "mapping"),
+            ("replicates: abc\n", "replicates"),
+            ("lam: -1\n", "lam"),
+            ("lam: .nan\n", "lam"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_bad_scenario_file_exits_2(self, tmp_path, capsys, text, message, command):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        args = [command, "--scenario", str(bad)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "r")]
+        assert main(args) == 2
+        out = capsys.readouterr()
+        assert "scenario ok" not in out.out
+        assert "invalid scenario" in out.err and message in out.err
+
     def test_run_exit_codes(self, tmp_path, capsys):
         cfg = tmp_path / "s.yaml"
         tiny_scenario(analyses=("m1_diagnostic",)).to_yaml(cfg)
@@ -157,3 +206,92 @@ def test_builtin_scenarios_all_validate():
     for name, sc in builtin_scenarios().items():
         assert sc.name == name
         validate(sc)
+
+
+# -- Monte Carlo response curve ---------------------------------------------
+
+_MC = dict(lam=1.0, w_kind="uniform", w_params=(0.1, 1.0), window_h=1.0, seed=3)
+
+
+def _loop_calE(phi, values, sups, w):
+    # per-point reference: one mean over all draws per w
+    if sups is None:
+        return np.array([float(np.mean(phi(values + wv))) for wv in w])
+    return np.array([float(np.mean(phi(values + wv, sups + wv))) for wv in w])
+
+
+@pytest.mark.parametrize("spec", ["winsup:3", "idle", "cdf:1.5", "clipped:2", "identity"])
+def test_monte_carlo_response_matches_loop(spec):
+    sc = Scenario(**_MC)
+    phi = make_functional(spec, sc.window_h)
+    n = 4000
+    rng = RngStream(5)
+    calE, samples = monte_carlo_response(phi, sc.config(1.0, rng), n, rng)
+    if phi.kind == "window_sup":
+        values, sups = stationary_window_draws(sc.config(1.0, rng), n, rng, with_sup=True)
+        stat = sups
+    else:
+        values, sups = stationary_window_draws(sc.config(1.0, rng), n, rng), None
+        stat = values[:, 0]
+    b = phi.form[1] if phi.form else 1.0
+    # shifts that put s + w exactly on b for some draws, and their neighbours
+    on_b = b - stat[:50]
+    w = np.concatenate(
+        [[0.0, 0.25, 3.0], on_b, np.nextafter(on_b, -np.inf), np.nextafter(on_b, np.inf),
+         RngStream(6).generator().uniform(0.1, 1.0, 200)]
+    )
+    want = _loop_calE(phi, values, sups, w)
+    got = calE(w)
+    if phi.form is None or phi.form[0] == "le":
+        assert np.array_equal(got, want)
+    else:
+        # rates are nonnegative; a negative w could cancel terms of the mean
+        keep = w >= 0
+        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0)
+    assert np.array_equal(samples(0.25), phi(values + 0.25) if sups is None else phi(values + 0.25, sups + 0.25))
+
+
+@pytest.mark.parametrize("spec", ["winsup:3", "clipped:2", "idle"])
+def test_response_curve_centering_is_loop_mean(spec):
+    # the centering is the plain mean of phi over the draws, bit for bit,
+    # whichever way calE evaluates the other shifts
+    sc = Scenario(**_MC)
+    phi = make_functional(spec, sc.window_h)
+    _, cal0, se, method = response_curve(sc, phi, n_mc=3000)
+    rng = RngStream(sc.seed, stream_id=2**31).substream(zlib.crc32(phi.name.encode()) % 2**31)
+    cfg = sc.config(1.0, rng)
+    if phi.kind == "window_sup":
+        base = phi(*stationary_window_draws(cfg, 3000, rng, with_sup=True))
+    else:
+        base = phi(stationary_window_draws(cfg, 3000, rng))
+    assert method == "monte_carlo"
+    assert cal0 == float(np.mean(base))
+    assert se == float(np.std(base, ddof=1) / math.sqrt(3000))
+
+
+# draws with many ties, zeros and values that sum to b exactly
+_stat = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 2.0]), st.floats(0.0, 5.0)),
+    min_size=1, max_size=300,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stat=_stat,
+    b=st.sampled_from([0.0, 0.3, 1.0, 2.0, 2.9]),
+    w=st.lists(st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.7, 1.0 / 3.0]), st.floats(0.0, 4.0)), min_size=1, max_size=40),
+)
+@example(stat=[0.1, 0.2, 0.1, 0.2], b=0.3, w=[0.2, 0.1])  # 0.1 + 0.2 > 0.3 in floats
+def test_sorted_response_bit_identical(stat, b, w):
+    s = np.array(stat)
+    w = np.array(w + [b - x for x in stat[:10]])
+    indicator = _sorted_response(("le", b), np.sort(s))(w)
+    want = np.array([float(np.mean((s + wv <= b).astype(float))) for wv in w])
+    assert np.array_equal(indicator, want)
+    # min(s + w, b) only for the w >= 0 that rates give: with w < 0 the
+    # terms of the mean can cancel, and no relative tolerance holds
+    w = w[w >= 0]
+    clipped = _sorted_response(("min", b), np.sort(s))(w)
+    want = np.array([float(np.mean(np.minimum(s + wv, b))) for wv in w])
+    np.testing.assert_allclose(clipped, want, rtol=1e-12, atol=0)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from stableshot import (
@@ -14,11 +16,15 @@ from stableshot import (
     TailDist,
     TrafficConfig,
     build_path,
+    idle_indicator,
+    integrate_phi,
     named_rate,
     simulate_sessions,
     stationary_snapshot,
     stationary_window_draws,
+    traffic,
 )
+from stableshot.functionals import functional_steps
 from stableshot.traffic import path_from_csv, path_to_csv
 
 
@@ -156,6 +162,24 @@ class TestStationarity:
         assert vals.shape == (500, 3)
         assert np.all(sups >= vals.max(axis=1) - 1e-12)
 
+    @pytest.mark.parametrize(
+        "lam, h, rates",
+        [(1.0, 1.0, ("uniform", 0.1, 1.0)), (5.0, 3.0, ("uniform", 0.1, 1.0)),
+         (0.3, 0.5, ("exponential", 0.7)), (2.0, 0.0, ("uniform", 0.1, 1.0))],
+    )
+    def test_window_sups_equal_per_draw_sweep(self, lam, h, rates):
+        # 20,000 draws span several row blocks; lam = 5 puts 8 or more
+        # sessions alive at 0 in most draws, where numpy's pairwise sum
+        # changes its order
+        cfg = TrafficConfig(
+            lam=lam, law=JointLaw(TailDist.pareto(1.5), named_rate(*rates)),
+            horizon=1.0, window_h=h, rng=RngStream(20),
+        )
+        n = 20_000
+        _, sups = stationary_window_draws(cfg, n, RngStream(21), with_sup=True)
+        owner, gamma, end, w = traffic._window_sessions(cfg, n, RngStream(21))
+        assert np.array_equal(sups, _per_draw_sups(owner, gamma, end, w, n, h))
+
     def test_time_average_matches_ensemble(self):
         # ergodicity sanity: long-run time average of X equals lam E[Y] E[W]
         cfg = TrafficConfig(lam=1.0, law=law(), horizon=20_000.0, rng=RngStream(11))
@@ -199,3 +223,100 @@ class TestCsv:
         assert np.allclose(p.levels, q.levels)
         assert np.array_equal(p.counts, q.counts)
         assert q.init_count == p.init_count
+
+
+def _window_sup(gamma, end, w, h):
+    # per-draw reference: sup over [0, h] of one draw's step superposition
+    base = float(w[(gamma <= 0.0) & (end > 0.0)].sum())
+    t_ev = np.concatenate([gamma, end])
+    d_ev = np.concatenate([w, -w])
+    inside = (t_ev > 0.0) & (t_ev <= h)
+    t_ev, d_ev = t_ev[inside], d_ev[inside]
+    levels = base + np.cumsum(d_ev[np.argsort(t_ev, kind="stable")])
+    return float(max(base, levels.max(initial=base)))
+
+
+def _per_draw_sups(owner, gamma, end, w, n, h):
+    order = np.argsort(owner, kind="stable")  # each draw's sessions in index order
+    gamma, end, w = gamma[order], end[order], w[order]
+    bounds = np.searchsorted(owner[order], np.arange(n + 1))
+    return np.array(
+        [_window_sup(gamma[a:b], end[a:b], w[a:b], h) for a, b in zip(bounds[:-1], bounds[1:])]
+    )
+
+
+# times on a coarse grid so that arrivals, departures and 0 or h tie
+_grid_time = st.integers(-8, 8).map(lambda k: k / 4)
+_session = st.tuples(
+    st.integers(0, 5),  # owner
+    _grid_time,
+    st.integers(1, 12).map(lambda k: k / 4),  # duration
+    st.sampled_from([0.1, 0.7, 1.0 / 3.0, 2.5, 1e-3, 0.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sessions=st.lists(_session, max_size=60),
+    extra_live=st.integers(0, 20),
+    h=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    block_cells=st.integers(1, 40),
+)
+@example(sessions=[], extra_live=0, h=1.0, block_cells=1)
+@example(sessions=[], extra_live=9, h=1.0, block_cells=3)
+# an arrival at the instant 20 sessions depart: a sweep adds the arrival
+# first, so the level peaks there; sorting the row unstably loses the peak
+@example(
+    sessions=[(0, -0.25, 0.75, 0.7)] * 20 + [(0, 0.5, 1.0, 1.0)],
+    extra_live=0, h=1.0, block_cells=40,
+)
+def test_window_sups_bit_identical(sessions, extra_live, h, block_cells):
+    # extra_live adds sessions alive at 0 to draw 6 (8 or more reach the
+    # pairwise part of numpy's sum); draw 7 never has a session
+    n = 8
+    sessions = sessions + [(6, -0.5 - 0.25 * i, 2.0 + 0.5 * i, 0.1 + 0.3 * i) for i in range(extra_live)]
+    if sessions:
+        owner, gamma, dur, w = (np.array(c) for c in zip(*sessions))
+        owner = owner.astype(np.int64)
+        gamma, dur, w = gamma.astype(float), dur.astype(float), w.astype(float)
+    else:
+        owner = np.empty(0, np.int64)
+        gamma = dur = w = np.empty(0)
+    end = gamma + dur
+    with pytest.MonkeyPatch.context() as mp:
+        # a tiny cell budget puts block boundaries between most draws
+        mp.setattr(traffic, "_BLOCK_CELLS", block_cells)
+        got = traffic._window_sups(owner, gamma, end, w, n, h)
+    want = _per_draw_sups(owner, gamma, end, w, n, h)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestLevelMatchesCount:
+    def test_idle_time_equals_count_zero_time(self):
+        # non-integer rates leave float residues in the running sum while
+        # no session is active; the level must still read exactly 0 there
+        cfg = TrafficConfig(
+            lam=1.0, law=JointLaw(TailDist.pareto(1.5), named_rate("uniform", 0.1, 1.0)),
+            horizon=2e4, rng=RngStream(1),
+        )
+        p = build_path(simulate_sessions(cfg), 0.0, 2e4)
+        bounds, levels, counts = p.segments(0.0, 2e4)
+        idle = (counts == 0).astype(float)
+        assert np.array_equal(levels == 0.0, counts == 0)
+        assert np.array_equal(functional_steps(p, idle_indicator(), 0.0, 2e4)[1], idle)
+        assert integrate_phi(p, idle_indicator(), 0.0, 2e4) == float(np.dot(idle, np.diff(bounds)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 10.0), st.floats(0.01, 5.0),
+                st.sampled_from([0.1, 0.2, 0.7, 1.0 / 3.0, 0.3]),
+            ),
+            min_size=1, max_size=30,
+        )
+    )
+    def test_level_is_zero_exactly_when_idle(self, sessions):
+        gamma, y, w = (np.array(c, dtype=float) for c in zip(*sessions))
+        p = build_path(Sessions(gamma, y, w), 0.0, 20.0)
+        assert np.array_equal(p.levels == 0.0, p.counts == 0)
