@@ -28,6 +28,10 @@ __all__ = [
     "hill_alpha",
 ]
 
+# expected sessions of one fresh-start chunk of collect_cycle_lengths:
+# bounds its memory at heavy load, where a cycle spans many sessions
+_CHUNK_SESSIONS = 2_000_000
+
 
 class CycleDecomposition:
     """Complete cycles of a path before horizon T, as contiguous arrays."""
@@ -103,9 +107,8 @@ def collect_cycle_lengths(
     first arrival on) with independent substreams until enough cycles are
     banked.
     """
-    mean_cycle = math.exp(lam * law.mean_y) / lam
     if chunk_horizon is None:
-        chunk_horizon = max(200.0 * mean_cycle, min(n_target, 50_000) * mean_cycle)
+        chunk_horizon = _chunk_horizon(lam, law, n_target)
     out = []
     have = 0
     chunk = 0
@@ -125,6 +128,14 @@ def collect_cycle_lengths(
         if chunk > 10_000:
             raise RuntimeError("cycle collection is not converging")
     return np.concatenate(out)[:n_target]
+
+
+def _chunk_horizon(lam: float, law: JointLaw, n_target: int) -> float:
+    """Horizon of one chunk: min(n_target, 5e4) mean cycles, cut to
+    _CHUNK_SESSIONS expected sessions, but never under 200 mean cycles."""
+    mean_cycle = math.exp(lam * law.mean_y) / lam
+    wanted = min(min(n_target, 50_000) * mean_cycle, _CHUNK_SESSIONS / lam)
+    return max(200.0 * mean_cycle, wanted)
 
 
 @dataclass(frozen=True)

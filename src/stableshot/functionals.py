@@ -52,9 +52,10 @@ class WindowFunctional:
     rate law (set automatically by the built-ins for atomic rate laws).
     ``form`` records how a built-in reads one scalar statistic s of the
     window, x(0) or for 'window_sup' the sup: ``("le", b)`` for
-    1{s <= b}, ``("min", b)`` for min(s, b); None when phi is known only
-    through ``fn``.  Monte Carlo response curves use it to evaluate many
-    shifts w at once from the sorted draws of s.
+    1{s <= b}, ``("min", b)`` for min(s, b), ``("id", None)`` for s
+    itself; None when phi is known only through ``fn``.  Monte Carlo
+    response curves use it to evaluate many shifts w at once from the
+    sorted draws of s.
     """
 
     name: str
@@ -69,7 +70,7 @@ class WindowFunctional:
     def __post_init__(self):
         if self.kind not in ("pointwise", "window_sup"):
             raise ValueError(f"unsupported functional kind {self.kind!r}")
-        if self.form is not None and self.form[0] not in ("le", "min"):
+        if self.form is not None and self.form[0] not in ("le", "min", "id"):
             raise ValueError(f"unsupported functional form {self.form!r}")
         if self.h < 0:
             raise ValueError("window length must be nonnegative")
@@ -93,7 +94,7 @@ def identity() -> WindowFunctional:
     """phi(x) = x(0).  Unbounded; kept for the classical empirical-mean case."""
     return WindowFunctional(
         name="identity", h=0.0, kind="pointwise", offsets=(0.0,),
-        fn=_v0, sup_norm=math.inf, continuity_assertion=True,
+        fn=_v0, sup_norm=math.inf, continuity_assertion=True, form=("id", None),
     )
 
 
@@ -283,9 +284,10 @@ def monte_carlo_response(phi: WindowFunctional, config: TrafficConfig, n_mc: int
     Returns (calE, samples): ``calE(w)`` is the vector of draw means, one
     per entry of w; ``samples(w)`` the per-draw values phi(w + X_h(0)) at
     one scalar w.  For a phi with a ``form``, calE works on the sorted
-    statistic: indicator means are bit-identical to the per-point means,
-    and ``min`` means agree with them to rounding for w >= 0 (prefix sums
-    of the sorted draws; a negative w could cancel terms).
+    statistic: indicator means are bit-identical to the per-point means;
+    ``min`` means (prefix sums of the sorted draws) and ``id`` means
+    (mean(s) + w) agree with them to rounding for w >= 0, where a negative
+    w could cancel terms.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
@@ -316,9 +318,12 @@ def monte_carlo_response(phi: WindowFunctional, config: TrafficConfig, n_mc: int
 
 
 def _sorted_response(form, s):
-    """calE of 1{s + w <= b} or min(s + w, b) from the sorted draws s."""
+    """calE of 1{s + w <= b}, min(s + w, b) or s + w from the sorted draws s."""
     op, b = form
     n = s.size
+    if op == "id":
+        mean = float(np.mean(s))
+        return lambda w: mean + np.atleast_1d(np.asarray(w, dtype=float))
     prefix = np.concatenate([[0.0], np.cumsum(s)]) if op == "min" else None
 
     def calE(w):

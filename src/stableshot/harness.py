@@ -6,7 +6,8 @@ analyses to run.  ``run`` executes the requested analyses independently
 (a failure in one is recorded in its block, the others still run) and
 deterministically: replicate r always draws from stream_id = r of the
 master seed, with a substream per horizon, so results do not depend on
-the worker count or completion order.
+the worker count or completion order.  Each replicate path is simulated
+once per horizon and serves every functional of the scenario.
 """
 
 from __future__ import annotations
@@ -284,8 +285,8 @@ def response_curve(scenario: Scenario, phi: WindowFunctional, n_mc: int = 100_00
 
 
 def _z_task(task):
-    """One replicate: simulate once, return z-values for every requested
-    (functional, u) pair at horizon T."""
+    """One replicate: simulate once, return ((t_index, r), z-values) with
+    one row of z-values per functional and one column per u, at horizon T."""
     scenario, t_index, r, phi_specs, centerings, u_list = task
     T = scenario.T_ladder[t_index]
     phis = [make_functional(s, scenario.window_h) for s in phi_specs]
@@ -300,7 +301,7 @@ def _z_task(task):
         at = fns._prefix_integral(bounds, vals - c)
         for j, u in enumerate(u_list):
             out[i, j] = float(at(u * T)) / a_T
-    return r, out
+    return (t_index, r), out
 
 
 def _cdf_task(task):
@@ -324,7 +325,8 @@ def _map_tasks(fn, tasks, workers: int):
 
 
 def _ordered(results):
-    # reduce by replicate index so worker completion order cannot matter
+    # reduce by task key, (t_index, r) for _z_task and r for _cdf_task, so
+    # worker completion order cannot matter
     return [out for _, out in sorted(results, key=lambda p: p[0])]
 
 
@@ -410,21 +412,28 @@ def _limit_spec_for(scenario: Scenario, phi: WindowFunctional, calE, method: str
 
 
 def _analysis_stable_limit(scenario: Scenario, workers: int) -> dict:
-    block = {}
-    for spec_str in scenario.functionals:
-        phi = make_functional(spec_str, scenario.window_h)
+    phis = [make_functional(s, scenario.window_h) for s in scenario.functionals]
+    fits = []  # (cal0, se, method, LimitSpec) per functional
+    for phi in phis:
         calE, cal0, se, method = response_curve(scenario, phi)
-        lspec = _limit_spec_for(scenario, phi, calE, method)
+        fits.append((cal0, se, method, _limit_spec_for(scenario, phi, calE, method)))
+    # one simulated path per (T, r) serves every functional
+    n = scenario.replicates
+    cal0s = tuple(fit[0] for fit in fits)
+    tasks = [
+        (scenario, t_index, r, scenario.functionals, cal0s, (1.0,))
+        for t_index in range(len(scenario.T_ladder))
+        for r in range(n)
+    ]
+    rows = np.stack(_ordered(_map_tasks(_z_task, tasks, workers)))[:, :, 0]
+    # z_all[i, t_index] holds functional i's z-values over r at T_ladder[t_index]
+    z_all = rows.T.reshape(len(phis), len(scenario.T_ladder), n)
+    block = {}
+    for phi, (cal0, se, method, lspec), z_phi in zip(phis, fits, z_all):
         per_T = {}
         reports = []
         for t_index, T in enumerate(scenario.T_ladder):
-            tasks = [
-                (scenario, t_index, r, (spec_str,), (cal0,), (1.0,))
-                for r in range(scenario.replicates)
-            ]
-            z = np.array(
-                [out[0, 0] for out in _ordered(_map_tasks(_z_task, tasks, workers))]
-            )
+            z = z_phi[t_index]
             per_T[T] = z
             if lspec.degenerate:
                 reports.append(
@@ -466,15 +475,15 @@ def _analysis_self_similarity(scenario: Scenario, workers: int) -> dict:
     t_index = len(scenario.T_ladder) - 1
     T = scenario.T_ladder[t_index]
     n = scenario.replicates
-    # disjoint replicate banks so the two KS samples are independent
-    tasks_u = [
-        (scenario, t_index, r, (spec_str,), (cal0,), (u,)) for r in range(n)
+    # disjoint replicate banks so the two KS samples are independent: r in
+    # [0, n) observes u, r in [n, 2n) observes 1; the key (t_index, r) has
+    # one t_index, so it orders the results by (bank, r)
+    tasks = [
+        (scenario, t_index, r, (spec_str,), (cal0,), (u if r < n else 1.0,))
+        for r in range(2 * n)
     ]
-    tasks_1 = [
-        (scenario, t_index, r, (spec_str,), (cal0,), (1.0,)) for r in range(n, 2 * n)
-    ]
-    z_u = np.array([o[0, 0] for o in _ordered(_map_tasks(_z_task, tasks_u, workers))])
-    z_1 = np.array([o[0, 0] for o in _ordered(_map_tasks(_z_task, tasks_1, workers))])
+    z = np.array([o[0, 0] for o in _ordered(_map_tasks(_z_task, tasks, workers))])
+    z_u, z_1 = z[:n], z[n:]
     scale = u ** (-1.0 / scenario.alpha)
     gof = ks_two_sample(
         z_u * scale, z_1, f"{scenario.name}/self_similarity/{phi.name}/u={u:g}"

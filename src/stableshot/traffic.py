@@ -217,8 +217,20 @@ class ShotNoisePath:
             raise ValueError("event times must lie in (t0, t1]")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("event times must be strictly increasing (merged)")
-        self.levels = self.init_level + kernels.compensated_cumsum(self.rate_delta)
-        self.counts = self.init_count + np.cumsum(self.count_delta)
+        # the value before the first event, then after each event, built
+        # once: a lookup at t reads index searchsorted(times, t, 'right'),
+        # and levels/counts are views of the tails, not second copies
+        n = len(self.times)
+        self._level_steps = np.empty(n + 1)
+        self._level_steps[0] = self.init_level
+        self._count_steps = np.empty(n + 1, dtype=np.int64)
+        self._count_steps[0] = self.init_count
+        self.levels = self._level_steps[1:]
+        self.counts = self._count_steps[1:]
+        self.levels[:] = kernels.compensated_cumsum(self.rate_delta)
+        self.levels += self.init_level
+        np.cumsum(self.count_delta, out=self.counts)
+        self.counts += self.init_count
         self.levels[self.counts == 0] = 0.0  # drop float residues of departed rates
         self.eps_num = 1e-9 * float(np.abs(self.rate_delta).sum())
         if self.init_count < 0 or np.any(self.counts < 0):
@@ -234,25 +246,22 @@ class ShotNoisePath:
         t_arr = np.asarray(t, dtype=float)
         if np.any((t_arr < self.t0) | (t_arr > self.t1)):
             raise ValueError("evaluation point outside path support")
-        idx = np.searchsorted(self.times, t_arr, side="right")
-        padded = np.concatenate([[self.init_level], self.levels])
-        out = padded[idx]
+        out = self._level_steps[np.searchsorted(self.times, t_arr, side="right")]
         return float(out) if np.isscalar(t) else out
 
     def eval_count(self, t):
         t_arr = np.asarray(t, dtype=float)
         if np.any((t_arr < self.t0) | (t_arr > self.t1)):
             raise ValueError("evaluation point outside path support")
-        idx = np.searchsorted(self.times, t_arr, side="right")
-        padded = np.concatenate([[self.init_count], self.counts])
-        out = padded[idx]
+        out = self._count_steps[np.searchsorted(self.times, t_arr, side="right")]
         return int(out) if np.isscalar(t) else out
 
     def segments(self, lo=None, hi=None):
         """(bounds, levels, counts) of the step decomposition on [lo, hi].
 
         ``bounds`` has one more entry than the value arrays; segment i is
-        [bounds[i], bounds[i+1]) with constant level/count.
+        [bounds[i], bounds[i+1]) with constant level/count.  The value
+        arrays are views of the path's own: read them, do not write.
         """
         lo = self.t0 if lo is None else float(lo)
         hi = self.t1 if hi is None else float(hi)
@@ -261,9 +270,7 @@ class ShotNoisePath:
         i0 = int(np.searchsorted(self.times, lo, side="right"))
         i1 = int(np.searchsorted(self.times, hi, side="left"))
         bounds = np.concatenate([[lo], self.times[i0:i1], [hi]])
-        padded_lev = np.concatenate([[self.init_level], self.levels])
-        padded_cnt = np.concatenate([[self.init_count], self.counts])
-        return bounds, padded_lev[i0 : i1 + 1], padded_cnt[i0 : i1 + 1]
+        return bounds, self._level_steps[i0 : i1 + 1], self._count_steps[i0 : i1 + 1]
 
     @property
     def max_level(self) -> float:
@@ -314,11 +321,13 @@ def build_path(sessions: Sessions, t0: float, t1: float) -> ShotNoisePath:
     )
     order = np.argsort(times, kind="stable")
     times, r_delta, c_delta = times[order], r_delta[order], c_delta[order]
-    uniq, start_idx = np.unique(times, return_index=True)
-    if len(uniq) != len(times):
-        r_delta = np.add.reduceat(r_delta, start_idx)
-        c_delta = np.add.reduceat(c_delta, start_idx)
-        times = uniq
+    if len(times):
+        # first event of each run of equal times; the times are sorted
+        start_idx = np.flatnonzero(np.r_[True, times[1:] != times[:-1]])
+        if len(start_idx) != len(times):
+            r_delta = np.add.reduceat(r_delta, start_idx)
+            c_delta = np.add.reduceat(c_delta, start_idx)
+            times = times[start_idx]
     return ShotNoisePath(t0, t1, times, r_delta, c_delta, init_level, init_count)
 
 

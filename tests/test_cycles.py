@@ -19,6 +19,7 @@ from stableshot import (
     hill_alpha,
     simulate_sessions,
 )
+from stableshot.cycles import _CHUNK_SESSIONS, _chunk_horizon
 
 
 def law():
@@ -85,6 +86,30 @@ def test_cycle_lengths_mean_ballpark():
     lengths = collect_cycle_lengths(1.0, law(), 5000, RngStream(2))
     assert lengths.size == 5000
     assert 15.0 < lengths.mean() < 26.0
+
+
+def test_chunk_horizon_capped_by_session_count():
+    # load lam * E[Y] = 8: min(n, 5e4) mean cycles would be ~1.5e8 sessions
+    lam = 8.0 / 3.0
+    mean_cycle = math.exp(8.0) / lam
+    assert lam * 50_000 * mean_cycle > 1e8
+    h = _chunk_horizon(lam, law(), 100_000)
+    assert lam * h == pytest.approx(_CHUNK_SESSIONS)
+    assert h > 200.0 * mean_cycle
+    # load 12: 200 mean cycles exceed the cap, and the floor wins
+    lam = 4.0
+    mean_cycle = math.exp(12.0) / lam
+    assert lam * 200.0 * mean_cycle > _CHUNK_SESSIONS
+    assert _chunk_horizon(lam, law(), 100_000) == 200.0 * mean_cycle
+
+
+@pytest.mark.parametrize("n_target", [500, 10_000, 60_000, 100_000, 1_000_000])
+def test_chunk_horizon_unit_load_unchanged(n_target):
+    # load 3 (the cycle analyses' scenarios): the cap does not bind
+    mean_cycle = math.exp(3.0)
+    h = _chunk_horizon(1.0, law(), n_target)
+    assert h == max(200.0 * mean_cycle, min(n_target, 50_000) * mean_cycle)
+    assert h < _CHUNK_SESSIONS
 
 
 def test_cycle_lengths_are_positive_and_reproducible():

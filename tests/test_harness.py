@@ -2,16 +2,17 @@
 
 import math
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stableshot import Report, RngStream, Scenario, builtin_scenarios, emit, run
+from stableshot import Report, RngStream, Scenario, builtin_scenarios, emit, harness, run
 from stableshot.cli import main
 from stableshot.functionals import _sorted_response, monte_carlo_response
-from stableshot.harness import make_functional, response_curve, validate
+from stableshot.harness import _z_task, make_functional, response_curve, validate
 from stableshot.traffic import stationary_window_draws
 
 
@@ -25,6 +26,28 @@ def tiny_scenario(**overrides):
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+# unit rates give exact response curves; uniform rates with a window give
+# Monte Carlo ones and a window-sup functional
+_FAMILIES = {
+    "exact": dict(functionals=("identity", "idle", "cdf:1")),
+    "monte_carlo": dict(
+        functionals=("winsup:3", "clipped:2", "identity"),
+        w_kind="uniform", w_params=(0.1, 1.0), window_h=1.0,
+    ),
+}
+
+
+def _family(kind):
+    return tiny_scenario(T_ladder=(200.0, 400.0), replicates=20, **_FAMILIES[kind])
+
+
+def _text_from_block(report):
+    # to_text from the first block on: the scenario echo above it lists
+    # the functionals
+    text = report.to_text()
+    return text[text.index("[stable_limit]"):].splitlines()
 
 
 class TestScenario:
@@ -103,10 +126,13 @@ class TestRun:
         assert np.array_equal(za, zb)
 
     def test_worker_count_does_not_change_results(self):
-        sc = tiny_scenario()
-        a = run(sc, workers=1)
-        b = run(sc, workers=2)
-        assert a.to_text() == b.to_text()
+        for sc in (tiny_scenario(), _family("exact"), _family("monte_carlo")):
+            a = run(sc, workers=1)
+            b = run(sc, workers=2)
+            assert a.to_text() == b.to_text()
+            for name, sub in a.blocks["stable_limit"].items():
+                for T, z in sub["samples"].items():
+                    assert b.blocks["stable_limit"][name]["samples"][T].tobytes() == z.tobytes()
 
     def test_analysis_error_is_contained(self):
         # cdf_rate needs >= 3 ladder points: error lands in its block only
@@ -120,6 +146,59 @@ class TestRun:
         gofs = rep.gofs()
         assert len(gofs) == 1
         assert "m1_diagnostic" in gofs[0].name
+
+
+class TestOnePathPerReplicate:
+    @pytest.mark.parametrize("kind", sorted(_FAMILIES))
+    def test_functionals_together_match_one_at_a_time(self, kind):
+        sc = _family(kind)
+        together = run(sc)
+        alone = [run(replace(sc, functionals=(spec,))) for spec in sc.functionals]
+        block = together.blocks["stable_limit"]
+        assert len(block) == 3
+        for single in alone:
+            ((name, sub),) = single.blocks["stable_limit"].items()
+            got = block[name]
+            assert got["limit"] == sub["limit"]
+            assert (got["centering"], got["centering_se"]) == (sub["centering"], sub["centering_se"])
+            assert list(got["samples"]) == list(sub["samples"]) == list(sc.T_ladder)
+            for T, z in sub["samples"].items():
+                assert got["samples"][T].tobytes() == z.tobytes()
+        assert list(block) == [next(iter(r.blocks["stable_limit"])) for r in alone]
+        assert together.gofs() == [g for r in alone for g in r.gofs()]
+        lines = [_text_from_block(r) for r in alone]
+        verdict = "PASS" if all(r.all_passed for r in alone) else "FAIL"
+        assert _text_from_block(together) == (
+            ["[stable_limit]"] + [ln for r in lines for ln in r[1:-1]] + [f"overall: {verdict}"]
+        )
+
+    def test_one_simulation_per_replicate_and_horizon(self, monkeypatch):
+        sc = _family("exact")
+        horizons = []
+        simulate = harness.simulate_sessions
+
+        def counted(config):
+            horizons.append(config.horizon)
+            return simulate(config)
+
+        monkeypatch.setattr(harness, "simulate_sessions", counted)
+        run(sc, workers=1)
+        assert len(horizons) == sc.replicates * len(sc.T_ladder)
+        assert sorted(set(horizons)) == list(sc.T_ladder)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_self_similarity_banks(self, workers):
+        # bank u over r in [0, n), bank 1 over r in [n, 2n), in r order
+        sc = tiny_scenario(analyses=("self_similarity",), u_grid=(0.25, 1.0), replicates=15)
+        ss = run(sc, workers=workers).blocks["self_similarity"]
+        cal0 = response_curve(sc, make_functional("identity"))[1]
+        n = sc.replicates
+        z = [_z_task((sc, 0, r, ("identity",), (cal0,), (0.25 if r < n else 1.0,)))
+             for r in range(2 * n)]
+        assert [key for key, _ in z] == [(0, r) for r in range(2 * n)]
+        z = np.array([out[0, 0] for _, out in z])
+        assert ss["rescaled"].tobytes() == (z[:n] * 0.25 ** (-1.0 / sc.alpha)).tobytes()
+        assert ss["reference"].tobytes() == z[n:].tobytes()
 
 
 class TestEmit:
@@ -233,7 +312,9 @@ def test_monte_carlo_response_matches_loop(spec):
     else:
         values, sups = stationary_window_draws(sc.config(1.0, rng), n, rng), None
         stat = values[:, 0]
-    b = phi.form[1] if phi.form else 1.0
+    op, b = phi.form
+    if b is None:  # identity has no threshold; any shifts will do
+        b = 1.0
     # shifts that put s + w exactly on b for some draws, and their neighbours
     on_b = b - stat[:50]
     w = np.concatenate(
@@ -242,7 +323,7 @@ def test_monte_carlo_response_matches_loop(spec):
     )
     want = _loop_calE(phi, values, sups, w)
     got = calE(w)
-    if phi.form is None or phi.form[0] == "le":
+    if op == "le":
         assert np.array_equal(got, want)
     else:
         # rates are nonnegative; a negative w could cancel terms of the mean
@@ -295,3 +376,6 @@ def test_sorted_response_bit_identical(stat, b, w):
     clipped = _sorted_response(("min", b), np.sort(s))(w)
     want = np.array([float(np.mean(np.minimum(s + wv, b))) for wv in w])
     np.testing.assert_allclose(clipped, want, rtol=1e-12, atol=0)
+    shifted = _sorted_response(("id", None), np.sort(s))(w)
+    want = np.array([float(np.mean(s + wv)) for wv in w])
+    np.testing.assert_allclose(shifted, want, rtol=1e-12, atol=0)

@@ -61,6 +61,56 @@ class TestBuildPath:
         # merged event list: one arrival timestamp, two departures
         assert len(p.times) == 3
 
+    def test_coincident_arrivals_and_departures_merge(self):
+        # 0.5: two arrivals; 1.0: a departure and an arrival; 1.5: two
+        # arrivals; 2.0: three departures and an arrival
+        s = Sessions(
+            [0.5, 0.5, 1.0, 1.5, 1.5, 2.0],
+            [0.5, 1.5, 1.0, 0.5, 0.25, 0.5],
+            [1.0, 2.0, 4.0, 0.5, 0.25, 3.0],
+        )
+        p = build_path(s, 0.0, 3.0)
+        assert np.array_equal(p.times, [0.5, 1.0, 1.5, 1.75, 2.0, 2.5])
+        assert np.array_equal(p.rate_delta, [3.0, 3.0, 0.75, -0.25, -3.5, -3.0])
+        assert np.array_equal(p.count_delta, [2, 0, 2, -1, -2, -1])
+        assert np.array_equal(p.levels, [3.0, 6.0, 6.75, 6.5, 3.0, 0.0])
+        assert np.array_equal(p.counts, [2, 2, 4, 3, 1, 0])
+
+    def test_merge_matches_unique_on_tied_grid(self):
+        # arrivals and durations on a quarter grid, so many events tie
+        gen = np.random.default_rng(11)
+        n = 400
+        s = Sessions(
+            gen.integers(-8, 40, n) / 4.0,
+            gen.integers(1, 12, n) / 4.0,
+            gen.choice([0.5, 1.0, 2.0], n),
+        )
+        t0, t1 = 0.0, 9.0
+        p = build_path(s, t0, t1)
+        # reference merge: np.unique over the same stably sorted events
+        dep = s.gamma + s.y
+        arr = (s.gamma > t0) & (s.gamma <= t1)
+        out = (dep > t0) & (dep <= t1) & (s.gamma <= t1)
+        times = np.concatenate([s.gamma[arr], dep[out]])
+        r_delta = np.concatenate([s.w[arr], -s.w[out]])
+        c_delta = np.concatenate([np.ones(arr.sum(), np.int64), -np.ones(out.sum(), np.int64)])
+        order = np.argsort(times, kind="stable")
+        uniq, first = np.unique(times[order], return_index=True)
+        assert len(uniq) < len(times)
+        assert np.array_equal(p.times, uniq)
+        assert np.array_equal(p.rate_delta, np.add.reduceat(r_delta[order], first))
+        assert np.array_equal(p.count_delta, np.add.reduceat(c_delta[order], first))
+
+    def test_path_without_events(self):
+        # no sessions, and one that straddles the whole of [0, 2]
+        for s, level in ((Sessions([], [], []), 0.0), (Sessions([-1.0], [5.0], [2.0]), 2.0)):
+            p = build_path(s, 0.0, 2.0)
+            assert len(p) == 0 and p.levels.size == 0 and p.counts.size == 0
+            assert p.eval_level(1.0) == level and p.eval_count(2.0) == int(level > 0)
+            bounds, levels, counts = p.segments()
+            assert np.array_equal(bounds, [0.0, 2.0])
+            assert np.array_equal(levels, [level]) and np.array_equal(counts, [int(level > 0)])
+
     def test_straddler_clipped_into_init(self):
         s = Sessions([-0.5], [1.0], [2.0])
         p = build_path(s, 0.0, 2.0)
