@@ -1,23 +1,13 @@
-"""Kernel backend selection.
+"""The kernel module every layer calls.
 
-The compiled Cython extension is preferred; the pure numpy/Python module is
-the fallback.  Set ``STABLESHOT_BACKEND=python`` to force the fallback (used
-by the benchmark and the backend-equivalence tests).
+``kernels`` is the numpy module ``_kernels_py``; the layers look their
+kernels up on it by attribute, so the benchmark's tracer can wrap them by
+name.
 """
 
-import os
-
-from . import _kernels_py
-
-if os.environ.get("STABLESHOT_BACKEND", "").lower() == "python":
-    kernels = _kernels_py
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-    except ImportError:
-        kernels = _kernels_py
+from . import _kernels_py as kernels
 
 
 def backend_name() -> str:
-    """Name of the active kernel backend: 'cython' or 'python'."""
+    """Name of the kernel implementation, recorded in every report: 'python'."""
     return kernels.BACKEND

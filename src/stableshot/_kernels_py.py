@@ -1,23 +1,22 @@
-"""Pure numpy/Python fallback for the compiled kernels.
+"""The numpy kernels behind the path, cycle, window and M1 layers.
 
-Same contracts as the Cython module ``stableshot._kernels``:
-
-* ``compensated_cumsum`` -- running sum of float deltas.  The compiled
-  version uses Kahan compensation; this fallback uses ``np.cumsum``, so the
-  two agree only up to the documented numerical slack, not bitwise.
+* ``compensated_cumsum`` -- running sum of float deltas, a plain
+  ``np.cumsum``.  The levels it builds carry a rounding slack of
+  ``eps_num = 1e-9 * accumulated |w|`` (see ``ShotNoisePath``).  The
+  function keeps its name because the benchmark traces it by that name.
 * ``busy_bounds`` -- indices where an integer occupancy sequence leaves /
   enters zero.
-* ``sliding_range_max`` -- max of ``values[lo[i]:hi[i]+1]`` per query.
-  The compiled core walks monotone windows with a two-pointer deque; here
-  a sparse table (Bender & Farach-Colton 2000) answers every query with
-  two lookups, so any windows with ``0 <= lo <= hi < len(values)`` work.
+* ``sliding_range_max`` -- max of ``values[lo[i]:hi[i]+1]`` per query.  A
+  sparse table (Bender & Farach-Colton 2000) answers every query with two
+  lookups, so any windows with ``0 <= lo <= hi < len(values)`` work.
 * ``frechet_minimax`` -- minimax dynamic program between two polylines
-  under the max(|dt|, |dv|) ground metric.  The compiled core sweeps it
-  row by row; here an anti-diagonal wavefront computes a whole diagonal
-  per numpy step from the two diagonals before it, in O(n + m) memory.
+  under the max(|dt|, |dv|) ground metric.  An anti-diagonal wavefront
+  computes a whole diagonal per numpy step from the two diagonals before
+  it, in O(n + m) memory.
 
-Both selections return exactly the compiled core's values: a max or min
-picks one of its input floats, so no rounding enters.
+Both selections are exact: a max or min picks one of its input floats, so
+no rounding enters, and they return the same values as a monotone-deque
+sweep and a row-by-row sweep of the DP.
 """
 
 import numpy as np

@@ -9,7 +9,6 @@ are computed exactly as sum(value * segment length) -- no quadrature.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -230,21 +229,6 @@ class EmpiricalPath:
             raise ValueError("u must lie in [0, 1]")
         out = np.interp(u_arr, self.u_breaks, self.values)
         return float(out) if np.isscalar(u) else out
-
-    def to_csv(self, dest, meta_dest=None) -> None:
-        with open(dest, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["u", "value"])
-            for u, v in zip(self.u_breaks, self.values):
-                writer.writerow([repr(float(u)), repr(float(v))])
-        if meta_dest is not None:
-            with open(meta_dest, "w") as fh:
-                fh.write(
-                    f"T: {self.T!r}\na_T: {self.a_T!r}\n"
-                    f"centering: {self.centering!r}\n"
-                    f"centering_se: {self.centering_se!r}\n"
-                    f"centering_method: {self.centering_method}\n"
-                )
 
 
 def empirical_path(

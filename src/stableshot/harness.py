@@ -206,18 +206,30 @@ def validate(scenario: Scenario) -> list:
     bad = set(scenario.analyses) - set(ANALYSES)
     if bad:
         raise ValueError(f"unknown analyses: {sorted(bad)}")
+    if not (math.isfinite(scenario.window_h) and scenario.window_h >= 0):
+        raise ValueError(f"window_h must be finite and nonnegative, got {scenario.window_h!r}")
     if len(set(scenario.functionals)) != len(scenario.functionals):
         raise ValueError("functional names must be unique")
+    runs = set(scenario.analyses)
+    if not scenario.functionals and runs & {"stable_limit", "self_similarity"}:
+        raise ValueError("functionals must not be empty for stable_limit or self_similarity")
     for spec in scenario.functionals:
         make_functional(spec, scenario.window_h)  # raises on bad spec
     scenario.law()  # raises on bad rate model
     if not (0 < min(scenario.u_grid) and max(scenario.u_grid) <= 1):
         raise ValueError("u_grid must lie in (0, 1]")
+    if list(scenario.x_grid) != sorted(set(scenario.x_grid)):
+        raise ValueError("x_grid must be strictly increasing")
+    if not scenario.x_grid and "cdf_rate" in runs:
+        raise ValueError("x_grid must not be empty for cdf_rate")
+    if scenario.n_cycles < 1:
+        raise ValueError("n_cycles must be >= 1")
+    if "hill" in runs and not 1 <= scenario.hill_k < scenario.n_cycles:
+        raise ValueError(f"hill_k must lie in [1, n_cycles), got {scenario.hill_k}")
     ey = scenario.y_dist().mean_y
     notes.append(f"mean session duration E[Y] = {ey:g}")
     notes.append(f"offered load lambda*E[Y] = {scenario.lam * ey:g}")
     notes.append(f"mean cycle length = {math.exp(scenario.lam * ey) / scenario.lam:g}")
-    notes.append(f"kernel backend: {backend_name()}")
     if scenario.lam * ey > 8:
         notes.append("warning: heavy load, idle periods will be very rare")
     return notes

@@ -14,7 +14,6 @@ construction is used instead.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -38,8 +37,6 @@ __all__ = [
     "eval_level",
     "stationary_snapshot",
     "stationary_window_draws",
-    "path_to_csv",
-    "path_from_csv",
 ]
 
 # cells of one block of stationary_window_draws' padded event matrix
@@ -119,9 +116,13 @@ def named_rate(name: str, *params: float) -> IndependentRate:
 
     if name == "uniform":
         a, b = params
+        if not (0 <= a < b < np.inf):
+            raise ValueError(f"uniform rates need finite 0 <= a < b, got ({a!r}, {b!r})")
         return IndependentRate(functools.partial(_uniform_rate, a, b), mean=(a + b) / 2)
     if name == "exponential":
         (mean,) = params
+        if not (0 < mean < np.inf):
+            raise ValueError(f"exponential rates need a finite mean > 0, got {mean!r}")
         return IndependentRate(functools.partial(_exponential_rate, mean), mean=mean)
     raise ValueError(f"unknown rate model {name!r}")
 
@@ -195,7 +196,7 @@ class ShotNoisePath:
 
     ``times`` are merged event timestamps strictly inside (t0, t1]; the
     level / count after event i are ``levels[i]`` / ``counts[i]``.  Counts
-    are exact integers; levels carry compensated running sums with slack
+    are exact integers; levels are plain running float sums with slack
     ``eps_num = 1e-9 * accumulated |w|``, and are exactly 0 wherever the
     count is 0, so level-based functionals such as ``idle`` see the same
     idle time as the count-based cycles whatever the rates.
@@ -456,29 +457,3 @@ def stationary_snapshot(config: TrafficConfig, n: int, rng: RngStream, offsets=(
     values = stationary_window_draws(config, n, rng, offsets=offsets)
     return values[:, 0] if values.shape[1] == 1 else values
 
-
-def path_to_csv(path: ShotNoisePath, dest) -> None:
-    """Dump (time, level, count) per event, header included."""
-    with open(dest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "level", "count"])
-        writer.writerow([repr(path.t0), repr(path.init_level), path.init_count])
-        for t, lev, cnt in zip(path.times, path.levels, path.counts):
-            writer.writerow([repr(float(t)), repr(float(lev)), int(cnt)])
-
-
-def path_from_csv(src, t1=None) -> ShotNoisePath:
-    """Rebuild a path from its CSV dump (inverse of ``path_to_csv``)."""
-    with open(src, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    t0 = float(rows[0][0])
-    init_level = float(rows[0][1])
-    init_count = int(rows[0][2])
-    times = np.array([float(r[0]) for r in rows[1:]])
-    levels = np.array([float(r[1]) for r in rows[1:]])
-    counts = np.array([int(r[2]) for r in rows[1:]])
-    r_delta = np.diff(np.concatenate([[init_level], levels]))
-    c_delta = np.diff(np.concatenate([[init_count], counts])).astype(np.int64)
-    if t1 is None:
-        t1 = times[-1] if len(times) else t0 + 1.0
-    return ShotNoisePath(t0, t1, times, r_delta, c_delta, init_level, init_count)

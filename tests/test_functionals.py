@@ -169,14 +169,6 @@ class TestEmpiricalPath:
         assert ep(1.0) == pytest.approx(want)
         assert ep.a_T == pytest.approx(100.0)
 
-    def test_csv_round_trip(self, tmp_path):
-        cfg = TrafficConfig(lam=1.0, law=law(), horizon=100.0, rng=RngStream(5))
-        p = build_path(simulate_sessions(cfg), 0.0, 100.0)
-        ep = empirical_path(p, identity(), TailDist.pareto(1.5), 100.0, centering=3.0)
-        dest = tmp_path / "z.csv"
-        ep.to_csv(dest)
-        assert dest.exists()
-
 
 class TestEmpiricalCdf:
     def test_hand_path(self):

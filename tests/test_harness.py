@@ -98,6 +98,33 @@ class TestScenario:
         with pytest.raises(ValueError):
             validate(tiny_scenario(functionals=("identity", "identity")))
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(window_h=-1.0), "window_h"),
+            (dict(window_h=math.inf), "window_h"),
+            (dict(x_grid=(2.0, 1.0)), "x_grid"),
+            (dict(x_grid=(1.0, 1.0)), "x_grid"),
+            (dict(x_grid=(), analyses=("cdf_rate",)), "x_grid"),
+            (dict(w_kind="uniform", w_params=(1.0, 0.1)), "uniform"),
+            (dict(w_kind="exponential", w_params=(0.0,)), "exponential"),
+            (dict(n_cycles=0), "n_cycles"),
+            (dict(hill_k=0, n_cycles=100, analyses=("hill",)), "hill_k"),
+            (dict(hill_k=100, n_cycles=100, analyses=("hill",)), "hill_k"),
+            (dict(functionals=()), "functionals"),
+            (dict(functionals=(), analyses=("self_similarity",)), "functionals"),
+        ],
+    )
+    def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            validate(tiny_scenario(**overrides))
+
+    def test_validate_checks_only_what_runs(self):
+        # hill_k and an empty functionals list matter only to the analyses
+        # that read them
+        validate(tiny_scenario(hill_k=0, functionals=(), analyses=("cycle_mean",)))
+        validate(tiny_scenario(x_grid=(), analyses=("stable_limit",)))
+
     def test_validate_notes(self):
         notes = validate(tiny_scenario())
         assert any("E[Y]" in n for n in notes)
@@ -242,6 +269,12 @@ class TestCli:
             ("replicates: abc\n", "replicates"),
             ("lam: -1\n", "lam"),
             ("lam: .nan\n", "lam"),
+            ("window_h: -1\n", "window_h"),
+            ("x_grid: [2.0, 1.0]\n", "x_grid"),
+            ("w_kind: uniform\nw_params: [1.0, 0.1]\n", "uniform"),
+            ("n_cycles: 0\n", "n_cycles"),
+            ("analyses: [hill]\nhill_k: 0\n", "hill_k"),
+            ("functionals: []\nanalyses: [stable_limit]\n", "functionals"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])

@@ -1,4 +1,5 @@
-"""Backend equivalence and hand-checkable cases for the hot kernels."""
+"""Contract tests for the numpy kernels: hand-checkable cases and exact
+agreement with simple reference implementations."""
 
 from collections import deque
 
@@ -9,21 +10,9 @@ from hypothesis import strategies as st
 
 from stableshot import _kernels_py
 
-try:
-    from stableshot import _kernels as _kernels_cy
-except ImportError:
-    _kernels_cy = None
-
-BACKENDS = [_kernels_py] + ([_kernels_cy] if _kernels_cy is not None else [])
-
-
-@pytest.fixture(params=BACKENDS, ids=lambda m: m.BACKEND)
-def K(request):
-    return request.param
-
-
-# Hypothesis rejects function-scoped fixtures, so property tests parametrize.
-each_backend = pytest.mark.parametrize("K", BACKENDS, ids=lambda m: m.BACKEND)
+# K is the numpy kernel module; the one-entry parametrization keeps the
+# "[python]" test ids that earlier runs recorded.
+kernel_module = pytest.mark.parametrize("K", [_kernels_py], ids=[_kernels_py.BACKEND])
 
 
 def _row_loop_frechet(p, q):
@@ -95,6 +84,7 @@ def _windows(draw, monotone):
     return values, lo, hi
 
 
+@kernel_module
 def test_compensated_cumsum_matches_numpy(K):
     gen = np.random.default_rng(0)
     x = gen.normal(size=10_000)
@@ -102,6 +92,7 @@ def test_compensated_cumsum_matches_numpy(K):
     assert np.allclose(got, np.cumsum(x), atol=1e-9 * np.abs(x).sum())
 
 
+@kernel_module
 def test_compensated_cumsum_cancellation(K):
     # alternating huge/tiny terms: the running sum must come back to ~0
     x = np.tile([1e12, -1e12, 1.0, -1.0], 1000)
@@ -109,6 +100,7 @@ def test_compensated_cumsum_cancellation(K):
     assert abs(out[-1]) < 1e-3
 
 
+@kernel_module
 def test_busy_bounds_hand_cases(K):
     # occupancy after each event; init 0: idle, busy(2 events), idle, busy...
     counts = np.array([1, 2, 1, 0, 1, 0], dtype=np.int64)
@@ -117,6 +109,7 @@ def test_busy_bounds_hand_cases(K):
     assert list(ends) == [3, 5]
 
 
+@kernel_module
 def test_busy_bounds_starts_busy(K):
     counts = np.array([0, 1, 0], dtype=np.int64)
     starts, ends = K.busy_bounds(counts, 2)
@@ -125,12 +118,14 @@ def test_busy_bounds_starts_busy(K):
     assert list(starts) == [1]
 
 
+@kernel_module
 def test_busy_bounds_never_idle(K):
     counts = np.array([2, 3, 1], dtype=np.int64)
     starts, ends = K.busy_bounds(counts, 1)
     assert len(starts) == 0 and len(ends) == 0
 
 
+@kernel_module
 def test_sliding_range_max_vs_naive(K):
     gen = np.random.default_rng(1)
     v = gen.normal(size=500)
@@ -166,6 +161,7 @@ def _naive_frechet(p, q):
     return rec(len(p) - 1, len(q) - 1)
 
 
+@kernel_module
 def test_frechet_minimax_vs_naive(K):
     gen = np.random.default_rng(2)
     for _ in range(10):
@@ -174,6 +170,7 @@ def test_frechet_minimax_vs_naive(K):
         assert K.frechet_minimax(p, q) == _naive_frechet(p, q)
 
 
+@kernel_module
 def test_frechet_symmetry_and_identity(K):
     gen = np.random.default_rng(3)
     p = gen.normal(size=(20, 2))
@@ -186,7 +183,7 @@ _POINT = np.array([[0.5, 1.0]])
 _JUMPS = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 1.0], [0.5, -1.0], [1.0, -1.0]])
 
 
-@each_backend
+@kernel_module
 @settings(max_examples=60, deadline=None)
 @given(p=_polylines(), q=_polylines())
 @example(p=_POINT, q=_JUMPS)
@@ -200,7 +197,7 @@ def test_frechet_minimax_matches_row_loop(K, p, q):
     assert K.frechet_minimax(p, p.copy()) == 0.0
 
 
-@each_backend
+@kernel_module
 @settings(max_examples=60, deadline=None)
 @given(case=_windows(monotone=True))
 def test_sliding_range_max_matches_deque(K, case):
@@ -208,8 +205,6 @@ def test_sliding_range_max_matches_deque(K, case):
     assert np.array_equal(K.sliding_range_max(values, lo, hi), _deque_range_max(values, lo, hi))
 
 
-# The compiled kernel needs monotone windows and checks no input, so the
-# next two tests hold the numpy kernel alone to its wider contract.
 @settings(max_examples=60, deadline=None)
 @given(case=_windows(monotone=False))
 def test_sliding_range_max_any_window_order(case):
@@ -218,7 +213,7 @@ def test_sliding_range_max_any_window_order(case):
     assert np.array_equal(_kernels_py.sliding_range_max(values, lo, hi), want)
 
 
-@each_backend
+@kernel_module
 def test_sliding_range_max_edge_windows(K):
     v = np.array([3.0, -1.0, 7.0, 7.0, 0.0, 2.5])
     idx = np.arange(len(v))
@@ -238,32 +233,3 @@ def test_sliding_range_max_rejects_bad_windows(lo, hi):
     with pytest.raises(ValueError):
         _kernels_py.sliding_range_max(np.arange(6.0), lo, hi)
 
-
-@pytest.mark.skipif(_kernels_cy is None, reason="extension not built")
-def test_backends_agree():
-    gen = np.random.default_rng(4)
-    for _ in range(20):
-        n = int(gen.integers(1, 300))
-        x = gen.normal(size=n) * 10.0 ** float(gen.integers(-3, 6))
-        a = _kernels_py.compensated_cumsum(x)
-        b = _kernels_cy.compensated_cumsum(x)
-        assert np.allclose(a, b, atol=1e-9 * np.abs(x).sum() + 1e-12)
-
-        counts = np.maximum(np.cumsum(gen.integers(-1, 2, size=n)), 0).astype(np.int64)
-        init = int(gen.integers(0, 3))
-        sa, ea = _kernels_py.busy_bounds(counts, init)
-        sb, eb = _kernels_cy.busy_bounds(counts, init)
-        assert np.array_equal(sa, sb) and np.array_equal(ea, eb)
-
-        lo = np.sort(gen.integers(0, n, size=30))
-        hi = np.maximum.accumulate(
-            np.minimum(lo + gen.integers(0, 20, size=30), n - 1)
-        )
-        assert np.array_equal(
-            _kernels_py.sliding_range_max(x, lo, hi),
-            _kernels_cy.sliding_range_max(x, lo, hi),
-        )
-
-        p = gen.normal(size=(int(gen.integers(2, 30)), 2))
-        q = gen.normal(size=(int(gen.integers(2, 30)), 2))
-        assert _kernels_py.frechet_minimax(p, q) == _kernels_cy.frechet_minimax(p, q)

@@ -25,7 +25,6 @@ from stableshot import (
     traffic,
 )
 from stableshot.functionals import functional_steps
-from stableshot.traffic import path_from_csv, path_to_csv
 
 
 def law(alpha=1.5, xm=1.0, w0=1.0):
@@ -257,22 +256,19 @@ class TestRateModels:
         with pytest.raises(ValueError):
             named_rate("cauchy", 1.0)
 
+    @pytest.mark.parametrize(
+        "params",
+        [("uniform", 1.0, 0.1), ("uniform", 0.5, 0.5), ("uniform", -0.1, 1.0),
+         ("uniform", 0.0, math.inf), ("exponential", 0.0), ("exponential", -1.0),
+         ("exponential", math.nan)],
+    )
+    def test_named_rate_rejects_bad_params(self, params):
+        with pytest.raises(ValueError, match=params[0]):
+            named_rate(*params)
+
     def test_limit_rate_law(self):
         j = JointLaw(TailDist.pareto(1.5), ConstantRate(2.5))
         assert np.all(j.sample_limit_rate(5, RngStream(0).generator()) == 2.5)
-
-
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        cfg = TrafficConfig(lam=1.0, law=law(), horizon=50.0, rng=RngStream(14))
-        p = build_path(simulate_sessions(cfg), 0.0, 50.0)
-        dest = tmp_path / "path.csv"
-        path_to_csv(p, dest)
-        q = path_from_csv(dest)
-        assert np.array_equal(p.times, q.times)
-        assert np.allclose(p.levels, q.levels)
-        assert np.array_equal(p.counts, q.counts)
-        assert q.init_count == p.init_count
 
 
 def _window_sup(gamma, end, w, h):
