@@ -46,9 +46,11 @@ class WindowFunctional:
     ``kind`` 'pointwise': ``fn(values)`` with values shaped (..., k) for the
     k offsets.  ``kind`` 'window_sup': ``fn(values, sup)`` where sup is the
     running supremum over [0, h].  ``fn`` must be numpy-vectorized over the
-    leading axes.  ``continuity_assertion`` records that the long-session
-    response w -> E[phi(w + X_h(0))] is a.s. continuous under the limiting
-    rate law (set automatically by the built-ins for atomic rate laws).
+    leading axes and must not modify its input: ``functional_steps`` may
+    pass it read-only views of a path's levels.  ``continuity_assertion``
+    records that the long-session response w -> E[phi(w + X_h(0))] is a.s.
+    continuous under the limiting rate law (set automatically by the
+    built-ins for atomic rate laws).
     ``form`` records how a built-in reads one scalar statistic s of the
     window, x(0) or for 'window_sup' the sup: ``("le", b)`` for
     1{s <= b}, ``("min", b)`` for min(s, b), ``("id", None)`` for s
@@ -149,34 +151,56 @@ def functional_steps(path: ShotNoisePath, phi: WindowFunctional, t0: float, t1: 
     """Step decomposition of s -> phi(X_h(s)) on [t0, t1].
 
     Returns (bounds, values): segment i is [bounds[i], bounds[i+1]) with
-    constant value values[i].  Requires path data up to t1 + h.  Segment
-    values are evaluated at midpoints, which is exact for step paths and
-    immune to breakpoint roundoff.
+    constant value values[i].  Requires path data up to t1 + h.
+
+    X(s + d) is constant in s between consecutive entries of the shifted
+    event times ``times - d``, so the breakpoints are the merge of those
+    lists over the offsets d, and for the window sup over 0 and h as well
+    (its range runs from s to s + h).  A segment reads X(s + d) from the
+    level step #{j : times[j] - d <= segment start}, counted in the merge,
+    and the sup as the range max of the level steps between the counts for
+    0 and h.  With the single shift 0 the merge is the path's own segment
+    list, read as it is.
     """
     if t0 < path.t0 or t1 + phi.h > path.t1 or t0 >= t1:
         raise ValueError("path must cover [t0, t1 + h]")
-    offs = np.asarray(phi.offsets, dtype=float)
-    cands = [path.times - o for o in offs]
-    if phi.kind == "window_sup":
-        cands.append(path.times - phi.h)
-        cands.append(path.times.copy())
-    cand = np.concatenate(cands) if cands else np.empty(0)
-    cand = cand[(cand > t0) & (cand < t1)]
-    bounds = np.concatenate([[t0], np.unique(cand), [t1]])
-    mids = 0.5 * (bounds[:-1] + bounds[1:])
-    vals = path.eval_level((mids[:, None] + offs[None, :]).ravel()).reshape(
-        len(mids), len(offs)
-    )
-    if phi.kind == "pointwise":
-        phi_vals = phi(vals)
+    offs = [float(o) for o in phi.offsets]
+    sup_range = [0.0, float(phi.h)] if phi.kind == "window_sup" else []
+    shifts = sorted(set(offs + sup_range))
+    if shifts == [0.0]:
+        bounds, levels, _ = path.segments(t0, t1)
+        vals, sups = levels[:, None], levels
     else:
-        seg_bounds, seg_levels, _ = path.segments()
-        lo = np.searchsorted(seg_bounds, mids, side="right") - 1
-        hi = np.searchsorted(seg_bounds, mids + phi.h, side="right") - 1
-        hi = np.minimum(hi, len(seg_levels) - 1)
-        sups = kernels.sliding_range_max(seg_levels, lo, hi)
-        phi_vals = phi(vals, sups)
+        bounds, idx = _merged_steps(path.times, shifts, t0, t1)
+        _, steps, _ = path.segments()
+        vals = steps[idx[[shifts.index(o) for o in offs]].T]
+        if sup_range:
+            lo, hi = (idx[shifts.index(d)] for d in sup_range)
+            sups = kernels.sliding_range_max(steps, lo, hi)
+    phi_vals = phi(vals, sups) if sup_range else phi(vals)
     return bounds, np.asarray(phi_vals, dtype=float)
+
+
+def _merged_steps(times, shifts, t0, t1):
+    """(bounds, idx) of the merged lists ``times - d``, d in shifts.
+
+    bounds is t0, the distinct merged values strictly inside (t0, t1), then
+    t1; idx[k, i] = #{j : times[j] - shifts[k] <= bounds[i]}.  Each list is
+    sorted, so the stable sort is a linear merge of its runs.
+    """
+    parts = [times - d for d in shifts]
+    i0 = [int(np.searchsorted(p, t0, side="right")) for p in parts]
+    parts = [p[a : int(np.searchsorted(p, t1, side="left"))] for p, a in zip(parts, i0)]
+    merged = np.concatenate(parts)
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    # the last entry of each run of equal values, where the counts include every tie
+    last = np.flatnonzero(np.append(merged[1:] != merged[:-1], merged.size > 0))
+    bounds = np.concatenate([[t0], merged[last], [t1]])
+    # which list each merged entry came from; the counts at run ends
+    src = np.repeat(np.arange(len(parts)), [len(p) for p in parts])[order]
+    idx = np.array([np.append(a, a + np.cumsum(src == k)[last]) for k, a in enumerate(i0)])
+    return bounds, idx
 
 
 def integrate_phi(path: ShotNoisePath, phi: WindowFunctional, t0: float, t1: float) -> float:
@@ -358,9 +382,7 @@ def empirical_cdf(path: ShotNoisePath, T: float, x_grid) -> np.ndarray:
     if np.any(np.diff(x_grid) < 0):
         raise ValueError("x grid must be sorted")
     bounds, levels, _ = path.segments(path.t0, T)
-    seg_len = np.diff(bounds)
-    order = np.argsort(levels, kind="stable")
-    lev_sorted = levels[order]
-    cum_time = np.concatenate([[0.0], np.cumsum(seg_len[order])])
-    idx = np.searchsorted(lev_sorted, x_grid, side="right")
-    return cum_time[idx] / (T - path.t0)
+    # time spent at levels in (x_grid[j-1], x_grid[j]], then summed up the grid
+    bins = np.searchsorted(x_grid, levels, side="left")
+    time_in = np.bincount(bins, weights=np.diff(bounds), minlength=x_grid.size + 1)
+    return np.cumsum(time_in[: x_grid.size]) / (T - path.t0)

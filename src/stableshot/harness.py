@@ -215,13 +215,18 @@ def validate(scenario: Scenario) -> list:
         raise ValueError("functionals must not be empty for stable_limit or self_similarity")
     for spec in scenario.functionals:
         make_functional(spec, scenario.window_h)  # raises on bad spec
-    scenario.law()  # raises on bad rate model
+    law = scenario.law()  # raises on bad rate model
     if not (0 < min(scenario.u_grid) and max(scenario.u_grid) <= 1):
         raise ValueError("u_grid must lie in (0, 1]")
     if list(scenario.x_grid) != sorted(set(scenario.x_grid)):
         raise ValueError("x_grid must be strictly increasing")
-    if not scenario.x_grid and "cdf_rate" in runs:
-        raise ValueError("x_grid must not be empty for cdf_rate")
+    if "cdf_rate" in runs:
+        if not scenario.x_grid:
+            raise ValueError("x_grid must not be empty for cdf_rate")
+        if len(scenario.T_ladder) < 3:
+            raise ValueError("cdf_rate needs at least 3 horizons in T_ladder")
+        if not (isinstance(law.w_model, ConstantRate) and law.w_model.w0 == 1.0):
+            raise ValueError("cdf_rate assumes unit constant rates (w_kind constant, w_params [1.0])")
     if scenario.n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
     if "hill" in runs and not 1 <= scenario.hill_k < scenario.n_cycles:
@@ -291,6 +296,17 @@ def response_curve(scenario: Scenario, phi: WindowFunctional, n_mc: int = 100_00
     cal0 = float(np.mean(base))
     se = float(np.std(base, ddof=1) / math.sqrt(n_mc))
     return calE, cal0, se, "monte_carlo"
+
+
+def _shared_curve(scenario: Scenario, spec: str, curves: dict):
+    """(phi, calE, cal0, se, method) of functional ``spec``, from
+    response_curve once per ``curves`` dict: ``run`` passes one dict to all
+    its analyses, so they share each curve and a second run computes it
+    again."""
+    if spec not in curves:
+        phi = make_functional(spec, scenario.window_h)
+        curves[spec] = (phi, *response_curve(scenario, phi))
+    return curves[spec]
 
 
 # -- replicate workers (module level so ProcessPoolExecutor can pickle) ----
@@ -423,11 +439,12 @@ def _limit_spec_for(scenario: Scenario, phi: WindowFunctional, calE, method: str
     return spec
 
 
-def _analysis_stable_limit(scenario: Scenario, workers: int) -> dict:
-    phis = [make_functional(s, scenario.window_h) for s in scenario.functionals]
+def _analysis_stable_limit(scenario: Scenario, workers: int, curves: dict) -> dict:
+    phis = []
     fits = []  # (cal0, se, method, LimitSpec) per functional
-    for phi in phis:
-        calE, cal0, se, method = response_curve(scenario, phi)
+    for spec in scenario.functionals:
+        phi, calE, cal0, se, method = _shared_curve(scenario, spec, curves)
+        phis.append(phi)
         fits.append((cal0, se, method, _limit_spec_for(scenario, phi, calE, method)))
     # one simulated path per (T, r) serves every functional
     n = scenario.replicates
@@ -479,10 +496,9 @@ def _analysis_stable_limit(scenario: Scenario, workers: int) -> dict:
     return block
 
 
-def _analysis_self_similarity(scenario: Scenario, workers: int) -> dict:
+def _analysis_self_similarity(scenario: Scenario, workers: int, curves: dict) -> dict:
     spec_str = scenario.functionals[0]
-    phi = make_functional(spec_str, scenario.window_h)
-    _, cal0, se, method = response_curve(scenario, phi)
+    phi, _, cal0, se, method = _shared_curve(scenario, spec_str, curves)
     u = min(u for u in scenario.u_grid if u < 1.0) if min(scenario.u_grid) < 1 else 0.25
     t_index = len(scenario.T_ladder) - 1
     T = scenario.T_ladder[t_index]
@@ -514,9 +530,7 @@ def _analysis_self_similarity(scenario: Scenario, workers: int) -> dict:
 
 
 def _analysis_cdf_rate(scenario: Scenario, workers: int) -> dict:
-    law = scenario.law()
-    if not isinstance(law.w_model, ConstantRate) or law.w_model.w0 != 1.0:
-        raise ValueError("cdf_rate analysis assumes unit constant rates")
+    law = scenario.law()  # unit constant rates, checked by validate
     x_grid = np.asarray(scenario.x_grid, dtype=float)
     nu = scenario.lam * law.mean_y
     K = poisson_K(nu, x_grid)
@@ -636,12 +650,13 @@ def run(scenario: Scenario, workers: Optional[int] = None) -> Report:
     notes = validate(scenario)
     workers = scenario.workers if workers is None else workers
     report = Report(scenario=scenario, notes=notes, backend=backend_name())
+    curves = {}  # response curves of this run, shared by its analyses
     dispatch = {
         "cycle_mean": lambda: _analysis_cycle_mean(scenario),
         "cycle_tail": lambda: _analysis_cycle_tail(scenario),
         "hill": lambda: _analysis_hill(scenario),
-        "stable_limit": lambda: _analysis_stable_limit(scenario, workers),
-        "self_similarity": lambda: _analysis_self_similarity(scenario, workers),
+        "stable_limit": lambda: _analysis_stable_limit(scenario, workers, curves),
+        "self_similarity": lambda: _analysis_self_similarity(scenario, workers, curves),
         "cdf_rate": lambda: _analysis_cdf_rate(scenario, workers),
         "m1_diagnostic": lambda: _analysis_m1_diagnostic(scenario),
     }

@@ -262,7 +262,7 @@ class ShotNoisePath:
 
         ``bounds`` has one more entry than the value arrays; segment i is
         [bounds[i], bounds[i+1]) with constant level/count.  The value
-        arrays are views of the path's own: read them, do not write.
+        arrays are read-only views of the path's own.
         """
         lo = self.t0 if lo is None else float(lo)
         hi = self.t1 if hi is None else float(hi)
@@ -271,7 +271,10 @@ class ShotNoisePath:
         i0 = int(np.searchsorted(self.times, lo, side="right"))
         i1 = int(np.searchsorted(self.times, hi, side="left"))
         bounds = np.concatenate([[lo], self.times[i0:i1], [hi]])
-        return bounds, self._level_steps[i0 : i1 + 1], self._count_steps[i0 : i1 + 1]
+        levels = self._level_steps[i0 : i1 + 1]
+        counts = self._count_steps[i0 : i1 + 1]
+        levels.flags.writeable = counts.flags.writeable = False
+        return bounds, levels, counts
 
     @property
     def max_level(self) -> float:

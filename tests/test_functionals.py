@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stableshot import (
     ConstantRate,
@@ -26,7 +28,9 @@ from stableshot import (
     simulate_sessions,
     window_sup_indicator,
 )
+from stableshot._backend import kernels
 from stableshot.functionals import WindowFunctional, functional_steps
+from stableshot.traffic import named_rate
 
 
 def law():
@@ -126,6 +130,135 @@ class TestIntegration:
             assert v == brute
 
 
+def midpoint_steps(path, phi, t0, t1):
+    """Reference step decomposition: the breakpoints are np.unique of every
+    shifted event time inside (t0, t1), and each segment reads the path at
+    its midpoint (plus each offset), the sup by a range max from there."""
+    offs = np.asarray(phi.offsets, dtype=float)
+    cands = [path.times - o for o in offs]
+    if phi.kind == "window_sup":
+        cands += [path.times - phi.h, path.times.copy()]
+    cand = np.concatenate(cands)
+    cand = cand[(cand > t0) & (cand < t1)]
+    bounds = np.concatenate([[t0], np.unique(cand), [t1]])
+    mids = 0.5 * (bounds[:-1] + bounds[1:])
+    vals = path.eval_level((mids[:, None] + offs[None, :]).ravel()).reshape(len(mids), len(offs))
+    if phi.kind == "pointwise":
+        return bounds, np.asarray(phi(vals), dtype=float)
+    seg_bounds, seg_levels, _ = path.segments()
+    lo = np.searchsorted(seg_bounds, mids, side="right") - 1
+    hi = np.searchsorted(seg_bounds, mids + phi.h, side="right") - 1
+    hi = np.minimum(hi, len(seg_levels) - 1)
+    sups = kernels.sliding_range_max(seg_levels, lo, hi)
+    return bounds, np.asarray(phi(vals, sups), dtype=float)
+
+
+def two_offsets():
+    """A user pointwise functional reading X(s) and X(s + 0.75)."""
+    return WindowFunctional(
+        name="two_offsets", h=1.0, kind="pointwise", offsets=(0.0, 0.75),
+        fn=lambda v: v[..., 1] - 2.0 * v[..., 0], sup_norm=math.inf,
+    )
+
+
+def sup_and_offset():
+    """A user window-sup functional reading X(s + 0.5) and the sup over [s, s + 1]."""
+    return WindowFunctional(
+        name="sup_and_offset", h=1.0, kind="window_sup", offsets=(0.0, 0.5),
+        fn=lambda v, sup: sup - v[..., 1], sup_norm=math.inf,
+    )
+
+
+GRID = 0.25  # event times and window lengths on a dyadic grid: no rounding
+
+
+@st.composite
+def grid_cases(draw):
+    """(path, phi, t0, t1) with every event time on GRID, so times and
+    times - h tie often, and events can sit exactly at t0 and t1."""
+    t1 = GRID * draw(st.integers(1, 40))
+    t0 = GRID * draw(st.integers(0, int(t1 / GRID) - 1))
+    n = draw(st.integers(0, 25))
+    start = st.integers(-8, int(t1 / GRID) + 6)
+    starts = draw(st.lists(start, min_size=n, max_size=n))
+    lengths = draw(st.lists(st.integers(1, 24), min_size=n, max_size=n))
+    rates = draw(st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0, 3.0]), min_size=n, max_size=n))
+    sessions = Sessions(GRID * np.array(starts, float), GRID * np.array(lengths, float), rates)
+    path = build_path(sessions, 0.0, t1 + 1.25)
+    phi = draw(
+        st.one_of(
+            st.just(identity()),
+            st.just(idle_indicator()),
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.1]).map(cdf_indicator),
+            st.sampled_from([0.5, 1.0, 2.5]).map(clipped),
+            st.just(two_offsets()),
+            st.just(sup_and_offset()),
+            st.builds(
+                window_sup_indicator,
+                st.sampled_from([0.0, 1.0, 2.0, 3.5]),
+                st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.25]),
+            ),
+        )
+    )
+    return path, phi, t0, t1
+
+
+def assert_same_steps(got, want):
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestStepsMatchMidpointReference:
+    @settings(max_examples=400, deadline=None)
+    @given(case=grid_cases())
+    def test_grid_paths_bit_identical(self, case):
+        path, phi, t0, t1 = case
+        assert_same_steps(functional_steps(path, phi, t0, t1), midpoint_steps(path, phi, t0, t1))
+
+    @pytest.mark.parametrize(
+        "phi", [identity(), clipped(1.0), two_offsets(), sup_and_offset(), window_sup_indicator(1.0, 1.0)],
+        ids=lambda phi: phi.name,
+    )
+    def test_path_without_events(self, phi):
+        for sessions in (Sessions([], [], []), Sessions([-3.0], [10.0], [2.0])):
+            path = build_path(sessions, 0.0, 4.0)
+            assert len(path) == 0
+            got = functional_steps(path, phi, 0.5, 2.5)
+            assert_same_steps(got, midpoint_steps(path, phi, 0.5, 2.5))
+            assert got[0].tolist() == [0.5, 2.5] and len(got[1]) == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_simulated_paths_bit_identical(self, seed):
+        # continuous event times: shifted times tie nowhere
+        rates = JointLaw(TailDist.pareto(1.5, 1.0), named_rate("uniform", 0.1, 1.0))
+        cfg = TrafficConfig(lam=1.0, law=rates, horizon=402.0, rng=RngStream(seed))
+        path = build_path(simulate_sessions(cfg), 0.0, 402.0)
+        for phi in (identity(), idle_indicator(), clipped(0.7), cdf_indicator(1.5),
+                    two_offsets(), sup_and_offset(), window_sup_indicator(2.0, 2.0)):
+            assert_same_steps(
+                functional_steps(path, phi, 1.0, 400.0), midpoint_steps(path, phi, 1.0, 400.0)
+            )
+
+    def test_fn_writing_in_place_raises(self):
+        def scribble(values):
+            values[..., 0] += 1.0
+            return values[..., 0]
+
+        phi = WindowFunctional(
+            name="scribble", h=0.0, kind="pointwise", offsets=(0.0,), fn=scribble, sup_norm=1.0,
+        )
+        p = hand_path()
+        before = p.levels.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            functional_steps(p, phi, 0.0, 3.0)
+        assert np.array_equal(p.levels, before)
+        assert integrate_phi(p, identity(), 0.0, 3.0) == 4.5
+        # the views are read-only, the path's own arrays are not
+        _, levels, counts = p.segments()
+        assert not levels.flags.writeable and not counts.flags.writeable
+        assert p.levels.flags.writeable and p.counts.flags.writeable
+
+
 class TestCycleIntegrals:
     def test_sum_matches_direct_integral(self):
         cfg = TrafficConfig(
@@ -170,12 +303,44 @@ class TestEmpiricalPath:
         assert ep.a_T == pytest.approx(100.0)
 
 
+def sorted_levels_cdf(path, T, x_grid):
+    """Reference CDF: cumulative segment lengths over the sorted levels."""
+    bounds, levels, _ = path.segments(path.t0, T)
+    order = np.argsort(levels, kind="stable")
+    cum_time = np.concatenate([[0.0], np.cumsum(np.diff(bounds)[order])])
+    idx = np.searchsorted(levels[order], np.asarray(x_grid, dtype=float), side="right")
+    return cum_time[idx] / (T - path.t0)
+
+
 class TestEmpiricalCdf:
     def test_hand_path(self):
         p = hand_path()
         # levels 0 (1.5 time units), 2 (1.0), 5 (.5) over [0,3]
         got = empirical_cdf(p, 3.0, [0.0, 2.0, 4.0, 5.0])
         assert np.allclose(got, [1.5 / 3, 2.5 / 3, 2.5 / 3, 1.0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_sorted_levels_reference(self, seed):
+        rates = JointLaw(TailDist.pareto(1.5, 1.0), named_rate("uniform", 0.1, 1.0))
+        cfg = TrafficConfig(lam=1.0, law=rates, horizon=5000.0, rng=RngStream(seed))
+        p = build_path(simulate_sessions(cfg), 0.0, 5000.0)
+        x_grid = np.array([0.0, 0.05, 0.5, 1.0, 1.0, 1.7, 3.0, 6.0, 50.0])
+        got = empirical_cdf(p, 4000.0, x_grid)
+        np.testing.assert_allclose(got, sorted_levels_cdf(p, 4000.0, x_grid), rtol=1e-12, atol=0)
+
+    def test_integer_levels_exact(self):
+        # unit rates on a dyadic grid: levels are integers, every sum exact
+        gen = np.random.default_rng(3)
+        s = Sessions(
+            0.25 * gen.integers(-40, 400, 300), 0.25 * gen.integers(1, 60, 300), np.ones(300)
+        )
+        p = build_path(s, 0.0, 100.0)
+        x_grid = [-1.0, 0.0, 0.5, 1.0, 2.0, 2.0, 3.0, 7.0, 100.0]
+        got = empirical_cdf(p, 96.0, x_grid)
+        assert np.array_equal(got, sorted_levels_cdf(p, 96.0, x_grid))
+        bounds, levels, _ = p.segments(0.0, 96.0)
+        assert got[1] == np.diff(bounds)[levels == 0].sum() / 96.0
+        assert got[0] == 0.0 and got[-1] == 1.0
 
     def test_monotone_in_x(self):
         cfg = TrafficConfig(lam=1.0, law=law(), horizon=500.0, rng=RngStream(6))

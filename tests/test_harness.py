@@ -113,6 +113,11 @@ class TestScenario:
             (dict(hill_k=100, n_cycles=100, analyses=("hill",)), "hill_k"),
             (dict(functionals=()), "functionals"),
             (dict(functionals=(), analyses=("self_similarity",)), "functionals"),
+            (dict(T_ladder=(1e3, 1e4), analyses=("cdf_rate",)), "3 horizons"),
+            (dict(T_ladder=(1e3, 1e4, 1e5), w_params=(2.0,), analyses=("cdf_rate",)),
+             "unit constant"),
+            (dict(T_ladder=(1e3, 1e4, 1e5), w_kind="uniform", w_params=(0.1, 1.0),
+                  analyses=("cdf_rate",)), "unit constant"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -124,6 +129,7 @@ class TestScenario:
         # that read them
         validate(tiny_scenario(hill_k=0, functionals=(), analyses=("cycle_mean",)))
         validate(tiny_scenario(x_grid=(), analyses=("stable_limit",)))
+        validate(tiny_scenario(T_ladder=(1e3, 1e4), w_params=(2.0,), analyses=("stable_limit",)))
 
     def test_validate_notes(self):
         notes = validate(tiny_scenario())
@@ -161,11 +167,15 @@ class TestRun:
                 for T, z in sub["samples"].items():
                     assert b.blocks["stable_limit"][name]["samples"][T].tobytes() == z.tobytes()
 
-    def test_analysis_error_is_contained(self):
-        # cdf_rate needs >= 3 ladder points: error lands in its block only
-        sc = tiny_scenario(analyses=("cdf_rate", "m1_diagnostic"))
+    def test_analysis_error_is_contained(self, monkeypatch):
+        # an analysis that raises: the error lands in its block only
+        def boom(scenario):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness, "_analysis_hill", boom)
+        sc = tiny_scenario(analyses=("hill", "m1_diagnostic"))
         rep = run(sc)
-        assert "error" in rep.blocks["cdf_rate"]
+        assert rep.blocks["hill"] == {"error": "RuntimeError: boom"}
         assert "error" not in rep.blocks["m1_diagnostic"]
 
     def test_gof_collection(self):
@@ -212,6 +222,30 @@ class TestOnePathPerReplicate:
         run(sc, workers=1)
         assert len(horizons) == sc.replicates * len(sc.T_ladder)
         assert sorted(set(horizons)) == list(sc.T_ladder)
+
+    def test_response_curve_once_per_run(self, monkeypatch):
+        # stable_limit and self_similarity share functionals[0]'s Monte Carlo
+        # curve within one run; a second run computes its curves again
+        sc = _family("monte_carlo")
+        sc = replace(sc, analyses=("stable_limit", "self_similarity"), u_grid=(0.5, 1.0))
+        alone = run(replace(sc, analyses=("self_similarity",)))
+        calls = []
+        curve = harness.response_curve
+
+        def counted(scenario, phi, *args, **kwargs):
+            calls.append(phi.name)
+            return curve(scenario, phi, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "response_curve", counted)
+        both = run(sc)
+        names = [make_functional(s, sc.window_h).name for s in sc.functionals]
+        assert calls == names
+        run(sc)
+        assert calls == names + names
+        got, want = both.blocks["self_similarity"], alone.blocks["self_similarity"]
+        assert got["gof"] == want["gof"]
+        assert got["rescaled"].tobytes() == want["rescaled"].tobytes()
+        assert got["reference"].tobytes() == want["reference"].tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_self_similarity_banks(self, workers):
@@ -275,6 +309,9 @@ class TestCli:
             ("n_cycles: 0\n", "n_cycles"),
             ("analyses: [hill]\nhill_k: 0\n", "hill_k"),
             ("functionals: []\nanalyses: [stable_limit]\n", "functionals"),
+            ("analyses: [cdf_rate]\nT_ladder: [1000.0, 10000.0]\n", "T_ladder"),
+            ("analyses: [cdf_rate]\nT_ladder: [1.0e+3, 1.0e+4, 1.0e+5]\n"
+             "w_kind: uniform\nw_params: [0.1, 1.0]\n", "unit constant"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
