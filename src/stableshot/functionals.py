@@ -172,7 +172,7 @@ def functional_steps(path: ShotNoisePath, phi: WindowFunctional, t0: float, t1: 
         vals, sups = levels[:, None], levels
     else:
         bounds, idx = _merged_steps(path.times, shifts, t0, t1)
-        _, steps, _ = path.segments()
+        steps = path._level_steps  # counts run to len(times), past segments()' end
         vals = steps[idx[[shifts.index(o) for o in offs]].T]
         if sup_range:
             lo, hi = (idx[shifts.index(d)] for d in sup_range)

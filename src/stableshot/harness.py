@@ -298,17 +298,6 @@ def response_curve(scenario: Scenario, phi: WindowFunctional, n_mc: int = 100_00
     return calE, cal0, se, "monte_carlo"
 
 
-def _shared_curve(scenario: Scenario, spec: str, curves: dict):
-    """(phi, calE, cal0, se, method) of functional ``spec``, from
-    response_curve once per ``curves`` dict: ``run`` passes one dict to all
-    its analyses, so they share each curve and a second run computes it
-    again."""
-    if spec not in curves:
-        phi = make_functional(spec, scenario.window_h)
-        curves[spec] = (phi, *response_curve(scenario, phi))
-    return curves[spec]
-
-
 # -- replicate workers (module level so ProcessPoolExecutor can pickle) ----
 
 
@@ -439,12 +428,11 @@ def _limit_spec_for(scenario: Scenario, phi: WindowFunctional, calE, method: str
     return spec
 
 
-def _analysis_stable_limit(scenario: Scenario, workers: int, curves: dict) -> dict:
-    phis = []
+def _analysis_stable_limit(scenario: Scenario, workers: int) -> dict:
+    phis = [make_functional(s, scenario.window_h) for s in scenario.functionals]
     fits = []  # (cal0, se, method, LimitSpec) per functional
-    for spec in scenario.functionals:
-        phi, calE, cal0, se, method = _shared_curve(scenario, spec, curves)
-        phis.append(phi)
+    for phi in phis:
+        calE, cal0, se, method = response_curve(scenario, phi)
         fits.append((cal0, se, method, _limit_spec_for(scenario, phi, calE, method)))
     # one simulated path per (T, r) serves every functional
     n = scenario.replicates
@@ -496,9 +484,10 @@ def _analysis_stable_limit(scenario: Scenario, workers: int, curves: dict) -> di
     return block
 
 
-def _analysis_self_similarity(scenario: Scenario, workers: int, curves: dict) -> dict:
+def _analysis_self_similarity(scenario: Scenario, workers: int) -> dict:
     spec_str = scenario.functionals[0]
-    phi, _, cal0, se, method = _shared_curve(scenario, spec_str, curves)
+    phi = make_functional(spec_str, scenario.window_h)
+    _, cal0, se, method = response_curve(scenario, phi)
     u = min(u for u in scenario.u_grid if u < 1.0) if min(scenario.u_grid) < 1 else 0.25
     t_index = len(scenario.T_ladder) - 1
     T = scenario.T_ladder[t_index]
@@ -650,13 +639,12 @@ def run(scenario: Scenario, workers: Optional[int] = None) -> Report:
     notes = validate(scenario)
     workers = scenario.workers if workers is None else workers
     report = Report(scenario=scenario, notes=notes, backend=backend_name())
-    curves = {}  # response curves of this run, shared by its analyses
     dispatch = {
         "cycle_mean": lambda: _analysis_cycle_mean(scenario),
         "cycle_tail": lambda: _analysis_cycle_tail(scenario),
         "hill": lambda: _analysis_hill(scenario),
-        "stable_limit": lambda: _analysis_stable_limit(scenario, workers, curves),
-        "self_similarity": lambda: _analysis_self_similarity(scenario, workers, curves),
+        "stable_limit": lambda: _analysis_stable_limit(scenario, workers),
+        "self_similarity": lambda: _analysis_self_similarity(scenario, workers),
         "cdf_rate": lambda: _analysis_cdf_rate(scenario, workers),
         "m1_diagnostic": lambda: _analysis_m1_diagnostic(scenario),
     }

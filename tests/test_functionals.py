@@ -227,6 +227,16 @@ class TestStepsMatchMidpointReference:
             assert_same_steps(got, midpoint_steps(path, phi, 0.5, 2.5))
             assert got[0].tolist() == [0.5, 2.5] and len(got[1]) == 1
 
+    @pytest.mark.parametrize("phi", [window_sup_indicator(0.5, 0.15), sup_and_offset()])
+    def test_event_at_path_end_reached_by_rounding(self, phi):
+        # fl(t1 + h) == path.t1 passes the coverage check, but fl(path.t1 - h)
+        # < t1, so the last segment's window reaches the event at path.t1
+        path = build_path(Sessions([0.5], [0.5], [1.0]), 0.0, 1.0)
+        assert path.times[-1] == path.t1
+        t1 = np.nextafter(path.t1 - phi.h, 1.0)
+        assert t1 + phi.h == path.t1 and path.t1 - phi.h < t1
+        assert_same_steps(functional_steps(path, phi, 0.0, t1), midpoint_steps(path, phi, 0.0, t1))
+
     @pytest.mark.parametrize("seed", range(6))
     def test_simulated_paths_bit_identical(self, seed):
         # continuous event times: shifted times tie nowhere

@@ -223,30 +223,6 @@ class TestOnePathPerReplicate:
         assert len(horizons) == sc.replicates * len(sc.T_ladder)
         assert sorted(set(horizons)) == list(sc.T_ladder)
 
-    def test_response_curve_once_per_run(self, monkeypatch):
-        # stable_limit and self_similarity share functionals[0]'s Monte Carlo
-        # curve within one run; a second run computes its curves again
-        sc = _family("monte_carlo")
-        sc = replace(sc, analyses=("stable_limit", "self_similarity"), u_grid=(0.5, 1.0))
-        alone = run(replace(sc, analyses=("self_similarity",)))
-        calls = []
-        curve = harness.response_curve
-
-        def counted(scenario, phi, *args, **kwargs):
-            calls.append(phi.name)
-            return curve(scenario, phi, *args, **kwargs)
-
-        monkeypatch.setattr(harness, "response_curve", counted)
-        both = run(sc)
-        names = [make_functional(s, sc.window_h).name for s in sc.functionals]
-        assert calls == names
-        run(sc)
-        assert calls == names + names
-        got, want = both.blocks["self_similarity"], alone.blocks["self_similarity"]
-        assert got["gof"] == want["gof"]
-        assert got["rescaled"].tobytes() == want["rescaled"].tobytes()
-        assert got["reference"].tobytes() == want["reference"].tobytes()
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_self_similarity_banks(self, workers):
         # bank u over r in [0, n), bank 1 over r in [n, 2n), in r order
