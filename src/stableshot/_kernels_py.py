@@ -10,13 +10,16 @@
   sparse table (Bender & Farach-Colton 2000) answers every query with two
   lookups, so any windows with ``0 <= lo <= hi < len(values)`` work.
 * ``frechet_minimax`` -- minimax dynamic program between two polylines
-  under the max(|dt|, |dv|) ground metric.  An anti-diagonal wavefront
-  computes a whole diagonal per numpy step from the two diagonals before
-  it, in O(n + m) memory.
+  under the max(|dt|, |dv|) ground metric (the discrete Frechet distance
+  of Eiter & Mannila 1994), found without the DP table: a lower bound,
+  then a bisection over the cost values, each step a bit-parallel
+  reachability test on the free cells (Alt & Godau 1995's decision and
+  search, on the discrete grid).  It holds the n x m cost matrix.
 
-Both selections are exact: a max or min picks one of its input floats, so
-no rounding enters, and they return the same values as a monotone-deque
-sweep and a row-by-row sweep of the DP.
+The max/min selections and the cost comparisons are exact: no rounding
+enters, so the sparse table returns the same values as a monotone-deque
+sweep, and ``frechet_minimax`` the same value as a row-by-row sweep of the
+DP.
 """
 
 import numpy as np
@@ -77,35 +80,81 @@ def sliding_range_max(values, lo, hi):
     return out
 
 
+def _free_path(free):
+    """Whether a monotone path of True cells of ``free`` joins its corners.
+
+    A path steps right, down or diagonally down-right.  Each row is a
+    Python int bitmask F (bit j for column j).  With R the reachable cells
+    of the row above, the cells entered from it are S = F & (R | R << 1);
+    from each one the path runs right to the end of its run of free cells.
+    F + S carries every lowest S bit of a run through to the bit past the
+    run, so ((F + S) ^ F) | S, masked by F, is exactly the cells at or
+    right of an S bit in the same run.  Row 0 is entered at column 0 only.
+    """
+    n, m = free.shape
+    width = (m + 7) // 8
+    rows = np.packbits(free, axis=1, bitorder="little").tobytes()
+    from_bytes = int.from_bytes
+    R = 0
+    enter = 1
+    for k in range(0, n * width, width):
+        F = from_bytes(rows[k : k + width], "little")
+        S = F & enter
+        if not S:
+            return False
+        R = F & (((F + S) ^ F) | S)
+        enter = R | R << 1
+    return bool(R >> (m - 1))
+
+
+def _polyline(a):
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != 2 or not len(a):
+        raise ValueError(f"a polyline is a non-empty (k, 2) array, got shape {a.shape}")
+    if not np.isfinite(a).all():  # a NaN cost would admit no path at any eps
+        raise ValueError("polyline coordinates must be finite")
+    return a
+
+
 def frechet_minimax(p, q):
     """Discrete Frechet distance under d((t,v), (t',v')) = max(|dt|, |dv|).
 
-    D[i, j] = max(c[i, j], min(D[i-1, j], D[i, j-1], D[i-1, j-1])), swept
-    over the anti-diagonals d = i + j: the cells of one diagonal depend
-    only on the two before it.  A diagonal's costs pair a slice of ``p``
-    with a slice of reversed ``q``, so no n x m matrix is built.  Each D
-    is a min/max over the same cost floats as a row-by-row sweep, so the
-    result is identical to it.
+    D is the minimum over monotone paths through the n x m cost matrix
+    c[i, j] = d(p[i], q[j]), from (0, 0) to (n-1, m-1), of the largest
+    cost on the path, so D is the smallest cost eps for which the cells
+    with c <= eps hold such a path (``_free_path``).  Every path visits
+    every row and every column and both corners, so D is at least
+    lb = max(max_i min_j c, max_j min_i c, c[0, 0], c[-1, -1]).  When lb
+    admits a path it is D; otherwise a bisection over the sorted distinct
+    costs above lb finds the smallest one that does.  Each step compares
+    cost floats, so D is the very float a row-by-row sweep of
+    D[i, j] = max(c[i, j], min(D[i-1, j], D[i, j-1], D[i-1, j-1])) returns.
+
+    Memory: the float64 cost matrix and, while it is built, one temporary
+    of its size: 16 * n * m bytes (16 MB for 1,000 x 1,000 vertices).
+    Rows run along the shorter polyline (D is symmetric), so the Python
+    loop makes min(n, m) steps per test.  Raises ValueError unless p and q
+    are non-empty (k, 2) arrays of finite floats.
     """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    n, m = len(p), len(q)
-    pt, pv = np.ascontiguousarray(p[:, 0]), np.ascontiguousarray(p[:, 1])
-    qt, qv = np.ascontiguousarray(q[::-1, 0]), np.ascontiguousarray(q[::-1, 1])
-    # diagonal buffers indexed by i + 1, slot 0 being the i = -1 border.
-    # The row range i0..i1 of a diagonal never moves down, so every
-    # out-of-grid slot a diagonal reads was never written and is still +inf.
-    prev2 = np.full(n + 1, np.inf)
-    prev1 = np.full(n + 1, np.inf)
-    cur = np.full(n + 1, np.inf)
-    prev1[1] = max(abs(pt[0] - qt[m - 1]), abs(pv[0] - qv[m - 1]))
-    for d in range(1, n + m - 1):
-        i0, i1 = max(0, d - m + 1), min(d, n - 1) + 1  # rows on diagonal d
-        j0 = i0 + m - 1 - d  # reversed-q index of cell (i0, d - i0)
-        j1 = j0 + (i1 - i0)
-        cost = np.maximum(np.abs(pt[i0:i1] - qt[j0:j1]), np.abs(pv[i0:i1] - qv[j0:j1]))
-        reach = np.minimum(prev1[i0:i1], prev1[i0 + 1 : i1 + 1])
-        np.minimum(reach, prev2[i0:i1], out=reach)
-        np.maximum(reach, cost, out=cur[i0 + 1 : i1 + 1])
-        prev2, prev1, cur = prev1, cur, prev2
-    return float(prev1[n])
+    p, q = _polyline(p), _polyline(q)
+    if len(p) > len(q):
+        p, q = q, p
+    cost = np.subtract.outer(np.ascontiguousarray(p[:, 0]), np.ascontiguousarray(q[:, 0]))
+    np.abs(cost, out=cost)
+    dv = np.subtract.outer(np.ascontiguousarray(p[:, 1]), np.ascontiguousarray(q[:, 1]))
+    np.abs(dv, out=dv)
+    np.maximum(cost, dv, out=cost)
+    del dv
+    lb = max(cost.min(axis=1).max(), cost.min(axis=0).max(), cost[0, 0], cost[-1, -1])
+    if _free_path(cost <= lb):
+        return float(lb)
+    # some cost exceeds lb, and the largest frees every cell
+    above = np.unique(cost[cost > lb])
+    lo, hi = 0, len(above) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _free_path(cost <= above[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(above[lo])

@@ -208,13 +208,20 @@ def validate(scenario: Scenario) -> list:
         raise ValueError(f"unknown analyses: {sorted(bad)}")
     if not (math.isfinite(scenario.window_h) and scenario.window_h >= 0):
         raise ValueError(f"window_h must be finite and nonnegative, got {scenario.window_h!r}")
-    if len(set(scenario.functionals)) != len(scenario.functionals):
-        raise ValueError("functional names must be unique")
     runs = set(scenario.analyses)
     if not scenario.functionals and runs & {"stable_limit", "self_similarity"}:
         raise ValueError("functionals must not be empty for stable_limit or self_similarity")
+    # results blocks and Monte Carlo substreams are keyed by the built name,
+    # which rounds a spec's number (cdf:1 and cdf:1.0000001 are both cdf_le_1)
+    specs_by_name = {}
     for spec in scenario.functionals:
-        make_functional(spec, scenario.window_h)  # raises on bad spec
+        name = make_functional(spec, scenario.window_h).name  # raises on bad spec
+        if name in specs_by_name:
+            raise ValueError(
+                f"functionals {specs_by_name[name]!r} and {spec!r} both build the name "
+                f"{name!r}; functional names must be unique"
+            )
+        specs_by_name[name] = spec
     law = scenario.law()  # raises on bad rate model
     if not (0 < min(scenario.u_grid) and max(scenario.u_grid) <= 1):
         raise ValueError("u_grid must lie in (0, 1]")

@@ -118,6 +118,9 @@ class TestScenario:
              "unit constant"),
             (dict(T_ladder=(1e3, 1e4, 1e5), w_kind="uniform", w_params=(0.1, 1.0),
                   analyses=("cdf_rate",)), "unit constant"),
+            (dict(functionals=("cdf:1", "cdf:1.0000001")), "cdf_le_1"),
+            (dict(functionals=("identity", "clipped:2", "clipped:2.0")), "clipped_2"),
+            (dict(functionals=("winsup:3", "winsup:3.0000001"), window_h=1.0), "sup_le_3_h1"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -288,6 +291,7 @@ class TestCli:
             ("analyses: [cdf_rate]\nT_ladder: [1000.0, 10000.0]\n", "T_ladder"),
             ("analyses: [cdf_rate]\nT_ladder: [1.0e+3, 1.0e+4, 1.0e+5]\n"
              "w_kind: uniform\nw_params: [0.1, 1.0]\n", "unit constant"),
+            ("functionals: ['cdf:1', 'cdf:1.0000001']\n", "cdf_le_1"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])

@@ -16,8 +16,8 @@ kernel_module = pytest.mark.parametrize("K", [_kernels_py], ids=[_kernels_py.BAC
 
 
 def _row_loop_frechet(p, q):
-    """Row-by-row sweep of the minimax DP: the reference the vectorized
-    kernel must match exactly."""
+    """Row-by-row sweep of the minimax DP: the reference the kernel's
+    bound-and-search must match exactly."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     n, m = len(p), len(q)
@@ -195,6 +195,81 @@ def test_frechet_minimax_matches_row_loop(K, p, q):
     assert K.frechet_minimax(p, q) == want
     assert K.frechet_minimax(q, p) == want
     assert K.frechet_minimax(p, p.copy()) == 0.0
+
+
+def _lower_bound(p, q):
+    """max(max_i min_j c, max_j min_i c, c[0, 0], c[-1, -1]) of the cost
+    matrix: the value the kernel returns without a search."""
+    c = np.maximum(np.abs(p[:, None, 0] - q[None, :, 0]), np.abs(p[:, None, 1] - q[None, :, 1]))
+    return max(c.min(axis=1).max(), c.min(axis=0).max(), c[0, 0], c[-1, -1]), c
+
+
+@st.composite
+def _grid_polylines(draw, max_len=10):
+    """Polylines with every coordinate on a 0.25 grid, so many costs tie."""
+    n = draw(st.integers(1, max_len))
+    steps = draw(st.lists(st.sampled_from([0, 0, 1]), min_size=n, max_size=n))
+    values = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
+    return 0.25 * np.column_stack([np.cumsum(steps), values]).astype(np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_grid_polylines(), q=_grid_polylines())
+def test_frechet_minimax_matches_row_loop_on_grid(p, q):
+    want = _row_loop_frechet(p, q)
+    assert _kernels_py.frechet_minimax(p, q) == want
+    assert _kernels_py.frechet_minimax(q, p) == want
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_frechet_minimax_single_vertex(m):
+    # with one vertex on one side the only path runs along the other: D is
+    # its largest cost
+    gen = np.random.default_rng(m)
+    point = gen.normal(size=(1, 2))
+    q = gen.normal(size=(m, 2))
+    want = np.maximum(np.abs(q[:, 0] - point[0, 0]), np.abs(q[:, 1] - point[0, 1])).max()
+    assert _kernels_py.frechet_minimax(point, q) == want == _row_loop_frechet(point, q)
+    assert _kernels_py.frechet_minimax(q, point) == want == _row_loop_frechet(q, point)
+
+
+# two cases where the lower bound is not D and the bisection runs.  Mid:
+# p climbs -1.5 -> 1.5; q climbs to 1, falls to -1.5 and climbs again.
+# Every vertex has a partner within 0.5, but a monotone matching pairs q's
+# dip with p's 0.5 at best: D = 2, with costs on both sides of it above lb.
+# Top: p jumps from -2 to 2; q rises to 2, then falls to -2.  One of q's
+# two extremes meets the other extreme of p: D = 4, the largest cost.
+_SEARCH_CASES = {
+    "mid": ([-1.5, 0.5, 1.5], [-1.0, 1.0, -1.5, 1.5], 0.5, 2.0),
+    "top": ([-2.0, 2.0], [0.0, 2.0, -2.0, 1.0], 2.0, 4.0),
+}
+
+
+@pytest.mark.parametrize("case", _SEARCH_CASES, ids=list(_SEARCH_CASES))
+def test_frechet_minimax_searches_above_the_lower_bound(case):
+    pv, qv, lb_want, d_want = _SEARCH_CASES[case]
+    p = np.column_stack([np.zeros(len(pv)), pv])  # vertical runs at t = 0
+    q = np.column_stack([np.zeros(len(qv)), qv])
+    lb, c = _lower_bound(p, q)
+    assert lb == lb_want < d_want
+    # at least two costs in (lb, D], so a bisection off by one lands wrong
+    assert np.unique(c[(c > lb) & (c <= d_want)]).size >= 2
+    for a, b in ((p, q), (q, p)):
+        assert _kernels_py.frechet_minimax(a, b) == d_want == _row_loop_frechet(a, b)
+        assert d_want == _naive_frechet(a, b)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.empty((0, 2)), [], np.zeros(3), np.zeros((3, 3)), np.zeros((2, 2, 1)),
+     [[0.0, np.nan]], [[np.inf, 0.0], [1.0, 1.0]]],
+    ids=["no-vertices", "empty-list", "1-D", "three-columns", "3-D", "nan", "inf"],
+)
+def test_frechet_minimax_rejects_bad_polylines(bad):
+    good = np.zeros((2, 2))
+    for args in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="polyline"):
+            _kernels_py.frechet_minimax(*args)
 
 
 @kernel_module

@@ -1,9 +1,15 @@
 """Path distances: uniform majorant and the certified M1 bracket."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from stableshot import SteppyPath, dist_m1, dist_uniform
+from stableshot import SteppyPath, dist_m1, dist_uniform, harness
+from stableshot.rng import RngStream
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def step_half():
@@ -154,3 +160,20 @@ class TestM1:
         g = SteppyPath.step(0.0, 1.0, [0.5], [0.4, 1.0])
         lo, _ = dist_m1(f, g)
         assert lo >= 0.4 - 1e-12  # initial values differ by 0.4
+
+
+def test_m1_diagnostic_brackets_match_the_benchmark_reference():
+    # The M1 diagnostic's GoF reads the same for any Frechet DP value, so a
+    # wrong DP shows only in the brackets themselves.  Recompute the first
+    # pairs exactly as the diagnostic draws them at seed 1 (the sequence of
+    # perfbench/workloads.m1_brackets) and compare with the recorded ones.
+    reference = json.loads(REFERENCE.read_text())
+    assert reference["m1_seed"] == 1
+    gen = RngStream(1, stream_id=3).generator()
+    for want in reference["m1_brackets"][:10]:
+        f = harness._random_step_path(gen)
+        g = harness._random_step_path(gen)
+        got = list(dist_m1(f, g, grid_n=128))
+        for a, b in ((0.0, 0.5), (0.5, 1.0)):
+            got += dist_m1(f.restrict(a, b), g.restrict(a, b), 128)
+        assert got == want
