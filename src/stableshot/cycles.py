@@ -6,6 +6,12 @@ zero-rate sessions the level can vanish while sessions are active, which
 would break the regeneration; the count-based definition is regenerative
 unconditionally and coincides with the level-based one whenever all rates
 are positive.
+
+``decompose_cycles`` reads the cycles of a built path.  The i.i.d. cycle
+lengths of ``collect_cycle_lengths`` come straight from fresh-start
+sessions instead (``fresh_start_cycle_lengths``): sorted arrivals start a
+busy period exactly when every earlier session has departed, so the busy
+onsets need one running max of the departures, and no event sort or path.
 """
 
 from __future__ import annotations
@@ -18,18 +24,22 @@ import numpy as np
 from ._backend import kernels
 from .heavy_rand import TailDist, tail_quantile_a
 from .rng import RngStream
-from .traffic import JointLaw, TrafficConfig, build_path, simulate_sessions
+# build_path is unused here; it stays importable as the benchmark traces it
+from .traffic import JointLaw, Sessions, TrafficConfig, build_path, simulate_sessions
 
 __all__ = [
     "CycleDecomposition",
     "decompose_cycles",
+    "fresh_start_cycle_lengths",
     "collect_cycle_lengths",
     "cycle_tail_table",
     "hill_alpha",
 ]
 
 # expected sessions of one fresh-start chunk of collect_cycle_lengths:
-# bounds its memory at heavy load, where a cycle spans many sessions
+# bounds its memory at heavy load, where a cycle spans many sessions: a
+# chunk holds its three session columns and one running max of the
+# departures, about 32 bytes a session (64 MB at the cap)
 _CHUNK_SESSIONS = 2_000_000
 
 
@@ -80,10 +90,10 @@ def decompose_cycles(path, T, use_level=False) -> CycleDecomposition:
     ends = path.times[ends_idx]
     if len(starts) == 0:
         return CycleDecomposition([], [], [], never_idle=init > 0 and len(ends) == 0)
-    # drop any idle->busy info preceding time 0 is impossible here: events
-    # live in (t0, t1]; the first start is the first busy onset after an
-    # idle stretch.  Ends alternate with starts; if the path begins busy
-    # the first end precedes the first start and is not a cycle's.
+    # every event lies in (t0, t1], so each start is a busy onset after an
+    # idle stretch inside the path.  Ends alternate with starts; a path
+    # that begins busy has an end before its first start, which closes no
+    # cycle and is dropped.
     ends = ends[ends > starts[0]]
     n_complete = int(np.searchsorted(starts, T, side="right")) - 1
     if n_complete < 1:
@@ -92,6 +102,38 @@ def decompose_cycles(path, T, use_level=False) -> CycleDecomposition:
     s_end = starts[1 : n_complete + 1]
     busy_end = ends[:n_complete]
     return CycleDecomposition(s_start, busy_end, s_end)
+
+
+def fresh_start_cycle_lengths(sessions: Sessions, T: float) -> np.ndarray:
+    """Lengths of the complete cycles on [0, T] of sorted sessions.
+
+    Equal to ``decompose_cycles(build_path(sessions, 0, T), T).lengths``
+    for sessions sorted by arrival time, without building the path.  An
+    arrival at ``gamma[i]`` in (0, T] starts a busy period exactly when
+    every earlier session has departed strictly before it: a departure
+    tying an arrival merges into one net event, so the count never reads
+    0 there.  Arrivals at or before 0 belong to the initial state, and
+    arrivals past T lie outside the path.  Sessions, not levels, keep a
+    cycle busy, so zero-rate sessions count.  Raises ValueError on
+    unsorted arrivals.
+    """
+    if T <= 0:
+        raise ValueError("need T > 0")
+    gamma = sessions.gamma
+    if np.any(gamma[1:] < gamma[:-1]):
+        raise ValueError("session arrivals must be sorted")
+    lo = int(np.searchsorted(gamma, 0.0, side="right"))
+    hi = int(np.searchsorted(gamma, T, side="right"))
+    gamma = gamma[:hi]
+    # reach[i]: the latest departure of sessions 0..i, as build_path
+    # computes departures
+    reach = gamma + sessions.y[:hi]
+    np.maximum.accumulate(reach, out=reach)
+    onset = np.empty(hi, dtype=bool)
+    np.greater(gamma[1:], reach[:-1], out=onset[1:])
+    onset[:1] = True
+    onset[:lo] = False
+    return np.diff(gamma[onset])
 
 
 def collect_cycle_lengths(
@@ -105,7 +147,9 @@ def collect_cycle_lengths(
 
     Simulates fresh-start chunks (X(0) = 0, so cycles are i.i.d. from the
     first arrival on) with independent substreams until enough cycles are
-    banked.
+    banked.  Each chunk's arrivals come sorted from ``simulate_sessions``,
+    so its cycles are read from the sessions with
+    ``fresh_start_cycle_lengths``; no path is built.
     """
     if chunk_horizon is None:
         chunk_horizon = _chunk_horizon(lam, law, n_target)
@@ -120,10 +164,9 @@ def collect_cycle_lengths(
             stationary_init=False,
             rng=rng.substream(chunk),
         )
-        path = build_path(simulate_sessions(cfg), 0.0, chunk_horizon)
-        dec = decompose_cycles(path, chunk_horizon)
-        out.append(dec.lengths)
-        have += dec.m_T
+        lengths = fresh_start_cycle_lengths(simulate_sessions(cfg), chunk_horizon)
+        out.append(lengths)
+        have += lengths.size
         chunk += 1
         if chunk > 10_000:
             raise RuntimeError("cycle collection is not converging")

@@ -53,10 +53,14 @@ class Sessions:
         self.w = np.asarray(w, dtype=float)
         if not (len(self.gamma) == len(self.y) == len(self.w)):
             raise ValueError("column lengths differ")
-        if np.any(self.y <= 0):
-            raise ValueError("session durations must be positive")
-        if np.any(self.w < 0):
-            raise ValueError("session rates must be nonnegative")
+        # min and max propagate NaN, and NaN fails every comparison, so
+        # these reductions reject NaN and infinities without a temporary
+        if not (-np.inf < self.gamma.min(initial=0.0) and self.gamma.max(initial=0.0) < np.inf):
+            raise ValueError("session arrival times must be finite")
+        if not (self.y.min(initial=1.0) > 0 and self.y.max(initial=1.0) < np.inf):
+            raise ValueError("session durations must be positive and finite")
+        if not (self.w.min(initial=0.0) >= 0 and self.w.max(initial=0.0) < np.inf):
+            raise ValueError("session rates must be nonnegative and finite")
 
     def __len__(self):
         return len(self.gamma)
@@ -216,7 +220,7 @@ class ShotNoisePath:
             self.times[0] <= self.t0 or self.times[-1] > self.t1
         ):
             raise ValueError("event times must lie in (t0, t1]")
-        if np.any(np.diff(self.times) <= 0):
+        if np.any(self.times[1:] <= self.times[:-1]):
             raise ValueError("event times must be strictly increasing (merged)")
         # the value before the first event, then after each event, built
         # once: a lookup at t reads index searchsorted(times, t, 'right'),
@@ -228,12 +232,13 @@ class ShotNoisePath:
         self._count_steps[0] = self.init_count
         self.levels = self._level_steps[1:]
         self.counts = self._count_steps[1:]
-        self.levels[:] = kernels.compensated_cumsum(self.rate_delta)
-        self.levels += self.init_level
+        running = kernels.compensated_cumsum(self.rate_delta)
+        np.add(running, self.init_level, out=self.levels)
         np.cumsum(self.count_delta, out=self.counts)
         self.counts += self.init_count
         self.levels[self.counts == 0] = 0.0  # drop float residues of departed rates
-        self.eps_num = 1e-9 * float(np.abs(self.rate_delta).sum())
+        # |deltas| reuse the running sum's buffer
+        self.eps_num = 1e-9 * float(np.abs(self.rate_delta, out=running).sum())
         if self.init_count < 0 or np.any(self.counts < 0):
             raise ValueError("occupancy count went negative")
         if self.init_level < 0 or np.any(self.levels < -self.eps_num):
@@ -287,7 +292,8 @@ def simulate_sessions(config: TrafficConfig) -> Sessions:
     gen = config.rng.generator()
     span = config.horizon + config.window_h
     n_fresh = gen.poisson(config.lam * span)
-    gamma_f = np.sort(gen.uniform(0.0, span, n_fresh))
+    gamma_f = gen.uniform(0.0, span, n_fresh)
+    gamma_f.sort()
     y_f, w_f = config.law.sample_pairs(n_fresh, gen)
     fresh = Sessions(gamma_f, y_f, w_f)
     if not config.stationary_init:
@@ -307,32 +313,47 @@ def build_path(sessions: Sessions, t0: float, t1: float) -> ShotNoisePath:
     """
     if t0 >= t1:
         raise ValueError("need t0 < t1")
-    gamma, y, w = sessions.gamma, sessions.y, sessions.w
-    dep = gamma + y
-    live = dep > t0  # sessions already over by t0 are irrelevant
-    gamma, dep, w = gamma[live], dep[live], w[live]
+    times, r_delta, n_arr, init_level, init_count = _session_events(sessions, t0, t1)
+    # gather one column at a time and drop the permutation before the path
+    # is built: beside the path's own arrays, its running sum is then the
+    # one event-length temporary (numpy frees each source as it is rebound)
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    r_delta = r_delta[order]
+    c_delta = np.where(order < n_arr, 1, -1)  # the first n_arr events are the arrivals
+    del order
+    tie = times[1:] == times[:-1]
+    if tie.any():
+        # first event of each run of equal times; the times are sorted
+        start_idx = np.flatnonzero(np.r_[True, ~tie])
+        r_delta = np.add.reduceat(r_delta, start_idx)
+        c_delta = np.add.reduceat(c_delta, start_idx)
+        times = times[start_idx]
+    return ShotNoisePath(t0, t1, times, r_delta, c_delta, init_level, init_count)
 
-    at_init = gamma <= t0
+
+def _session_events(sessions: Sessions, t0: float, t1: float):
+    """(times, rate deltas, arrival count, init level, init count) of
+    build_path: the arrivals in (t0, t1], then the departures in (t0, t1]
+    of sessions arriving by t1, each in session order, written straight
+    into the two event arrays; and the sessions alive at t0."""
+    gamma, w = sessions.gamma, sessions.w
+    dep = gamma + sessions.y
+    at_init = (gamma <= t0) & (dep > t0)
     init_level = float(w[at_init].sum())
-    init_count = int(at_init.sum())
-
+    init_count = int(np.count_nonzero(at_init))
     arr_mask = (gamma > t0) & (gamma <= t1)
     dep_mask = (dep > t0) & (dep <= t1) & (gamma <= t1)
-    times = np.concatenate([gamma[arr_mask], dep[dep_mask]])
-    r_delta = np.concatenate([w[arr_mask], -w[dep_mask]])
-    c_delta = np.concatenate(
-        [np.ones(arr_mask.sum(), np.int64), -np.ones(dep_mask.sum(), np.int64)]
-    )
-    order = np.argsort(times, kind="stable")
-    times, r_delta, c_delta = times[order], r_delta[order], c_delta[order]
-    if len(times):
-        # first event of each run of equal times; the times are sorted
-        start_idx = np.flatnonzero(np.r_[True, times[1:] != times[:-1]])
-        if len(start_idx) != len(times):
-            r_delta = np.add.reduceat(r_delta, start_idx)
-            c_delta = np.add.reduceat(c_delta, start_idx)
-            times = times[start_idx]
-    return ShotNoisePath(t0, t1, times, r_delta, c_delta, init_level, init_count)
+    n_arr = int(np.count_nonzero(arr_mask))
+    n_ev = n_arr + int(np.count_nonzero(dep_mask))
+    times = np.empty(n_ev)
+    np.compress(arr_mask, gamma, out=times[:n_arr])
+    np.compress(dep_mask, dep, out=times[n_arr:])
+    r_delta = np.empty(n_ev)
+    np.compress(arr_mask, w, out=r_delta[:n_arr])
+    np.compress(dep_mask, w, out=r_delta[n_arr:])
+    np.negative(r_delta[n_arr:], out=r_delta[n_arr:])
+    return times, r_delta, n_arr, init_level, init_count
 
 
 def eval_level(path: ShotNoisePath, t):

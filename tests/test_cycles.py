@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stableshot import (
     ConstantRate,
@@ -17,9 +19,11 @@ from stableshot import (
     cycle_tail_table,
     decompose_cycles,
     hill_alpha,
+    named_rate,
     simulate_sessions,
 )
-from stableshot.cycles import _CHUNK_SESSIONS, _chunk_horizon
+from stableshot import cycles
+from stableshot.cycles import _CHUNK_SESSIONS, _chunk_horizon, fresh_start_cycle_lengths
 
 
 def law():
@@ -117,6 +121,83 @@ def test_cycle_lengths_are_positive_and_reproducible():
     b = collect_cycle_lengths(1.0, law(), 500, RngStream(3))
     assert np.array_equal(a, b)
     assert np.all(a > 0)
+
+
+def _path_cycle_lengths(s, T):
+    return decompose_cycles(build_path(s, 0.0, T), T).lengths
+
+
+# fresh-start sessions on a quarter grid: arrivals tie each other, 0, T
+# and departures; durations reach past T; some rates are 0
+_fresh_session = st.tuples(
+    st.integers(0, 24).map(lambda k: k / 4),
+    st.integers(1, 12).map(lambda k: k / 4),
+    st.sampled_from([1.0, 0.5, 0.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sessions=st.lists(_fresh_session, max_size=40),
+    T=st.sampled_from([0.25, 1.0, 2.5, 4.0, 5.0]),
+)
+@example(sessions=[], T=1.0)
+@example(sessions=[(0.5, 1.0, 1.0)], T=1.0)
+@example(sessions=[(0.0, 1.0, 1.0)], T=1.0)
+# gamma == 0 belongs to the initial state: only the arrival at 2 is an onset
+@example(sessions=[(0.0, 1.0, 1.0), (2.0, 1.0, 1.0), (4.0, 1.0, 1.0)], T=4.0)
+# a departure that ties an arrival keeps the count above 0
+@example(sessions=[(0.5, 1.0, 1.0), (1.5, 1.0, 1.0), (3.0, 1.0, 1.0)], T=4.0)
+# onsets at 0.5 and at exactly T; the zero-rate session still keeps [1, 2) busy
+@example(sessions=[(0.5, 0.5, 1.0), (1.0, 1.0, 0.0), (2.5, 9.0, 1.0), (4.0, 1.0, 1.0)], T=4.0)
+def test_session_route_equals_path_route(sessions, T):
+    sessions = sorted(sessions)
+    gamma, y, w = (np.array(c, dtype=float) for c in zip(*sessions)) if sessions else ([], [], [])
+    s = Sessions(gamma, y, w)
+    got = fresh_start_cycle_lengths(s, T)
+    want = _path_cycle_lengths(s, T)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_session_route_hand_cases():
+    # onsets 0.5, 2.0 and 3.0 (at T): cycles [0.5, 2.0) and [2.0, 3.0)
+    s = Sessions([0.5, 1.0, 2.0, 3.0], [1.0, 0.5, 0.5, 1.0], [1.0, 0.0, 1.0, 1.0])
+    assert np.array_equal(fresh_start_cycle_lengths(s, 3.0), [1.5, 1.0])
+    # the arrival at 0 starts no cycle; the one at 1.0 ties a departure
+    s = Sessions([0.0, 1.0, 2.5, 4.0], [1.0, 0.5, 0.5, 1.0], [1.0, 1.0, 1.0, 1.0])
+    assert np.array_equal(fresh_start_cycle_lengths(s, 4.0), [1.5])
+
+
+@pytest.mark.parametrize("lam, rates", [(0.5, (0.0, 1.0)), (2.0, (0.0, 1.0)), (1.0, None)])
+def test_session_route_equals_path_route_simulated(lam, rates):
+    w_law = ConstantRate(1.0) if rates is None else named_rate("uniform", *rates)
+    law_ = JointLaw(TailDist.pareto(1.5, 1.0), w_law)
+    for sub in range(3):
+        cfg = TrafficConfig(
+            lam=lam, law=law_, horizon=2e4, stationary_init=False,
+            rng=RngStream(7).substream(sub),
+        )
+        s = simulate_sessions(cfg)
+        got = fresh_start_cycle_lengths(s, 2e4)
+        assert got.size > 10 and np.array_equal(got, _path_cycle_lengths(s, 2e4))
+
+
+def test_session_route_rejects_unsorted_arrivals_and_bad_T():
+    s = Sessions([1.0, 0.5], [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="sorted"):
+        fresh_start_cycle_lengths(s, 4.0)
+    with pytest.raises(ValueError):
+        fresh_start_cycle_lengths(Sessions([0.5], [1.0], [1.0]), 0.0)
+
+
+def test_collect_cycle_lengths_builds_no_path(monkeypatch):
+    def no_path(*a, **k):
+        raise AssertionError("collect_cycle_lengths built a path")
+
+    monkeypatch.setattr(cycles, "build_path", no_path)
+    monkeypatch.setattr(cycles, "decompose_cycles", no_path)
+    lengths = collect_cycle_lengths(1.0, law(), 500, RngStream(3))
+    assert lengths.size == 500
 
 
 class TestTailTable:

@@ -146,6 +146,114 @@ class TestBuildPath:
         assert hand_path().max_level == 2.0
 
 
+def reference_build_path(sessions, t0, t1):
+    # build_path before it dropped the live gathers, the ±1 arrays and the
+    # unconditional run starts; the path must stay bit-identical to it
+    gamma, y, w = sessions.gamma, sessions.y, sessions.w
+    dep = gamma + y
+    live = dep > t0
+    gamma, dep, w = gamma[live], dep[live], w[live]
+    at_init = gamma <= t0
+    init_level = float(w[at_init].sum())
+    init_count = int(at_init.sum())
+    arr_mask = (gamma > t0) & (gamma <= t1)
+    dep_mask = (dep > t0) & (dep <= t1) & (gamma <= t1)
+    times = np.concatenate([gamma[arr_mask], dep[dep_mask]])
+    r_delta = np.concatenate([w[arr_mask], -w[dep_mask]])
+    c_delta = np.concatenate(
+        [np.ones(arr_mask.sum(), np.int64), -np.ones(dep_mask.sum(), np.int64)]
+    )
+    order = np.argsort(times, kind="stable")
+    times, r_delta, c_delta = times[order], r_delta[order], c_delta[order]
+    if len(times):
+        start_idx = np.flatnonzero(np.r_[True, times[1:] != times[:-1]])
+        if len(start_idx) != len(times):
+            r_delta = np.add.reduceat(r_delta, start_idx)
+            c_delta = np.add.reduceat(c_delta, start_idx)
+            times = times[start_idx]
+    return traffic.ShotNoisePath(t0, t1, times, r_delta, c_delta, init_level, init_count)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.view(np.int64) if a.dtype == np.float64 else a
+
+
+def assert_paths_bit_identical(p, q):
+    for name in ("times", "rate_delta", "count_delta", "levels", "counts"):
+        a, b = getattr(p, name), getattr(q, name)
+        assert a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b)), name
+    for name in ("t0", "t1", "init_level", "init_count", "eps_num"):
+        a, b = getattr(p, name), getattr(q, name)
+        assert type(a) is type(b) and _bits(np.float64(a)) == _bits(np.float64(b)), name
+
+
+# hand-made sessions in any order on a quarter grid, so that arrivals,
+# departures, t0 and t1 tie; some straddle t0, some end past t1, some have
+# rate 0 or a rate that leaves float residues
+_any_session = st.tuples(
+    st.integers(-12, 40).map(lambda k: k / 4),
+    st.integers(1, 16).map(lambda k: k / 4),
+    st.sampled_from([1.0, 0.0, 0.1, 0.7, 1.0 / 3.0, 2.5]),
+)
+
+
+class TestBuildPathMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sessions=st.lists(_any_session, max_size=60),
+        t0=st.sampled_from([0.0, 0.25, 1.0, 2.5]),
+        span=st.sampled_from([0.25, 1.0, 3.0, 8.0]),
+    )
+    @example(sessions=[], t0=0.0, span=1.0)
+    @example(sessions=[(1.0, 1.0, 1.0), (0.5, 0.5, 2.5), (1.0, 2.0, 0.0)], t0=0.25, span=3.0)
+    def test_grid_sessions(self, sessions, t0, span):
+        gamma, y, w = (np.array(c, dtype=float) for c in zip(*sessions)) if sessions else ([], [], [])
+        s = Sessions(gamma, y, w)
+        assert_paths_bit_identical(build_path(s, t0, t0 + span), reference_build_path(s, t0, t0 + span))
+
+    @pytest.mark.parametrize("stationary_init", [True, False])
+    @pytest.mark.parametrize("t0", [0.0, 37.5])
+    def test_simulated_sessions(self, stationary_init, t0):
+        cfg = TrafficConfig(
+            lam=1.5, law=JointLaw(TailDist.pareto(1.5), named_rate("uniform", 0.0, 1.0)),
+            horizon=2000.0, window_h=1.0, stationary_init=stationary_init, rng=RngStream(8),
+        )
+        s = simulate_sessions(cfg)
+        assert_paths_bit_identical(build_path(s, t0, 2000.0), reference_build_path(s, t0, 2000.0))
+
+
+class TestSessionsValidation:
+    def test_nan_in_each_column(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="arrival times"):
+            Sessions([1.0, nan], [1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="durations"):
+            Sessions([1.0, 2.0], [nan, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="rates"):
+            Sessions([1.0, 2.0], [1.0, 1.0], [1.0, nan])
+
+    def test_infinities_in_each_column(self):
+        inf = float("inf")
+        for gamma in (-inf, inf):
+            with pytest.raises(ValueError, match="arrival times"):
+                Sessions([1.0, gamma], [1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="durations"):
+            Sessions([1.0, 2.0], [inf, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="rates"):
+            Sessions([1.0, 2.0], [1.0, 1.0], [1.0, inf])
+
+    def test_ranges_and_lengths(self):
+        with pytest.raises(ValueError, match="durations"):
+            Sessions([1.0], [0.0], [1.0])
+        with pytest.raises(ValueError, match="rates"):
+            Sessions([1.0], [1.0], [-0.5])
+        with pytest.raises(ValueError, match="lengths"):
+            Sessions([1.0, 2.0], [1.0], [1.0])
+        assert len(Sessions([], [], [])) == 0
+        assert len(Sessions([-3.0, 0.0], [1.0, 2.0], [0.0, 1.0])) == 2
+
+
 class TestSimulate:
     def test_fresh_start_begins_empty(self):
         cfg = TrafficConfig(
