@@ -34,7 +34,7 @@ from .heavy_rand import (
     stable_cf,
     tail_quantile_a,
 )
-from .limits import LimitSpec, cdf_limit_params, limit_params, poisson_K, tail_constant_Z
+from .limits import LimitSpec, limit_params, tail_constant_Z
 from .rng import RngStream
 from .skorokhod import SteppyPath, dist_m1, dist_uniform
 from .stats import GofReport, ecf_distance, iqr, ks_two_sample, rate_regression

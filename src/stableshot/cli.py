@@ -4,7 +4,8 @@
     stableshot validate --scenario cfg.yaml
     stableshot demo --out scenarios/
 
-Exit code 0 iff every goodness-of-fit report in the run passes.
+Exit code 0 iff the report passes (no analysis errored and every
+goodness-of-fit report passed), 1 if it fails, 2 on an invalid scenario.
 """
 
 from __future__ import annotations
@@ -82,10 +83,7 @@ def main(argv=None) -> int:
         if isinstance(block, dict) and "error" in block:
             print(f"ERROR {name}: {block['error']}", file=sys.stderr)
     print(f"wrote {len(files)} files to {args.out}")
-    errored = any(
-        isinstance(b, dict) and "error" in b for b in report.blocks.values()
-    )
-    return 0 if (report.all_passed and not errored) else 1
+    return 0 if report.all_passed else 1
 
 
 if __name__ == "__main__":

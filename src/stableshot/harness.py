@@ -29,7 +29,7 @@ from ._backend import backend_name
 from .cycles import collect_cycle_lengths, cycle_tail_table, hill_alpha
 from .functionals import WindowFunctional
 from .heavy_rand import TailDist, sample_stable, tail_quantile_a
-from .limits import LimitSpec, limit_params, poisson_K
+from .limits import LimitSpec, limit_params
 from .rng import RngStream
 from .skorokhod import SteppyPath, dist_m1, dist_uniform
 from .stats import GofReport, iqr, ks_two_sample, rate_regression
@@ -199,6 +199,8 @@ def validate(scenario: Scenario) -> list:
         raise ValueError("tail index must lie in (1, 2)")
     if scenario.replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if not all(math.isfinite(t) for t in scenario.T_ladder):
+        raise ValueError(f"T_ladder must be finite, got {list(scenario.T_ladder)!r}")
     if list(scenario.T_ladder) != sorted(set(scenario.T_ladder)):
         raise ValueError("T_ladder must be strictly increasing")
     if any(t <= 1 for t in scenario.T_ladder):
@@ -225,6 +227,8 @@ def validate(scenario: Scenario) -> list:
     law = scenario.law()  # raises on bad rate model
     if not (0 < min(scenario.u_grid) and max(scenario.u_grid) <= 1):
         raise ValueError("u_grid must lie in (0, 1]")
+    if not all(math.isfinite(x) for x in scenario.x_grid):
+        raise ValueError(f"x_grid must be finite, got {list(scenario.x_grid)!r}")
     if list(scenario.x_grid) != sorted(set(scenario.x_grid)):
         raise ValueError("x_grid must be strictly increasing")
     if "cdf_rate" in runs:
@@ -238,6 +242,11 @@ def validate(scenario: Scenario) -> list:
         raise ValueError("n_cycles must be >= 1")
     if "hill" in runs and not 1 <= scenario.hill_k < scenario.n_cycles:
         raise ValueError(f"hill_k must lie in [1, n_cycles), got {scenario.hill_k}")
+    if "cycle_tail" in runs:
+        if not all(math.isfinite(x) and x > 0 for x in scenario.tail_x):
+            raise ValueError(f"tail_x must be finite and positive, got {list(scenario.tail_x)!r}")
+        if not (math.isfinite(scenario.tail_t) and scenario.tail_t > 1):
+            raise ValueError(f"tail_t must be finite and exceed 1, got {scenario.tail_t!r}")
     ey = scenario.y_dist().mean_y
     notes.append(f"mean session duration E[Y] = {ey:g}")
     notes.append(f"offered load lambda*E[Y] = {scenario.lam * ey:g}")
@@ -249,8 +258,11 @@ def validate(scenario: Scenario) -> list:
 
 def make_functional(spec: str, h: float = 0.0) -> WindowFunctional:
     """Parse a functional spec string: identity | clipped:b | idle |
-    cdf:x | winsup:b (window supremum indicator over [0, h])."""
+    cdf:x | winsup:b (window supremum indicator over [0, h]); the number
+    must be finite."""
     head, _, arg = spec.partition(":")
+    if head in ("clipped", "cdf", "winsup") and not math.isfinite(float(arg)):
+        raise ValueError(f"functional spec {spec!r} needs a finite number")
     if head == "identity":
         return fns.identity()
     if head == "clipped":
@@ -328,18 +340,6 @@ def _z_task(task):
     return (t_index, r), out
 
 
-def _cdf_task(task):
-    """One replicate of the time-average CDF over the full horizon ladder."""
-    scenario, r, x_grid = task
-    rows = []
-    for t_index, T in enumerate(scenario.T_ladder):
-        rng = RngStream(scenario.seed, stream_id=r).substream(t_index)
-        cfg = scenario.config(horizon=T, rng=rng)
-        path = build_path(simulate_sessions(cfg), 0.0, T)
-        rows.append(fns.empirical_cdf(path, T, x_grid))
-    return r, np.asarray(rows)
-
-
 def _map_tasks(fn, tasks, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
@@ -349,9 +349,22 @@ def _map_tasks(fn, tasks, workers: int):
 
 
 def _ordered(results):
-    # reduce by task key, (t_index, r) for _z_task and r for _cdf_task, so
-    # worker completion order cannot matter
+    # reduce by task key (t_index, r), so worker completion order cannot matter
     return [out for _, out in sorted(results, key=lambda p: p[0])]
+
+
+def _z_matrix(scenario: Scenario, specs, centerings, workers: int) -> np.ndarray:
+    """z[i, t_index, r]: the z-value of functional specs[i], centered at
+    centerings[i], on replicate r's path to T_ladder[t_index].  One
+    simulated path per (T, r) serves every functional."""
+    n = scenario.replicates
+    tasks = [
+        (scenario, t_index, r, tuple(specs), tuple(centerings), (1.0,))
+        for t_index in range(len(scenario.T_ladder))
+        for r in range(n)
+    ]
+    rows = np.stack(_ordered(_map_tasks(_z_task, tasks, workers)))[:, :, 0]
+    return rows.T.reshape(len(specs), len(scenario.T_ladder), n)
 
 
 # -- analyses ---------------------------------------------------------------
@@ -441,17 +454,7 @@ def _analysis_stable_limit(scenario: Scenario, workers: int) -> dict:
     for phi in phis:
         calE, cal0, se, method = response_curve(scenario, phi)
         fits.append((cal0, se, method, _limit_spec_for(scenario, phi, calE, method)))
-    # one simulated path per (T, r) serves every functional
-    n = scenario.replicates
-    cal0s = tuple(fit[0] for fit in fits)
-    tasks = [
-        (scenario, t_index, r, scenario.functionals, cal0s, (1.0,))
-        for t_index in range(len(scenario.T_ladder))
-        for r in range(n)
-    ]
-    rows = np.stack(_ordered(_map_tasks(_z_task, tasks, workers)))[:, :, 0]
-    # z_all[i, t_index] holds functional i's z-values over r at T_ladder[t_index]
-    z_all = rows.T.reshape(len(phis), len(scenario.T_ladder), n)
+    z_all = _z_matrix(scenario, scenario.functionals, [fit[0] for fit in fits], workers)
     block = {}
     for phi, (cal0, se, method, lspec), z_phi in zip(phis, fits, z_all):
         per_T = {}
@@ -526,24 +529,21 @@ def _analysis_self_similarity(scenario: Scenario, workers: int) -> dict:
 
 
 def _analysis_cdf_rate(scenario: Scenario, workers: int) -> dict:
-    law = scenario.law()  # unit constant rates, checked by validate
-    x_grid = np.asarray(scenario.x_grid, dtype=float)
-    nu = scenario.lam * law.mean_y
-    K = poisson_K(nu, x_grid)
-    tasks = [(scenario, r, x_grid) for r in range(scenario.replicates)]
-    rows = _ordered(_map_tasks(_cdf_task, tasks, workers))
-    errors = np.stack(rows) - K[None, None, :]  # (replicate, T, x)
-    dist = scenario.y_dist()
-    out = {"x_grid": x_grid, "K": K, "T_ladder": scenario.T_ladder}
+    # the z of phi = 1{x(0) <= x} is the normalized CDF-estimation error
+    # (T / a(T)) (F_T(x) - K(x)), with K exact for the unit rates that
+    # validate enforces
+    specs = [f"cdf:{x!r}" for x in scenario.x_grid]
+    K = np.array([response_curve(scenario, make_functional(s))[1] for s in specs])
+    z = _z_matrix(scenario, specs, K, workers)
+    a_T = tail_quantile_a(scenario.y_dist(), np.asarray(scenario.T_ladder))
+    to_error = a_T / np.asarray(scenario.T_ladder)  # z -> F_T(x) - K(x)
     slope_target = -(1.0 - 1.0 / scenario.alpha)
     per_x = {}
-    for j, x in enumerate(x_grid):
-        disp = np.array([iqr(errors[:, i, j]) for i in range(len(scenario.T_ladder))])
+    for x, z_x in zip(scenario.x_grid, z):
+        disp = np.array([iqr(z_T) for z_T in z_x]) * to_error
         slope, stderr = rate_regression(scenario.T_ladder, disp)
-        T_top = scenario.T_ladder[-1]
-        norm = T_top / float(tail_quantile_a(dist, T_top))
-        d_sample = norm * errors[:, -1, j]
-        per_x[float(x)] = {
+        d_sample = z_x[-1]
+        per_x[x] = {
             "iqr": disp,
             "slope": slope,
             "stderr": stderr,
@@ -557,8 +557,12 @@ def _analysis_cdf_rate(scenario: Scenario, workers: int) -> dict:
                 detail=f"slope={slope:.3f} target={slope_target:.3f}",
             ),
         }
-    out["per_x"] = per_x
-    return out
+    return {
+        "x_grid": np.asarray(scenario.x_grid, dtype=float),
+        "K": K,
+        "T_ladder": scenario.T_ladder,
+        "per_x": per_x,
+    }
 
 
 def _random_step_path(gen: np.random.Generator) -> SteppyPath:
@@ -609,7 +613,9 @@ class Report:
 
     @property
     def all_passed(self) -> bool:
-        return all(g.passed for g in self.gofs())
+        """True iff no analysis errored and every GoF passed."""
+        errored = any("error" in block for block in self.blocks.values())
+        return not errored and all(g.passed for g in self.gofs())
 
     def to_text(self) -> str:
         lines = [f"scenario: {self.scenario.name}"]

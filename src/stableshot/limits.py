@@ -20,18 +20,11 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy import stats as _st
 
 from .heavy_rand import StableParams, c_alpha
 from .rng import RngStream
 
-__all__ = [
-    "LimitSpec",
-    "limit_params",
-    "tail_constant_Z",
-    "poisson_K",
-    "cdf_limit_params",
-]
+__all__ = ["LimitSpec", "limit_params", "tail_constant_Z"]
 
 GSampler = Union[float, Callable[[int, np.random.Generator], np.ndarray]]
 
@@ -130,37 +123,3 @@ def tail_constant_Z(
     c_plus = scale * float(np.mean(np.clip(vals, 0.0, None) ** alpha))
     c_minus = scale * float(np.mean(np.clip(-vals, 0.0, None) ** alpha))
     return c_plus, c_minus
-
-
-def poisson_K(nu: float, x) -> np.ndarray | float:
-    """Stationary level CDF for unit rates: Poisson(nu) CDF at floor(x)."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    x_arr = np.asarray(x, dtype=float)
-    out = np.where(x_arr < 0, 0.0, _st.poisson.cdf(np.floor(x_arr), nu))
-    return float(out) if np.isscalar(x) else out
-
-
-def cdf_limit_params(
-    x: float,
-    K: Callable,
-    lam: float,
-    alpha: float,
-    g_sampler: GSampler,
-    n_mc: int = 10_000,
-    rng: RngStream = RngStream(0),
-) -> LimitSpec:
-    """Stable law of the normalized CDF-estimation error at level x.
-
-    Delta(w) = K(x - w) - K(x) is nonpositive (K nondecreasing), so the
-    skewness is -1 whenever the law is nondegenerate.
-    """
-
-    def calE(w):
-        w_arr = np.asarray(w, dtype=float)
-        return np.asarray(K(x - w_arr), dtype=float)
-
-    return limit_params(
-        phi_name=f"cdf_le_{x:g}", lam=lam, alpha=alpha,
-        g_sampler=g_sampler, calE=calE, n_mc=n_mc, rng=rng,
-    )

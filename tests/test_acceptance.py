@@ -32,15 +32,12 @@ from stableshot import (
     ecf_distance,
     hill_alpha,
     idle_indicator,
-    iqr,
     ks_two_sample,
-    rate_regression,
     sample_stable,
     simulate_sessions,
     stationary_snapshot,
-    tail_quantile_a,
 )
-from stableshot.harness import Scenario, _cdf_task, _z_task
+from stableshot.harness import Scenario, _z_task, run
 from stableshot.skorokhod import SteppyPath
 from stableshot.stats import ks_threshold
 
@@ -243,26 +240,19 @@ def test_a6_skewness_sign(announce):
 
 def test_a7_cdf_rate(announce):
     # time-average CDF error at x = 1: dispersion decays like T^(1/alpha - 1)
-    ladder = (1e3, 1e4, 1e5)
     sc = Scenario(
-        name="acceptance", lam=1.0, alpha=ALPHA, T_ladder=ladder,
-        replicates=500, x_grid=(1.0,), seed=SEED + 7,
+        name="acceptance", lam=1.0, alpha=ALPHA, T_ladder=(1e3, 1e4, 1e5),
+        replicates=500, x_grid=(1.0,), seed=SEED + 7, analyses=("cdf_rate",),
     )
-    k1 = 4.0 * math.exp(-3.0)  # Poisson(3) CDF at 1
-    rows = np.stack(
-        [_cdf_task((sc, r, np.array([1.0])))[1][:, 0] for r in range(500)]
-    )
-    errors = rows - k1
-    disp = np.array([iqr(errors[:, i]) for i in range(len(ladder))])
-    slope, stderr = rate_regression(ladder, disp)
-    dist = TailDist.pareto(ALPHA)
-    d_sample = (1e5 / tail_quantile_a(dist, 1e5)) * errors[:, -1]
-    left_skew = float(d_sample.mean()) < float(np.median(d_sample))
-    ok = -0.43 <= slope <= -0.23 and left_skew
+    block = run(sc).blocks["cdf_rate"]
+    assert block["K"][0] == pytest.approx(4.0 * math.exp(-3.0))  # Poisson(3) CDF at 1
+    res = block["per_x"][1.0]
+    slope, d_sample = res["slope"], res["d_sample"]
+    ok = -0.43 <= slope <= -0.23 and res["left_skew"]
     announce(
         "A7 CDF-error convergence rate",
         ok,
-        f"slope={slope:.3f} (target -1/3, stderr={stderr:.3f}) "
+        f"slope={slope:.3f} (target -1/3, stderr={res['stderr']:.3f}) "
         f"mean={d_sample.mean():.3f} median={np.median(d_sample):.3f}",
     )
 

@@ -8,8 +8,22 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
-from stableshot import Report, RngStream, Scenario, builtin_scenarios, emit, harness, run
+from stableshot import (
+    Report,
+    RngStream,
+    Scenario,
+    build_path,
+    builtin_scenarios,
+    emit,
+    empirical_cdf,
+    harness,
+    iqr,
+    run,
+    simulate_sessions,
+    tail_quantile_a,
+)
 from stableshot.cli import main
 from stableshot.functionals import _sorted_response, monte_carlo_response
 from stableshot.harness import _z_task, make_functional, response_curve, validate
@@ -41,6 +55,13 @@ _FAMILIES = {
 
 def _family(kind):
     return tiny_scenario(T_ladder=(200.0, 400.0), replicates=20, **_FAMILIES[kind])
+
+
+def _cdf_scenario():
+    return tiny_scenario(
+        analyses=("cdf_rate",), T_ladder=(200.0, 400.0, 800.0), replicates=20,
+        x_grid=(1.0, 2.5),
+    )
 
 
 def _text_from_block(report):
@@ -121,6 +142,19 @@ class TestScenario:
             (dict(functionals=("cdf:1", "cdf:1.0000001")), "cdf_le_1"),
             (dict(functionals=("identity", "clipped:2", "clipped:2.0")), "clipped_2"),
             (dict(functionals=("winsup:3", "winsup:3.0000001"), window_h=1.0), "sup_le_3_h1"),
+            (dict(T_ladder=(1e3, math.inf)), "T_ladder"),
+            (dict(T_ladder=(math.nan,)), "T_ladder"),
+            (dict(x_grid=(1.0, math.inf)), "x_grid"),
+            (dict(x_grid=(math.nan,)), "x_grid"),
+            (dict(tail_x=(0.0, 1.0), analyses=("cycle_tail",)), "tail_x"),
+            (dict(tail_x=(1.0, math.inf), analyses=("cycle_tail",)), "tail_x"),
+            (dict(tail_x=(math.nan,), analyses=("cycle_tail",)), "tail_x"),
+            (dict(tail_t=1.0, analyses=("cycle_tail",)), "tail_t"),
+            (dict(tail_t=math.inf, analyses=("cycle_tail",)), "tail_t"),
+            (dict(tail_t=math.nan, analyses=("cycle_tail",)), "tail_t"),
+            (dict(functionals=("cdf:nan",)), "cdf:nan"),
+            (dict(functionals=("clipped:nan",)), "clipped:nan"),
+            (dict(functionals=("winsup:inf",), window_h=1.0), "winsup:inf"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -169,6 +203,10 @@ class TestRun:
             for name, sub in a.blocks["stable_limit"].items():
                 for T, z in sub["samples"].items():
                     assert b.blocks["stable_limit"][name]["samples"][T].tobytes() == z.tobytes()
+        a, b = run(_cdf_scenario(), workers=1), run(_cdf_scenario(), workers=2)
+        assert a.to_text() == b.to_text()
+        for x, sub in a.blocks["cdf_rate"]["per_x"].items():
+            assert b.blocks["cdf_rate"]["per_x"][x]["d_sample"].tobytes() == sub["d_sample"].tobytes()
 
     def test_analysis_error_is_contained(self, monkeypatch):
         # an analysis that raises: the error lands in its block only
@@ -180,6 +218,10 @@ class TestRun:
         rep = run(sc)
         assert rep.blocks["hill"] == {"error": "RuntimeError: boom"}
         assert "error" not in rep.blocks["m1_diagnostic"]
+        # no GoF failed, but an analysis that errored fails the report
+        assert all(g.passed for g in rep.gofs())
+        assert not rep.all_passed
+        assert "overall: FAIL" in rep.to_text()
 
     def test_gof_collection(self):
         rep = run(tiny_scenario(analyses=("m1_diagnostic",)))
@@ -241,6 +283,31 @@ class TestOnePathPerReplicate:
         assert ss["reference"].tobytes() == z[n:].tobytes()
 
 
+def test_cdf_rate_matches_empirical_cdf_reference():
+    # the stable-limit z of cdf:x against the time-average CDF computed
+    # on its own: (T / a(T)) (F_T(x) - K(x)), K the Poisson(lam E[Y]) CDF
+    sc = _cdf_scenario()
+    block = run(sc).blocks["cdf_rate"]
+    nu = sc.lam * sc.y_dist().mean_y
+    x_grid = np.array(sc.x_grid)
+    K = sps.poisson.cdf(np.floor(x_grid), nu)
+    np.testing.assert_allclose(block["K"], K, rtol=1e-12, atol=0)
+    errors = np.empty((len(sc.T_ladder), sc.replicates, len(x_grid)))
+    for t_index, T in enumerate(sc.T_ladder):
+        for r in range(sc.replicates):
+            rng = RngStream(sc.seed, stream_id=r).substream(t_index)
+            path = build_path(simulate_sessions(sc.config(T, rng)), 0.0, T)
+            errors[t_index, r] = empirical_cdf(path, T, x_grid) - K
+    T_top = sc.T_ladder[-1]
+    norm = T_top / tail_quantile_a(sc.y_dist(), T_top)
+    for j, x in enumerate(sc.x_grid):
+        got = block["per_x"][x]
+        want = norm * errors[-1, :, j]
+        np.testing.assert_allclose(got["d_sample"], want, rtol=1e-12, atol=0)
+        disp = [iqr(errors[t, :, j]) for t in range(len(sc.T_ladder))]
+        np.testing.assert_allclose(got["iqr"], disp, rtol=1e-12, atol=0)
+
+
 class TestEmit:
     def test_csv_bundle(self, tmp_path):
         rep = run(tiny_scenario())
@@ -292,6 +359,7 @@ class TestCli:
             ("analyses: [cdf_rate]\nT_ladder: [1.0e+3, 1.0e+4, 1.0e+5]\n"
              "w_kind: uniform\nw_params: [0.1, 1.0]\n", "unit constant"),
             ("functionals: ['cdf:1', 'cdf:1.0000001']\n", "cdf_le_1"),
+            ("T_ladder: [.inf]\n", "T_ladder"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -314,6 +382,17 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "r" / "report.txt").exists()
+
+    def test_run_exits_1_when_an_analysis_errors(self, tmp_path, capsys, monkeypatch):
+        def boom(scenario):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness, "_analysis_m1_diagnostic", boom)
+        cfg = tmp_path / "s.yaml"
+        tiny_scenario(analyses=("m1_diagnostic",)).to_yaml(cfg)
+        assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert "ERROR m1_diagnostic: RuntimeError: boom" in capsys.readouterr().err
+        assert "overall: FAIL" in (tmp_path / "r" / "report.txt").read_text()
 
     def test_run_seed_override(self, tmp_path):
         cfg = tmp_path / "s.yaml"

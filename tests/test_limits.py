@@ -10,9 +10,8 @@ from stableshot import (
     LimitSpec,
     RngStream,
     c_alpha,
-    cdf_limit_params,
+    cdf_indicator,
     limit_params,
-    poisson_K,
     tail_constant_Z,
 )
 from stableshot.harness import exact_poisson_calE, make_functional
@@ -78,33 +77,42 @@ class TestLimitParams:
         assert "identity" in spec.to_text()
 
 
+def poisson_cdf_calE(x, nu):
+    # unit rates: the stationary level is a Poisson(nu) count, so
+    # calE(w) = P(w + N <= x) and calE(0) is the centering K(x)
+    return exact_poisson_calE(cdf_indicator(x), nu, 1.0)
+
+
+def K(nu, x):
+    return float(poisson_cdf_calE(x, nu)(0.0)[0])
+
+
 class TestPoissonK:
     def test_values(self):
-        assert poisson_K(0.9, -0.5) == 0.0
-        assert poisson_K(0.9, 0.0) == pytest.approx(math.exp(-0.9))
-        assert poisson_K(3.0, 1.0) == pytest.approx(4.0 * math.exp(-3.0))
-        assert poisson_K(3.0, 2.7) == pytest.approx(sps.poisson.cdf(2, 3.0))
+        assert K(0.9, -0.5) == 0.0
+        assert K(0.9, 0.0) == pytest.approx(math.exp(-0.9))
+        assert K(3.0, 1.0) == pytest.approx(4.0 * math.exp(-3.0))
+        assert K(3.0, 2.7) == pytest.approx(sps.poisson.cdf(2, 3.0))
 
     def test_vectorized_and_monotone(self):
+        # calE(w) = K(x - w) for each shift w, and K is nondecreasing in x
         x = np.linspace(-1, 10, 45)
-        vals = poisson_K(3.0, x)
+        vals = np.array([K(3.0, v) for v in x])
         assert np.all(np.diff(vals) >= 0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            poisson_K(0.0, 1.0)
+        shifted = poisson_cdf_calE(4.5, 3.0)(4.5 - x)
+        np.testing.assert_allclose(shifted, vals, rtol=1e-12, atol=0)
 
 
 class TestCdfLimit:
     def test_unit_rate_closed_form(self):
         # Delta = K(x - 1) - K(x) = -pmf(1) at x = 1, nu = 3
-        spec = cdf_limit_params(1.0, lambda v: poisson_K(3.0, v), 1.0, 1.5, 1.0)
+        spec = limit_params("cdf_le_1", 1.0, 1.5, 1.0, poisson_cdf_calE(1.0, 3.0))
         pmf1 = 3.0 * math.exp(-3.0)
         assert spec.params.beta == pytest.approx(-1.0)
         assert spec.abs_moment == pytest.approx(pmf1 ** 1.5)
 
     def test_far_right_tail_degenerates(self):
-        spec = cdf_limit_params(500.0, lambda v: poisson_K(3.0, v), 1.0, 1.5, 1.0)
+        spec = limit_params("cdf_le_500", 1.0, 1.5, 1.0, poisson_cdf_calE(500.0, 3.0))
         assert spec.abs_moment == pytest.approx(0.0, abs=1e-12)
         assert spec.degenerate
 
