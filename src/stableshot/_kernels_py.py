@@ -1,9 +1,11 @@
 """The numpy kernels behind the path, cycle, window and M1 layers.
 
 * ``compensated_cumsum`` -- running sum of float deltas, a plain
-  ``np.cumsum``.  The levels it builds carry a rounding slack of
-  ``eps_num = 1e-9 * accumulated |w|`` (see ``ShotNoisePath``).  The
-  function keeps its name because the benchmark traces it by that name.
+  ``np.cumsum``.  On a path with mixed rates it runs the level, which
+  carries a rounding slack of ``eps_num = 1e-9 * accumulated |w|``; on a
+  constant-rate path it runs the occupancy count, exact below 2**53, and
+  the level is ``w0 * count`` (see ``ShotNoisePath``).  The function keeps
+  its name because the benchmark traces it by that name.
 * ``busy_bounds`` -- indices where an integer occupancy sequence leaves /
   enters zero.
 * ``sliding_range_max`` -- max of ``values[lo[i]:hi[i]+1]`` per query.  A

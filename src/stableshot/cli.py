@@ -71,11 +71,13 @@ def main(argv=None) -> int:
         scenario = Scenario.from_yaml(args.scenario)
         if args.seed is not None:
             scenario = replace(scenario, seed=args.seed)
+        if args.workers is not None:
+            scenario = replace(scenario, workers=args.workers)
         validate(scenario)
     except (ValueError, OSError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 2
-    report = run(scenario, workers=args.workers)
+    report = run(scenario)
     files = emit(report, args.out, fmt=args.format)
     for g in report.gofs():
         print(g.line())

@@ -210,7 +210,11 @@ def integrate_phi(path: ShotNoisePath, phi: WindowFunctional, t0: float, t1: flo
 
 
 def _prefix_integral(bounds, vals):
-    cum = np.concatenate([[0.0], np.cumsum(vals * np.diff(bounds))])
+    cum = np.empty(len(vals) + 1)
+    cum[0] = 0.0
+    areas = np.diff(bounds)
+    areas *= vals
+    np.cumsum(areas, out=cum[1:])
 
     def at(points):
         points = np.asarray(points, dtype=float)

@@ -199,6 +199,10 @@ def validate(scenario: Scenario) -> list:
         raise ValueError("tail index must lie in (1, 2)")
     if scenario.replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if scenario.seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {scenario.seed!r}")
+    if scenario.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {scenario.workers!r}")
     if not all(math.isfinite(t) for t in scenario.T_ladder):
         raise ValueError(f"T_ladder must be finite, got {list(scenario.T_ladder)!r}")
     if list(scenario.T_ladder) != sorted(set(scenario.T_ladder)):
@@ -225,6 +229,8 @@ def validate(scenario: Scenario) -> list:
             )
         specs_by_name[name] = spec
     law = scenario.law()  # raises on bad rate model
+    if not scenario.u_grid:
+        raise ValueError("u_grid must not be empty")
     if not (0 < min(scenario.u_grid) and max(scenario.u_grid) <= 1):
         raise ValueError("u_grid must lie in (0, 1]")
     if not all(math.isfinite(x) for x in scenario.x_grid):
@@ -650,7 +656,10 @@ def _gofs(obj) -> list:
 
 def run(scenario: Scenario, workers: Optional[int] = None) -> Report:
     notes = validate(scenario)
-    workers = scenario.workers if workers is None else workers
+    if workers is None:
+        workers = scenario.workers
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     report = Report(scenario=scenario, notes=notes, backend=backend_name())
     dispatch = {
         "cycle_mean": lambda: _analysis_cycle_mean(scenario),

@@ -45,7 +45,11 @@ _BLOCK_CELLS = 1 << 17
 
 
 class Sessions:
-    """Column store of session triples (arrival time, duration, rate)."""
+    """Column store of session triples (arrival time, duration, rate).
+
+    ``common_rate`` is the rate every session shares, or None when the
+    rates differ or there are no sessions.
+    """
 
     def __init__(self, gamma, y, w):
         self.gamma = np.asarray(gamma, dtype=float)
@@ -59,8 +63,10 @@ class Sessions:
             raise ValueError("session arrival times must be finite")
         if not (self.y.min(initial=1.0) > 0 and self.y.max(initial=1.0) < np.inf):
             raise ValueError("session durations must be positive and finite")
-        if not (self.w.min(initial=0.0) >= 0 and self.w.max(initial=0.0) < np.inf):
+        w_lo, w_hi = self.w.min(initial=np.inf), self.w.max(initial=-np.inf)
+        if not (w_lo >= 0 and w_hi < np.inf):
             raise ValueError("session rates must be nonnegative and finite")
+        self.common_rate = float(w_lo) if w_lo == w_hi else None
 
     def __len__(self):
         return len(self.gamma)
@@ -200,20 +206,29 @@ class ShotNoisePath:
 
     ``times`` are merged event timestamps strictly inside (t0, t1]; the
     level / count after event i are ``levels[i]`` / ``counts[i]``.  Counts
-    are exact integers; levels are plain running float sums with slack
-    ``eps_num = 1e-9 * accumulated |w|``, and are exactly 0 wherever the
-    count is 0, so level-based functionals such as ``idle`` see the same
-    idle time as the count-based cycles whatever the rates.
+    are exact integers.  Given a common rate ``w0`` (pass ``rate_delta``
+    and ``init_level`` as None; ``rate_delta`` stays None), every level is
+    ``w0 * count``, exact whatever the summation order, with slack
+    ``eps_num = 1e-9 * (w0 * sum |count_delta|)``.  Otherwise levels are plain running float sums of
+    ``rate_delta`` with slack ``eps_num = 1e-9 * accumulated |w|``, and are
+    exactly 0 wherever the count is 0, so level-based functionals such as
+    ``idle`` see the same idle time as the count-based cycles whatever the
+    rates.
     """
 
-    def __init__(self, t0, t1, times, rate_delta, count_delta, init_level, init_count):
+    def __init__(self, t0, t1, times, rate_delta, count_delta, init_level, init_count, w0=None):
         self.t0 = float(t0)
         self.t1 = float(t1)
         self.times = np.asarray(times, dtype=float)
-        self.rate_delta = np.asarray(rate_delta, dtype=float)
         self.count_delta = np.asarray(count_delta, dtype=np.int64)
-        self.init_level = float(init_level)
         self.init_count = int(init_count)
+        self.w0 = None if w0 is None else float(w0)
+        if self.w0 is None:
+            self.rate_delta = np.asarray(rate_delta, dtype=float)
+            self.init_level = float(init_level)
+        else:
+            self.rate_delta = None
+            self.init_level = self.w0 * self.init_count
         if self.t0 >= self.t1:
             raise ValueError("need t0 < t1")
         if len(self.times) and (
@@ -232,13 +247,20 @@ class ShotNoisePath:
         self._count_steps[0] = self.init_count
         self.levels = self._level_steps[1:]
         self.counts = self._count_steps[1:]
-        running = kernels.compensated_cumsum(self.rate_delta)
-        np.add(running, self.init_level, out=self.levels)
-        np.cumsum(self.count_delta, out=self.counts)
-        self.counts += self.init_count
-        self.levels[self.counts == 0] = 0.0  # drop float residues of departed rates
-        # |deltas| reuse the running sum's buffer
-        self.eps_num = 1e-9 * float(np.abs(self.rate_delta, out=running).sum())
+        if self.w0 is None:
+            running = kernels.compensated_cumsum(self.rate_delta)
+            np.add(running, self.init_level, out=self.levels)
+            np.cumsum(self.count_delta, out=self.counts)
+            self.counts += self.init_count
+            self.levels[self.counts == 0] = 0.0  # drop float residues of departed rates
+            # |deltas| reuse the running sum's buffer
+            self.eps_num = 1e-9 * float(np.abs(self.rate_delta, out=running).sum())
+        else:
+            # the running count as floats, exact below 2**53
+            running = kernels.compensated_cumsum(self.count_delta)
+            np.add(running, self.init_count, out=self.counts, casting="unsafe")
+            np.multiply(self.counts, self.w0, out=self.levels)
+            self.eps_num = 1e-9 * (self.w0 * float(np.abs(self.count_delta, out=running).sum()))
         if self.init_count < 0 or np.any(self.counts < 0):
             raise ValueError("occupancy count went negative")
         if self.init_level < 0 or np.any(self.levels < -self.eps_num):
@@ -309,10 +331,30 @@ def build_path(sessions: Sessions, t0: float, t1: float) -> ShotNoisePath:
 
     Sessions straddling t0 are folded into the initial level/count;
     departures past t1 are dropped (the level simply never decreases
-    there).  Coincident deltas are merged into one net event.
+    there).  Coincident deltas are merged into one net event.  When every
+    session has the same rate and t0 >= 0, the path is built from the
+    occupancy count alone (level = w0 * count, see ShotNoisePath).
     """
     if t0 >= t1:
         raise ValueError("need t0 < t1")
+    w0 = sessions.common_rate
+    if w0 is not None and t0 >= 0:
+        times, _, n_arr, _, init_count = _session_events(sessions, t0, t1, rates=False)
+        # every time exceeds t0 >= 0, so the bit patterns of these positive
+        # floats sort as unsigned integers; shifted left, they carry
+        # is_departure in the low bit (an arrival sorts before a departure
+        # at the same time, as in the stable argsort), and one in-place
+        # sort orders the events
+        keys = times.view(np.uint64)
+        keys <<= 1
+        keys[n_arr:] |= 1
+        keys.sort()
+        c_delta = (keys & 1).view(np.int64)
+        c_delta *= -2
+        c_delta += 1
+        keys >>= 1
+        times, (c_delta,) = _merge_ties(times, c_delta)
+        return ShotNoisePath(t0, t1, times, None, c_delta, None, init_count, w0=w0)
     times, r_delta, n_arr, init_level, init_count = _session_events(sessions, t0, t1)
     # gather one column at a time and drop the permutation before the path
     # is built: beside the path's own arrays, its running sum is then the
@@ -322,25 +364,30 @@ def build_path(sessions: Sessions, t0: float, t1: float) -> ShotNoisePath:
     r_delta = r_delta[order]
     c_delta = np.where(order < n_arr, 1, -1)  # the first n_arr events are the arrivals
     del order
-    tie = times[1:] == times[:-1]
-    if tie.any():
-        # first event of each run of equal times; the times are sorted
-        start_idx = np.flatnonzero(np.r_[True, ~tie])
-        r_delta = np.add.reduceat(r_delta, start_idx)
-        c_delta = np.add.reduceat(c_delta, start_idx)
-        times = times[start_idx]
+    times, (r_delta, c_delta) = _merge_ties(times, r_delta, c_delta)
     return ShotNoisePath(t0, t1, times, r_delta, c_delta, init_level, init_count)
 
 
-def _session_events(sessions: Sessions, t0: float, t1: float):
+def _merge_ties(times, *deltas):
+    """Sorted ``times`` with each run of equal times merged into one event
+    whose deltas are the run's sums."""
+    tie = times[1:] == times[:-1]
+    if not tie.any():
+        return times, deltas
+    # first event of each run of equal times
+    start_idx = np.flatnonzero(np.r_[True, ~tie])
+    return times[start_idx], tuple(np.add.reduceat(d, start_idx) for d in deltas)
+
+
+def _session_events(sessions: Sessions, t0: float, t1: float, rates: bool = True):
     """(times, rate deltas, arrival count, init level, init count) of
     build_path: the arrivals in (t0, t1], then the departures in (t0, t1]
     of sessions arriving by t1, each in session order, written straight
-    into the two event arrays; and the sessions alive at t0."""
+    into the two event arrays; and the sessions alive at t0.  Without
+    ``rates`` the rate deltas and the init level are None."""
     gamma, w = sessions.gamma, sessions.w
     dep = gamma + sessions.y
     at_init = (gamma <= t0) & (dep > t0)
-    init_level = float(w[at_init].sum())
     init_count = int(np.count_nonzero(at_init))
     arr_mask = (gamma > t0) & (gamma <= t1)
     dep_mask = (dep > t0) & (dep <= t1) & (gamma <= t1)
@@ -349,6 +396,9 @@ def _session_events(sessions: Sessions, t0: float, t1: float):
     times = np.empty(n_ev)
     np.compress(arr_mask, gamma, out=times[:n_arr])
     np.compress(dep_mask, dep, out=times[n_arr:])
+    if not rates:
+        return times, None, n_arr, None, init_count
+    init_level = float(w[at_init].sum())
     r_delta = np.empty(n_ev)
     np.compress(arr_mask, w, out=r_delta[:n_arr])
     np.compress(dep_mask, w, out=r_delta[n_arr:])

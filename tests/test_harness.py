@@ -155,6 +155,10 @@ class TestScenario:
             (dict(functionals=("cdf:nan",)), "cdf:nan"),
             (dict(functionals=("clipped:nan",)), "clipped:nan"),
             (dict(functionals=("winsup:inf",), window_h=1.0), "winsup:inf"),
+            (dict(seed=-1), "seed"),
+            (dict(workers=0), "workers"),
+            (dict(workers=-2), "workers"),
+            (dict(u_grid=()), "u_grid"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -207,6 +211,10 @@ class TestRun:
         assert a.to_text() == b.to_text()
         for x, sub in a.blocks["cdf_rate"]["per_x"].items():
             assert b.blocks["cdf_rate"]["per_x"][x]["d_sample"].tobytes() == sub["d_sample"].tobytes()
+
+    def test_run_rejects_a_bad_worker_count(self):
+        with pytest.raises(ValueError, match="workers"):
+            run(tiny_scenario(analyses=()), workers=0)
 
     def test_analysis_error_is_contained(self, monkeypatch):
         # an analysis that raises: the error lands in its block only
@@ -360,6 +368,9 @@ class TestCli:
              "w_kind: uniform\nw_params: [0.1, 1.0]\n", "unit constant"),
             ("functionals: ['cdf:1', 'cdf:1.0000001']\n", "cdf_le_1"),
             ("T_ladder: [.inf]\n", "T_ladder"),
+            ("seed: -1\n", "seed"),
+            ("workers: -2\n", "workers"),
+            ("u_grid: []\n", "u_grid"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -373,6 +384,18 @@ class TestCli:
         out = capsys.readouterr()
         assert "scenario ok" not in out.out
         assert "invalid scenario" in out.err and message in out.err
+
+    @pytest.mark.parametrize(
+        "override, message", [(["--seed", "-1"], "seed"), (["--workers", "0"], "workers")]
+    )
+    def test_bad_run_override_exits_2(self, tmp_path, capsys, override, message):
+        cfg = tmp_path / "s.yaml"
+        tiny_scenario(analyses=("m1_diagnostic",)).to_yaml(cfg)
+        args = ["run", "--scenario", str(cfg), "--out", str(tmp_path / "r")] + override
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "invalid scenario" in err and message in err
+        assert not (tmp_path / "r").exists()
 
     def test_run_exit_codes(self, tmp_path, capsys):
         cfg = tmp_path / "s.yaml"
@@ -408,6 +431,13 @@ class TestCli:
         )
         echoed = (tmp_path / "r2" / "scenario_echo.yaml").read_text()
         assert "seed: 7" in echoed
+
+    def test_run_workers_override(self, tmp_path):
+        cfg = tmp_path / "s.yaml"
+        tiny_scenario(analyses=("m1_diagnostic",)).to_yaml(cfg)
+        args = ["run", "--scenario", str(cfg), "--out", str(tmp_path / "r"), "--workers", "2"]
+        assert main(args) == 0
+        assert "workers: 2" in (tmp_path / "r" / "scenario_echo.yaml").read_text()
 
 
 def test_builtin_scenarios_all_validate():

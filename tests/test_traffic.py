@@ -133,7 +133,7 @@ class TestBuildPath:
     def test_level_count_consistency_unit_rates(self):
         cfg = TrafficConfig(lam=1.0, law=law(), horizon=100.0, rng=RngStream(4))
         p = build_path(simulate_sessions(cfg), 0.0, 100.0)
-        assert np.allclose(p.levels, p.counts, atol=p.eps_num + 1e-9)
+        assert np.array_equal(p.levels, p.counts) and p.init_level == p.init_count
 
     def test_segments_partition(self):
         p = hand_path()
@@ -148,7 +148,10 @@ class TestBuildPath:
 
 def reference_build_path(sessions, t0, t1):
     # build_path before it dropped the live gathers, the ±1 arrays and the
-    # unconditional run starts; the path must stay bit-identical to it
+    # unconditional run starts, and before it sorted packed event keys; the
+    # path must stay bit-identical to it.  With one common rate and t0 >= 0
+    # the levels are w0 * count (a float running sum of a non-dyadic w0
+    # differs from that in the last bits)
     gamma, y, w = sessions.gamma, sessions.y, sessions.w
     dep = gamma + y
     live = dep > t0
@@ -171,6 +174,9 @@ def reference_build_path(sessions, t0, t1):
             r_delta = np.add.reduceat(r_delta, start_idx)
             c_delta = np.add.reduceat(c_delta, start_idx)
             times = times[start_idx]
+    rates = np.unique(sessions.w)
+    if len(rates) == 1 and t0 >= 0:
+        return traffic.ShotNoisePath(t0, t1, times, None, c_delta, None, init_count, w0=rates[0])
     return traffic.ShotNoisePath(t0, t1, times, r_delta, c_delta, init_level, init_count)
 
 
@@ -182,9 +188,15 @@ def _bits(a):
 def assert_paths_bit_identical(p, q):
     for name in ("times", "rate_delta", "count_delta", "levels", "counts"):
         a, b = getattr(p, name), getattr(q, name)
+        if a is None or b is None:
+            assert a is b, name
+            continue
         assert a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b)), name
-    for name in ("t0", "t1", "init_level", "init_count", "eps_num"):
+    for name in ("t0", "t1", "init_level", "init_count", "eps_num", "w0"):
         a, b = getattr(p, name), getattr(q, name)
+        if a is None or b is None:
+            assert a is b, name
+            continue
         assert type(a) is type(b) and _bits(np.float64(a)) == _bits(np.float64(b)), name
 
 
@@ -221,6 +233,55 @@ class TestBuildPathMatchesReference:
         )
         s = simulate_sessions(cfg)
         assert_paths_bit_identical(build_path(s, t0, 2000.0), reference_build_path(s, t0, 2000.0))
+
+
+# sessions sharing one rate, on the quarter grid of _any_session
+_grid_pair = st.tuples(
+    st.integers(-12, 40).map(lambda k: k / 4),
+    st.integers(1, 16).map(lambda k: k / 4),
+)
+
+
+class TestCountRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(_grid_pair, min_size=1, max_size=60),
+        w0=st.sampled_from([1.0, 0.1, 1.0 / 3.0, 0.7, 2.5, 0.0]),
+        t0=st.sampled_from([0.0, 0.25, 2.5]),
+        span=st.sampled_from([0.25, 1.0, 3.0, 8.0]),
+    )
+    @example(pairs=[(1.0, 1.0), (1.0, 0.5), (0.5, 0.5), (-1.0, 2.0)], w0=0.1, t0=0.0, span=3.0)
+    def test_equal_rates_give_level_w0_times_count(self, pairs, w0, t0, span):
+        gamma, y = (np.array(c) for c in zip(*pairs))
+        s = Sessions(gamma, y, np.full(len(pairs), w0))
+        assert s.common_rate == w0
+        p = build_path(s, t0, t0 + span)
+        assert p.w0 == w0 and p.rate_delta is None
+        assert np.array_equal(p.levels, w0 * p.counts) and p.init_level == w0 * p.init_count
+        assert np.array_equal(p.counts, p.init_count + np.cumsum(p.count_delta))
+        ref = reference_build_path(s, t0, t0 + span)
+        for name in ("times", "counts", "count_delta"):
+            assert np.array_equal(_bits(getattr(p, name)), _bits(getattr(ref, name))), name
+        assert_paths_bit_identical(p, ref)
+
+    @pytest.mark.parametrize(
+        "w, t0",
+        [([0.1, 0.1, 0.1, 0.1], -1.0), ([1.0, 1.0, 1.0, 1.0], -0.25),
+         ([0.1, 0.7, 0.1, 0.1], 0.0), ([1.0, 2.0, 1.0, 1.0], 0.5)],
+    )
+    def test_mixed_rates_or_negative_t0_keep_the_rate_sums(self, w, t0):
+        # ties at 0.5 and 1.0; one session straddles each t0, and one
+        # arrives at -0.5, inside the path when t0 = -1
+        s = Sessions([-2.0, -0.5, 1.0, 1.0], [2.5, 1.0, 0.5, 2.0], w)
+        p = build_path(s, t0, 4.0)
+        assert p.w0 is None and p.rate_delta is not None
+        assert_paths_bit_identical(p, reference_build_path(s, t0, 4.0))
+        assert len(p) < 2 * len(s)  # ties merged
+
+    def test_common_rate(self):
+        assert Sessions([0.0, 1.0], [1.0, 1.0], [0.5, 0.5]).common_rate == 0.5
+        assert Sessions([0.0, 1.0], [1.0, 1.0], [0.5, 0.25]).common_rate is None
+        assert Sessions([], [], []).common_rate is None
 
 
 class TestSessionsValidation:
