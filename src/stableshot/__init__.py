@@ -17,8 +17,6 @@ from .functionals import (
     clipped,
     cycle_integrals,
     empirical_cdf,
-    empirical_path,
-    estimate_calE,
     identity,
     idle_indicator,
     integrate_phi,
@@ -29,12 +27,11 @@ from .heavy_rand import (
     StableParams,
     TailDist,
     c_alpha,
-    sample_pareto,
     sample_stable,
     stable_cf,
     tail_quantile_a,
 )
-from .limits import LimitSpec, limit_params, tail_constant_Z
+from .limits import LimitSpec, limit_params
 from .rng import RngStream
 from .skorokhod import SteppyPath, dist_m1, dist_uniform
 from .stats import GofReport, ecf_distance, iqr, ks_two_sample, rate_regression
@@ -49,7 +46,6 @@ from .traffic import (
     build_path,
     named_rate,
     simulate_sessions,
-    stationary_snapshot,
     stationary_window_draws,
 )
 

@@ -4,8 +4,8 @@ A cycle is one busy period plus the following idle period.  Busy/idle is
 detected from the integer occupancy count, not the float level: with
 zero-rate sessions the level can vanish while sessions are active, which
 would break the regeneration; the count-based definition is regenerative
-unconditionally and coincides with the level-based one whenever all rates
-are positive.
+unconditionally.  When all rates are positive, the level is nonzero exactly
+where the count is.
 
 ``decompose_cycles`` reads the cycles of a built path.  The i.i.d. cycle
 lengths of ``collect_cycle_lengths`` come straight from fresh-start
@@ -69,27 +69,20 @@ class CycleDecomposition:
         return self.s_end - self.s_start
 
 
-def decompose_cycles(path, T, use_level=False) -> CycleDecomposition:
+def decompose_cycles(path, T) -> CycleDecomposition:
     """Complete cycles [S_{j-1}, S_j) with S_j <= T.
 
     Cycle boundaries are the instants where the occupancy steps from idle
     to busy; the possibly-partial structure before the first boundary and
-    the partial cycle at the end are excluded.  ``use_level`` switches to
-    level-based busy detection (diagnostic only).
+    the partial cycle at the end are excluded.
     """
     if T > path.t1 or T <= path.t0:
         raise ValueError("path does not cover [t0, T]")
-    if use_level:
-        occ = (path.levels > path.eps_num).astype(np.int64)
-        init = int(path.init_level > path.eps_num)
-    else:
-        occ = path.counts
-        init = path.init_count
-    starts_idx, ends_idx = kernels.busy_bounds(occ, init)
+    starts_idx, ends_idx = kernels.busy_bounds(path.counts, path.init_count)
     starts = path.times[starts_idx]
     ends = path.times[ends_idx]
     if len(starts) == 0:
-        return CycleDecomposition([], [], [], never_idle=init > 0 and len(ends) == 0)
+        return CycleDecomposition([], [], [], never_idle=path.init_count > 0 and len(ends) == 0)
     # every event lies in (t0, t1], so each start is a busy onset after an
     # idle stretch inside the path.  Ends alternate with starts; a path
     # that begins busy has an end before its first start, which closes no
@@ -141,7 +134,6 @@ def collect_cycle_lengths(
     law: JointLaw,
     n_target: int,
     rng: RngStream,
-    chunk_horizon: float | None = None,
 ) -> np.ndarray:
     """Lengths of at least ``n_target`` i.i.d. complete cycles.
 
@@ -151,8 +143,7 @@ def collect_cycle_lengths(
     so its cycles are read from the sessions with
     ``fresh_start_cycle_lengths``; no path is built.
     """
-    if chunk_horizon is None:
-        chunk_horizon = _chunk_horizon(lam, law, n_target)
+    chunk_horizon = _chunk_horizon(lam, law, n_target)
     out = []
     have = 0
     chunk = 0

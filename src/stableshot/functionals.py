@@ -9,7 +9,6 @@ are computed exactly as sum(value * segment length) -- no quadrature.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -17,7 +16,6 @@ import numpy as np
 
 from . import traffic
 from ._backend import kernels
-from .heavy_rand import TailDist, tail_quantile_a
 from .rng import RngStream
 from .traffic import ShotNoisePath, TrafficConfig
 
@@ -31,10 +29,7 @@ __all__ = [
     "functional_steps",
     "integrate_phi",
     "cycle_integrals",
-    "EmpiricalPath",
-    "empirical_path",
     "monte_carlo_response",
-    "estimate_calE",
     "empirical_cdf",
 ]
 
@@ -47,10 +42,7 @@ class WindowFunctional:
     k offsets.  ``kind`` 'window_sup': ``fn(values, sup)`` where sup is the
     running supremum over [0, h].  ``fn`` must be numpy-vectorized over the
     leading axes and must not modify its input: ``functional_steps`` may
-    pass it read-only views of a path's levels.  ``continuity_assertion``
-    records that the long-session response w -> E[phi(w + X_h(0))] is a.s.
-    continuous under the limiting rate law (set automatically by the
-    built-ins for atomic rate laws).
+    pass it read-only views of a path's levels.
     ``form`` records how a built-in reads one scalar statistic s of the
     window, x(0) or for 'window_sup' the sup: ``("le", b)`` for
     1{s <= b}, ``("min", b)`` for min(s, b), ``("id", None)`` for s
@@ -64,8 +56,6 @@ class WindowFunctional:
     kind: str
     offsets: tuple
     fn: Callable
-    sup_norm: float
-    continuity_assertion: bool = False
     form: Optional[tuple] = None
 
     def __post_init__(self):
@@ -95,7 +85,7 @@ def identity() -> WindowFunctional:
     """phi(x) = x(0).  Unbounded; kept for the classical empirical-mean case."""
     return WindowFunctional(
         name="identity", h=0.0, kind="pointwise", offsets=(0.0,),
-        fn=_v0, sup_norm=math.inf, continuity_assertion=True, form=("id", None),
+        fn=_v0, form=("id", None),
     )
 
 
@@ -107,7 +97,7 @@ def clipped(b: float) -> WindowFunctional:
 
     return WindowFunctional(
         name=f"clipped_{b:g}", h=0.0, kind="pointwise", offsets=(0.0,),
-        fn=fn, sup_norm=float(b), continuity_assertion=True, form=("min", float(b)),
+        fn=fn, form=("min", float(b)),
     )
 
 
@@ -119,7 +109,7 @@ def cdf_indicator(x: float) -> WindowFunctional:
 
     return WindowFunctional(
         name=f"cdf_le_{x:g}", h=0.0, kind="pointwise", offsets=(0.0,),
-        fn=fn, sup_norm=1.0, continuity_assertion=True, form=("le", float(x)),
+        fn=fn, form=("le", float(x)),
     )
 
 
@@ -131,7 +121,7 @@ def idle_indicator() -> WindowFunctional:
 
     return WindowFunctional(
         name="idle", h=0.0, kind="pointwise", offsets=(0.0,),
-        fn=fn, sup_norm=1.0, continuity_assertion=True, form=("le", 0.0),
+        fn=fn, form=("le", 0.0),
     )
 
 
@@ -143,7 +133,7 @@ def window_sup_indicator(b: float, h: float) -> WindowFunctional:
 
     return WindowFunctional(
         name=f"sup_le_{b:g}_h{h:g}", h=float(h), kind="window_sup", offsets=(0.0,),
-        fn=fn, sup_norm=1.0, continuity_assertion=True, form=("le", float(b)),
+        fn=fn, form=("le", float(b)),
     )
 
 
@@ -235,60 +225,6 @@ def cycle_integrals(path: ShotNoisePath, decomposition, phi: WindowFunctional) -
     return at(decomposition.s_end) - at(decomposition.s_start)
 
 
-@dataclass(frozen=True)
-class EmpiricalPath:
-    """Normalized centered integral u -> Z_T(u) as a piecewise-linear path.
-
-    ``values[i]`` is the normalized integral up to u_breaks[i] * T; linear
-    interpolation between breakpoints is exact.
-    """
-
-    u_breaks: np.ndarray
-    values: np.ndarray
-    T: float
-    a_T: float
-    centering: float
-    centering_se: float = 0.0
-    centering_method: str = "analytic"
-
-    def __call__(self, u):
-        u_arr = np.asarray(u, dtype=float)
-        if np.any((u_arr < 0) | (u_arr > 1)):
-            raise ValueError("u must lie in [0, 1]")
-        out = np.interp(u_arr, self.u_breaks, self.values)
-        return float(out) if np.isscalar(u) else out
-
-
-def empirical_path(
-    path: ShotNoisePath,
-    phi: WindowFunctional,
-    dist: TailDist,
-    T: float,
-    centering: float,
-    centering_se: float = 0.0,
-    centering_method: str = "analytic",
-) -> EmpiricalPath:
-    """Z(u) = (1/a(T)) * integral_0^{Tu} {phi(X_h(s)) - centering} ds.
-
-    The centering constant is the stationary mean of phi; its provenance
-    (analytic or Monte Carlo with standard error) is carried along because
-    centering error of order se * T / a(T) can dominate at large T.
-    """
-    a_T = float(tail_quantile_a(dist, T))
-    bounds, vals = functional_steps(path, phi, 0.0, T)
-    increments = (vals - centering) * np.diff(bounds)
-    values = np.concatenate([[0.0], np.cumsum(increments)]) / a_T
-    return EmpiricalPath(
-        u_breaks=bounds / T,
-        values=values,
-        T=float(T),
-        a_T=a_T,
-        centering=float(centering),
-        centering_se=float(centering_se),
-        centering_method=centering_method,
-    )
-
-
 def monte_carlo_response(phi: WindowFunctional, config: TrafficConfig, n_mc: int, rng: RngStream):
     """Response curve w -> E[phi(w + X_h(0))] over n_mc shared stationary
     window draws.
@@ -363,21 +299,6 @@ def _count_le(s, w, b):
         lo = np.where(ok, mid + 1, lo)
         hi = np.where(open_ & ~ok, mid, hi)
     return lo
-
-
-def estimate_calE(
-    w: float,
-    phi: WindowFunctional,
-    config: TrafficConfig,
-    n_mc: int,
-    rng: RngStream,
-):
-    """Monte Carlo estimate of E[phi(w + X_h(0))] with its standard error."""
-    _, samples = monte_carlo_response(phi, config, n_mc, rng)
-    draws = samples(w)
-    est = float(np.mean(draws))
-    se = float(np.std(draws, ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else math.inf
-    return est, se
 
 
 def empirical_cdf(path: ShotNoisePath, T: float, x_grid) -> np.ndarray:

@@ -62,6 +62,9 @@ ANALYSES = (
     "m1_diagnostic",
 )
 
+# how many w_params each w_kind takes
+_RATE_PARAMS = {"constant": 1, "uniform": 2, "exponential": 1}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -136,6 +139,12 @@ class Scenario:
         return TailDist.pareto(self.alpha, self.xm)
 
     def law(self) -> JointLaw:
+        n = _RATE_PARAMS.get(self.w_kind)
+        if n is not None and len(self.w_params) != n:
+            raise ValueError(
+                f"w_params of w_kind {self.w_kind!r} must have length {n}, "
+                f"got {list(self.w_params)!r}"
+            )
         if self.w_kind == "constant":
             return JointLaw(self.y_dist(), ConstantRate(*self.w_params))
         return JointLaw(self.y_dist(), named_rate(self.w_kind, *self.w_params))
@@ -233,6 +242,8 @@ def validate(scenario: Scenario) -> list:
         raise ValueError("u_grid must not be empty")
     if not (0 < min(scenario.u_grid) and max(scenario.u_grid) <= 1):
         raise ValueError("u_grid must lie in (0, 1]")
+    if "self_similarity" in runs and min(scenario.u_grid) >= 1:
+        raise ValueError("self_similarity needs an entry u < 1 in u_grid")
     if not all(math.isfinite(x) for x in scenario.x_grid):
         raise ValueError(f"x_grid must be finite, got {list(scenario.x_grid)!r}")
     if list(scenario.x_grid) != sorted(set(scenario.x_grid)):
@@ -265,10 +276,12 @@ def validate(scenario: Scenario) -> list:
 def make_functional(spec: str, h: float = 0.0) -> WindowFunctional:
     """Parse a functional spec string: identity | clipped:b | idle |
     cdf:x | winsup:b (window supremum indicator over [0, h]); the number
-    must be finite."""
-    head, _, arg = spec.partition(":")
+    must be finite, and identity and idle take none."""
+    head, sep, arg = spec.partition(":")
     if head in ("clipped", "cdf", "winsup") and not math.isfinite(float(arg)):
         raise ValueError(f"functional spec {spec!r} needs a finite number")
+    if head in ("identity", "idle") and sep:
+        raise ValueError(f"functional spec {spec!r} takes no number")
     if head == "identity":
         return fns.identity()
     if head == "clipped":
@@ -327,8 +340,8 @@ def response_curve(scenario: Scenario, phi: WindowFunctional, n_mc: int = 100_00
 
 
 def _z_task(task):
-    """One replicate: simulate once, return ((t_index, r), z-values) with
-    one row of z-values per functional and one column per u, at horizon T."""
+    """One replicate: simulate once, return the z-values at horizon T,
+    one row per functional and one column per u."""
     scenario, t_index, r, phi_specs, centerings, u_list = task
     T = scenario.T_ladder[t_index]
     phis = [make_functional(s, scenario.window_h) for s in phi_specs]
@@ -343,20 +356,16 @@ def _z_task(task):
         at = fns._prefix_integral(bounds, vals - c)
         for j, u in enumerate(u_list):
             out[i, j] = float(at(u * T)) / a_T
-    return (t_index, r), out
+    return out
 
 
 def _map_tasks(fn, tasks, workers: int):
+    """[fn(task) for task in tasks], in task order whatever the workers."""
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     chunk = max(1, len(tasks) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, tasks, chunksize=chunk))
-
-
-def _ordered(results):
-    # reduce by task key (t_index, r), so worker completion order cannot matter
-    return [out for _, out in sorted(results, key=lambda p: p[0])]
 
 
 def _z_matrix(scenario: Scenario, specs, centerings, workers: int) -> np.ndarray:
@@ -369,7 +378,7 @@ def _z_matrix(scenario: Scenario, specs, centerings, workers: int) -> np.ndarray
         for t_index in range(len(scenario.T_ladder))
         for r in range(n)
     ]
-    rows = np.stack(_ordered(_map_tasks(_z_task, tasks, workers)))[:, :, 0]
+    rows = np.stack(_map_tasks(_z_task, tasks, workers))[:, :, 0]
     return rows.T.reshape(len(specs), len(scenario.T_ladder), n)
 
 
@@ -504,18 +513,17 @@ def _analysis_self_similarity(scenario: Scenario, workers: int) -> dict:
     spec_str = scenario.functionals[0]
     phi = make_functional(spec_str, scenario.window_h)
     _, cal0, se, method = response_curve(scenario, phi)
-    u = min(u for u in scenario.u_grid if u < 1.0) if min(scenario.u_grid) < 1 else 0.25
+    u = min(scenario.u_grid)  # below 1, as validate checks
     t_index = len(scenario.T_ladder) - 1
     T = scenario.T_ladder[t_index]
     n = scenario.replicates
     # disjoint replicate banks so the two KS samples are independent: r in
-    # [0, n) observes u, r in [n, 2n) observes 1; the key (t_index, r) has
-    # one t_index, so it orders the results by (bank, r)
+    # [0, n) observes u, r in [n, 2n) observes 1
     tasks = [
         (scenario, t_index, r, (spec_str,), (cal0,), (u if r < n else 1.0,))
         for r in range(2 * n)
     ]
-    z = np.array([o[0, 0] for o in _ordered(_map_tasks(_z_task, tasks, workers))])
+    z = np.array([o[0, 0] for o in _map_tasks(_z_task, tasks, workers)])
     z_u, z_1 = z[:n], z[n:]
     scale = u ** (-1.0 / scenario.alpha)
     gof = ks_two_sample(

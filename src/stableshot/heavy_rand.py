@@ -1,6 +1,6 @@
 """Heavy-tailed duration laws and alpha-stable variates.
 
-Provides the Pareto (and user-supplied) duration distribution with its tail
+Provides the Pareto duration distribution with its tail
 quantile ``a(t) = (1/sf)^{<-}(t)``, the stable scale constant
 ``c(alpha) = |Gamma(1-alpha) cos(pi alpha/2)|``, the Chambers-Mallows-Stuck
 sampler and the matching characteristic function.  Sampler and CF share the
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
 from .rng import RngStream
@@ -23,7 +21,6 @@ from .rng import RngStream
 __all__ = [
     "TailDist",
     "StableParams",
-    "sample_pareto",
     "tail_quantile_a",
     "c_alpha",
     "sample_stable",
@@ -33,22 +30,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TailDist:
-    """Session-duration distribution with regularly varying tail.
+    """Pareto session-duration law, P(Y > y) = (y / xm)^(-alpha) for
+    y >= xm, with closed forms throughout."""
 
-    ``kind`` is 'pareto' (closed forms throughout) or 'user' (caller
-    supplies mutually consistent survival and quantile maps).  The quantile
-    map takes p in (0, 1] to inf{y : sf(y) <= p}.
-    """
-
-    kind: str
     declared_alpha: float
     xm: float = 1.0
-    survival: Optional[Callable] = None
-    quantile: Optional[Callable] = None
-    mean: Optional[float] = None
-    # exact size-biased sampling for non-Pareto laws needs the size-biased
-    # quantile; Pareto has it in closed form (tail index alpha - 1)
-    size_biased_quantile: Optional[Callable] = None
 
     @classmethod
     def pareto(cls, alpha: float, xm: float = 1.0) -> "TailDist":
@@ -56,69 +42,37 @@ class TailDist:
             raise ValueError(f"pareto tail index must be positive, got {alpha}")
         if xm <= 0:
             raise ValueError(f"pareto scale must be positive, got {xm}")
-        return cls(kind="pareto", declared_alpha=alpha, xm=xm)
-
-    @classmethod
-    def user(
-        cls,
-        survival: Callable,
-        quantile: Callable,
-        declared_alpha: float,
-        mean: float,
-        size_biased_quantile: Optional[Callable] = None,
-    ) -> "TailDist":
-        return cls(
-            kind="user",
-            declared_alpha=declared_alpha,
-            survival=survival,
-            quantile=quantile,
-            mean=mean,
-            size_biased_quantile=size_biased_quantile,
-        )
+        return cls(declared_alpha=alpha, xm=xm)
 
     def sf(self, y):
         """Survival function P(Y > y)."""
-        if self.kind == "pareto":
-            y = np.asarray(y, dtype=float)
-            return np.minimum(1.0, (y / self.xm) ** -self.declared_alpha)
-        return self.survival(y)
+        y = np.asarray(y, dtype=float)
+        return np.minimum(1.0, (y / self.xm) ** -self.declared_alpha)
 
     def ppf_sf(self, p):
         """Quantile of the survival function: inf{y : sf(y) <= p}."""
-        if self.kind == "pareto":
-            p = np.asarray(p, dtype=float)
-            return self.xm * p ** (-1.0 / self.declared_alpha)
-        return self.quantile(p)
+        p = np.asarray(p, dtype=float)
+        return self.xm * p ** (-1.0 / self.declared_alpha)
 
     @property
     def mean_y(self) -> float:
-        if self.kind == "pareto":
-            a = self.declared_alpha
-            if a <= 1:
-                raise ValueError("pareto mean is infinite for tail index <= 1")
-            return a * self.xm / (a - 1)
-        if self.mean is None:
-            raise ValueError("user distribution must declare its mean")
-        return self.mean
+        a = self.declared_alpha
+        if a <= 1:
+            raise ValueError("pareto mean is infinite for tail index <= 1")
+        return a * self.xm / (a - 1)
 
     def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
         u = gen.uniform(size=n)
         return np.asarray(self.ppf_sf(u), dtype=float)
 
     def sample_size_biased(self, n: int, gen: np.random.Generator) -> np.ndarray:
-        """Draws from the duration-weighted law y P(Y in dy) / E[Y]."""
+        """Draws from the duration-weighted law y P(Y in dy) / E[Y], a
+        Pareto law of tail index alpha - 1."""
         u = gen.uniform(size=n)
-        if self.kind == "pareto":
-            a = self.declared_alpha
-            if a <= 1:
-                raise ValueError("size-biased pareto needs tail index > 1")
-            return self.xm * u ** (-1.0 / (a - 1))
-        if self.size_biased_quantile is None:
-            raise ValueError(
-                "user distribution needs a size_biased_quantile for "
-                "stationary initialization"
-            )
-        return np.asarray(self.size_biased_quantile(u), dtype=float)
+        a = self.declared_alpha
+        if a <= 1:
+            raise ValueError("size-biased pareto needs tail index > 1")
+        return self.xm * u ** (-1.0 / (a - 1))
 
 
 @dataclass(frozen=True)
@@ -137,15 +91,6 @@ class StableParams:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if abs(self.beta) > 1:
             raise ValueError(f"beta must be in [-1, 1], got {self.beta}")
-
-
-def sample_pareto(dist: TailDist, n: int, rng: RngStream) -> np.ndarray:
-    """n i.i.d. Pareto draws via inverse transform xm * U^(-1/alpha)."""
-    if dist.kind != "pareto":
-        raise ValueError("sample_pareto requires a pareto TailDist")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return dist.sample(n, rng.generator())
 
 
 def tail_quantile_a(dist: TailDist, t) -> np.ndarray | float:

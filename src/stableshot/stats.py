@@ -51,7 +51,7 @@ class GofReport:
         )
 
 
-def ks_threshold(n: int, level: float = 0.01) -> float:
+def ks_threshold(n: float, level: float = 0.01) -> float:
     """Asymptotic one-sample KS critical value c(level)/sqrt(n)."""
     if not 0 < level < 1:
         raise ValueError("level must be in (0, 1)")
@@ -67,8 +67,7 @@ def ks_two_sample(a, b, name: str, level: float = 0.01) -> GofReport:
         raise ValueError("empty sample")
     stat = float(sps.ks_2samp(a, b, method="asymp").statistic)
     n_eff = a.size * b.size / (a.size + b.size)
-    thr = math.sqrt(-math.log(level / 2.0) / 2.0) / math.sqrt(n_eff)
-    return GofReport(name, stat, thr, int(min(a.size, b.size)))
+    return GofReport(name, stat, ks_threshold(n_eff, level), int(min(a.size, b.size)))
 
 
 def ecf_distance(sample, params: StableParams, t_grid) -> float:

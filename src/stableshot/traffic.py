@@ -15,7 +15,7 @@ construction is used instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -34,8 +34,6 @@ __all__ = [
     "ShotNoisePath",
     "simulate_sessions",
     "build_path",
-    "eval_level",
-    "stationary_snapshot",
     "stationary_window_draws",
 ]
 
@@ -98,7 +96,6 @@ class IndependentRate:
     """W independent of Y; the limiting rate law equals W's own law."""
 
     sampler: Callable[[int, np.random.Generator], np.ndarray]
-    mean: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -128,12 +125,12 @@ def named_rate(name: str, *params: float) -> IndependentRate:
         a, b = params
         if not (0 <= a < b < np.inf):
             raise ValueError(f"uniform rates need finite 0 <= a < b, got ({a!r}, {b!r})")
-        return IndependentRate(functools.partial(_uniform_rate, a, b), mean=(a + b) / 2)
+        return IndependentRate(functools.partial(_uniform_rate, a, b))
     if name == "exponential":
         (mean,) = params
         if not (0 < mean < np.inf):
             raise ValueError(f"exponential rates need a finite mean > 0, got {mean!r}")
-        return IndependentRate(functools.partial(_exponential_rate, mean), mean=mean)
+        return IndependentRate(functools.partial(_exponential_rate, mean))
     raise ValueError(f"unknown rate model {name!r}")
 
 
@@ -141,15 +138,12 @@ def named_rate(name: str, *params: float) -> IndependentRate:
 class JointLaw:
     """Joint law of (duration, rate) plus the limiting rate law.
 
-    The vague-convergence tail condition on the pair cannot be machine
-    checked for arbitrary couplings; ``asserts_joint_tail`` records the
-    user's assertion.  It provably holds for the three built-in rate
-    models (constant, independent, deterministic with a limit).
+    The vague-convergence tail condition on the pair holds for the three
+    rate models (constant, independent, deterministic with a limit).
     """
 
     y_dist: TailDist
     w_model: WModel
-    asserts_joint_tail: bool = True
 
     def sample_pairs(self, n: int, gen: np.random.Generator):
         y = self.y_dist.sample(n, gen)
@@ -198,7 +192,7 @@ class TrafficConfig:
             raise ValueError("horizon must be positive")
         if self.window_h < 0:
             raise ValueError("window length must be nonnegative")
-        self.law.mean_y  # raises if E[Y] is not finite / not declared
+        self.law.mean_y  # raises if E[Y] is not finite
 
 
 class ShotNoisePath:
@@ -303,10 +297,6 @@ class ShotNoisePath:
         levels.flags.writeable = counts.flags.writeable = False
         return bounds, levels, counts
 
-    @property
-    def max_level(self) -> float:
-        return max(self.init_level, float(self.levels.max(initial=self.init_level)))
-
 
 def simulate_sessions(config: TrafficConfig) -> Sessions:
     """Fresh Poisson arrivals on [0, horizon + h], plus (optionally) the
@@ -387,10 +377,16 @@ def _session_events(sessions: Sessions, t0: float, t1: float, rates: bool = True
     ``rates`` the rate deltas and the init level are None."""
     gamma, w = sessions.gamma, sessions.w
     dep = gamma + sessions.y
-    at_init = (gamma <= t0) & (dep > t0)
+    dep_after = dep > t0
+    arr_by = gamma <= t1
+    at_init = gamma <= t0
+    at_init &= dep_after
     init_count = int(np.count_nonzero(at_init))
-    arr_mask = (gamma > t0) & (gamma <= t1)
-    dep_mask = (dep > t0) & (dep <= t1) & (gamma <= t1)
+    arr_mask = gamma > t0
+    arr_mask &= arr_by
+    dep_mask = dep <= t1
+    dep_mask &= dep_after
+    dep_mask &= arr_by
     n_arr = int(np.count_nonzero(arr_mask))
     n_ev = n_arr + int(np.count_nonzero(dep_mask))
     times = np.empty(n_ev)
@@ -404,11 +400,6 @@ def _session_events(sessions: Sessions, t0: float, t1: float, rates: bool = True
     np.compress(dep_mask, w, out=r_delta[n_arr:])
     np.negative(r_delta[n_arr:], out=r_delta[n_arr:])
     return times, r_delta, n_arr, init_level, init_count
-
-
-def eval_level(path: ShotNoisePath, t):
-    """Point evaluation X(t); see ShotNoisePath.eval_level."""
-    return path.eval_level(t)
 
 
 def stationary_window_draws(
@@ -524,10 +515,4 @@ def _window_sups(owner, gamma, end, w, n: int, h: float) -> np.ndarray:
         levels = base[a:b, None] + np.cumsum(steps, axis=1)
         np.maximum(sups[a:b], levels.max(axis=1), out=sups[a:b])
     return sups
-
-
-def stationary_snapshot(config: TrafficConfig, n: int, rng: RngStream, offsets=(0.0,)):
-    """n i.i.d. stationary window values; 1-D when a single offset is asked."""
-    values = stationary_window_draws(config, n, rng, offsets=offsets)
-    return values[:, 0] if values.shape[1] == 1 else values
 

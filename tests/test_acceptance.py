@@ -35,11 +35,10 @@ from stableshot import (
     ks_two_sample,
     sample_stable,
     simulate_sessions,
-    stationary_snapshot,
+    stationary_window_draws,
 )
 from stableshot.harness import Scenario, _z_task, run
 from stableshot.skorokhod import SteppyPath
-from stableshot.stats import ks_threshold
 
 ALPHA = 1.5
 EY = 3.0
@@ -69,7 +68,7 @@ def z_bank(n, T, lam, phi_spec, cal0, u=1.0, r0=0, seed=SEED):
     )
     out = np.empty(n)
     for i, r in enumerate(range(r0, r0 + n)):
-        out[i] = _z_task((sc, 0, r, (phi_spec,), (cal0,), (u,)))[1][0, 0]
+        out[i] = _z_task((sc, 0, r, (phi_spec,), (cal0,), (u,)))[0, 0]
     return out
 
 
@@ -110,7 +109,7 @@ def test_a2_idle_probability(announce):
     # sparse load lam = 0.3: P(X(0) = 0) = exp(-0.9); occupancy ~ Poisson(0.9)
     lam, nu = 0.3, 0.9
     cfg = TrafficConfig(lam=lam, law=law(), horizon=1.0, rng=RngStream(SEED, 11))
-    levels = stationary_snapshot(cfg, 100_000, RngStream(SEED, 11))
+    levels = stationary_window_draws(cfg, 100_000, RngStream(SEED, 11))[:, 0]
     counts = np.rint(levels).astype(int)
     p0 = float((counts == 0).mean())
     ok0 = abs(p0 - math.exp(-nu)) <= 0.01

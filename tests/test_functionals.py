@@ -20,8 +20,6 @@ from stableshot import (
     cycle_integrals,
     decompose_cycles,
     empirical_cdf,
-    empirical_path,
-    estimate_calE,
     identity,
     idle_indicator,
     integrate_phi,
@@ -29,7 +27,7 @@ from stableshot import (
     window_sup_indicator,
 )
 from stableshot._backend import kernels
-from stableshot.functionals import WindowFunctional, functional_steps
+from stableshot.functionals import WindowFunctional, functional_steps, monte_carlo_response
 from stableshot.traffic import named_rate
 
 
@@ -74,12 +72,12 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             WindowFunctional(
                 name="bad", h=1.0, kind="pointwise", offsets=(0.0, 2.0),
-                fn=lambda v: v[..., 0], sup_norm=1.0,
+                fn=lambda v: v[..., 0],
             )
         with pytest.raises(ValueError):
             WindowFunctional(
                 name="bad", h=1.0, kind="nope", offsets=(0.0,),
-                fn=lambda v: v[..., 0], sup_norm=1.0,
+                fn=lambda v: v[..., 0],
             )
 
 
@@ -157,7 +155,7 @@ def two_offsets():
     """A user pointwise functional reading X(s) and X(s + 0.75)."""
     return WindowFunctional(
         name="two_offsets", h=1.0, kind="pointwise", offsets=(0.0, 0.75),
-        fn=lambda v: v[..., 1] - 2.0 * v[..., 0], sup_norm=math.inf,
+        fn=lambda v: v[..., 1] - 2.0 * v[..., 0],
     )
 
 
@@ -165,7 +163,7 @@ def sup_and_offset():
     """A user window-sup functional reading X(s + 0.5) and the sup over [s, s + 1]."""
     return WindowFunctional(
         name="sup_and_offset", h=1.0, kind="window_sup", offsets=(0.0, 0.5),
-        fn=lambda v, sup: sup - v[..., 1], sup_norm=math.inf,
+        fn=lambda v, sup: sup - v[..., 1],
     )
 
 
@@ -255,7 +253,7 @@ class TestStepsMatchMidpointReference:
             return values[..., 0]
 
         phi = WindowFunctional(
-            name="scribble", h=0.0, kind="pointwise", offsets=(0.0,), fn=scribble, sup_norm=1.0,
+            name="scribble", h=0.0, kind="pointwise", offsets=(0.0,), fn=scribble,
         )
         p = hand_path()
         before = p.levels.copy()
@@ -300,17 +298,6 @@ class TestCycleIntegrals:
                 ddof=1
             ) / math.sqrt(z.size)
             assert abs(lhs - rhs) <= 5 * se
-
-
-class TestEmpiricalPath:
-    def test_starts_at_zero_and_matches_integral(self):
-        cfg = TrafficConfig(lam=1.0, law=law(), horizon=1000.0, rng=RngStream(4))
-        p = build_path(simulate_sessions(cfg), 0.0, 1000.0)
-        ep = empirical_path(p, identity(), TailDist.pareto(1.5), 1000.0, centering=3.0)
-        assert ep(0.0) == 0.0
-        want = (integrate_phi(p, identity(), 0.0, 1000.0) - 3.0 * 1000.0) / ep.a_T
-        assert ep(1.0) == pytest.approx(want)
-        assert ep.a_T == pytest.approx(100.0)
 
 
 def sorted_levels_cdf(path, T, x_grid):
@@ -363,10 +350,12 @@ class TestEmpiricalCdf:
 class TestResponse:
     def test_idle_probability(self):
         cfg = TrafficConfig(lam=1.0, law=law(), horizon=1.0, rng=RngStream(7))
-        est, se = estimate_calE(0.0, idle_indicator(), cfg, 40_000, RngStream(7))
+        _, samples = monte_carlo_response(idle_indicator(), cfg, 40_000, RngStream(7))
+        draws = samples(0.0)
+        est, se = float(np.mean(draws)), float(np.std(draws, ddof=1) / math.sqrt(draws.size))
         assert est == pytest.approx(math.exp(-3.0), abs=4 * se + 1e-3)
 
     def test_shift_by_w_kills_idle(self):
         cfg = TrafficConfig(lam=1.0, law=law(), horizon=1.0, rng=RngStream(8))
-        est, _ = estimate_calE(0.5, idle_indicator(), cfg, 2000, RngStream(8))
-        assert est == 0.0
+        calE, _ = monte_carlo_response(idle_indicator(), cfg, 2000, RngStream(8))
+        assert calE(0.5)[0] == 0.0

@@ -159,6 +159,12 @@ class TestScenario:
             (dict(workers=0), "workers"),
             (dict(workers=-2), "workers"),
             (dict(u_grid=()), "u_grid"),
+            (dict(w_params=(1.0, 2.0)), "w_params of w_kind 'constant'"),
+            (dict(w_params=()), "w_params of w_kind 'constant'"),
+            (dict(w_kind="uniform", w_params=(0.5,)), "w_params of w_kind 'uniform'"),
+            (dict(functionals=("identity:3",)), "identity:3"),
+            (dict(functionals=("idle:5",)), "idle:5"),
+            (dict(analyses=("self_similarity",)), "u_grid"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -178,7 +184,7 @@ class TestScenario:
 
     def test_make_functional(self):
         assert make_functional("identity").name == "identity"
-        assert make_functional("clipped:2.5").sup_norm == 2.5
+        assert make_functional("clipped:2.5").form == ("min", 2.5)
         assert make_functional("cdf:1").name == "cdf_le_1"
         assert make_functional("idle").name == "idle"
         with pytest.raises(ValueError):
@@ -283,10 +289,9 @@ class TestOnePathPerReplicate:
         ss = run(sc, workers=workers).blocks["self_similarity"]
         cal0 = response_curve(sc, make_functional("identity"))[1]
         n = sc.replicates
-        z = [_z_task((sc, 0, r, ("identity",), (cal0,), (0.25 if r < n else 1.0,)))
-             for r in range(2 * n)]
-        assert [key for key, _ in z] == [(0, r) for r in range(2 * n)]
-        z = np.array([out[0, 0] for _, out in z])
+        tasks = [(sc, 0, r, ("identity",), (cal0,), (0.25 if r < n else 1.0,))
+                 for r in range(2 * n)]
+        z = np.array([_z_task(task)[0, 0] for task in tasks])
         assert ss["rescaled"].tobytes() == (z[:n] * 0.25 ** (-1.0 / sc.alpha)).tobytes()
         assert ss["reference"].tobytes() == z[n:].tobytes()
 
@@ -371,6 +376,11 @@ class TestCli:
             ("seed: -1\n", "seed"),
             ("workers: -2\n", "workers"),
             ("u_grid: []\n", "u_grid"),
+            ("w_kind: constant\nw_params: [1.0, 2.0]\n", "w_params of w_kind 'constant'"),
+            ("w_params: []\n", "w_params of w_kind 'constant'"),
+            ("w_kind: uniform\nw_params: [0.5]\n", "w_params of w_kind 'uniform'"),
+            ("functionals: ['identity:3']\n", "identity:3"),
+            ("analyses: [self_similarity]\n", "u_grid"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])

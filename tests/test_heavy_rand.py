@@ -13,7 +13,6 @@ from stableshot import (
     TailDist,
     c_alpha,
     ecf_distance,
-    sample_pareto,
     sample_stable,
     stable_cf,
     tail_quantile_a,
@@ -52,7 +51,7 @@ class TestTailDist:
 
     def test_sample_is_supported_above_xm(self):
         d = TailDist.pareto(1.5, 2.0)
-        y = sample_pareto(d, 1000, RngStream(1))
+        y = d.sample(1000, RngStream(1).generator())
         assert np.all(y >= 2.0)
 
     def test_size_biased_pareto_is_pareto_shifted_index(self):
@@ -63,16 +62,6 @@ class TestTailDist:
         for q in (1.5, 2.0, 4.0):
             emp = (y > q).mean()
             assert emp == pytest.approx(q ** -1.5, rel=0.05)
-
-    def test_user_dist_needs_size_biased_quantile(self):
-        d = TailDist.user(
-            survival=lambda y: np.exp(-y),
-            quantile=lambda p: -np.log(p),
-            declared_alpha=1.5,
-            mean=1.0,
-        )
-        with pytest.raises(ValueError, match="size_biased"):
-            d.sample_size_biased(10, RngStream(0).generator())
 
 
 class TestTailQuantile:

@@ -12,7 +12,6 @@ from stableshot import (
     c_alpha,
     cdf_indicator,
     limit_params,
-    tail_constant_Z,
 )
 from stableshot.harness import exact_poisson_calE, make_functional
 
@@ -34,7 +33,6 @@ class TestLimitParams:
         assert spec.params.sigma == pytest.approx((2 * math.pi) ** (1 / 3))
         assert spec.params.sigma == pytest.approx(1.84527, abs=1e-4)
         assert spec.params.mu == 0.0
-        assert spec.hurst == pytest.approx(0.75)
         assert not spec.degenerate
         assert spec.provenance == "exact"
 
@@ -116,16 +114,3 @@ class TestCdfLimit:
         assert spec.abs_moment == pytest.approx(0.0, abs=1e-12)
         assert spec.degenerate
 
-
-class TestTailConstant:
-    def test_point_mass(self):
-        c_plus, c_minus = tail_constant_Z(1.0, 3.0, 1.5, 1.0, lambda w: np.atleast_1d(w))
-        assert c_plus == pytest.approx(math.exp(3.0))
-        assert c_minus == 0.0
-
-    def test_negative_response(self):
-        c_plus, c_minus = tail_constant_Z(
-            1.0, 3.0, 1.5, 1.0, lambda w: -np.atleast_1d(w)
-        )
-        assert c_plus == 0.0
-        assert c_minus == pytest.approx(math.exp(3.0))

@@ -20,7 +20,6 @@ from stableshot import (
     integrate_phi,
     named_rate,
     simulate_sessions,
-    stationary_snapshot,
     stationary_window_draws,
     traffic,
 )
@@ -141,9 +140,6 @@ class TestBuildPath:
         assert bounds[0] == 0.0 and bounds[-1] == 2.0
         assert np.all(np.diff(bounds) > 0)
         assert len(levels) == len(bounds) - 1 == len(counts)
-
-    def test_max_level(self):
-        assert hand_path().max_level == 2.0
 
 
 def reference_build_path(sessions, t0, t1):
@@ -354,7 +350,7 @@ class TestStationarity:
         # occupancy at a fixed time under exact stationary init: Poisson(lam E Y)
         lam, nu = 0.3, 0.9
         cfg = TrafficConfig(lam=lam, law=law(), horizon=1.0, rng=RngStream(8))
-        levels = stationary_snapshot(cfg, 30_000, RngStream(8))
+        levels = stationary_window_draws(cfg, 30_000, RngStream(8))[:, 0]
         counts = np.rint(levels).astype(int)
         p0 = (counts == 0).mean()
         assert p0 == pytest.approx(math.exp(-nu), abs=0.012)
@@ -367,7 +363,7 @@ class TestStationarity:
             horizon=1.0,
             rng=RngStream(9),
         )
-        levels = stationary_snapshot(cfg, 20_000, RngStream(9))
+        levels = stationary_window_draws(cfg, 20_000, RngStream(9))[:, 0]
         assert levels.mean() == pytest.approx(6.0, rel=0.05)  # lam E[Y] w0
 
     def test_window_draws_shape_and_sup(self):
@@ -414,7 +410,6 @@ class TestRateModels:
         m = named_rate("uniform", 1.0, 3.0)
         x = m.sampler(10_000, RngStream(12).generator())
         assert x.min() >= 1.0 and x.max() <= 3.0
-        assert m.mean == pytest.approx(2.0)
 
     def test_named_rate_exponential(self):
         m = named_rate("exponential", 2.0)
