@@ -32,7 +32,7 @@ from .heavy_rand import TailDist, sample_stable, tail_quantile_a
 from .limits import LimitSpec, limit_params
 from .rng import RngStream
 from .skorokhod import SteppyPath, dist_m1, dist_uniform
-from .stats import GofReport, iqr, ks_two_sample, rate_regression
+from .stats import GofReport, iqr, ks_threshold, ks_two_sample, rate_regression
 from .traffic import (
     ConstantRate,
     JointLaw,
@@ -77,11 +77,9 @@ class Scenario:
     w_kind: str = "constant"  # constant | uniform | exponential
     w_params: tuple = (1.0,)
     window_h: float = 0.0
-    stationary_init: bool = True
     T_ladder: tuple = (1e3, 1e4)
     replicates: int = 200
     functionals: tuple = ("identity",)
-    u_grid: tuple = (1.0,)
     x_grid: tuple = (1.0,)
     analyses: tuple = ("stable_limit",)
     seed: int = 0
@@ -95,7 +93,6 @@ class Scenario:
         object.__setattr__(self, "w_params", tuple(self.w_params))
         object.__setattr__(self, "T_ladder", tuple(float(t) for t in self.T_ladder))
         object.__setattr__(self, "functionals", tuple(self.functionals))
-        object.__setattr__(self, "u_grid", tuple(float(u) for u in self.u_grid))
         object.__setattr__(self, "x_grid", tuple(float(x) for x in self.x_grid))
         object.__setattr__(self, "analyses", tuple(self.analyses))
         object.__setattr__(self, "tail_x", tuple(float(x) for x in self.tail_x))
@@ -155,7 +152,6 @@ class Scenario:
             law=self.law(),
             horizon=float(horizon),
             window_h=self.window_h,
-            stationary_init=self.stationary_init,
             rng=rng,
         )
 
@@ -176,9 +172,7 @@ def _number(x):
 def _typed(key: str, value, default):
     """``value`` for scenario field ``key`` if it has the type of the
     field's default (numbers as floats); ValueError otherwise."""
-    if isinstance(default, bool):
-        ok, want = isinstance(value, bool), "true or false"
-    elif isinstance(default, int):
+    if isinstance(default, int):
         ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif isinstance(default, str):
         ok, want = isinstance(value, str), "a string"
@@ -238,12 +232,15 @@ def validate(scenario: Scenario) -> list:
             )
         specs_by_name[name] = spec
     law = scenario.law()  # raises on bad rate model
-    if not scenario.u_grid:
-        raise ValueError("u_grid must not be empty")
-    if not (0 < min(scenario.u_grid) and max(scenario.u_grid) <= 1):
-        raise ValueError("u_grid must lie in (0, 1]")
-    if "self_similarity" in runs and min(scenario.u_grid) >= 1:
-        raise ValueError("self_similarity needs an entry u < 1 in u_grid")
+    if "self_similarity" in runs and len(scenario.T_ladder) < 2:
+        raise ValueError("self_similarity needs at least 2 horizons in T_ladder")
+    # a KS statistic is at most 1, so a threshold of 1 or more always passes;
+    # stable_limit tests n replicates against 4n reference draws,
+    # self_similarity n against n
+    n = scenario.replicates
+    for analysis, n_eff in (("stable_limit", 0.8 * n), ("self_similarity", n / 2)):
+        if analysis in runs and ks_threshold(n_eff) >= 1:
+            raise ValueError(f"replicates = {n} is too few for {analysis}: its KS test cannot fail")
     if not all(math.isfinite(x) for x in scenario.x_grid):
         raise ValueError(f"x_grid must be finite, got {list(scenario.x_grid)!r}")
     if list(scenario.x_grid) != sorted(set(scenario.x_grid)):
@@ -253,6 +250,8 @@ def validate(scenario: Scenario) -> list:
             raise ValueError("x_grid must not be empty for cdf_rate")
         if len(scenario.T_ladder) < 3:
             raise ValueError("cdf_rate needs at least 3 horizons in T_ladder")
+        if scenario.replicates < 2:
+            raise ValueError("cdf_rate needs replicates >= 2 for a dispersion")
         if not (isinstance(law.w_model, ConstantRate) and law.w_model.w0 == 1.0):
             raise ValueError("cdf_rate assumes unit constant rates (w_kind constant, w_params [1.0])")
     if scenario.n_cycles < 1:
@@ -278,20 +277,22 @@ def make_functional(spec: str, h: float = 0.0) -> WindowFunctional:
     cdf:x | winsup:b (window supremum indicator over [0, h]); the number
     must be finite, and identity and idle take none."""
     head, sep, arg = spec.partition(":")
-    if head in ("clipped", "cdf", "winsup") and not math.isfinite(float(arg)):
-        raise ValueError(f"functional spec {spec!r} needs a finite number")
+    if head in ("clipped", "cdf", "winsup"):
+        x = _number(arg)
+        if x is None or not math.isfinite(x):
+            raise ValueError(f"functional spec {spec!r} needs a finite number")
     if head in ("identity", "idle") and sep:
         raise ValueError(f"functional spec {spec!r} takes no number")
     if head == "identity":
         return fns.identity()
     if head == "clipped":
-        return fns.clipped(float(arg))
+        return fns.clipped(x)
     if head == "idle":
         return fns.idle_indicator()
     if head == "cdf":
-        return fns.cdf_indicator(float(arg))
+        return fns.cdf_indicator(x)
     if head == "winsup":
-        return fns.window_sup_indicator(float(arg), h)
+        return fns.window_sup_indicator(x, h)
     raise ValueError(f"unknown functional spec {spec!r}")
 
 
@@ -340,46 +341,39 @@ def response_curve(scenario: Scenario, phi: WindowFunctional, n_mc: int = 100_00
 
 
 def _z_task(task):
-    """One replicate: simulate once, return the z-values at horizon T,
-    one row per functional and one column per u."""
-    scenario, t_index, r, phi_specs, centerings, u_list = task
+    """One replicate: simulate once, return the z-value at horizon T of
+    each functional."""
+    scenario, t_index, r, phi_specs, centerings = task
     T = scenario.T_ladder[t_index]
     phis = [make_functional(s, scenario.window_h) for s in phi_specs]
-    u_top = max(u_list)
     rng = RngStream(scenario.seed, stream_id=r).substream(t_index)
-    cfg = scenario.config(horizon=u_top * T + scenario.window_h, rng=rng)
-    path = build_path(simulate_sessions(cfg), 0.0, u_top * T + scenario.window_h)
+    cfg = scenario.config(horizon=T + scenario.window_h, rng=rng)
+    path = build_path(simulate_sessions(cfg), 0.0, T + scenario.window_h)
     a_T = float(tail_quantile_a(scenario.y_dist(), T))
-    out = np.empty((len(phis), len(u_list)))
+    out = np.empty(len(phis))
     for i, (phi, c) in enumerate(zip(phis, centerings)):
-        bounds, vals = fns.functional_steps(path, phi, 0.0, u_top * T)
-        at = fns._prefix_integral(bounds, vals - c)
-        for j, u in enumerate(u_list):
-            out[i, j] = float(at(u * T)) / a_T
+        bounds, vals = fns.functional_steps(path, phi, 0.0, T)
+        out[i] = float(fns._prefix_integral(bounds, vals - c)(T)) / a_T
     return out
-
-
-def _map_tasks(fn, tasks, workers: int):
-    """[fn(task) for task in tasks], in task order whatever the workers."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    chunk = max(1, len(tasks) // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, tasks, chunksize=chunk))
 
 
 def _z_matrix(scenario: Scenario, specs, centerings, workers: int) -> np.ndarray:
     """z[i, t_index, r]: the z-value of functional specs[i], centered at
     centerings[i], on replicate r's path to T_ladder[t_index].  One
-    simulated path per (T, r) serves every functional."""
+    simulated path per (T, r) serves every functional, and the result
+    does not depend on the worker count."""
     n = scenario.replicates
     tasks = [
-        (scenario, t_index, r, tuple(specs), tuple(centerings), (1.0,))
+        (scenario, t_index, r, tuple(specs), tuple(centerings))
         for t_index in range(len(scenario.T_ladder))
         for r in range(n)
     ]
-    rows = np.stack(_map_tasks(_z_task, tasks, workers))[:, :, 0]
-    return rows.T.reshape(len(specs), len(scenario.T_ladder), n)
+    if workers <= 1 or len(tasks) <= 1:
+        rows = [_z_task(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            rows = list(ex.map(_z_task, tasks, chunksize=max(1, len(tasks) // (8 * workers))))
+    return np.stack(rows).T.reshape(len(specs), len(scenario.T_ladder), n)
 
 
 # -- analyses ---------------------------------------------------------------
@@ -510,33 +504,27 @@ def _analysis_stable_limit(scenario: Scenario, workers: int) -> dict:
 
 
 def _analysis_self_similarity(scenario: Scenario, workers: int) -> dict:
+    # For a(t) = xm t^(1/alpha), u^(-1/alpha) Z_T(u) is exactly Z_{uT}(1) on
+    # the same path, so the 1/alpha-self-similarity of the limit is the
+    # stable-limit z at rung T_k matching the z at the top rung in law, with
+    # u = T_k / T_top.  Rungs draw from distinct substreams, so the two KS
+    # samples are independent.
     spec_str = scenario.functionals[0]
     phi = make_functional(spec_str, scenario.window_h)
     _, cal0, se, method = response_curve(scenario, phi)
-    u = min(scenario.u_grid)  # below 1, as validate checks
-    t_index = len(scenario.T_ladder) - 1
-    T = scenario.T_ladder[t_index]
-    n = scenario.replicates
-    # disjoint replicate banks so the two KS samples are independent: r in
-    # [0, n) observes u, r in [n, 2n) observes 1
-    tasks = [
-        (scenario, t_index, r, (spec_str,), (cal0,), (u if r < n else 1.0,))
-        for r in range(2 * n)
+    z = _z_matrix(scenario, (spec_str,), (cal0,), workers)[0]
+    T_top = scenario.T_ladder[-1]
+    gofs = [
+        ks_two_sample(
+            z_k, z[-1], f"{scenario.name}/self_similarity/{phi.name}/u={T_k / T_top:g}"
+        )
+        for T_k, z_k in zip(scenario.T_ladder[:-1], z[:-1])
     ]
-    z = np.array([o[0, 0] for o in _map_tasks(_z_task, tasks, workers)])
-    z_u, z_1 = z[:n], z[n:]
-    scale = u ** (-1.0 / scenario.alpha)
-    gof = ks_two_sample(
-        z_u * scale, z_1, f"{scenario.name}/self_similarity/{phi.name}/u={u:g}"
-    )
     return {
         "functional": phi.name,
-        "u": u,
-        "T": T,
         "exponent": 1.0 / scenario.alpha,
-        "rescaled": z_u * scale,
-        "reference": z_1,
-        "gof": gof,
+        "samples": dict(zip(scenario.T_ladder, z)),
+        "gofs": gofs,
         "centering_method": method,
         "centering_se": se,
     }
@@ -735,11 +723,11 @@ def emit(report: Report, out_dir, fmt: str = "csv-bundle") -> list:
             with open(path(f"stable_limit_{phi_name}_params.txt"), "w") as fh:
                 fh.write(sub["limit"].to_text())
     if "self_similarity" in blocks and "error" not in blocks["self_similarity"]:
-        ss = blocks["self_similarity"]
+        samples = blocks["self_similarity"]["samples"]
         _write_csv(
             path("self_similarity.csv"),
-            ["replicate", "rescaled", "reference"],
-            list(zip(range(len(ss["rescaled"])), ss["rescaled"], ss["reference"])),
+            ["replicate"] + [f"z_T{T:g}" for T in samples],
+            [(r, *zs) for r, zs in enumerate(zip(*samples.values()))],
         )
     if "cdf_rate" in blocks and "error" not in blocks["cdf_rate"]:
         cr = blocks["cdf_rate"]
@@ -788,8 +776,8 @@ def builtin_scenarios() -> dict:
         ),
         "self-similar": Scenario(
             name="self-similar", analyses=("self_similarity",),
-            functionals=("identity",), T_ladder=(1e4,), replicates=400,
-            u_grid=(0.25, 1.0), seed=19, **ref,
+            functionals=("identity",), T_ladder=(2.5e3, 1e4), replicates=400,
+            seed=19, **ref,
         ),
         "m1": Scenario(name="m1", analyses=("m1_diagnostic",), seed=23, **ref),
     }

@@ -26,7 +26,7 @@ from stableshot import (
 )
 from stableshot.cli import main
 from stableshot.functionals import _sorted_response, monte_carlo_response
-from stableshot.harness import _z_task, make_functional, response_curve, validate
+from stableshot.harness import _z_matrix, make_functional, response_curve, validate
 from stableshot.traffic import stationary_window_draws
 
 
@@ -158,13 +158,20 @@ class TestScenario:
             (dict(seed=-1), "seed"),
             (dict(workers=0), "workers"),
             (dict(workers=-2), "workers"),
-            (dict(u_grid=()), "u_grid"),
+            (dict(replicates=3), "replicates"),
             (dict(w_params=(1.0, 2.0)), "w_params of w_kind 'constant'"),
             (dict(w_params=()), "w_params of w_kind 'constant'"),
             (dict(w_kind="uniform", w_params=(0.5,)), "w_params of w_kind 'uniform'"),
             (dict(functionals=("identity:3",)), "identity:3"),
             (dict(functionals=("idle:5",)), "idle:5"),
-            (dict(analyses=("self_similarity",)), "u_grid"),
+            (dict(analyses=("self_similarity",)), "T_ladder"),
+            (dict(functionals=("clipped",)), "'clipped' needs a finite number"),
+            (dict(functionals=("cdf:",)), "'cdf:' needs a finite number"),
+            (dict(functionals=("winsup:x",), window_h=1.0), "'winsup:x' needs a finite number"),
+            (dict(T_ladder=(200.0, 400.0), replicates=5, analyses=("self_similarity",)),
+             "replicates"),
+            (dict(T_ladder=(200.0, 400.0, 800.0), replicates=1, analyses=("cdf_rate",)),
+             "replicates"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -177,6 +184,11 @@ class TestScenario:
         validate(tiny_scenario(hill_k=0, functionals=(), analyses=("cycle_mean",)))
         validate(tiny_scenario(x_grid=(), analyses=("stable_limit",)))
         validate(tiny_scenario(T_ladder=(1e3, 1e4), w_params=(2.0,), analyses=("stable_limit",)))
+
+    def test_validate_accepts_the_fewest_replicates_that_can_fail(self):
+        validate(tiny_scenario(replicates=4))
+        validate(tiny_scenario(T_ladder=(200.0, 400.0), replicates=6, analyses=("self_similarity",)))
+        validate(tiny_scenario(T_ladder=(200.0, 400.0, 800.0), replicates=2, analyses=("cdf_rate",)))
 
     def test_validate_notes(self):
         notes = validate(tiny_scenario())
@@ -283,17 +295,25 @@ class TestOnePathPerReplicate:
         assert sorted(set(horizons)) == list(sc.T_ladder)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_self_similarity_banks(self, workers):
-        # bank u over r in [0, n), bank 1 over r in [n, 2n), in r order
-        sc = tiny_scenario(analyses=("self_similarity",), u_grid=(0.25, 1.0), replicates=15)
-        ss = run(sc, workers=workers).blocks["self_similarity"]
+    def test_self_similarity_banks(self, workers, tmp_path):
+        # the samples are the stable-limit z-matrix rows, one per rung, and
+        # each lower rung is tested against the top one at u = T_k / T_top
+        sc = tiny_scenario(analyses=("self_similarity",), T_ladder=(50.0, 100.0, 200.0),
+                           replicates=15)
+        report = run(sc, workers=workers)
+        ss = report.blocks["self_similarity"]
         cal0 = response_curve(sc, make_functional("identity"))[1]
-        n = sc.replicates
-        tasks = [(sc, 0, r, ("identity",), (cal0,), (0.25 if r < n else 1.0,))
-                 for r in range(2 * n)]
-        z = np.array([_z_task(task)[0, 0] for task in tasks])
-        assert ss["rescaled"].tobytes() == (z[:n] * 0.25 ** (-1.0 / sc.alpha)).tobytes()
-        assert ss["reference"].tobytes() == z[n:].tobytes()
+        z = _z_matrix(sc, ("identity",), (cal0,), 1)[0]
+        assert list(ss["samples"]) == list(sc.T_ladder)
+        for z_T, got in zip(z, ss["samples"].values()):
+            assert got.tobytes() == z_T.tobytes()
+        assert [g.name for g in ss["gofs"]] == [
+            "tiny/self_similarity/identity/u=0.25", "tiny/self_similarity/identity/u=0.5"
+        ]
+        assert [g.n for g in ss["gofs"]] == [15, 15]
+        emit(report, tmp_path)
+        rows = (tmp_path / "self_similarity.csv").read_text().splitlines()
+        assert rows[0] == "replicate,z_T50,z_T100,z_T200" and len(rows) == 1 + sc.replicates
 
 
 def test_cdf_rate_matches_empirical_cdf_reference():
@@ -380,7 +400,9 @@ class TestCli:
             ("w_params: []\n", "w_params of w_kind 'constant'"),
             ("w_kind: uniform\nw_params: [0.5]\n", "w_params of w_kind 'uniform'"),
             ("functionals: ['identity:3']\n", "identity:3"),
-            ("analyses: [self_similarity]\n", "u_grid"),
+            ("analyses: [self_similarity]\nT_ladder: [1000.0]\n", "T_ladder"),
+            ("functionals: [clipped]\n", "'clipped' needs a finite number"),
+            ("replicates: 1\n", "replicates"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])

@@ -69,6 +69,11 @@ class TestTailQuantile:
         d = TailDist.pareto(1.5, 1.0)
         assert tail_quantile_a(d, 1000.0) == pytest.approx(1000.0 ** (2 / 3))
         assert tail_quantile_a(d, 1000.0) == pytest.approx(100.0)
+        # a(uT) = u^(1/alpha) a(T): the self-similarity check compares rungs
+        for u in (0.25, 0.1, 0.5):
+            assert tail_quantile_a(d, u * 1e4) == pytest.approx(
+                u ** (1 / 1.5) * tail_quantile_a(d, 1e4), rel=1e-14
+            )
 
     def test_scale_passthrough(self):
         d = TailDist.pareto(2.0, 5.0)
