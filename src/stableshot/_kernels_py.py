@@ -1,11 +1,12 @@
 """The numpy kernels behind the path, cycle, window and M1 layers.
 
-* ``compensated_cumsum`` -- running sum of float deltas, a plain
-  ``np.cumsum``.  On a path with mixed rates it runs the level, which
-  carries a rounding slack of ``eps_num = 1e-9 * accumulated |w|``; on a
-  constant-rate path it runs the occupancy count, exact below 2**53, and
-  the level is ``w0 * count`` (see ``ShotNoisePath``).  The function keeps
-  its name because the benchmark traces it by that name.
+* ``compensated_cumsum`` -- running sum of deltas, a plain ``np.cumsum``:
+  int64 for integer deltas, float64 otherwise.  On a path with mixed
+  rates it runs the float level, which carries a rounding slack of
+  ``eps_num = 1e-9 * accumulated |w|``; on a constant-rate path it runs
+  the integer occupancy count, exact, and the level is ``w0 * count``
+  (see ``ShotNoisePath``).  The function keeps its name because the
+  benchmark traces it by that name.
 * ``busy_bounds`` -- indices where an integer occupancy sequence leaves /
   enters zero.
 * ``sliding_range_max`` -- max of ``values[lo[i]:hi[i]+1]`` per query.  A
@@ -30,7 +31,8 @@ BACKEND = "python"
 
 
 def compensated_cumsum(deltas):
-    return np.cumsum(np.asarray(deltas, dtype=np.float64))
+    deltas = np.asarray(deltas)
+    return np.cumsum(deltas, dtype=np.int64 if deltas.dtype.kind in "iu" else np.float64)
 
 
 def busy_bounds(counts, init_count):

@@ -69,14 +69,6 @@ class Sessions:
     def __len__(self):
         return len(self.gamma)
 
-    @classmethod
-    def concat(cls, *parts: "Sessions") -> "Sessions":
-        return cls(
-            np.concatenate([p.gamma for p in parts]),
-            np.concatenate([p.y for p in parts]),
-            np.concatenate([p.w for p in parts]),
-        )
-
 
 # --- transmission-rate models -------------------------------------------
 
@@ -250,9 +242,9 @@ class ShotNoisePath:
             # |deltas| reuse the running sum's buffer
             self.eps_num = 1e-9 * float(np.abs(self.rate_delta, out=running).sum())
         else:
-            # the running count as floats, exact below 2**53
+            # the running count, exact in int64
             running = kernels.compensated_cumsum(self.count_delta)
-            np.add(running, self.init_count, out=self.counts, casting="unsafe")
+            np.add(running, self.init_count, out=self.counts)
             np.multiply(self.counts, self.w0, out=self.levels)
             self.eps_num = 1e-9 * (self.w0 * float(np.abs(self.count_delta, out=running).sum()))
         if self.init_count < 0 or np.any(self.counts < 0):
@@ -307,13 +299,15 @@ def simulate_sessions(config: TrafficConfig) -> Sessions:
     gamma_f = gen.uniform(0.0, span, n_fresh)
     gamma_f.sort()
     y_f, w_f = config.law.sample_pairs(n_fresh, gen)
-    fresh = Sessions(gamma_f, y_f, w_f)
     if not config.stationary_init:
-        return fresh
+        return Sessions(gamma_f, y_f, w_f)
     n0 = gen.poisson(config.lam * config.law.mean_y)
     y0, w0 = config.law.sample_size_biased_pairs(n0, gen)
     gamma0 = -gen.uniform(size=n0) * y0
-    return Sessions.concat(Sessions(gamma0, y0, w0), fresh)
+    # the stationary sessions first, then the fresh arrivals
+    return Sessions(
+        np.concatenate([gamma0, gamma_f]), np.concatenate([y0, y_f]), np.concatenate([w0, w_f])
+    )
 
 
 def build_path(sessions: Sessions, t0: float, t1: float) -> ShotNoisePath:

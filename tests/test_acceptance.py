@@ -66,10 +66,7 @@ def z_bank(n, T, lam, phi_spec, cal0, r0=0, seed=SEED):
         name="acceptance", lam=lam, alpha=ALPHA, T_ladder=(float(T),),
         replicates=n, seed=seed,
     )
-    out = np.empty(n)
-    for i, r in enumerate(range(r0, r0 + n)):
-        out[i] = _z_task((sc, 0, r, (phi_spec,), (cal0,)))[0]
-    return out
+    return _z_task((sc, 0, r0, r0 + n, (phi_spec,), (cal0,)))[0]
 
 
 # shared replicate banks (the expensive simulations, reused across criteria)

@@ -25,7 +25,12 @@ from stableshot import (
     tail_quantile_a,
 )
 from stableshot.cli import main
-from stableshot.functionals import _sorted_response, monte_carlo_response
+from stableshot.functionals import (
+    _prefix_integral,
+    _sorted_response,
+    functional_steps,
+    monte_carlo_response,
+)
 from stableshot.harness import _z_matrix, make_functional, response_curve, validate
 from stableshot.traffic import stationary_window_draws
 
@@ -314,6 +319,37 @@ class TestOnePathPerReplicate:
         emit(report, tmp_path)
         rows = (tmp_path / "self_similarity.csv").read_text().splitlines()
         assert rows[0] == "replicate,z_T50,z_T100,z_T200" and len(rows) == 1 + sc.replicates
+
+
+# flat functionals (shared segments) beside a window sup (its own merged steps)
+_MIXED_SPECS = ("identity", "idle", "cdf:1", "winsup:3")
+_MIXED_CENTERINGS = (3.0, 0.05, 0.2, 0.9)
+
+
+def _per_replicate_z(sc, specs, centerings):
+    """z[i, t_index, r] one replicate at a time, by the prefix integral at T."""
+    h = sc.window_h
+    z = np.empty((len(specs), len(sc.T_ladder), sc.replicates))
+    for t_index, T in enumerate(sc.T_ladder):
+        a_T = float(tail_quantile_a(sc.y_dist(), T))
+        for r in range(sc.replicates):
+            rng = RngStream(sc.seed, stream_id=r).substream(t_index)
+            path = build_path(simulate_sessions(sc.config(T + h, rng)), 0.0, T + h)
+            for i, (spec, c) in enumerate(zip(specs, centerings)):
+                bounds, vals = functional_steps(path, make_functional(spec, h), 0.0, T)
+                z[i, t_index, r] = float(_prefix_integral(bounds, vals - c)(T)) / a_T
+    return z
+
+
+@pytest.mark.parametrize("replicates", [1, 7, 50])
+def test_z_matrix_bytes_do_not_depend_on_workers_or_chunks(replicates):
+    sc = tiny_scenario(
+        functionals=_MIXED_SPECS, window_h=1.0, T_ladder=(50.0, 200.0), replicates=replicates
+    )
+    want = _per_replicate_z(sc, _MIXED_SPECS, _MIXED_CENTERINGS).tobytes()
+    for workers in (1, 2, 3):
+        got = _z_matrix(sc, _MIXED_SPECS, _MIXED_CENTERINGS, workers)
+        assert got.tobytes() == want, f"workers={workers}"
 
 
 def test_cdf_rate_matches_empirical_cdf_reference():

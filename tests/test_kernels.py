@@ -101,6 +101,17 @@ def test_compensated_cumsum_cancellation(K):
 
 
 @kernel_module
+def test_compensated_cumsum_integer_deltas_stay_int64(K):
+    # occupancy deltas sum exactly in int64, past where float64 rounds
+    x = np.array([2**53, 1, 1, -1, 2**60, -(2**60), -1], dtype=np.int64)
+    out = K.compensated_cumsum(x)
+    assert out.dtype == np.int64
+    big = 2**53
+    assert out.tolist() == [big, big + 1, big + 2, big + 1, 2**60 + big + 1, big + 1, big]
+    assert K.compensated_cumsum(np.array([0.5, 1.0])).dtype == np.float64
+
+
+@kernel_module
 def test_busy_bounds_hand_cases(K):
     # occupancy after each event; init 0: idle, busy(2 events), idle, busy...
     counts = np.array([1, 2, 1, 0, 1, 0], dtype=np.int64)
