@@ -30,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 import yaml
-from scipy import stats as sps
 
 from . import functionals as fns
 from ._backend import backend_name
@@ -274,7 +273,11 @@ def validate(scenario: Scenario) -> list:
     ey = scenario.y_dist().mean_y
     notes.append(f"mean session duration E[Y] = {ey:g}")
     notes.append(f"offered load lambda*E[Y] = {scenario.lam * ey:g}")
-    notes.append(f"mean cycle length = {math.exp(scenario.lam * ey) / scenario.lam:g}")
+    try:
+        cycle = f"{math.exp(scenario.lam * ey) / scenario.lam:g}"
+    except OverflowError:  # e^(lam E[Y]) beyond a double: give its log10
+        cycle = f"10^{(scenario.lam * ey - math.log(scenario.lam)) / math.log(10):.1f}"
+    notes.append(f"mean cycle length = {cycle}")
     if scenario.lam * ey > 8:
         notes.append("warning: heavy load, idle periods will be very rare")
     return notes
@@ -307,12 +310,24 @@ def make_functional(spec: str, h: float = 0.0) -> WindowFunctional:
 # -- response curve E(w, phi) ----------------------------------------------
 
 
+def _poisson_pmf(nu: float) -> np.ndarray:
+    """Poisson(nu) pmf at k = 0..kmax, with kmax 2 past the first k whose
+    tail mass P(N > k) is at most 1e-13.  The pmf is taken in log space,
+    so nothing underflows at large nu, over a range whose mass beyond it
+    is far below double precision."""
+    ks = np.arange(int(nu + 20.0 * math.sqrt(nu)) + 60)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(ks.size)])
+    pmf = np.exp(ks * math.log(nu) - log_fact - nu)
+    tail = np.cumsum(pmf[::-1])[::-1]  # tail[k] = P(N >= k)
+    kmax = int(np.argmax(tail[1:] <= 1e-13)) + 2
+    return pmf[: kmax + 1]
+
+
 def exact_poisson_calE(phi: WindowFunctional, nu: float, w0: float):
     """Exact response curve w -> E[phi(w + X(0))] when the stationary level
     is w0 times a Poisson(nu) count (constant rates, h = 0, pointwise phi)."""
-    kmax = int(sps.poisson.ppf(1 - 1e-13, nu)) + 2
-    ks = np.arange(kmax + 1)
-    pmf = sps.poisson.pmf(ks, nu)
+    pmf = _poisson_pmf(nu)
+    ks = np.arange(pmf.size)
 
     def calE(w):
         w_arr = np.atleast_1d(np.asarray(w, dtype=float))
@@ -403,7 +418,8 @@ def _z_matrix(scenario: Scenario, specs, centerings, workers: int) -> np.ndarray
     if workers <= 1 or len(tasks) <= 1:
         blocks = [_z_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        # under fork, the pool starts all max_workers processes up front
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as ex:
             blocks = list(ex.map(_z_task, tasks))
     z = np.empty((len(specs), len(scenario.T_ladder), n))
     for (_, t_index, lo, hi, _, _), block in zip(tasks, blocks):

@@ -1,7 +1,10 @@
 """Goodness-of-fit and rate-of-convergence statistics.
 
-Small wrappers around scipy with explicit pass/fail decisions so the
-harness can print one verdict per analysis.
+Numpy implementations with explicit pass/fail decisions so the harness
+can print one verdict per analysis.  The KS statistic and the regression
+follow scipy's ``ks_2samp`` and ``linregress`` recipes step for step, so
+they match them bit for bit; scipy itself is not imported, because its
+import cost most of a fresh process's set-up time.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .heavy_rand import StableParams, stable_cf
 
@@ -61,11 +63,17 @@ def ks_threshold(n: float, level: float = 0.01) -> float:
 
 
 def ks_two_sample(a, b, name: str, level: float = 0.01) -> GofReport:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """Two-sample KS test: sup |F_a - F_b| against the asymptotic threshold."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("empty sample")
-    stat = float(sps.ks_2samp(a, b, method="asymp").statistic)
+    if np.isnan(a[-1]) or np.isnan(b[-1]):  # sort puts NaN last
+        raise ValueError(f"{name}: NaN in a KS sample")
+    both = np.concatenate([a, b])
+    diff = np.searchsorted(a, both, side="right") / a.size
+    diff -= np.searchsorted(b, both, side="right") / b.size
+    stat = float(max(diff.max(), np.clip(-diff.min(), 0, 1)))
     n_eff = a.size * b.size / (a.size + b.size)
     return GofReport(name, stat, ks_threshold(n_eff, level), int(min(a.size, b.size)))
 
@@ -93,8 +101,19 @@ def rate_regression(sizes, dispersions):
         raise ValueError("need at least 3 matched (size, dispersion) pairs")
     if np.any(s <= 0) or np.any(d <= 0):
         raise ValueError("sizes and dispersions must be positive for a log fit")
-    res = sps.linregress(np.log(s), np.log(d))
-    return float(res.slope), float(res.stderr)
+    x, y = np.log(s), np.log(d)
+    if x.max() == x.min():
+        raise ValueError("sizes must not all be equal")
+    # linregress's formulas: biased (co)variances, r clipped to [-1, 1],
+    # and r = NaN (so a NaN stderr) when both the y spread and the
+    # covariance are 0
+    ssxm, ssxy, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.float64(np.nan if ssxy == 0 else 0.0)
+    else:
+        r = np.clip(ssxy / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (x.size - 2))
+    return float(ssxy / ssxm), float(stderr)
 
 
 def iqr(sample) -> float:

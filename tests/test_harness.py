@@ -352,6 +352,32 @@ def test_z_matrix_bytes_do_not_depend_on_workers_or_chunks(replicates):
         assert got.tobytes() == want, f"workers={workers}"
 
 
+@pytest.mark.parametrize("workers, replicates, pool", [(64, 3, 6), (2, 50, 2)])
+def test_pool_is_no_larger_than_the_task_list(monkeypatch, workers, replicates, pool):
+    # under fork a pool starts all max_workers processes up front, so it is
+    # sized to the tasks; the stub runs them in this process and starts none
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    sc = tiny_scenario(T_ladder=(50.0, 200.0), replicates=replicates)
+    got = _z_matrix(sc, ("identity",), (0.0,), workers)
+    assert sizes == [pool]
+    assert got.tobytes() == _z_matrix(sc, ("identity",), (0.0,), 1).tobytes()
+
+
 def test_cdf_rate_matches_empirical_cdf_reference():
     # the stable-limit z of cdf:x against the time-average CDF computed
     # on its own: (T / a(T)) (F_T(x) - K(x)), K the Poisson(lam E[Y]) CDF
@@ -452,6 +478,20 @@ class TestCli:
         out = capsys.readouterr()
         assert "scenario ok" not in out.out
         assert "invalid scenario" in out.err and message in out.err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["lam: 1000\nanalyses: [stable_limit]\n",
+         "alpha: 1.0000001\nanalyses: [stable_limit]\n"],
+    )
+    def test_validate_heavy_load_note_does_not_overflow(self, tmp_path, capsys, text):
+        # e^(lam E[Y]) is past a double here; the note gives its log10
+        cfg = tmp_path / "heavy.yaml"
+        cfg.write_text(text)
+        assert main(["validate", "--scenario", str(cfg)]) == 0
+        out = capsys.readouterr()
+        assert "mean cycle length = 10^" in out.out and "scenario ok" in out.out
+        assert "Traceback" not in out.err
 
     @pytest.mark.parametrize(
         "override, message", [(["--seed", "-1"], "seed"), (["--workers", "0"], "workers")]

@@ -13,7 +13,7 @@ from stableshot import (
     cdf_indicator,
     limit_params,
 )
-from stableshot.harness import exact_poisson_calE, make_functional
+from stableshot.harness import _poisson_pmf, exact_poisson_calE, make_functional
 
 
 def identity_calE(w):
@@ -86,6 +86,28 @@ def K(nu, x):
 
 
 class TestPoissonK:
+    @pytest.mark.parametrize(
+        "nu, rtol",
+        # at nu = 1e4 the log pmf is a difference of terms near 1e5, whose
+        # last bit alone is 1.5e-11 relative in the pmf; math.lgamma and
+        # scipy's gammaln round those terms differently
+        [(0.05, 1e-11), (0.9, 1e-11), (3.0, 1e-11), (30.0, 1e-11), (800.0, 1e-11),
+         (1e4, 1e-10)],
+    )
+    def test_pmf_matches_scipy(self, nu, rtol):
+        pmf = _poisson_pmf(nu)
+        ref = sps.poisson.pmf(np.arange(pmf.size), nu)
+        normal = ref > 1e-300  # values near underflow keep too few bits to compare
+        np.testing.assert_allclose(pmf[normal], ref[normal], rtol=rtol, atol=0)
+        assert np.all(pmf[~normal] < 1e-299)
+
+    @pytest.mark.parametrize("nu", [0.05, 0.9, 3.0, 30.0, 800.0, 1e4])
+    def test_kmax_reaches_scipys(self, nu):
+        # never fewer terms than the scipy quantile gave: at nu = 800 a
+        # forward cumsum overshoots, and exp(-nu) underflows past nu ~ 745
+        kmax = _poisson_pmf(nu).size - 1
+        assert kmax >= int(sps.poisson.ppf(1 - 1e-13, nu)) + 2
+
     def test_values(self):
         assert K(0.9, -0.5) == 0.0
         assert K(0.9, 0.0) == pytest.approx(math.exp(-0.9))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from stableshot import (
     GofReport,
@@ -68,6 +69,27 @@ class TestKs:
         with pytest.raises(ValueError):
             ks_two_sample(np.empty(0), np.ones(5), "e")
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_statistic_is_scipys_bit_for_bit(self, seed):
+        # rounded draws give ties within and across samples; sizes differ
+        gen = np.random.default_rng(seed)
+        n_a, n_b = gen.integers(1, 400, size=2)
+        a = np.round(gen.normal(size=n_a), int(gen.integers(0, 3)))
+        b = np.round(gen.normal(0.2, 1.3, size=n_b), 1)
+        for x, y in ((a, b), (b, a), (a, a[: max(1, n_a // 3)])):
+            ref = sps.ks_2samp(x, y, method="asymp").statistic
+            assert ks_two_sample(x, y, "x").stat == ref
+
+    @pytest.mark.parametrize("where", ["first", "second", "both"])
+    def test_nan_raises(self, where):
+        a, b = np.arange(10.0), np.arange(12.0) + 0.5
+        if where in ("first", "both"):
+            a[3] = np.nan
+        if where in ("second", "both"):
+            b[0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            ks_two_sample(a, b, "nan")
+
 
 class TestEcf:
     def test_empty_grid_is_zero(self):
@@ -113,6 +135,18 @@ class TestRateRegression:
         slope, _ = rate_regression([10.0, 100.0, 1000.0], [2.0, 2.0, 2.0])
         assert slope == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_slope_and_stderr_are_linregress_bit_for_bit(self, seed):
+        gen = np.random.default_rng(seed)
+        n = int(gen.integers(3, 12))
+        sizes = np.sort(gen.choice(np.geomspace(10.0, 1e7, 40), n, replace=False))
+        disp = sizes ** -gen.uniform(0.1, 0.6) * gen.lognormal(0.0, 0.3, n)
+        for d in (disp, np.full(n, 2.0)):
+            ref = sps.linregress(np.log(sizes), np.log(d))
+            slope, stderr = rate_regression(sizes, d)
+            assert slope == ref.slope
+            np.testing.assert_array_equal(stderr, ref.stderr)  # NaN == NaN here
+
     def test_validation(self):
         with pytest.raises(ValueError):
             rate_regression([1.0, 2.0], [1.0, 2.0])
@@ -120,6 +154,8 @@ class TestRateRegression:
             rate_regression([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
         with pytest.raises(ValueError):
             rate_regression([0.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="equal"):
+            rate_regression([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
 
 
 def test_iqr():
