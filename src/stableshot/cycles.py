@@ -41,6 +41,10 @@ __all__ = [
 # chunk holds its three session columns and one running max of the
 # departures, about 32 bytes a session (64 MB at the cap)
 _CHUNK_SESSIONS = 2_000_000
+# fewest mean cycles a chunk spans, 200 e^(lam E[Y]) expected sessions:
+# above MAX_CYCLE_LOAD = lam E[Y] that floor alone exceeds _CHUNK_SESSIONS
+_MIN_CHUNK_CYCLES = 200
+MAX_CYCLE_LOAD = math.log(_CHUNK_SESSIONS / _MIN_CHUNK_CYCLES)
 
 
 class CycleDecomposition:
@@ -166,10 +170,11 @@ def collect_cycle_lengths(
 
 def _chunk_horizon(lam: float, law: JointLaw, n_target: int) -> float:
     """Horizon of one chunk: min(n_target, 5e4) mean cycles, cut to
-    _CHUNK_SESSIONS expected sessions, but never under 200 mean cycles."""
+    _CHUNK_SESSIONS expected sessions, but never under _MIN_CHUNK_CYCLES
+    mean cycles."""
     mean_cycle = math.exp(lam * law.mean_y) / lam
     wanted = min(min(n_target, 50_000) * mean_cycle, _CHUNK_SESSIONS / lam)
-    return max(200.0 * mean_cycle, wanted)
+    return max(_MIN_CHUNK_CYCLES * mean_cycle, wanted)
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,16 @@ analyses to run.  ``run`` executes the requested analyses independently
 (a failure in one is recorded in its block, the others still run) and
 deterministically: replicate r always draws from stream_id = r of the
 master seed, with a substream per horizon, so results do not depend on
-the worker count or completion order.  Each replicate path is simulated
-once per horizon and serves every functional of the scenario.
+the worker count or completion order.
 
+The z analyses (stable_limit, self_similarity, cdf_rate) read one z
+stage, built when the first of them runs: the union of the functional
+specs they need, one response curve per spec and one ``_z_matrix`` call,
+so each replicate path is simulated once per horizon for the whole run.
 Replicates go to the worker pool in contiguous chunks: one task per
 horizon at one worker, 4 * workers per horizon otherwise.  A task builds
 its functionals, a(T) and the law once and returns a block of z-values,
 each the last entry of one in-place cumsum over the path's segments.
-On perfbench's replicate-fanout workload (2 workers, 2 horizons, 200
-replicates) that cuts 400 single-replicate tasks to 16, and ``run`` went
-from a median of 0.383 s to 0.245 s (seeds 1-10, 2-CPU Xeon).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import yaml
 
 from . import functionals as fns
 from ._backend import backend_name
-from .cycles import collect_cycle_lengths, cycle_tail_table, hill_alpha
+from .cycles import MAX_CYCLE_LOAD, collect_cycle_lengths, cycle_tail_table, hill_alpha
 from .functionals import WindowFunctional
 from .heavy_rand import TailDist, sample_stable, tail_quantile_a
 from .limits import LimitSpec, limit_params
@@ -222,6 +222,8 @@ def validate(scenario: Scenario) -> list:
     bad = set(scenario.analyses) - set(ANALYSES)
     if bad:
         raise ValueError(f"unknown analyses: {sorted(bad)}")
+    if len(set(scenario.analyses)) < len(scenario.analyses):
+        raise ValueError(f"analyses must not repeat, got {list(scenario.analyses)!r}")
     if not (math.isfinite(scenario.window_h) and scenario.window_h >= 0):
         raise ValueError(f"window_h must be finite and nonnegative, got {scenario.window_h!r}")
     runs = set(scenario.analyses)
@@ -271,14 +273,21 @@ def validate(scenario: Scenario) -> list:
         if not (math.isfinite(scenario.tail_t) and scenario.tail_t > 1):
             raise ValueError(f"tail_t must be finite and exceed 1, got {scenario.tail_t!r}")
     ey = scenario.y_dist().mean_y
+    load = scenario.lam * ey
+    cycling = sorted(runs & {"cycle_mean", "cycle_tail", "hill"})
+    if cycling and load > MAX_CYCLE_LOAD:
+        raise ValueError(
+            f"offered load lambda*E[Y] = {load:g} is too heavy for {cycling}: their "
+            f"cycle banking holds bounded memory only at loads <= {MAX_CYCLE_LOAD:.3g}"
+        )
     notes.append(f"mean session duration E[Y] = {ey:g}")
-    notes.append(f"offered load lambda*E[Y] = {scenario.lam * ey:g}")
+    notes.append(f"offered load lambda*E[Y] = {load:g}")
     try:
-        cycle = f"{math.exp(scenario.lam * ey) / scenario.lam:g}"
+        cycle = f"{math.exp(load) / scenario.lam:g}"
     except OverflowError:  # e^(lam E[Y]) beyond a double: give its log10
-        cycle = f"10^{(scenario.lam * ey - math.log(scenario.lam)) / math.log(10):.1f}"
+        cycle = f"10^{(load - math.log(scenario.lam)) / math.log(10):.1f}"
     notes.append(f"mean cycle length = {cycle}")
-    if scenario.lam * ey > 8:
+    if load > 8:
         notes.append("warning: heavy load, idle periods will be very rare")
     return notes
 
@@ -427,6 +436,22 @@ def _z_matrix(scenario: Scenario, specs, centerings, workers: int) -> np.ndarray
     return z
 
 
+def _z_stage(scenario: Scenario, workers: int) -> dict:
+    """{spec: (phi, calE, cal0, se, method, z[t, r])} for every spec the
+    scenario's z analyses read, keyed by the exact string (built names
+    round numbers and seed Monte Carlo curves), from one _z_matrix call."""
+    reads = {
+        "stable_limit": scenario.functionals,
+        "self_similarity": scenario.functionals[:1],
+        "cdf_rate": [f"cdf:{x!r}" for x in scenario.x_grid],
+    }
+    specs = list(dict.fromkeys(s for a in scenario.analyses for s in reads.get(a, ())))
+    phis = [make_functional(s, scenario.window_h) for s in specs]
+    curves = [response_curve(scenario, phi) for phi in phis]
+    z = _z_matrix(scenario, specs, [curve[1] for curve in curves], workers)
+    return {s: (phi, *curve, z_s) for s, phi, curve, z_s in zip(specs, phis, curves, z)}
+
+
 # -- analyses ---------------------------------------------------------------
 
 
@@ -508,15 +533,11 @@ def _limit_spec_for(scenario: Scenario, phi: WindowFunctional, calE, method: str
     return spec
 
 
-def _analysis_stable_limit(scenario: Scenario, workers: int) -> dict:
-    phis = [make_functional(s, scenario.window_h) for s in scenario.functionals]
-    fits = []  # (cal0, se, method, LimitSpec) per functional
-    for phi in phis:
-        calE, cal0, se, method = response_curve(scenario, phi)
-        fits.append((cal0, se, method, _limit_spec_for(scenario, phi, calE, method)))
-    z_all = _z_matrix(scenario, scenario.functionals, [fit[0] for fit in fits], workers)
+def _analysis_stable_limit(scenario: Scenario, z_rows: dict) -> dict:
     block = {}
-    for phi, (cal0, se, method, lspec), z_phi in zip(phis, fits, z_all):
+    for spec_str in scenario.functionals:
+        phi, calE, cal0, se, method, z_phi = z_rows[spec_str]
+        lspec = _limit_spec_for(scenario, phi, calE, method)
         per_T = {}
         reports = []
         for t_index, T in enumerate(scenario.T_ladder):
@@ -554,16 +575,13 @@ def _analysis_stable_limit(scenario: Scenario, workers: int) -> dict:
     return block
 
 
-def _analysis_self_similarity(scenario: Scenario, workers: int) -> dict:
+def _analysis_self_similarity(scenario: Scenario, z_rows: dict) -> dict:
     # For a(t) = xm t^(1/alpha), u^(-1/alpha) Z_T(u) is exactly Z_{uT}(1) on
     # the same path, so the 1/alpha-self-similarity of the limit is the
     # stable-limit z at rung T_k matching the z at the top rung in law, with
     # u = T_k / T_top.  Rungs draw from distinct substreams, so the two KS
     # samples are independent.
-    spec_str = scenario.functionals[0]
-    phi = make_functional(spec_str, scenario.window_h)
-    _, cal0, se, method = response_curve(scenario, phi)
-    z = _z_matrix(scenario, (spec_str,), (cal0,), workers)[0]
+    phi, _, _, se, method, z = z_rows[scenario.functionals[0]]
     T_top = scenario.T_ladder[-1]
     gofs = [
         ks_two_sample(
@@ -581,18 +599,17 @@ def _analysis_self_similarity(scenario: Scenario, workers: int) -> dict:
     }
 
 
-def _analysis_cdf_rate(scenario: Scenario, workers: int) -> dict:
+def _analysis_cdf_rate(scenario: Scenario, z_rows: dict) -> dict:
     # the z of phi = 1{x(0) <= x} is the normalized CDF-estimation error
     # (T / a(T)) (F_T(x) - K(x)), with K exact for the unit rates that
     # validate enforces
-    specs = [f"cdf:{x!r}" for x in scenario.x_grid]
-    K = np.array([response_curve(scenario, make_functional(s))[1] for s in specs])
-    z = _z_matrix(scenario, specs, K, workers)
+    rows = [z_rows[f"cdf:{x!r}"] for x in scenario.x_grid]
+    K = np.array([row[2] for row in rows])
     a_T = tail_quantile_a(scenario.y_dist(), np.asarray(scenario.T_ladder))
     to_error = a_T / np.asarray(scenario.T_ladder)  # z -> F_T(x) - K(x)
     slope_target = -(1.0 - 1.0 / scenario.alpha)
     per_x = {}
-    for x, z_x in zip(scenario.x_grid, z):
+    for x, (*_, z_x) in zip(scenario.x_grid, rows):
         disp = np.array([iqr(z_T) for z_T in z_x]) * to_error
         slope, stderr = rate_regression(scenario.T_ladder, disp)
         d_sample = z_x[-1]
@@ -708,17 +725,26 @@ def run(scenario: Scenario, workers: Optional[int] = None) -> Report:
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     report = Report(scenario=scenario, notes=notes, backend=backend_name())
+    z_readers = ("stable_limit", "self_similarity", "cdf_rate")
+    z_rows = None  # the z stage's rows or error, from the first z block on
     dispatch = {
         "cycle_mean": lambda: _analysis_cycle_mean(scenario),
         "cycle_tail": lambda: _analysis_cycle_tail(scenario),
         "hill": lambda: _analysis_hill(scenario),
-        "stable_limit": lambda: _analysis_stable_limit(scenario, workers),
-        "self_similarity": lambda: _analysis_self_similarity(scenario, workers),
-        "cdf_rate": lambda: _analysis_cdf_rate(scenario, workers),
+        "stable_limit": lambda: _analysis_stable_limit(scenario, z_rows),
+        "self_similarity": lambda: _analysis_self_similarity(scenario, z_rows),
+        "cdf_rate": lambda: _analysis_cdf_rate(scenario, z_rows),
         "m1_diagnostic": lambda: _analysis_m1_diagnostic(scenario),
     }
     for name in scenario.analyses:
+        if name in z_readers and z_rows is None:
+            try:
+                z_rows = _z_stage(scenario, workers)
+            except Exception as exc:  # attempted once, recorded in every z block
+                z_rows = exc
         try:
+            if name in z_readers and isinstance(z_rows, Exception):
+                raise z_rows
             report.blocks[name] = dispatch[name]()
         except Exception as exc:  # analyses are independent by contract
             report.blocks[name] = {"error": f"{type(exc).__name__}: {exc}"}

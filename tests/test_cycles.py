@@ -23,7 +23,12 @@ from stableshot import (
     simulate_sessions,
 )
 from stableshot import cycles
-from stableshot.cycles import _CHUNK_SESSIONS, _chunk_horizon, fresh_start_cycle_lengths
+from stableshot.cycles import (
+    _CHUNK_SESSIONS,
+    MAX_CYCLE_LOAD,
+    _chunk_horizon,
+    fresh_start_cycle_lengths,
+)
 
 
 def law():
@@ -106,6 +111,14 @@ def test_chunk_horizon_capped_by_session_count():
     mean_cycle = math.exp(12.0) / lam
     assert lam * 200.0 * mean_cycle > _CHUNK_SESSIONS
     assert _chunk_horizon(lam, law(), 100_000) == 200.0 * mean_cycle
+
+
+@pytest.mark.parametrize("rel, fits", [(1 - 1e-6, True), (1 + 1e-6, False)])
+def test_max_cycle_load_is_where_the_floor_passes_the_cap(rel, fits):
+    # E[Y] = 3; the chunk holds lam * h expected sessions
+    lam = rel * MAX_CYCLE_LOAD / 3.0
+    sessions = lam * _chunk_horizon(lam, law(), 100_000)
+    assert (sessions <= _CHUNK_SESSIONS * (1 + 1e-12)) == fits
 
 
 @pytest.mark.parametrize("n_target", [500, 10_000, 60_000, 100_000, 1_000_000])

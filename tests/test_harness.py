@@ -62,6 +62,35 @@ def _family(kind):
     return tiny_scenario(T_ladder=(200.0, 400.0), replicates=20, **_FAMILIES[kind])
 
 
+# the three analyses that read the run's one z stage; cdf:1 in functionals
+# and 1.0 in x_grid build one cdf_le_1 from two spec strings
+_Z_ANALYSES = ("stable_limit", "self_similarity", "cdf_rate")
+
+
+def _z_scenario(**overrides):
+    base = dict(analyses=_Z_ANALYSES, functionals=("identity", "cdf:1"),
+                T_ladder=(200.0, 400.0, 800.0), replicates=20, x_grid=(1.0, 2.5))
+    base.update(overrides)
+    return tiny_scenario(**base)
+
+
+def _assert_same(a, b):
+    """a and b hold equal values, every array equal byte for byte."""
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for key in a:
+            _assert_same(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same(x, y)
+    else:
+        assert a == b
+
+
 def _cdf_scenario():
     return tiny_scenario(
         analyses=("cdf_rate",), T_ladder=(200.0, 400.0, 800.0), replicates=20,
@@ -177,6 +206,8 @@ class TestScenario:
              "replicates"),
             (dict(T_ladder=(200.0, 400.0, 800.0), replicates=1, analyses=("cdf_rate",)),
              "replicates"),
+            (dict(analyses=("stable_limit", "m1_diagnostic", "stable_limit")), "must not repeat"),
+            (dict(lam=3.1, analyses=("hill",)), "load lambda\\*E\\[Y\\] = 9.3 "),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -189,6 +220,9 @@ class TestScenario:
         validate(tiny_scenario(hill_k=0, functionals=(), analyses=("cycle_mean",)))
         validate(tiny_scenario(x_grid=(), analyses=("stable_limit",)))
         validate(tiny_scenario(T_ladder=(1e3, 1e4), w_params=(2.0,), analyses=("stable_limit",)))
+        # a load past the cycle banking's bound matters only to the cycle analyses
+        validate(tiny_scenario(lam=3.1, analyses=("stable_limit", "m1_diagnostic")))
+        validate(tiny_scenario(lam=3.0, analyses=("cycle_mean", "cycle_tail", "hill")))
 
     def test_validate_accepts_the_fewest_replicates_that_can_fail(self):
         validate(tiny_scenario(replicates=4))
@@ -286,18 +320,72 @@ class TestOnePathPerReplicate:
         )
 
     def test_one_simulation_per_replicate_and_horizon(self, monkeypatch):
-        sc = _family("exact")
-        horizons = []
-        simulate = harness.simulate_sessions
+        # one z stage serves all three z analyses
+        horizons, curves, stages = [], [], []
+        simulate, curve, z_matrix = harness.simulate_sessions, harness.response_curve, _z_matrix
 
-        def counted(config):
+        def counted_simulate(config):
             horizons.append(config.horizon)
             return simulate(config)
 
-        monkeypatch.setattr(harness, "simulate_sessions", counted)
-        run(sc, workers=1)
-        assert len(horizons) == sc.replicates * len(sc.T_ladder)
+        def counted_curve(scenario, phi, *args, **kwargs):
+            curves.append(phi.name)
+            return curve(scenario, phi, *args, **kwargs)
+
+        def counted_z_matrix(*args):
+            stages.append(tuple(args[1]))
+            return z_matrix(*args)
+
+        monkeypatch.setattr(harness, "simulate_sessions", counted_simulate)
+        monkeypatch.setattr(harness, "response_curve", counted_curve)
+        monkeypatch.setattr(harness, "_z_matrix", counted_z_matrix)
+        sc = _z_scenario()
+        report = run(sc, workers=1)
+        assert not [name for name, block in report.blocks.items() if "error" in block]
+        assert len(horizons) == len(sc.T_ladder) * sc.replicates
         assert sorted(set(horizons)) == list(sc.T_ladder)
+        # one curve per distinct spec string: identity, cdf:1, cdf:1.0, cdf:2.5
+        assert stages == [("identity", "cdf:1", "cdf:1.0", "cdf:2.5")]
+        assert curves == ["identity", "cdf_le_1", "cdf_le_1", "cdf_le_2.5"]
+        # cycle and M1 analyses simulate no replicate path and no z stage
+        del horizons[:], curves[:], stages[:]
+        run(tiny_scenario(analyses=("cycle_mean", "m1_diagnostic"), n_cycles=200), workers=1)
+        assert horizons == curves == stages == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["exact", "monte_carlo"])
+    def test_z_blocks_together_match_each_alone(self, kind, workers):
+        # cdf_rate needs unit rates, so the Monte Carlo run leaves it out
+        if kind == "exact":
+            sc = _z_scenario()
+        else:
+            sc = replace(_family("monte_carlo"), analyses=_Z_ANALYSES[:2])
+        together = run(sc, workers=workers)
+        assert list(together.blocks) == list(sc.analyses)
+        for name in sc.analyses:
+            alone = run(replace(sc, analyses=(name,)), workers=workers)
+            assert "error" not in alone.blocks[name]
+            _assert_same(together.blocks[name], alone.blocks[name])
+
+    def test_z_stage_error_is_contained(self, monkeypatch):
+        stages = []
+        z_stage = harness._z_stage
+
+        def counted_stage(*args):
+            stages.append(args)
+            return z_stage(*args)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("no curve")
+
+        monkeypatch.setattr(harness, "_z_stage", counted_stage)
+        monkeypatch.setattr(harness, "response_curve", boom)
+        rep = run(_z_scenario(analyses=_Z_ANALYSES + ("m1_diagnostic",)))
+        assert len(stages) == 1
+        for name in _Z_ANALYSES:
+            assert rep.blocks[name] == {"error": "RuntimeError: no curve"}
+        assert rep.blocks["m1_diagnostic"]["gof"].passed
+        assert not rep.all_passed
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_self_similarity_banks(self, workers, tmp_path):
@@ -465,6 +553,13 @@ class TestCli:
             ("analyses: [self_similarity]\nT_ladder: [1000.0]\n", "T_ladder"),
             ("functionals: [clipped]\n", "'clipped' needs a finite number"),
             ("replicates: 1\n", "replicates"),
+            ("analyses: [stable_limit, stable_limit]\n", "analyses must not repeat"),
+            # one chunk of 200 mean cycles would hold far more than 2e6
+            # sessions: a MemoryError and OverflowErrors at run time
+            ("lam: 10\nanalyses: [cycle_mean]\nn_cycles: 1\n",
+             "offered load lambda*E[Y] = 30 is too heavy for ['cycle_mean']"),
+            ("lam: 1000\nanalyses: [cycle_mean, cycle_tail, hill]\n",
+             "offered load lambda*E[Y] = 3000 is too heavy"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -478,6 +573,7 @@ class TestCli:
         out = capsys.readouterr()
         assert "scenario ok" not in out.out
         assert "invalid scenario" in out.err and message in out.err
+        assert "Traceback" not in out.err
 
     @pytest.mark.parametrize(
         "text",
