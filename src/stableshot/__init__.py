@@ -15,11 +15,9 @@ from .functionals import (
     WindowFunctional,
     cdf_indicator,
     clipped,
-    cycle_integrals,
     empirical_cdf,
     identity,
     idle_indicator,
-    integrate_phi,
     window_sup_indicator,
 )
 from .harness import Report, Scenario, builtin_scenarios, emit, run
@@ -34,7 +32,7 @@ from .heavy_rand import (
 from .limits import LimitSpec, limit_params
 from .rng import RngStream
 from .skorokhod import SteppyPath, dist_m1, dist_uniform
-from .stats import GofReport, ecf_distance, iqr, ks_two_sample, rate_regression
+from .stats import GofReport, iqr, ks_two_sample, rate_regression
 from .traffic import (
     ConstantRate,
     DeterministicRate,

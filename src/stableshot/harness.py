@@ -9,13 +9,15 @@ master seed, with a substream per horizon, so results do not depend on
 the worker count or completion order.
 
 The z analyses (stable_limit, self_similarity, cdf_rate) read one z
-stage, built when the first of them runs: the union of the functional
-specs they need, one response curve per spec and one ``_z_matrix`` call,
-so each replicate path is simulated once per horizon for the whole run.
+stage, built when the first of them runs: the distinct functionals of the
+specs they need (equal functionals compare equal, so cdf:1 and cdf:1.0
+are one), one response curve each and one ``_z_matrix`` call, so each
+replicate path is simulated once per horizon for the whole run.
 Replicates go to the worker pool in contiguous chunks: one task per
-horizon at one worker, 4 * workers per horizon otherwise.  A task builds
-its functionals, a(T) and the law once and returns a block of z-values,
-each the last entry of one in-place cumsum over the path's segments.
+horizon at one worker, 4 * workers per horizon otherwise.  A task
+receives the functionals, builds a(T) and the law once and returns a
+block of z-values, each the last entry of one in-place cumsum over the
+path's segments.
 """
 
 from __future__ import annotations
@@ -257,6 +259,11 @@ def validate(scenario: Scenario) -> list:
     if "cdf_rate" in runs:
         if not scenario.x_grid:
             raise ValueError("x_grid must not be empty for cdf_rate")
+        # the level is nonnegative, so below 0 F_T(x) = K(x) = 0: no error to fit
+        if scenario.x_grid[0] < 0:
+            raise ValueError(
+                f"x_grid must be nonnegative for cdf_rate, got {list(scenario.x_grid)!r}"
+            )
         if len(scenario.T_ladder) < 3:
             raise ValueError("cdf_rate needs at least 3 horizons in T_ladder")
         if scenario.replicates < 2:
@@ -340,8 +347,7 @@ def exact_poisson_calE(phi: WindowFunctional, nu: float, w0: float):
 
     def calE(w):
         w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-        grid = (w_arr[:, None] + w0 * ks[None, :])[..., None]
-        return phi(grid) @ pmf
+        return phi(w_arr[:, None] + w0 * ks[None, :]) @ pmf
 
     return calE
 
@@ -351,12 +357,7 @@ def response_curve(scenario: Scenario, phi: WindowFunctional, n_mc: int = 100_00
     otherwise a Monte Carlo curve over shared stationary window draws, with
     cal0 and se the mean of phi over the draws and its standard error."""
     law = scenario.law()
-    exactable = (
-        isinstance(law.w_model, ConstantRate)
-        and phi.kind == "pointwise"
-        and phi.h == 0.0
-    )
-    if exactable:
+    if isinstance(law.w_model, ConstantRate) and phi.kind == "pointwise":
         calE = exact_poisson_calE(phi, scenario.lam * law.mean_y, law.w_model.w0)
         return calE, float(calE(0.0)[0]), 0.0, "exact"
     key = zlib.crc32(phi.name.encode()) % 2**31
@@ -374,18 +375,17 @@ def response_curve(scenario: Scenario, phi: WindowFunctional, n_mc: int = 100_00
 
 def _z_task(task):
     """Replicates r_lo..r_hi-1 at horizon T_ladder[t_index]: a
-    (len(specs), r_hi - r_lo) block of z-values, one row per functional.
+    (len(phis), r_hi - r_lo) block of z-values, one row per functional.
 
-    The functionals, a(T) and the law are built once per chunk.  Each
-    replicate's path is simulated once, and z is the last entry of the
-    sequential cumsum of (phi - c) times the segment lengths, divided by
-    a(T): the prefix integral at T, bit for bit.  Pointwise functionals
-    at offset 0 share the path's segments, so they share the lengths.
+    a(T) and the law are built once per chunk.  Each replicate's path is
+    simulated once, and z is the last entry of the sequential cumsum of
+    (phi - c) times the segment lengths, divided by a(T): the prefix
+    integral at T, bit for bit.  Functionals with h = 0 read the path's
+    own segments, so they share the lengths.
     """
-    scenario, t_index, r_lo, r_hi, specs, centerings = task
+    scenario, t_index, r_lo, r_hi, phis, centerings = task
     T = scenario.T_ladder[t_index]
     h = scenario.window_h
-    phis = [make_functional(s, h) for s in specs]
     a_T = float(tail_quantile_a(scenario.y_dist(), T))
     base = TrafficConfig(lam=scenario.lam, law=scenario.law(), horizon=T + h, window_h=h)
     out = np.empty((len(phis), r_hi - r_lo))
@@ -395,7 +395,7 @@ def _z_task(task):
         flat_dt = None  # segment lengths of path.segments(0, T)
         for i, (phi, c) in enumerate(zip(phis, centerings)):
             bounds, vals = fns.functional_steps(path, phi, 0.0, T)
-            if phi.kind == "pointwise" and phi.h == 0.0:
+            if phi.h == 0.0:
                 if flat_dt is None:
                     flat_dt = np.diff(bounds)
                 dt = flat_dt
@@ -409,8 +409,8 @@ def _z_task(task):
     return out
 
 
-def _z_matrix(scenario: Scenario, specs, centerings, workers: int) -> np.ndarray:
-    """z[i, t_index, r]: the z-value of functional specs[i], centered at
+def _z_matrix(scenario: Scenario, phis, centerings, workers: int) -> np.ndarray:
+    """z[i, t_index, r]: the z-value of functional phis[i], centered at
     centerings[i], on replicate r's path to T_ladder[t_index].  One
     simulated path per (T, r) serves every functional.  Each horizon's
     replicates go out in contiguous chunks, one per horizon at one worker
@@ -420,7 +420,7 @@ def _z_matrix(scenario: Scenario, specs, centerings, workers: int) -> np.ndarray
     n_chunks = 1 if workers <= 1 else min(n, 4 * workers)
     edges = [n * k // n_chunks for k in range(n_chunks + 1)]
     tasks = [
-        (scenario, t_index, lo, hi, tuple(specs), tuple(centerings))
+        (scenario, t_index, lo, hi, tuple(phis), tuple(centerings))
         for t_index in range(len(scenario.T_ladder))
         for lo, hi in zip(edges[:-1], edges[1:])
     ]
@@ -430,7 +430,7 @@ def _z_matrix(scenario: Scenario, specs, centerings, workers: int) -> np.ndarray
         # under fork, the pool starts all max_workers processes up front
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as ex:
             blocks = list(ex.map(_z_task, tasks))
-    z = np.empty((len(specs), len(scenario.T_ladder), n))
+    z = np.empty((len(phis), len(scenario.T_ladder), n))
     for (_, t_index, lo, hi, _, _), block in zip(tasks, blocks):
         z[:, t_index, lo:hi] = block
     return z
@@ -438,18 +438,21 @@ def _z_matrix(scenario: Scenario, specs, centerings, workers: int) -> np.ndarray
 
 def _z_stage(scenario: Scenario, workers: int) -> dict:
     """{spec: (phi, calE, cal0, se, method, z[t, r])} for every spec the
-    scenario's z analyses read, keyed by the exact string (built names
-    round numbers and seed Monte Carlo curves), from one _z_matrix call."""
+    scenario's z analyses read.  Specs that build equal functionals
+    (cdf:1 and cdf:1.0) map to one row: one response curve and one row of
+    the one _z_matrix call per distinct functional."""
     reads = {
         "stable_limit": scenario.functionals,
         "self_similarity": scenario.functionals[:1],
         "cdf_rate": [f"cdf:{x!r}" for x in scenario.x_grid],
     }
-    specs = list(dict.fromkeys(s for a in scenario.analyses for s in reads.get(a, ())))
-    phis = [make_functional(s, scenario.window_h) for s in specs]
-    curves = [response_curve(scenario, phi) for phi in phis]
-    z = _z_matrix(scenario, specs, [curve[1] for curve in curves], workers)
-    return {s: (phi, *curve, z_s) for s, phi, curve, z_s in zip(specs, phis, curves, z)}
+    h = scenario.window_h
+    phis = {s: make_functional(s, h) for a in scenario.analyses for s in reads.get(a, ())}
+    distinct = list(dict.fromkeys(phis.values()))
+    curves = [response_curve(scenario, phi) for phi in distinct]
+    z = _z_matrix(scenario, distinct, [curve[1] for curve in curves], workers)
+    rows = {phi: (phi, *curve, z_phi) for phi, curve, z_phi in zip(distinct, curves, z)}
+    return {s: rows[phi] for s, phi in phis.items()}
 
 
 # -- analyses ---------------------------------------------------------------
@@ -611,7 +614,15 @@ def _analysis_cdf_rate(scenario: Scenario, z_rows: dict) -> dict:
     per_x = {}
     for x, (*_, z_x) in zip(scenario.x_grid, rows):
         disp = np.array([iqr(z_T) for z_T in z_x]) * to_error
-        slope, stderr = rate_regression(scenario.T_ladder, disp)
+        # replicates that all read one F_T(x), such as an x above every
+        # level a horizon reaches, leave no dispersion to fit on a log scale
+        flat = [f"{T:g}" for T, d in zip(scenario.T_ladder, disp) if not d > 0]
+        if flat:
+            slope = stderr = math.nan
+            stat, detail = math.inf, f"IQR 0 at T={', '.join(flat)}: no log fit"
+        else:
+            slope, stderr = rate_regression(scenario.T_ladder, disp)
+            stat, detail = abs(slope - slope_target), f"slope={slope:.3f} target={slope_target:.3f}"
         d_sample = z_x[-1]
         per_x[x] = {
             "iqr": disp,
@@ -621,10 +632,10 @@ def _analysis_cdf_rate(scenario: Scenario, z_rows: dict) -> dict:
             "left_skew": bool(d_sample.mean() < np.median(d_sample)),
             "gof": GofReport(
                 name=f"{scenario.name}/cdf_rate/x={x:g}",
-                stat=abs(slope - slope_target),
+                stat=stat,
                 threshold=0.10,
                 n=scenario.replicates,
-                detail=f"slope={slope:.3f} target={slope_target:.3f}",
+                detail=detail,
             ),
         }
     return {

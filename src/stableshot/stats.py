@@ -14,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heavy_rand import StableParams, stable_cf
-
 __all__ = [
     "GofReport",
     "ks_threshold",
     "ks_two_sample",
-    "ecf_distance",
     "rate_regression",
     "iqr",
 ]
@@ -76,21 +73,6 @@ def ks_two_sample(a, b, name: str, level: float = 0.01) -> GofReport:
     stat = float(max(diff.max(), np.clip(-diff.min(), 0, 1)))
     n_eff = a.size * b.size / (a.size + b.size)
     return GofReport(name, stat, ks_threshold(n_eff, level), int(min(a.size, b.size)))
-
-
-def ecf_distance(sample, params: StableParams, t_grid) -> float:
-    """Max gap between the empirical CF and the candidate stable CF.
-
-    Empty grid means nothing to check, so the distance is 0.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    if t.size == 0:
-        return 0.0
-    x = np.asarray(sample, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty sample")
-    ecf = np.exp(1j * np.outer(t, x)).mean(axis=1)
-    return float(np.abs(ecf - stable_cf(params, t)).max())
 
 
 def rate_regression(sizes, dispersions):

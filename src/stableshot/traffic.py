@@ -255,21 +255,6 @@ class ShotNoisePath:
     def __len__(self):
         return len(self.times)
 
-    def eval_level(self, t):
-        """X(t) under the cadlag convention; O(log n) binary search."""
-        t_arr = np.asarray(t, dtype=float)
-        if np.any((t_arr < self.t0) | (t_arr > self.t1)):
-            raise ValueError("evaluation point outside path support")
-        out = self._level_steps[np.searchsorted(self.times, t_arr, side="right")]
-        return float(out) if np.isscalar(t) else out
-
-    def eval_count(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if np.any((t_arr < self.t0) | (t_arr > self.t1)):
-            raise ValueError("evaluation point outside path support")
-        out = self._count_steps[np.searchsorted(self.times, t_arr, side="right")]
-        return int(out) if np.isscalar(t) else out
-
     def segments(self, lo=None, hi=None):
         """(bounds, levels, counts) of the step decomposition on [lo, hi].
 
@@ -396,34 +381,18 @@ def _session_events(sessions: Sessions, t0: float, t1: float, rates: bool = True
     return times, r_delta, n_arr, init_level, init_count
 
 
-def stationary_window_draws(
-    config: TrafficConfig,
-    n: int,
-    rng: RngStream,
-    offsets=(0.0,),
-    with_sup: bool = False,
-):
-    """n i.i.d. draws of the stationary window observed at ``offsets``.
-
-    Returns an (n, k) matrix of levels X(o_j); with ``with_sup`` also the
-    vector of sup X over [0, h], for all draws in one vectorized pass.
-    """
+def stationary_window_draws(config: TrafficConfig, n: int, rng: RngStream, sup: bool = False):
+    """n i.i.d. draws of the stationary level X(0), or with ``sup`` of the
+    sup of X over [0, h], for all draws in one vectorized pass."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    offsets = np.asarray(offsets, dtype=float)
-    h = config.window_h
-    if np.any((offsets < 0) | (offsets > h)):
-        raise ValueError("offsets must lie in [0, h]")
     owner, gamma, end, w = _window_sessions(config, n, rng)
-
-    values = np.zeros((n, len(offsets)))
-    for j, o in enumerate(offsets):
-        mask = (gamma <= o) & (o < end)
-        np.add.at(values[:, j], owner[mask], w[mask])
-
-    if not with_sup:
-        return values
-    return values, _window_sups(owner, gamma, end, w, n, h)
+    if sup:
+        return _window_sups(owner, gamma, end, w, n, config.window_h)
+    live = (gamma <= 0.0) & (0.0 < end)
+    x0 = np.zeros(n)
+    np.add.at(x0, owner[live], w[live])
+    return x0
 
 
 def _window_sessions(config: TrafficConfig, n: int, rng: RngStream):

@@ -1,0 +1,79 @@
+"""Reference computations the tests check the package against.
+
+Nothing in the package calls these: each is an independent, plainly
+written route to a number the package computes another way (the level at
+a time point, a functional's integral, per-cycle integrals, the distance
+between an empirical and a stable characteristic function).
+"""
+
+import numpy as np
+
+from stableshot.functionals import functional_steps
+from stableshot.heavy_rand import StableParams, stable_cf
+
+
+def _eval_steps(path, steps, t):
+    t_arr = np.asarray(t, dtype=float)
+    if np.any((t_arr < path.t0) | (t_arr > path.t1)):
+        raise ValueError("evaluation point outside path support")
+    return steps[np.searchsorted(path.times, t_arr, side="right")]
+
+
+def eval_level(path, t):
+    """X(t) under the cadlag convention; O(log n) binary search."""
+    out = _eval_steps(path, path._level_steps, t)
+    return float(out) if np.isscalar(t) else out
+
+
+def eval_count(path, t):
+    """The occupancy count at t, cadlag like the level."""
+    out = _eval_steps(path, path._count_steps, t)
+    return int(out) if np.isscalar(t) else out
+
+
+def integrate_phi(path, phi, t0: float, t1: float) -> float:
+    """Exact integral of phi(X_h(s)) over [t0, t1]."""
+    bounds, vals = functional_steps(path, phi, t0, t1)
+    return float(np.dot(vals, np.diff(bounds)))
+
+
+def prefix_integral(bounds, vals):
+    """s -> integral of the step function (bounds, vals) from bounds[0] to s."""
+    cum = np.empty(len(vals) + 1)
+    cum[0] = 0.0
+    areas = np.diff(bounds)
+    areas *= vals
+    np.cumsum(areas, out=cum[1:])
+
+    def at(points):
+        points = np.asarray(points, dtype=float)
+        idx = np.clip(np.searchsorted(bounds, points, side="right") - 1, 0, len(vals) - 1)
+        return cum[idx] + vals[idx] * (points - bounds[idx])
+
+    return at
+
+
+def cycle_integrals(path, decomposition, phi) -> np.ndarray:
+    """Per-cycle integrals of phi(X_h(s)), one value per complete cycle."""
+    if decomposition.m_T == 0:
+        return np.empty(0)
+    t0 = decomposition.s0
+    t1 = float(decomposition.s_end[-1])
+    bounds, vals = functional_steps(path, phi, t0, t1)
+    at = prefix_integral(bounds, vals)
+    return at(decomposition.s_end) - at(decomposition.s_start)
+
+
+def ecf_distance(sample, params: StableParams, t_grid) -> float:
+    """Max gap between the empirical CF and the candidate stable CF.
+
+    Empty grid means nothing to check, so the distance is 0.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    if t.size == 0:
+        return 0.0
+    x = np.asarray(sample, dtype=float)
+    if x.size == 0:
+        raise ValueError("empty sample")
+    ecf = np.exp(1j * np.outer(t, x)).mean(axis=1)
+    return float(np.abs(ecf - stable_cf(params, t)).max())

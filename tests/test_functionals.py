@@ -1,6 +1,7 @@
 """Window functionals, exact integration, and the response curve."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,18 +18,19 @@ from stableshot import (
     build_path,
     cdf_indicator,
     clipped,
-    cycle_integrals,
     decompose_cycles,
     empirical_cdf,
     identity,
     idle_indicator,
-    integrate_phi,
     simulate_sessions,
     window_sup_indicator,
 )
 from stableshot._backend import kernels
 from stableshot.functionals import WindowFunctional, functional_steps, monte_carlo_response
+from stableshot.harness import make_functional
 from stableshot.traffic import named_rate
+
+from oracles import cycle_integrals, eval_level, integrate_phi
 
 
 def law():
@@ -45,40 +47,45 @@ def hand_path(t1=3.0):
 class TestBuiltins:
     def test_identity(self):
         phi = identity()
-        assert phi(np.array([[3.5]])) == pytest.approx(3.5)
+        assert phi(np.array([3.5])) == pytest.approx(3.5)
 
     def test_clipped(self):
         phi = clipped(1.0)
-        got = phi(np.array([[0.0], [0.5], [2.0]]))
+        got = phi(np.array([0.0, 0.5, 2.0]))
         assert np.allclose(got, [0.0, 0.5, 1.0])
 
     def test_cdf_indicator(self):
         phi = cdf_indicator(1.0)
-        got = phi(np.array([[0.5], [1.0], [1.5]]))
+        got = phi(np.array([0.5, 1.0, 1.5]))
         assert np.allclose(got, [1.0, 1.0, 0.0])
 
     def test_idle(self):
         phi = idle_indicator()
-        got = phi(np.array([[0.0], [0.1]]))
+        got = phi(np.array([0.0, 0.1]))
         assert np.allclose(got, [1.0, 0.0])
 
     def test_window_sup(self):
         phi = window_sup_indicator(2.0, 1.0)
-        vals = np.array([[1.0], [1.0]])
         sups = np.array([1.5, 3.0])
-        assert np.allclose(phi(vals, sups), [1.0, 0.0])
+        assert np.allclose(phi(sups), [1.0, 0.0])
 
     def test_offsets_validation(self):
-        with pytest.raises(ValueError):
-            WindowFunctional(
-                name="bad", h=1.0, kind="pointwise", offsets=(0.0, 2.0),
-                fn=lambda v: v[..., 0],
-            )
-        with pytest.raises(ValueError):
-            WindowFunctional(
-                name="bad", h=1.0, kind="nope", offsets=(0.0,),
-                fn=lambda v: v[..., 0],
-            )
+        with pytest.raises(ValueError, match="kind"):
+            WindowFunctional(name="bad", h=1.0, kind="nope", form=("id", None))
+
+    def test_equal_specs_build_equal_functionals(self):
+        assert make_functional("cdf:1") == make_functional("cdf:1.0")
+        assert hash(make_functional("cdf:1")) == hash(make_functional("cdf:1.0"))
+        # same form, but the names seed different Monte Carlo curves
+        assert make_functional("idle").form == make_functional("cdf:0").form
+        assert make_functional("idle") != make_functional("cdf:0")
+        for spec in ("identity", "idle", "clipped:2", "cdf:1.5", "winsup:3"):
+            phi = make_functional(spec, 1.0)
+            assert pickle.loads(pickle.dumps(phi)) == phi
+        with pytest.raises(ValueError, match="h = 0"):
+            WindowFunctional(name="bad", h=0.5, kind="pointwise", form=("le", 1.0))
+        with pytest.raises(ValueError, match="form"):
+            WindowFunctional(name="bad", h=1.0, kind="window_sup", form=("max", 1.0))
 
 
 class TestIntegration:
@@ -124,47 +131,30 @@ class TestIntegration:
         mids = 0.5 * (bounds[:-1] + bounds[1:])
         for m, v in zip(mids[::7], vals[::7]):
             grid = np.linspace(m, m + 2.0, 1001)
-            brute = float(p.eval_level(grid).max() <= 1.0)
+            brute = float(eval_level(p, grid).max() <= 1.0)
             assert v == brute
 
 
 def midpoint_steps(path, phi, t0, t1):
     """Reference step decomposition: the breakpoints are np.unique of every
-    shifted event time inside (t0, t1), and each segment reads the path at
-    its midpoint (plus each offset), the sup by a range max from there."""
-    offs = np.asarray(phi.offsets, dtype=float)
-    cands = [path.times - o for o in offs]
+    event time, and for the window sup every event time shifted by -h,
+    inside (t0, t1), and each segment reads the level at its midpoint, or
+    its range max over [mid, mid + h]."""
+    cands = [path.times]
     if phi.kind == "window_sup":
-        cands += [path.times - phi.h, path.times.copy()]
+        cands.append(path.times - phi.h)
     cand = np.concatenate(cands)
     cand = cand[(cand > t0) & (cand < t1)]
     bounds = np.concatenate([[t0], np.unique(cand), [t1]])
     mids = 0.5 * (bounds[:-1] + bounds[1:])
-    vals = path.eval_level((mids[:, None] + offs[None, :]).ravel()).reshape(len(mids), len(offs))
     if phi.kind == "pointwise":
-        return bounds, np.asarray(phi(vals), dtype=float)
+        return bounds, np.asarray(phi(eval_level(path, mids)), dtype=float)
     seg_bounds, seg_levels, _ = path.segments()
     lo = np.searchsorted(seg_bounds, mids, side="right") - 1
     hi = np.searchsorted(seg_bounds, mids + phi.h, side="right") - 1
     hi = np.minimum(hi, len(seg_levels) - 1)
     sups = kernels.sliding_range_max(seg_levels, lo, hi)
-    return bounds, np.asarray(phi(vals, sups), dtype=float)
-
-
-def two_offsets():
-    """A user pointwise functional reading X(s) and X(s + 0.75)."""
-    return WindowFunctional(
-        name="two_offsets", h=1.0, kind="pointwise", offsets=(0.0, 0.75),
-        fn=lambda v: v[..., 1] - 2.0 * v[..., 0],
-    )
-
-
-def sup_and_offset():
-    """A user window-sup functional reading X(s + 0.5) and the sup over [s, s + 1]."""
-    return WindowFunctional(
-        name="sup_and_offset", h=1.0, kind="window_sup", offsets=(0.0, 0.5),
-        fn=lambda v, sup: sup - v[..., 1],
-    )
+    return bounds, np.asarray(phi(sups), dtype=float)
 
 
 GRID = 0.25  # event times and window lengths on a dyadic grid: no rounding
@@ -189,8 +179,6 @@ def grid_cases(draw):
             st.just(idle_indicator()),
             st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.1]).map(cdf_indicator),
             st.sampled_from([0.5, 1.0, 2.5]).map(clipped),
-            st.just(two_offsets()),
-            st.just(sup_and_offset()),
             st.builds(
                 window_sup_indicator,
                 st.sampled_from([0.0, 1.0, 2.0, 3.5]),
@@ -214,7 +202,7 @@ class TestStepsMatchMidpointReference:
         assert_same_steps(functional_steps(path, phi, t0, t1), midpoint_steps(path, phi, t0, t1))
 
     @pytest.mark.parametrize(
-        "phi", [identity(), clipped(1.0), two_offsets(), sup_and_offset(), window_sup_indicator(1.0, 1.0)],
+        "phi", [identity(), clipped(1.0), window_sup_indicator(1.0, 1.0)],
         ids=lambda phi: phi.name,
     )
     def test_path_without_events(self, phi):
@@ -225,7 +213,9 @@ class TestStepsMatchMidpointReference:
             assert_same_steps(got, midpoint_steps(path, phi, 0.5, 2.5))
             assert got[0].tolist() == [0.5, 2.5] and len(got[1]) == 1
 
-    @pytest.mark.parametrize("phi", [window_sup_indicator(0.5, 0.15), sup_and_offset()])
+    @pytest.mark.parametrize(
+        "phi", [window_sup_indicator(0.5, 0.15), window_sup_indicator(1.5, 1.0)]
+    )
     def test_event_at_path_end_reached_by_rounding(self, phi):
         # fl(t1 + h) == path.t1 passes the coverage check, but fl(path.t1 - h)
         # < t1, so the last segment's window reaches the event at path.t1
@@ -242,23 +232,19 @@ class TestStepsMatchMidpointReference:
         cfg = TrafficConfig(lam=1.0, law=rates, horizon=402.0, rng=RngStream(seed))
         path = build_path(simulate_sessions(cfg), 0.0, 402.0)
         for phi in (identity(), idle_indicator(), clipped(0.7), cdf_indicator(1.5),
-                    two_offsets(), sup_and_offset(), window_sup_indicator(2.0, 2.0)):
+                    window_sup_indicator(2.0, 2.0)):
             assert_same_steps(
                 functional_steps(path, phi, 1.0, 400.0), midpoint_steps(path, phi, 1.0, 400.0)
             )
 
     def test_fn_writing_in_place_raises(self):
-        def scribble(values):
-            values[..., 0] += 1.0
-            return values[..., 0]
-
-        phi = WindowFunctional(
-            name="scribble", h=0.0, kind="pointwise", offsets=(0.0,), fn=scribble,
-        )
+        # identity's steps are the path's own levels, so a write through
+        # them raises instead of changing the path
         p = hand_path()
         before = p.levels.copy()
+        _, vals = functional_steps(p, identity(), 0.0, 3.0)
         with pytest.raises(ValueError, match="read-only"):
-            functional_steps(p, phi, 0.0, 3.0)
+            vals += 1.0
         assert np.array_equal(p.levels, before)
         assert integrate_phi(p, identity(), 0.0, 3.0) == 4.5
         # the views are read-only, the path's own arrays are not

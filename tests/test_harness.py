@@ -25,14 +25,11 @@ from stableshot import (
     tail_quantile_a,
 )
 from stableshot.cli import main
-from stableshot.functionals import (
-    _prefix_integral,
-    _sorted_response,
-    functional_steps,
-    monte_carlo_response,
-)
+from stableshot.functionals import _sorted_response, functional_steps, monte_carlo_response
 from stableshot.harness import _z_matrix, make_functional, response_curve, validate
 from stableshot.traffic import stationary_window_draws
+
+from oracles import prefix_integral
 
 
 def tiny_scenario(**overrides):
@@ -208,6 +205,10 @@ class TestScenario:
              "replicates"),
             (dict(analyses=("stable_limit", "m1_diagnostic", "stable_limit")), "must not repeat"),
             (dict(lam=3.1, analyses=("hill",)), "load lambda\\*E\\[Y\\] = 9.3 "),
+            (dict(T_ladder=(1e2, 1e3, 1e4), x_grid=(-0.5, 1.0), analyses=("cdf_rate",)),
+             "x_grid must be nonnegative"),
+            (dict(T_ladder=(1e2, 1e3, 1e4), x_grid=(-1.0,), analyses=("cdf_rate",)),
+             "x_grid must be nonnegative"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -333,7 +334,7 @@ class TestOnePathPerReplicate:
             return curve(scenario, phi, *args, **kwargs)
 
         def counted_z_matrix(*args):
-            stages.append(tuple(args[1]))
+            stages.append(tuple(phi.name for phi in args[1]))
             return z_matrix(*args)
 
         monkeypatch.setattr(harness, "simulate_sessions", counted_simulate)
@@ -344,9 +345,10 @@ class TestOnePathPerReplicate:
         assert not [name for name, block in report.blocks.items() if "error" in block]
         assert len(horizons) == len(sc.T_ladder) * sc.replicates
         assert sorted(set(horizons)) == list(sc.T_ladder)
-        # one curve per distinct spec string: identity, cdf:1, cdf:1.0, cdf:2.5
-        assert stages == [("identity", "cdf:1", "cdf:1.0", "cdf:2.5")]
-        assert curves == ["identity", "cdf_le_1", "cdf_le_1", "cdf_le_2.5"]
+        # one curve and one row per distinct functional: cdf:1 in functionals
+        # and 1.0 in x_grid build the same cdf_le_1
+        assert stages == [("identity", "cdf_le_1", "cdf_le_2.5")]
+        assert curves == ["identity", "cdf_le_1", "cdf_le_2.5"]
         # cycle and M1 analyses simulate no replicate path and no z stage
         del horizons[:], curves[:], stages[:]
         run(tiny_scenario(analyses=("cycle_mean", "m1_diagnostic"), n_cycles=200), workers=1)
@@ -395,8 +397,8 @@ class TestOnePathPerReplicate:
                            replicates=15)
         report = run(sc, workers=workers)
         ss = report.blocks["self_similarity"]
-        cal0 = response_curve(sc, make_functional("identity"))[1]
-        z = _z_matrix(sc, ("identity",), (cal0,), 1)[0]
+        phi = make_functional("identity")
+        z = _z_matrix(sc, (phi,), (response_curve(sc, phi)[1],), 1)[0]
         assert list(ss["samples"]) == list(sc.T_ladder)
         for z_T, got in zip(z, ss["samples"].values()):
             assert got.tobytes() == z_T.tobytes()
@@ -410,33 +412,31 @@ class TestOnePathPerReplicate:
 
 
 # flat functionals (shared segments) beside a window sup (its own merged steps)
-_MIXED_SPECS = ("identity", "idle", "cdf:1", "winsup:3")
+_MIXED_PHIS = tuple(make_functional(s, 1.0) for s in ("identity", "idle", "cdf:1", "winsup:3"))
 _MIXED_CENTERINGS = (3.0, 0.05, 0.2, 0.9)
 
 
-def _per_replicate_z(sc, specs, centerings):
+def _per_replicate_z(sc, phis, centerings):
     """z[i, t_index, r] one replicate at a time, by the prefix integral at T."""
     h = sc.window_h
-    z = np.empty((len(specs), len(sc.T_ladder), sc.replicates))
+    z = np.empty((len(phis), len(sc.T_ladder), sc.replicates))
     for t_index, T in enumerate(sc.T_ladder):
         a_T = float(tail_quantile_a(sc.y_dist(), T))
         for r in range(sc.replicates):
             rng = RngStream(sc.seed, stream_id=r).substream(t_index)
             path = build_path(simulate_sessions(sc.config(T + h, rng)), 0.0, T + h)
-            for i, (spec, c) in enumerate(zip(specs, centerings)):
-                bounds, vals = functional_steps(path, make_functional(spec, h), 0.0, T)
-                z[i, t_index, r] = float(_prefix_integral(bounds, vals - c)(T)) / a_T
+            for i, (phi, c) in enumerate(zip(phis, centerings)):
+                bounds, vals = functional_steps(path, phi, 0.0, T)
+                z[i, t_index, r] = float(prefix_integral(bounds, vals - c)(T)) / a_T
     return z
 
 
 @pytest.mark.parametrize("replicates", [1, 7, 50])
 def test_z_matrix_bytes_do_not_depend_on_workers_or_chunks(replicates):
-    sc = tiny_scenario(
-        functionals=_MIXED_SPECS, window_h=1.0, T_ladder=(50.0, 200.0), replicates=replicates
-    )
-    want = _per_replicate_z(sc, _MIXED_SPECS, _MIXED_CENTERINGS).tobytes()
+    sc = tiny_scenario(window_h=1.0, T_ladder=(50.0, 200.0), replicates=replicates)
+    want = _per_replicate_z(sc, _MIXED_PHIS, _MIXED_CENTERINGS).tobytes()
     for workers in (1, 2, 3):
-        got = _z_matrix(sc, _MIXED_SPECS, _MIXED_CENTERINGS, workers)
+        got = _z_matrix(sc, _MIXED_PHIS, _MIXED_CENTERINGS, workers)
         assert got.tobytes() == want, f"workers={workers}"
 
 
@@ -461,9 +461,10 @@ def test_pool_is_no_larger_than_the_task_list(monkeypatch, workers, replicates, 
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     sc = tiny_scenario(T_ladder=(50.0, 200.0), replicates=replicates)
-    got = _z_matrix(sc, ("identity",), (0.0,), workers)
+    phis = (make_functional("identity"),)
+    got = _z_matrix(sc, phis, (0.0,), workers)
     assert sizes == [pool]
-    assert got.tobytes() == _z_matrix(sc, ("identity",), (0.0,), 1).tobytes()
+    assert got.tobytes() == _z_matrix(sc, phis, (0.0,), 1).tobytes()
 
 
 def test_cdf_rate_matches_empirical_cdf_reference():
@@ -489,6 +490,21 @@ def test_cdf_rate_matches_empirical_cdf_reference():
         np.testing.assert_allclose(got["d_sample"], want, rtol=1e-12, atol=0)
         disp = [iqr(errors[t, :, j]) for t in range(len(sc.T_ladder))]
         np.testing.assert_allclose(got["iqr"], disp, rtol=1e-12, atol=0)
+
+
+def test_cdf_rate_x_without_dispersion_fails_alone():
+    # no level reaches 100 on these paths, so every replicate reads
+    # F_T(100) = 1 and the IQR is 0: that x fails, x = 1 keeps its result
+    sc = replace(_cdf_scenario(), x_grid=(1.0, 100.0))
+    block = run(sc).blocks["cdf_rate"]
+    assert "error" not in block
+    flat = block["per_x"][100.0]
+    assert np.all(flat["iqr"] == 0.0)
+    assert math.isnan(flat["slope"]) and math.isnan(flat["stderr"])
+    assert not flat["gof"].passed
+    assert flat["gof"].detail == "IQR 0 at T=200, 400, 800: no log fit"
+    alone = run(replace(sc, x_grid=(1.0,))).blocks["cdf_rate"]["per_x"][1.0]
+    _assert_same(block["per_x"][1.0], alone)
 
 
 class TestEmit:
@@ -560,6 +576,9 @@ class TestCli:
              "offered load lambda*E[Y] = 30 is too heavy for ['cycle_mean']"),
             ("lam: 1000\nanalyses: [cycle_mean, cycle_tail, hill]\n",
              "offered load lambda*E[Y] = 3000 is too heavy"),
+            # F_T(x) = K(x) = 0 below 0: the rate fit would have no dispersion
+            ("analyses: [cdf_rate]\nT_ladder: [100.0, 1000.0, 10000.0]\nx_grid: [-0.5, 1.0]\n",
+             "x_grid must be nonnegative"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -655,11 +674,9 @@ def test_builtin_scenarios_all_validate():
 _MC = dict(lam=1.0, w_kind="uniform", w_params=(0.1, 1.0), window_h=1.0, seed=3)
 
 
-def _loop_calE(phi, values, sups, w):
+def _loop_calE(phi, stat, w):
     # per-point reference: one mean over all draws per w
-    if sups is None:
-        return np.array([float(np.mean(phi(values + wv))) for wv in w])
-    return np.array([float(np.mean(phi(values + wv, sups + wv))) for wv in w])
+    return np.array([float(np.mean(phi(stat + wv))) for wv in w])
 
 
 @pytest.mark.parametrize("spec", ["winsup:3", "idle", "cdf:1.5", "clipped:2", "identity"])
@@ -669,12 +686,8 @@ def test_monte_carlo_response_matches_loop(spec):
     n = 4000
     rng = RngStream(5)
     calE, samples = monte_carlo_response(phi, sc.config(1.0, rng), n, rng)
-    if phi.kind == "window_sup":
-        values, sups = stationary_window_draws(sc.config(1.0, rng), n, rng, with_sup=True)
-        stat = sups
-    else:
-        values, sups = stationary_window_draws(sc.config(1.0, rng), n, rng), None
-        stat = values[:, 0]
+    sup = phi.kind == "window_sup"
+    stat = stationary_window_draws(sc.config(1.0, rng), n, rng, sup=sup)
     op, b = phi.form
     if b is None:  # identity has no threshold; any shifts will do
         b = 1.0
@@ -684,7 +697,7 @@ def test_monte_carlo_response_matches_loop(spec):
         [[0.0, 0.25, 3.0], on_b, np.nextafter(on_b, -np.inf), np.nextafter(on_b, np.inf),
          RngStream(6).generator().uniform(0.1, 1.0, 200)]
     )
-    want = _loop_calE(phi, values, sups, w)
+    want = _loop_calE(phi, stat, w)
     got = calE(w)
     if op == "le":
         assert np.array_equal(got, want)
@@ -692,7 +705,7 @@ def test_monte_carlo_response_matches_loop(spec):
         # rates are nonnegative; a negative w could cancel terms of the mean
         keep = w >= 0
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0)
-    assert np.array_equal(samples(0.25), phi(values + 0.25) if sups is None else phi(values + 0.25, sups + 0.25))
+    assert np.array_equal(samples(0.25), phi(stat + 0.25))
 
 
 @pytest.mark.parametrize("spec", ["winsup:3", "clipped:2", "idle"])
@@ -704,10 +717,7 @@ def test_response_curve_centering_is_loop_mean(spec):
     _, cal0, se, method = response_curve(sc, phi, n_mc=3000)
     rng = RngStream(sc.seed, stream_id=2**31).substream(zlib.crc32(phi.name.encode()) % 2**31)
     cfg = sc.config(1.0, rng)
-    if phi.kind == "window_sup":
-        base = phi(*stationary_window_draws(cfg, 3000, rng, with_sup=True))
-    else:
-        base = phi(stationary_window_draws(cfg, 3000, rng))
+    base = phi(stationary_window_draws(cfg, 3000, rng, sup=phi.kind == "window_sup"))
     assert method == "monte_carlo"
     assert cal0 == float(np.mean(base))
     assert se == float(np.std(base, ddof=1) / math.sqrt(3000))

@@ -12,11 +12,12 @@ from stableshot import (
     StableParams,
     TailDist,
     c_alpha,
-    ecf_distance,
     sample_stable,
     stable_cf,
     tail_quantile_a,
 )
+
+from oracles import ecf_distance
 
 
 class TestTailDist:

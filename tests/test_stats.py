@@ -10,13 +10,14 @@ from stableshot import (
     GofReport,
     RngStream,
     StableParams,
-    ecf_distance,
     iqr,
     ks_two_sample,
     rate_regression,
     sample_stable,
 )
 from stableshot.stats import ks_threshold
+
+from oracles import ecf_distance
 
 
 class TestGofReport:

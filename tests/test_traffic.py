@@ -17,13 +17,14 @@ from stableshot import (
     TrafficConfig,
     build_path,
     idle_indicator,
-    integrate_phi,
     named_rate,
     simulate_sessions,
     stationary_window_draws,
     traffic,
 )
 from stableshot.functionals import functional_steps
+
+from oracles import eval_count, eval_level, integrate_phi
 
 
 def law(alpha=1.5, xm=1.0, w0=1.0):
@@ -40,22 +41,22 @@ class TestBuildPath:
     def test_level_conventions(self):
         p = hand_path()
         # cadlag: level jumps up AT the arrival, drops AT the departure
-        assert p.eval_level(0.4) == 0.0
-        assert p.eval_level(0.5) == 2.0
-        assert p.eval_level(1.4) == 2.0
-        assert p.eval_level(1.5) == 0.0
-        assert p.eval_count(0.5) == 1
-        assert p.eval_count(1.5) == 0
+        assert eval_level(p, 0.4) == 0.0
+        assert eval_level(p, 0.5) == 2.0
+        assert eval_level(p, 1.4) == 2.0
+        assert eval_level(p, 1.5) == 0.0
+        assert eval_count(p, 0.5) == 1
+        assert eval_count(p, 1.5) == 0
 
     def test_vector_eval(self):
         p = hand_path()
-        got = p.eval_level(np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
+        got = eval_level(p, np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
         assert np.allclose(got, [0.0, 2.0, 2.0, 0.0, 0.0])
 
     def test_coincident_arrivals_merge(self):
         s = Sessions([0.5, 0.5], [1.0, 2.0], [1.0, 3.0])
         p = build_path(s, 0.0, 3.0)
-        assert p.eval_level(0.5) == 4.0
+        assert eval_level(p, 0.5) == 4.0
         # merged event list: one arrival timestamp, two departures
         assert len(p.times) == 3
 
@@ -104,7 +105,7 @@ class TestBuildPath:
         for s, level in ((Sessions([], [], []), 0.0), (Sessions([-1.0], [5.0], [2.0]), 2.0)):
             p = build_path(s, 0.0, 2.0)
             assert len(p) == 0 and p.levels.size == 0 and p.counts.size == 0
-            assert p.eval_level(1.0) == level and p.eval_count(2.0) == int(level > 0)
+            assert eval_level(p, 1.0) == level and eval_count(p, 2.0) == int(level > 0)
             bounds, levels, counts = p.segments()
             assert np.array_equal(bounds, [0.0, 2.0])
             assert np.array_equal(levels, [level]) and np.array_equal(counts, [int(level > 0)])
@@ -114,14 +115,14 @@ class TestBuildPath:
         p = build_path(s, 0.0, 2.0)
         assert p.init_level == 2.0
         assert p.init_count == 1
-        assert p.eval_level(0.0) == 2.0
-        assert p.eval_level(0.5) == 0.0  # departs at -0.5 + 1.0
+        assert eval_level(p, 0.0) == 2.0
+        assert eval_level(p, 0.5) == 0.0  # departs at -0.5 + 1.0
 
     def test_session_past_horizon_ignored_tail(self):
         s = Sessions([1.0], [100.0], [1.0])
         p = build_path(s, 0.0, 2.0)
-        assert p.eval_level(1.5) == 1.0
-        assert p.eval_level(2.0) == 1.0
+        assert eval_level(p, 1.5) == 1.0
+        assert eval_level(p, 2.0) == 1.0
 
     def test_counts_nonnegative_and_integer(self):
         cfg = TrafficConfig(lam=1.0, law=law(), horizon=200.0, rng=RngStream(3))
@@ -350,7 +351,7 @@ class TestStationarity:
         # occupancy at a fixed time under exact stationary init: Poisson(lam E Y)
         lam, nu = 0.3, 0.9
         cfg = TrafficConfig(lam=lam, law=law(), horizon=1.0, rng=RngStream(8))
-        levels = stationary_window_draws(cfg, 30_000, RngStream(8))[:, 0]
+        levels = stationary_window_draws(cfg, 30_000, RngStream(8))
         counts = np.rint(levels).astype(int)
         p0 = (counts == 0).mean()
         assert p0 == pytest.approx(math.exp(-nu), abs=0.012)
@@ -363,18 +364,18 @@ class TestStationarity:
             horizon=1.0,
             rng=RngStream(9),
         )
-        levels = stationary_window_draws(cfg, 20_000, RngStream(9))[:, 0]
+        levels = stationary_window_draws(cfg, 20_000, RngStream(9))
         assert levels.mean() == pytest.approx(6.0, rel=0.05)  # lam E[Y] w0
 
     def test_window_draws_shape_and_sup(self):
         cfg = TrafficConfig(
             lam=1.0, law=law(), horizon=1.0, window_h=2.0, rng=RngStream(10)
         )
-        vals, sups = stationary_window_draws(
-            cfg, 500, RngStream(10), offsets=(0.0, 1.0, 2.0), with_sup=True
-        )
-        assert vals.shape == (500, 3)
-        assert np.all(sups >= vals.max(axis=1) - 1e-12)
+        # the same stream gives the same windows, read at 0 and over [0, h]
+        x0 = stationary_window_draws(cfg, 500, RngStream(10))
+        sups = stationary_window_draws(cfg, 500, RngStream(10), sup=True)
+        assert x0.shape == sups.shape == (500,)
+        assert np.all(sups >= x0 - 1e-12)
 
     @pytest.mark.parametrize(
         "lam, h, rates",
@@ -390,7 +391,7 @@ class TestStationarity:
             horizon=1.0, window_h=h, rng=RngStream(20),
         )
         n = 20_000
-        _, sups = stationary_window_draws(cfg, n, RngStream(21), with_sup=True)
+        sups = stationary_window_draws(cfg, n, RngStream(21), sup=True)
         owner, gamma, end, w = traffic._window_sessions(cfg, n, RngStream(21))
         assert np.array_equal(sups, _per_draw_sups(owner, gamma, end, w, n, h))
 
