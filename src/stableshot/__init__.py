@@ -34,15 +34,11 @@ from .rng import RngStream
 from .skorokhod import SteppyPath, dist_m1, dist_uniform
 from .stats import GofReport, iqr, ks_two_sample, rate_regression
 from .traffic import (
-    ConstantRate,
-    DeterministicRate,
-    IndependentRate,
     JointLaw,
     Sessions,
     ShotNoisePath,
     TrafficConfig,
     build_path,
-    named_rate,
     simulate_sessions,
     stationary_window_draws,
 )

@@ -42,14 +42,7 @@ from .limits import LimitSpec, limit_params
 from .rng import RngStream
 from .skorokhod import SteppyPath, dist_m1, dist_uniform
 from .stats import GofReport, iqr, ks_threshold, ks_two_sample, rate_regression
-from .traffic import (
-    ConstantRate,
-    JointLaw,
-    TrafficConfig,
-    build_path,
-    named_rate,
-    simulate_sessions,
-)
+from .traffic import JointLaw, TrafficConfig, build_path, simulate_sessions
 
 __all__ = [
     "Scenario",
@@ -70,9 +63,6 @@ ANALYSES = (
     "cdf_rate",
     "m1_diagnostic",
 )
-
-# how many w_params each w_kind takes
-_RATE_PARAMS = {"constant": 1, "uniform": 2, "exponential": 1}
 
 
 @dataclass(frozen=True)
@@ -145,15 +135,7 @@ class Scenario:
         return TailDist.pareto(self.alpha, self.xm)
 
     def law(self) -> JointLaw:
-        n = _RATE_PARAMS.get(self.w_kind)
-        if n is not None and len(self.w_params) != n:
-            raise ValueError(
-                f"w_params of w_kind {self.w_kind!r} must have length {n}, "
-                f"got {list(self.w_params)!r}"
-            )
-        if self.w_kind == "constant":
-            return JointLaw(self.y_dist(), ConstantRate(*self.w_params))
-        return JointLaw(self.y_dist(), named_rate(self.w_kind, *self.w_params))
+        return JointLaw(self.y_dist(), self.w_kind, self.w_params)
 
     def config(self, horizon: float, rng: RngStream) -> TrafficConfig:
         return TrafficConfig(
@@ -243,8 +225,6 @@ def validate(scenario: Scenario) -> list:
             )
         specs_by_name[name] = spec
     law = scenario.law()  # raises on bad rate model
-    if "self_similarity" in runs and len(scenario.T_ladder) < 2:
-        raise ValueError("self_similarity needs at least 2 horizons in T_ladder")
     # a KS statistic is at most 1, so a threshold of 1 or more always passes;
     # stable_limit tests n replicates against 4n reference draws,
     # self_similarity n against n
@@ -264,12 +244,21 @@ def validate(scenario: Scenario) -> list:
             raise ValueError(
                 f"x_grid must be nonnegative for cdf_rate, got {list(scenario.x_grid)!r}"
             )
-        if len(scenario.T_ladder) < 3:
-            raise ValueError("cdf_rate needs at least 3 horizons in T_ladder")
+        # GoFs are named x={x:g}, which rounds monotonically, so entries of
+        # one name are neighbours (1 and 1.0000001 are both x=1)
+        for x0, x1 in zip(scenario.x_grid, scenario.x_grid[1:]):
+            if f"{x0:g}" == f"{x1:g}":
+                raise ValueError(
+                    f"x_grid entries {x0!r} and {x1!r} both name the GoF cdf_rate/x={x0:g}; "
+                    "x_grid names must be unique"
+                )
         if scenario.replicates < 2:
             raise ValueError("cdf_rate needs replicates >= 2 for a dispersion")
-        if not (isinstance(law.w_model, ConstantRate) and law.w_model.w0 == 1.0):
+        if law.common_rate != 1.0:
             raise ValueError("cdf_rate assumes unit constant rates (w_kind constant, w_params [1.0])")
+    for analysis, k in (("stable_limit", 1), ("self_similarity", 2), ("cdf_rate", 3)):
+        if analysis in runs and len(scenario.T_ladder) < k:
+            raise ValueError(f"{analysis} needs at least {k} horizon{'s' * (k > 1)} in T_ladder")
     if scenario.n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
     if "hill" in runs and not 1 <= scenario.hill_k < scenario.n_cycles:
@@ -357,8 +346,8 @@ def response_curve(scenario: Scenario, phi: WindowFunctional, n_mc: int = 100_00
     otherwise a Monte Carlo curve over shared stationary window draws, with
     cal0 and se the mean of phi over the draws and its standard error."""
     law = scenario.law()
-    if isinstance(law.w_model, ConstantRate) and phi.kind == "pointwise":
-        calE = exact_poisson_calE(phi, scenario.lam * law.mean_y, law.w_model.w0)
+    if law.common_rate is not None and phi.kind == "pointwise":
+        calE = exact_poisson_calE(phi, scenario.lam * law.mean_y, law.common_rate)
         return calE, float(calE(0.0)[0]), 0.0, "exact"
     key = zlib.crc32(phi.name.encode()) % 2**31
     rng = RngStream(scenario.seed, stream_id=2**31).substream(key)
@@ -519,15 +508,11 @@ def _analysis_hill(scenario: Scenario) -> dict:
 def _limit_spec_for(scenario: Scenario, phi: WindowFunctional, calE, method: str) -> LimitSpec:
     """Limit law of phi's integral, from its response curve (calE, method)."""
     law = scenario.law()
-    if isinstance(law.w_model, ConstantRate):
-        g_sampler = law.w_model.w0
-    else:
-        g_sampler = law.sample_limit_rate
     spec = limit_params(
         phi.name,
         scenario.lam,
         scenario.alpha,
-        g_sampler,
+        law.sample_rates if law.common_rate is None else law.common_rate,
         calE,
         rng=RngStream(scenario.seed, stream_id=2**31 - 1),
     )

@@ -15,7 +15,6 @@ construction is used instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
 
 import numpy as np
 
@@ -25,10 +24,7 @@ from .rng import RngStream
 
 __all__ = [
     "Sessions",
-    "ConstantRate",
-    "IndependentRate",
-    "DeterministicRate",
-    "named_rate",
+    "RATE_PARAMS",
     "JointLaw",
     "TrafficConfig",
     "ShotNoisePath",
@@ -70,98 +66,64 @@ class Sessions:
         return len(self.gamma)
 
 
-# --- transmission-rate models -------------------------------------------
+# --- transmission-rate laws ---------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantRate:
-    """W identically w0; limiting high-duration rate law is the same point mass."""
-
-    w0: float
-
-    def __post_init__(self):
-        if self.w0 <= 0:
-            raise ValueError("constant rate must be positive")
-
-
-@dataclass(frozen=True)
-class IndependentRate:
-    """W independent of Y; the limiting rate law equals W's own law."""
-
-    sampler: Callable[[int, np.random.Generator], np.ndarray]
-
-
-@dataclass(frozen=True)
-class DeterministicRate:
-    """W = g(Y) with declared limit w_inf of g(y) as y -> infinity."""
-
-    g: Callable[[np.ndarray], np.ndarray]
-    w_inf: float
-
-
-WModel = Union[ConstantRate, IndependentRate, DeterministicRate]
-
-
-def _uniform_rate(a, b, n, gen):
-    return gen.uniform(a, b, n)
-
-
-def _exponential_rate(mean, n, gen):
-    return gen.exponential(mean, n)
-
-
-def named_rate(name: str, *params: float) -> IndependentRate:
-    """Picklable built-in independent rate models ('uniform', 'exponential')."""
-    import functools
-
-    if name == "uniform":
-        a, b = params
-        if not (0 <= a < b < np.inf):
-            raise ValueError(f"uniform rates need finite 0 <= a < b, got ({a!r}, {b!r})")
-        return IndependentRate(functools.partial(_uniform_rate, a, b))
-    if name == "exponential":
-        (mean,) = params
-        if not (0 < mean < np.inf):
-            raise ValueError(f"exponential rates need a finite mean > 0, got {mean!r}")
-        return IndependentRate(functools.partial(_exponential_rate, mean))
-    raise ValueError(f"unknown rate model {name!r}")
+# the parameter names of each rate kind; W is independent of Y for all
+# three, so the limit rate law G of long sessions is W's own law
+RATE_PARAMS = {"constant": ("w0",), "uniform": ("a", "b"), "exponential": ("mean",)}
 
 
 @dataclass(frozen=True)
 class JointLaw:
-    """Joint law of (duration, rate) plus the limiting rate law.
+    """Joint law of (duration, rate): Pareto-type durations ``y_dist`` and
+    rates of kind ``w_kind`` (a key of RATE_PARAMS) with ``w_params``.
 
-    The vague-convergence tail condition on the pair holds for the three
-    rate models (constant, independent, deterministic with a limit).
+    ``common_rate`` is w0 for a constant law, otherwise None.
     """
 
     y_dist: TailDist
-    w_model: WModel
+    w_kind: str
+    w_params: tuple
+
+    def __post_init__(self):
+        names = RATE_PARAMS.get(self.w_kind)
+        if names is None:
+            raise ValueError(f"unknown w_kind {self.w_kind!r}, expected one of {list(RATE_PARAMS)}")
+        if len(self.w_params) != len(names):
+            raise ValueError(
+                f"w_params of w_kind {self.w_kind!r} must have length {len(names)}, "
+                f"got {list(self.w_params)!r}"
+            )
+        params = tuple(float(p) for p in self.w_params)
+        object.__setattr__(self, "w_params", params)
+        # NaN fails every comparison, so these also reject it
+        if self.w_kind == "uniform":
+            ok, rule = 0 <= params[0] < params[1] < np.inf, "0 <= a < b < inf"
+        else:
+            ok, rule = 0 < params[0] < np.inf, f"0 < {names[0]} < inf"
+        if not ok:
+            raise ValueError(
+                f"w_params of w_kind {self.w_kind!r} must satisfy {rule}, got {list(params)!r}"
+            )
+
+    @property
+    def common_rate(self):
+        return self.w_params[0] if self.w_kind == "constant" else None
+
+    def sample_rates(self, n: int, gen: np.random.Generator) -> np.ndarray:
+        """n draws of W, which are also draws of G."""
+        if self.w_kind == "constant":
+            return np.full(n, self.w_params[0])
+        if self.w_kind == "uniform":
+            return gen.uniform(self.w_params[0], self.w_params[1], n)
+        return gen.exponential(self.w_params[0], n)
 
     def sample_pairs(self, n: int, gen: np.random.Generator):
-        y = self.y_dist.sample(n, gen)
-        return y, self._rates_for(y, n, gen)
+        return self.y_dist.sample(n, gen), self.sample_rates(n, gen)
 
     def sample_size_biased_pairs(self, n: int, gen: np.random.Generator):
         """(Y, W) weighted by duration; governs sessions alive at a fixed time."""
-        y = self.y_dist.sample_size_biased(n, gen)
-        return y, self._rates_for(y, n, gen)
-
-    def _rates_for(self, y, n, gen):
-        m = self.w_model
-        if isinstance(m, ConstantRate):
-            return np.full(n, m.w0)
-        if isinstance(m, IndependentRate):
-            return np.asarray(m.sampler(n, gen), dtype=float)
-        return np.asarray(m.g(y), dtype=float)
-
-    def sample_limit_rate(self, n: int, gen: np.random.Generator) -> np.ndarray:
-        """Draws from the limiting rate law G (rate given a long session)."""
-        m = self.w_model
-        if isinstance(m, ConstantRate):
-            return np.full(n, m.w0)
-        if isinstance(m, DeterministicRate):
-            return np.full(n, m.w_inf)
-        return np.asarray(m.sampler(n, gen), dtype=float)
+        return self.y_dist.sample_size_biased(n, gen), self.sample_rates(n, gen)
 
     @property
     def mean_y(self) -> float:

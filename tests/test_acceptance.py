@@ -14,7 +14,6 @@ import pytest
 from scipy import stats as sps
 
 from stableshot import (
-    ConstantRate,
     JointLaw,
     RngStream,
     StableParams,
@@ -47,7 +46,7 @@ E3 = math.exp(3.0)
 
 
 def law(w0=1.0):
-    return JointLaw(TailDist.pareto(ALPHA, 1.0), ConstantRate(w0))
+    return JointLaw(TailDist.pareto(ALPHA, 1.0), "constant", (w0,))
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stableshot import (
-    ConstantRate,
     JointLaw,
     RngStream,
     Sessions,
@@ -19,7 +18,6 @@ from stableshot import (
     cycle_tail_table,
     decompose_cycles,
     hill_alpha,
-    named_rate,
     simulate_sessions,
 )
 from stableshot import cycles
@@ -32,7 +30,7 @@ from stableshot.cycles import (
 
 
 def law():
-    return JointLaw(TailDist.pareto(1.5, 1.0), ConstantRate(1.0))
+    return JointLaw(TailDist.pareto(1.5, 1.0), "constant", (1.0,))
 
 
 def test_hand_decomposition():
@@ -184,8 +182,8 @@ def test_session_route_hand_cases():
 
 @pytest.mark.parametrize("lam, rates", [(0.5, (0.0, 1.0)), (2.0, (0.0, 1.0)), (1.0, None)])
 def test_session_route_equals_path_route_simulated(lam, rates):
-    w_law = ConstantRate(1.0) if rates is None else named_rate("uniform", *rates)
-    law_ = JointLaw(TailDist.pareto(1.5, 1.0), w_law)
+    kind, params = ("constant", (1.0,)) if rates is None else ("uniform", rates)
+    law_ = JointLaw(TailDist.pareto(1.5, 1.0), kind, params)
     for sub in range(3):
         cfg = TrafficConfig(
             lam=lam, law=law_, horizon=2e4, stationary_init=False,

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stableshot import (
-    ConstantRate,
     JointLaw,
     RngStream,
     Sessions,
@@ -28,13 +27,12 @@ from stableshot import (
 from stableshot._backend import kernels
 from stableshot.functionals import WindowFunctional, functional_steps, monte_carlo_response
 from stableshot.harness import make_functional
-from stableshot.traffic import named_rate
 
 from oracles import cycle_integrals, eval_level, integrate_phi
 
 
 def law():
-    return JointLaw(TailDist.pareto(1.5, 1.0), ConstantRate(1.0))
+    return JointLaw(TailDist.pareto(1.5, 1.0), "constant", (1.0,))
 
 
 def hand_path(t1=3.0):
@@ -228,7 +226,7 @@ class TestStepsMatchMidpointReference:
     @pytest.mark.parametrize("seed", range(6))
     def test_simulated_paths_bit_identical(self, seed):
         # continuous event times: shifted times tie nowhere
-        rates = JointLaw(TailDist.pareto(1.5, 1.0), named_rate("uniform", 0.1, 1.0))
+        rates = JointLaw(TailDist.pareto(1.5, 1.0), "uniform", (0.1, 1.0))
         cfg = TrafficConfig(lam=1.0, law=rates, horizon=402.0, rng=RngStream(seed))
         path = build_path(simulate_sessions(cfg), 0.0, 402.0)
         for phi in (identity(), idle_indicator(), clipped(0.7), cdf_indicator(1.5),
@@ -304,7 +302,7 @@ class TestEmpiricalCdf:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_sorted_levels_reference(self, seed):
-        rates = JointLaw(TailDist.pareto(1.5, 1.0), named_rate("uniform", 0.1, 1.0))
+        rates = JointLaw(TailDist.pareto(1.5, 1.0), "uniform", (0.1, 1.0))
         cfg = TrafficConfig(lam=1.0, law=rates, horizon=5000.0, rng=RngStream(seed))
         p = build_path(simulate_sessions(cfg), 0.0, 5000.0)
         x_grid = np.array([0.0, 0.05, 0.5, 1.0, 1.0, 1.7, 3.0, 6.0, 50.0])

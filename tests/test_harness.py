@@ -209,6 +209,11 @@ class TestScenario:
              "x_grid must be nonnegative"),
             (dict(T_ladder=(1e2, 1e3, 1e4), x_grid=(-1.0,), analyses=("cdf_rate",)),
              "x_grid must be nonnegative"),
+            (dict(w_params=(math.inf,)), "w_params of w_kind 'constant' must satisfy"),
+            (dict(w_params=(math.nan,)), "w_params of w_kind 'constant' must satisfy"),
+            (dict(T_ladder=()), "stable_limit needs at least 1 horizon in T_ladder"),
+            (dict(T_ladder=(1e3, 1e4, 1e5), x_grid=(1.0, 1.0000001), analyses=("cdf_rate",)),
+             "both name the GoF cdf_rate/x=1"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -565,6 +570,12 @@ class TestCli:
             ("w_kind: constant\nw_params: [1.0, 2.0]\n", "w_params of w_kind 'constant'"),
             ("w_params: []\n", "w_params of w_kind 'constant'"),
             ("w_kind: uniform\nw_params: [0.5]\n", "w_params of w_kind 'uniform'"),
+            ("w_kind: constant\nw_params: [.inf]\n", "w_params of w_kind 'constant' must satisfy"),
+            ("w_kind: constant\nw_params: [.nan]\n", "w_params of w_kind 'constant' must satisfy"),
+            ("analyses: [stable_limit]\nT_ladder: []\n",
+             "stable_limit needs at least 1 horizon in T_ladder"),
+            ("analyses: [cdf_rate]\nT_ladder: [1.0e+3, 1.0e+4, 1.0e+5]\nx_grid: [1.0, 1.0000001]\n",
+             "both name the GoF cdf_rate/x=1"),
             ("functionals: ['identity:3']\n", "identity:3"),
             ("analyses: [self_similarity]\nT_ladder: [1000.0]\n", "T_ladder"),
             ("functionals: [clipped]\n", "'clipped' needs a finite number"),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from stableshot import (
-    ConstantRate,
     JointLaw,
     RngStream,
     Sessions,
@@ -17,7 +16,6 @@ from stableshot import (
     TrafficConfig,
     build_path,
     idle_indicator,
-    named_rate,
     simulate_sessions,
     stationary_window_draws,
     traffic,
@@ -28,7 +26,7 @@ from oracles import eval_count, eval_level, integrate_phi
 
 
 def law(alpha=1.5, xm=1.0, w0=1.0):
-    return JointLaw(TailDist.pareto(alpha, xm), ConstantRate(w0))
+    return JointLaw(TailDist.pareto(alpha, xm), "constant", (w0,))
 
 
 def hand_path(t1=2.0):
@@ -225,7 +223,7 @@ class TestBuildPathMatchesReference:
     @pytest.mark.parametrize("t0", [0.0, 37.5])
     def test_simulated_sessions(self, stationary_init, t0):
         cfg = TrafficConfig(
-            lam=1.5, law=JointLaw(TailDist.pareto(1.5), named_rate("uniform", 0.0, 1.0)),
+            lam=1.5, law=JointLaw(TailDist.pareto(1.5), "uniform", (0.0, 1.0)),
             horizon=2000.0, window_h=1.0, stationary_init=stationary_init, rng=RngStream(8),
         )
         s = simulate_sessions(cfg)
@@ -360,7 +358,7 @@ class TestStationarity:
     def test_snapshot_mean_level_scales_with_rate(self):
         cfg = TrafficConfig(
             lam=1.0,
-            law=JointLaw(TailDist.pareto(1.5), ConstantRate(2.0)),
+            law=JointLaw(TailDist.pareto(1.5), "constant", (2.0,)),
             horizon=1.0,
             rng=RngStream(9),
         )
@@ -387,7 +385,7 @@ class TestStationarity:
         # sessions alive at 0 in most draws, where numpy's pairwise sum
         # changes its order
         cfg = TrafficConfig(
-            lam=lam, law=JointLaw(TailDist.pareto(1.5), named_rate(*rates)),
+            lam=lam, law=JointLaw(TailDist.pareto(1.5), rates[0], rates[1:]),
             horizon=1.0, window_h=h, rng=RngStream(20),
         )
         n = 20_000
@@ -406,34 +404,66 @@ class TestStationarity:
         assert avg == pytest.approx(3.0, rel=0.25)
 
 
+# one law of each rate kind, with the generator call that draws its rates
+RATE_KINDS = {
+    "constant": ((2.5,), lambda n, gen: np.full(n, 2.5)),
+    "uniform": ((0.1, 1.0), lambda n, gen: gen.uniform(0.1, 1.0, n)),
+    "exponential": ((0.7,), lambda n, gen: gen.exponential(0.7, n)),
+}
+
+
 class TestRateModels:
     def test_named_rate_uniform(self):
-        m = named_rate("uniform", 1.0, 3.0)
-        x = m.sampler(10_000, RngStream(12).generator())
+        j = JointLaw(TailDist.pareto(1.5), "uniform", (1.0, 3.0))
+        x = j.sample_rates(10_000, RngStream(12).generator())
         assert x.min() >= 1.0 and x.max() <= 3.0
 
     def test_named_rate_exponential(self):
-        m = named_rate("exponential", 2.0)
-        x = m.sampler(50_000, RngStream(13).generator())
+        j = JointLaw(TailDist.pareto(1.5), "exponential", (2.0,))
+        x = j.sample_rates(50_000, RngStream(13).generator())
         assert x.mean() == pytest.approx(2.0, rel=0.05)
 
     def test_named_rate_unknown(self):
-        with pytest.raises(ValueError):
-            named_rate("cauchy", 1.0)
+        with pytest.raises(ValueError, match="w_kind 'cauchy'"):
+            JointLaw(TailDist.pareto(1.5), "cauchy", (1.0,))
 
     @pytest.mark.parametrize(
         "params",
         [("uniform", 1.0, 0.1), ("uniform", 0.5, 0.5), ("uniform", -0.1, 1.0),
          ("uniform", 0.0, math.inf), ("exponential", 0.0), ("exponential", -1.0),
-         ("exponential", math.nan)],
+         ("exponential", math.nan), ("constant", 0.0), ("constant", math.inf),
+         ("constant", math.nan)],
     )
     def test_named_rate_rejects_bad_params(self, params):
-        with pytest.raises(ValueError, match=params[0]):
-            named_rate(*params)
+        with pytest.raises(ValueError, match=f"w_params of w_kind '{params[0]}' must satisfy"):
+            JointLaw(TailDist.pareto(1.5), params[0], params[1:])
 
     def test_limit_rate_law(self):
-        j = JointLaw(TailDist.pareto(1.5), ConstantRate(2.5))
-        assert np.all(j.sample_limit_rate(5, RngStream(0).generator()) == 2.5)
+        # W is independent of Y, so its draws are also G's
+        j = JointLaw(TailDist.pareto(1.5), "constant", (2.5,))
+        assert j.common_rate == 2.5
+        assert np.all(j.sample_rates(5, RngStream(0).generator()) == 2.5)
+        assert JointLaw(TailDist.pareto(1.5), "uniform", (0.1, 1.0)).common_rate is None
+
+    @pytest.mark.parametrize("kind", RATE_KINDS)
+    def test_draws_are_the_pareto_draw_then_one_rate_call(self, kind):
+        params, rates = RATE_KINDS[kind]
+        j = JointLaw(TailDist.pareto(1.5), kind, params)
+        for pairs, durations in (
+            (j.sample_pairs, j.y_dist.sample),
+            (j.sample_size_biased_pairs, j.y_dist.sample_size_biased),
+        ):
+            gen, ref = RngStream(14).generator(), RngStream(14).generator()
+            y, w = pairs(1000, gen)
+            assert np.array_equal(y, durations(1000, ref))
+            assert np.array_equal(w, rates(1000, ref))
+            assert gen.random() == ref.random()  # and the generators end level
+
+    @pytest.mark.parametrize("kind", RATE_KINDS)
+    def test_common_rate_agrees_with_the_sessions(self, kind):
+        j = JointLaw(TailDist.pareto(1.5), kind, RATE_KINDS[kind][0])
+        cfg = TrafficConfig(lam=1.0, law=j, horizon=200.0, rng=RngStream(15))
+        assert simulate_sessions(cfg).common_rate == j.common_rate
 
 
 def _window_sup(gamma, end, w, h):
@@ -507,7 +537,7 @@ class TestLevelMatchesCount:
         # non-integer rates leave float residues in the running sum while
         # no session is active; the level must still read exactly 0 there
         cfg = TrafficConfig(
-            lam=1.0, law=JointLaw(TailDist.pareto(1.5), named_rate("uniform", 0.1, 1.0)),
+            lam=1.0, law=JointLaw(TailDist.pareto(1.5), "uniform", (0.1, 1.0)),
             horizon=2e4, rng=RngStream(1),
         )
         p = build_path(simulate_sessions(cfg), 0.0, 2e4)
