@@ -1,10 +1,10 @@
 """Window functionals and their exact integrals along a path.
 
-A functional phi reads one statistic s of the window {X(s+t), 0 <= t <= h}:
-the level x(0), or the supremum over [0, h], and applies its form to it.
-For both, s -> phi(X_h(s)) is piecewise constant with breakpoints in the
-event times and the event times shifted by -h, so time integrals are
-computed exactly as sum(value * segment length) -- no quadrature.
+A functional phi reads the supremum of the window {X(s+t), 0 <= t <= h},
+which is the level x(0) at h = 0, and applies its form to it.  Then
+s -> phi(X_h(s)) is piecewise constant with breakpoints in the event times
+and the event times shifted by -h, so time integrals are computed exactly
+as sum(value * segment length) -- no quadrature.
 """
 
 from __future__ import annotations
@@ -34,27 +34,21 @@ __all__ = [
 class WindowFunctional:
     """Bounded map of the window, as plain data.
 
-    ``kind`` picks the statistic s: x(0) for 'pointwise' (h must be 0),
-    the sup over [0, h] for 'window_sup'.  ``form`` says what phi does
-    with s: ``("le", b)`` for 1{s <= b}, ``("min", b)`` for min(s, b),
-    ``("id", None)`` for s itself.  Equal functionals compare equal, and
-    all of them pickle.
+    phi reads the statistic s = sup of x over [0, h], which is x(0) at
+    h = 0.  ``form`` says what phi does with s: ``("le", b)`` for
+    1{s <= b}, ``("min", b)`` for min(s, b), ``("id", None)`` for s
+    itself.  Equal functionals compare equal, and all of them pickle.
     """
 
     name: str
     h: float
-    kind: str
     form: tuple
 
     def __post_init__(self):
-        if self.kind not in ("pointwise", "window_sup"):
-            raise ValueError(f"unsupported functional kind {self.kind!r}")
         if self.form[0] not in ("le", "min", "id"):
             raise ValueError(f"unsupported functional form {self.form!r}")
         if self.h < 0:
             raise ValueError("window length must be nonnegative")
-        if self.kind == "pointwise" and self.h != 0:
-            raise ValueError("a pointwise functional reads x(0) and needs h = 0")
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -68,27 +62,27 @@ class WindowFunctional:
 
 def identity() -> WindowFunctional:
     """phi(x) = x(0).  Unbounded; kept for the classical empirical-mean case."""
-    return WindowFunctional("identity", 0.0, "pointwise", ("id", None))
+    return WindowFunctional("identity", 0.0, ("id", None))
 
 
 def clipped(b: float) -> WindowFunctional:
     """phi(x) = min(x(0), b), e.g. rate clipped at a bandwidth cap."""
-    return WindowFunctional(f"clipped_{b:g}", 0.0, "pointwise", ("min", float(b)))
+    return WindowFunctional(f"clipped_{b:g}", 0.0, ("min", float(b)))
 
 
 def cdf_indicator(x: float) -> WindowFunctional:
     """phi = 1{x(0) <= x}; integrating it yields the time-average CDF."""
-    return WindowFunctional(f"cdf_le_{x:g}", 0.0, "pointwise", ("le", float(x)))
+    return WindowFunctional(f"cdf_le_{x:g}", 0.0, ("le", float(x)))
 
 
 def idle_indicator() -> WindowFunctional:
     """phi = 1{x(0) = 0} (idle detection on the level)."""
-    return WindowFunctional("idle", 0.0, "pointwise", ("le", 0.0))
+    return WindowFunctional("idle", 0.0, ("le", 0.0))
 
 
 def window_sup_indicator(b: float, h: float) -> WindowFunctional:
     """phi = 1{sup over [0, h] of x <= b}."""
-    return WindowFunctional(f"sup_le_{b:g}_h{h:g}", float(h), "window_sup", ("le", float(b)))
+    return WindowFunctional(f"sup_le_{b:g}_h{h:g}", float(h), ("le", float(b)))
 
 
 def functional_steps(path: ShotNoisePath, phi: WindowFunctional, t0: float, t1: float):
@@ -152,7 +146,7 @@ def monte_carlo_response(phi: WindowFunctional, config: TrafficConfig, n_mc: int
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
-    s = traffic.stationary_window_draws(config, n_mc, rng, sup=phi.kind == "window_sup")
+    s = traffic.stationary_window_draws(config, n_mc, rng, phi.h)
     return _sorted_response(phi.form, np.sort(s)), lambda w: phi(s + w)
 
 

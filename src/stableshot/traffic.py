@@ -135,7 +135,6 @@ class TrafficConfig:
     lam: float
     law: JointLaw
     horizon: float
-    window_h: float = 0.0
     stationary_init: bool = True
     rng: RngStream = field(default_factory=lambda: RngStream(0))
 
@@ -144,8 +143,6 @@ class TrafficConfig:
             raise ValueError("arrival intensity must be positive")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.window_h < 0:
-            raise ValueError("window length must be nonnegative")
         self.law.mean_y  # raises if E[Y] is not finite
 
 
@@ -238,12 +235,11 @@ class ShotNoisePath:
 
 
 def simulate_sessions(config: TrafficConfig) -> Sessions:
-    """Fresh Poisson arrivals on [0, horizon + h], plus (optionally) the
-    exact stationary population alive at time 0."""
+    """Fresh Poisson arrivals on [0, horizon], plus (optionally) the exact
+    stationary population alive at time 0."""
     gen = config.rng.generator()
-    span = config.horizon + config.window_h
-    n_fresh = gen.poisson(config.lam * span)
-    gamma_f = gen.uniform(0.0, span, n_fresh)
+    n_fresh = gen.poisson(config.lam * config.horizon)
+    gamma_f = gen.uniform(0.0, config.horizon, n_fresh)
     gamma_f.sort()
     y_f, w_f = config.law.sample_pairs(n_fresh, gen)
     if not config.stationary_init:
@@ -343,26 +339,21 @@ def _session_events(sessions: Sessions, t0: float, t1: float, rates: bool = True
     return times, r_delta, n_arr, init_level, init_count
 
 
-def stationary_window_draws(config: TrafficConfig, n: int, rng: RngStream, sup: bool = False):
-    """n i.i.d. draws of the stationary level X(0), or with ``sup`` of the
-    sup of X over [0, h], for all draws in one vectorized pass."""
+def stationary_window_draws(config: TrafficConfig, n: int, rng: RngStream, h: float = 0.0):
+    """n i.i.d. draws of the sup of the stationary level over [0, h], which
+    is X(0) at h = 0, for all draws in one vectorized pass."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    owner, gamma, end, w = _window_sessions(config, n, rng)
-    if sup:
-        return _window_sups(owner, gamma, end, w, n, config.window_h)
-    live = (gamma <= 0.0) & (0.0 < end)
-    x0 = np.zeros(n)
-    np.add.at(x0, owner[live], w[live])
-    return x0
+    return _window_sups(*_window_sessions(config, n, rng, h), n, h)
 
 
-def _window_sessions(config: TrafficConfig, n: int, rng: RngStream):
+def _window_sessions(config: TrafficConfig, n: int, rng: RngStream, h: float):
     """(owner, gamma, end, w) of the sessions of n independent stationary
     windows on [0, h]: the sessions alive at 0, then the fresh arrivals in
-    [0, h); ``owner`` is the draw index of each session."""
+    [0, h), drawn only when h > 0; ``owner`` is the draw index of each
+    session."""
     gen = rng.generator()
-    lam, law, h = config.lam, config.law, config.window_h
+    lam, law = config.lam, config.law
     nu = lam * law.mean_y
 
     n_init = gen.poisson(nu, n)
@@ -390,33 +381,27 @@ def _window_sups(owner, gamma, end, w, n: int, h: float) -> np.ndarray:
     """sup over [0, h] of each draw's step superposition, draws 0..n-1.
 
     Every post-event level with event time in (0, h] is attained in
-    [0, h].  Each sup adds the same floats in the same order as a sweep of
-    one draw's sessions in index order: a 1-D ``.sum()`` of the rates
-    alive at 0, plus a sequential cumsum of the event deltas (arrivals,
-    then departures) in stable time order; so it is bit-identical to one.
+    [0, h], and at h = 0 the sup is the level X(0).  Each sup adds the
+    same floats in the same order as a sweep of one draw's sessions in
+    index order: a sequential sum of the rates alive at 0, plus a
+    sequential cumsum of the event deltas (arrivals, then departures) in
+    stable time order; so it is bit-identical to one.
     """
-    # base level: numpy's pairwise .sum() splits by length, so each row is
-    # summed in a matrix of its own exact live count
+    # base level X(0): np.add.at adds each draw's live rates in index order
     live = (gamma <= 0.0) & (end > 0.0)
-    by_owner = np.argsort(owner[live], kind="stable")
-    w_live = w[live][by_owner]
-    n_live = np.bincount(owner[live], minlength=n)
-    first_live = np.cumsum(n_live) - n_live
     base = np.zeros(n)
-    for k in np.unique(n_live[n_live > 0]):
-        rows = np.flatnonzero(n_live == k)
-        base[rows] = w_live[first_live[rows, None] + np.arange(k)].sum(axis=1)
+    np.add.at(base, owner[live], w[live])
 
     # events in (0, h], grouped by draw in sweep order (a stable sort of
     # the owners, which come in four sorted runs), then per block one
     # +inf-padded row of times per draw, stably sorted row by row; the
     # row-wise cumsum adds sequentially, and the zero deltas of the
     # padding only repeat a row's last level
-    t_ev = np.concatenate([gamma, end])
-    d_ev = np.concatenate([w, -w])
-    o_ev = np.concatenate([owner, owner])
-    inside = (t_ev > 0.0) & (t_ev <= h)
-    t_ev, d_ev, o_ev = t_ev[inside], d_ev[inside], o_ev[inside]
+    arr = (gamma > 0.0) & (gamma <= h)
+    dep = (end > 0.0) & (end <= h)
+    t_ev = np.concatenate([gamma[arr], end[dep]])
+    d_ev = np.concatenate([w[arr], -w[dep]])
+    o_ev = np.concatenate([owner[arr], owner[dep]])
     by_owner = np.argsort(o_ev, kind="stable")
     t_ev, d_ev, o_ev = t_ev[by_owner], d_ev[by_owner], o_ev[by_owner]
     n_ev = np.bincount(o_ev, minlength=n)

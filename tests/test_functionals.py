@@ -67,10 +67,6 @@ class TestBuiltins:
         sups = np.array([1.5, 3.0])
         assert np.allclose(phi(sups), [1.0, 0.0])
 
-    def test_offsets_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            WindowFunctional(name="bad", h=1.0, kind="nope", form=("id", None))
-
     def test_equal_specs_build_equal_functionals(self):
         assert make_functional("cdf:1") == make_functional("cdf:1.0")
         assert hash(make_functional("cdf:1")) == hash(make_functional("cdf:1.0"))
@@ -80,10 +76,8 @@ class TestBuiltins:
         for spec in ("identity", "idle", "clipped:2", "cdf:1.5", "winsup:3"):
             phi = make_functional(spec, 1.0)
             assert pickle.loads(pickle.dumps(phi)) == phi
-        with pytest.raises(ValueError, match="h = 0"):
-            WindowFunctional(name="bad", h=0.5, kind="pointwise", form=("le", 1.0))
         with pytest.raises(ValueError, match="form"):
-            WindowFunctional(name="bad", h=1.0, kind="window_sup", form=("max", 1.0))
+            WindowFunctional(name="bad", h=1.0, form=("max", 1.0))
 
 
 class TestIntegration:
@@ -139,13 +133,13 @@ def midpoint_steps(path, phi, t0, t1):
     inside (t0, t1), and each segment reads the level at its midpoint, or
     its range max over [mid, mid + h]."""
     cands = [path.times]
-    if phi.kind == "window_sup":
+    if phi.h > 0:
         cands.append(path.times - phi.h)
     cand = np.concatenate(cands)
     cand = cand[(cand > t0) & (cand < t1)]
     bounds = np.concatenate([[t0], np.unique(cand), [t1]])
     mids = 0.5 * (bounds[:-1] + bounds[1:])
-    if phi.kind == "pointwise":
+    if phi.h == 0:
         return bounds, np.asarray(phi(eval_level(path, mids)), dtype=float)
     seg_bounds, seg_levels, _ = path.segments()
     lo = np.searchsorted(seg_bounds, mids, side="right") - 1

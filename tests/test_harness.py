@@ -166,10 +166,9 @@ class TestScenario:
             (dict(functionals=()), "functionals"),
             (dict(functionals=(), analyses=("self_similarity",)), "functionals"),
             (dict(T_ladder=(1e3, 1e4), analyses=("cdf_rate",)), "3 horizons"),
-            (dict(T_ladder=(1e3, 1e4, 1e5), w_params=(2.0,), analyses=("cdf_rate",)),
-             "unit constant"),
-            (dict(T_ladder=(1e3, 1e4, 1e5), w_kind="uniform", w_params=(0.1, 1.0),
-                  analyses=("cdf_rate",)), "unit constant"),
+            # |W|^alpha overflows in the limit law, and w0 * k in the exact curve
+            (dict(w_params=(1e300,)), "w_params must not exceed 1e\\+100"),
+            (dict(w_params=(1e308,)), "w_params must not exceed 1e\\+100"),
             (dict(functionals=("cdf:1", "cdf:1.0000001")), "cdf_le_1"),
             (dict(functionals=("identity", "clipped:2", "clipped:2.0")), "clipped_2"),
             (dict(functionals=("winsup:3", "winsup:3.0000001"), window_h=1.0), "sup_le_3_h1"),
@@ -362,7 +361,8 @@ class TestOnePathPerReplicate:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind", ["exact", "monte_carlo"])
     def test_z_blocks_together_match_each_alone(self, kind, workers):
-        # cdf_rate needs unit rates, so the Monte Carlo run leaves it out
+        # cdf_rate needs three horizons, so the two-rung Monte Carlo family
+        # leaves it out
         if kind == "exact":
             sc = _z_scenario()
         else:
@@ -429,7 +429,7 @@ def _per_replicate_z(sc, phis, centerings):
         a_T = float(tail_quantile_a(sc.y_dist(), T))
         for r in range(sc.replicates):
             rng = RngStream(sc.seed, stream_id=r).substream(t_index)
-            path = build_path(simulate_sessions(sc.config(T + h, rng)), 0.0, T + h)
+            path = build_path(simulate_sessions(sc.config(T + 2 * h, rng)), 0.0, T + h)
             for i, (phi, c) in enumerate(zip(phis, centerings)):
                 bounds, vals = functional_steps(path, phi, 0.0, T)
                 z[i, t_index, r] = float(prefix_integral(bounds, vals - c)(T)) / a_T
@@ -512,6 +512,33 @@ def test_cdf_rate_x_without_dispersion_fails_alone():
     _assert_same(block["per_x"][1.0], alone)
 
 
+@pytest.mark.parametrize(
+    "rates", [dict(w_params=(2.0,)), dict(w_kind="uniform", w_params=(0.1, 1.0))]
+)
+def test_cdf_rate_runs_at_any_rate_law(rates):
+    # the IQR slope and the skew are shift-invariant, so they read the same
+    # whatever the centering K; each x's K is its cdf functional's centering
+    sc = tiny_scenario(
+        analyses=("cdf_rate",), T_ladder=(100.0, 200.0, 400.0), replicates=10,
+        x_grid=(0.5, 1.0), **rates,
+    )
+    block = run(sc).blocks["cdf_rate"]
+    assert "error" not in block
+    want = [response_curve(sc, make_functional(f"cdf:{x!r}"))[1] for x in sc.x_grid]
+    assert block["K"].tolist() == want
+
+
+def test_winsup_without_a_window_is_the_cdf():
+    # at h = 0 the window's sup is the level itself, so winsup:1 is cdf:1
+    # and gets its exact Poisson curve, P(N <= 1) = 4 e^-3 at w = 0
+    sc = Scenario()
+    sup, cdf = (response_curve(sc, make_functional(s, sc.window_h)) for s in ("winsup:1", "cdf:1"))
+    assert sup[1:] == cdf[1:] and sup[3] == "exact"
+    assert sup[1] == pytest.approx(4.0 * math.exp(-3.0), rel=1e-12)
+    w = np.linspace(-1.0, 3.0, 41)
+    assert np.array_equal(sup[0](w), cdf[0](w))
+
+
 class TestEmit:
     def test_csv_bundle(self, tmp_path):
         rep = run(tiny_scenario())
@@ -560,8 +587,6 @@ class TestCli:
             ("analyses: [hill]\nhill_k: 0\n", "hill_k"),
             ("functionals: []\nanalyses: [stable_limit]\n", "functionals"),
             ("analyses: [cdf_rate]\nT_ladder: [1000.0, 10000.0]\n", "T_ladder"),
-            ("analyses: [cdf_rate]\nT_ladder: [1.0e+3, 1.0e+4, 1.0e+5]\n"
-             "w_kind: uniform\nw_params: [0.1, 1.0]\n", "unit constant"),
             ("functionals: ['cdf:1', 'cdf:1.0000001']\n", "cdf_le_1"),
             ("T_ladder: [.inf]\n", "T_ladder"),
             ("seed: -1\n", "seed"),
@@ -572,6 +597,8 @@ class TestCli:
             ("w_kind: uniform\nw_params: [0.5]\n", "w_params of w_kind 'uniform'"),
             ("w_kind: constant\nw_params: [.inf]\n", "w_params of w_kind 'constant' must satisfy"),
             ("w_kind: constant\nw_params: [.nan]\n", "w_params of w_kind 'constant' must satisfy"),
+            ("w_kind: constant\nw_params: [1.0e+300]\n", "w_params must not exceed 1e+100"),
+            ("w_kind: constant\nw_params: [1.0e+308]\n", "w_params must not exceed 1e+100"),
             ("analyses: [stable_limit]\nT_ladder: []\n",
              "stable_limit needs at least 1 horizon in T_ladder"),
             ("analyses: [cdf_rate]\nT_ladder: [1.0e+3, 1.0e+4, 1.0e+5]\nx_grid: [1.0, 1.0000001]\n",
@@ -697,8 +724,7 @@ def test_monte_carlo_response_matches_loop(spec):
     n = 4000
     rng = RngStream(5)
     calE, samples = monte_carlo_response(phi, sc.config(1.0, rng), n, rng)
-    sup = phi.kind == "window_sup"
-    stat = stationary_window_draws(sc.config(1.0, rng), n, rng, sup=sup)
+    stat = stationary_window_draws(sc.config(1.0, rng), n, rng, phi.h)
     op, b = phi.form
     if b is None:  # identity has no threshold; any shifts will do
         b = 1.0
@@ -728,7 +754,7 @@ def test_response_curve_centering_is_loop_mean(spec):
     _, cal0, se, method = response_curve(sc, phi, n_mc=3000)
     rng = RngStream(sc.seed, stream_id=2**31).substream(zlib.crc32(phi.name.encode()) % 2**31)
     cfg = sc.config(1.0, rng)
-    base = phi(stationary_window_draws(cfg, 3000, rng, sup=phi.kind == "window_sup"))
+    base = phi(stationary_window_draws(cfg, 3000, rng, phi.h))
     assert method == "monte_carlo"
     assert cal0 == float(np.mean(base))
     assert se == float(np.std(base, ddof=1) / math.sqrt(3000))
