@@ -81,7 +81,9 @@ def idle_indicator() -> WindowFunctional:
 
 
 def window_sup_indicator(b: float, h: float) -> WindowFunctional:
-    """phi = 1{sup over [0, h] of x <= b}."""
+    """phi = 1{sup over [0, h] of x <= b}; at h = 0 that is cdf_indicator(b)."""
+    if h == 0:
+        return cdf_indicator(b)
     return WindowFunctional(f"sup_le_{b:g}_h{h:g}", float(h), ("le", float(b)))
 
 

@@ -1,17 +1,18 @@
-"""Path distances between cadlag step / piecewise-linear paths.
+"""Path distances between cadlag paths stored as completed graphs.
 
-The M1-type distance is reported as a certified bracket, not an exact
-value: the upper bound is a minimax dynamic program over monotone
-traversals of the two completed graphs (vertical segments filling jumps),
-densified to ~grid_n nodes each, capped by the uniform distance (the
-identity parametrization is always admissible).  The lower bound collects
-necessary conditions: endpoint gaps and extreme-value gaps, which every
-parametrization must realize.
+A path is the vertex list of its completed graph (Whitt 2002, ch. 12):
+linear between vertices, with a jump as two vertices at one time.  The
+M1-type distance is reported as a certified bracket, not an exact value:
+the upper bound is a minimax dynamic program over monotone traversals of
+the two completed graphs, densified to ~grid_n nodes each, capped by the
+uniform distance (the identity parametrization is always admissible).  The
+lower bound collects necessary conditions: endpoint gaps and extreme-value
+gaps, which every parametrization must realize.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,142 +21,106 @@ from ._backend import kernels
 __all__ = ["SteppyPath", "dist_uniform", "dist_m1"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteppyPath:
-    """Step or piecewise-linear path on [a, b].
+    """Cadlag path on [a, b] = [t[0], t[-1]]: the read-only vertex times
+    ``t`` and values ``v`` of its completed graph, linear in between.  Times
+    never decrease; a jump is two vertices at one time (left limit, then
+    value), never three, and there is none at a or at b."""
 
-    For kind 'step': ``times`` are the n jump epochs strictly inside
-    (a, b), ``values`` has n+1 entries (value on each constant piece,
-    right-continuous).  For kind 'pwl': ``times`` are the n node epochs
-    with a <= t_1 < ... < t_n <= b and ``values`` the node values;
-    endpoints are implied by constant extension.
-    """
-
-    a: float
-    b: float
-    times: tuple
-    values: tuple
-    kind: str = "step"
+    t: np.ndarray
+    v: np.ndarray
+    a: float = field(init=False)
+    b: float = field(init=False)
 
     def __post_init__(self):
-        if self.a >= self.b:
-            raise ValueError("need a < b")
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if t.size and (t[0] < self.a or t[-1] > self.b):
-            raise ValueError("breakpoints outside [a, b]")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("path values must be finite")
-        if self.kind == "step":
-            if len(v) != len(t) + 1:
-                raise ValueError("step path needs len(values) == len(times) + 1")
-            if t.size and (t[0] <= self.a or t[-1] >= self.b):
-                raise ValueError("step jumps must be strictly inside (a, b)")
-        elif self.kind == "pwl":
-            if len(v) != len(t) or len(v) < 1:
-                raise ValueError("pwl path needs one value per node")
-        else:
-            raise ValueError(f"unknown path kind {self.kind!r}")
+        t = np.array(self.t, dtype=float)
+        v = np.array(self.v, dtype=float)
+        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
+            raise ValueError("need one value per vertex time and at least 2 vertices")
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise ValueError("vertex times and values must be finite")
+        dt = np.diff(t)
+        if (dt < 0).any():
+            raise ValueError("vertex times must not decrease")
+        if dt[0] == 0 or dt[-1] == 0:
+            raise ValueError("a path has no jump at a or at b")
+        if (t[2:] == t[:-2]).any():
+            raise ValueError("at most two vertices share a time")
+        t.flags.writeable = v.flags.writeable = False
+        for name, value in (("t", t), ("v", v), ("a", float(t[0])), ("b", float(t[-1]))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def step(cls, a, b, times, values) -> "SteppyPath":
-        return cls(float(a), float(b), tuple(times), tuple(values), "step")
+        """Right-continuous step path: ``values[i]`` holds on
+        [times[i-1], times[i]), with jump epochs ``times`` inside (a, b)."""
+        return cls(np.repeat(np.concatenate([[a], times, [b]]), 2)[1:-1], np.repeat(values, 2))
 
     @classmethod
     def pwl(cls, a, b, times, values) -> "SteppyPath":
-        return cls(float(a), float(b), tuple(times), tuple(values), "pwl")
+        """Linear through the nodes (times, values), held constant out to a
+        and b; two nodes at one time make a jump."""
+        t = np.concatenate([[a], times, [b]])
+        v = np.concatenate([values[:1], values, values[-1:]])
+        # a node at a or at b takes the place of its end vertex
+        keep = slice(int(t[1] == t[0]), t.size - int(t[-2] == t[-1]))
+        return cls(t[keep], v[keep])
+
+    def limits(self, t):
+        """(left limit, value) of the path at each time in t."""
+        t = np.asarray(t, dtype=float)
+        first = self.t.searchsorted(t, side="left")  # first vertex at or after t
+        last = self.t.searchsorted(t, side="right") - 1  # last vertex at or before t
+        if not ((last >= 0) & (first < self.t.size)).all():  # NaN sorts past b
+            raise ValueError("evaluation outside [a, b]")
+        # between two vertices both limits are the linear interpolant
+        k = np.minimum(last, self.t.size - 2)
+        w = (t - self.t[k]) / (self.t[k + 1] - self.t[k])
+        line = self.v[k] + w * (self.v[k + 1] - self.v[k])
+        between = first > last
+        left, value = np.where(between, line, self.v[first]), np.where(between, line, self.v[last])
+        return (float(left), float(value)) if t.ndim == 0 else (left, value)
 
     def evaluate(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if np.any((t_arr < self.a) | (t_arr > self.b)):
-            raise ValueError("evaluation outside [a, b]")
-        times = np.asarray(self.times)
-        values = np.asarray(self.values)
-        if self.kind == "step":
-            idx = np.searchsorted(times, t_arr, side="right")
-            out = values[idx]
-        else:
-            xp = np.concatenate([[self.a], times, [self.b]])
-            fp = np.concatenate([[values[0]], values, [values[-1]]])
-            out = np.interp(t_arr, xp, fp)
-        return float(out) if np.isscalar(t) else out
+        return self.limits(t)[1]
 
     def left_limit(self, t):
         """Value approached from the left (equals evaluate except at jumps)."""
-        if self.kind == "pwl":
-            return self.evaluate(t)
-        times = np.asarray(self.times)
-        values = np.asarray(self.values)
-        idx = np.searchsorted(times, np.asarray(t, dtype=float), side="left")
-        out = values[idx]
-        return float(out) if np.isscalar(t) else out
+        return self.limits(t)[0]
 
     def restrict(self, a, b) -> "SteppyPath":
         if not (self.a <= a < b <= self.b):
             raise ValueError("restriction interval not contained in [a, b]")
-        times = np.asarray(self.times)
-        values = np.asarray(self.values)
-        if self.kind == "step":
-            keep = np.nonzero((times > a) & (times < b))[0]
-            vals = np.concatenate([[self.evaluate(a)], values[keep + 1]])
-            return SteppyPath.step(a, b, times[keep], vals)
-        keep = (times >= a) & (times <= b)
-        t_in = times[keep]
-        v_in = values[keep]
-        t_new = np.concatenate([[a], t_in, [b]])
-        v_new = np.concatenate([[self.evaluate(a)], v_in, [self.evaluate(b)]])
-        uniq, idx = np.unique(t_new, return_index=True)
-        return SteppyPath.pwl(a, b, uniq, v_new[idx])
+        left, value = self.limits([a, b])
+        inside = (self.t > a) & (self.t < b)
+        return SteppyPath(
+            np.concatenate([[a], self.t[inside], [b]]),
+            np.concatenate([value[:1], self.v[inside], left[1:]]),
+        )
 
     def completed_graph(self) -> np.ndarray:
         """Vertex list (t, v) of the graph with jumps filled vertically."""
-        if self.kind == "pwl":
-            t = np.concatenate([[self.a], self.times, [self.b]])
-            v = np.concatenate([[self.values[0]], self.values, [self.values[-1]]])
-            uniq, idx = np.unique(t, return_index=True)
-            return np.column_stack([uniq, v[idx]])
-        verts = [(self.a, self.values[0])]
-        for i, t in enumerate(self.times):
-            verts.append((t, self.values[i]))  # left value, end of flat piece
-            verts.append((t, self.values[i + 1]))  # jump filled vertically
-        verts.append((self.b, self.values[-1]))
-        return np.asarray(verts, dtype=float)
-
-
-def _merged_eval_points(f: SteppyPath, g: SteppyPath) -> np.ndarray:
-    pts = np.unique(
-        np.concatenate([[f.a, f.b], np.asarray(f.times), np.asarray(g.times)])
-    )
-    return pts
+        return np.column_stack([self.t, self.v])
 
 
 def dist_uniform(f: SteppyPath, g: SteppyPath) -> float:
-    """Sup-norm distance over the merged breakpoints plus one-sided limits."""
+    """Sup-norm distance: both limits at every vertex time of either path."""
     if (f.a, f.b) != (g.a, g.b):
         raise ValueError("paths must share the same interval")
-    pts = _merged_eval_points(f, g)
-    d_right = np.abs(f.evaluate(pts) - g.evaluate(pts))
-    d_left = np.abs(f.left_limit(pts) - g.left_limit(pts))
-    return float(max(d_right.max(), d_left.max()))
+    pts = np.unique(np.concatenate([f.t, g.t]))
+    (f_left, f_val), (g_left, g_val) = f.limits(pts), g.limits(pts)
+    return float(max(np.abs(f_val - g_val).max(), np.abs(f_left - g_left).max()))
 
 
 def _densify(poly: np.ndarray, target: float) -> np.ndarray:
     # resample polyline so no segment exceeds `target` in the max metric,
-    # keeping all original vertices
-    seg = np.maximum(
-        np.abs(np.diff(poly[:, 0])), np.abs(np.diff(poly[:, 1]))
-    )
-    if seg.sum() == 0 or target <= 0:
-        return poly
-    pieces = [poly[:1]]
-    for i in range(len(seg)):
-        k = int(np.ceil(seg[i] / target)) if seg[i] > 0 else 1
-        frac = np.arange(1, k + 1) / k
-        pts = poly[i] + frac[:, None] * (poly[i + 1] - poly[i])
-        pieces.append(pts)
-    return np.vstack(pieces)
+    # keeping all original vertices: segment i gets k[i] equal steps
+    step = np.diff(poly, axis=0)
+    k = np.maximum(np.ceil(np.abs(step).max(axis=1) / target), 1).astype(np.intp)
+    seg = np.repeat(np.arange(k.size), k)
+    j = np.arange(1, seg.size + 1) - np.repeat(np.cumsum(k) - k, k)
+    return np.vstack([poly[:1], poly[seg] + (j / k[seg])[:, None] * step[seg]])
 
 
 def dist_m1(f: SteppyPath, g: SteppyPath, grid_n: int = 128):
@@ -167,11 +132,9 @@ def dist_m1(f: SteppyPath, g: SteppyPath, grid_n: int = 128):
     # absolute mesh: the discrete minimax distance then differs from the
     # true parametric infimum by at most 2 * (b - a) / grid_n
     mesh = 2.0 * (f.b - f.a) / grid_n
-    pf = _densify(f.completed_graph(), mesh)
-    pg = _densify(g.completed_graph(), mesh)
-    dp = kernels.frechet_minimax(pf, pg)
-    upper = min(float(dp), dist_uniform(f, g))
     gf, gg = f.completed_graph(), g.completed_graph()
+    dp = kernels.frechet_minimax(_densify(gf, mesh), _densify(gg, mesh))
+    upper = min(float(dp), dist_uniform(f, g))
     lower = max(
         abs(gf[0, 1] - gg[0, 1]),  # initial values must match up
         abs(gf[-1, 1] - gg[-1, 1]),  # terminal values must match up

@@ -213,6 +213,7 @@ class TestScenario:
             (dict(T_ladder=()), "stable_limit needs at least 1 horizon in T_ladder"),
             (dict(T_ladder=(1e3, 1e4, 1e5), x_grid=(1.0, 1.0000001), analyses=("cdf_rate",)),
              "both name the GoF cdf_rate/x=1"),
+            (dict(functionals=("cdf:1", "winsup:1")), "both build the name 'cdf_le_1'"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -537,6 +538,12 @@ def test_winsup_without_a_window_is_the_cdf():
     assert sup[1] == pytest.approx(4.0 * math.exp(-3.0), rel=1e-12)
     w = np.linspace(-1.0, 3.0, 41)
     assert np.array_equal(sup[0](w), cdf[0](w))
+    # they are one functional, so the z stage gives them one row
+    assert make_functional("winsup:1", 0.0) == make_functional("cdf:1")
+    rows = harness._z_stage(
+        Scenario(functionals=("cdf:1", "winsup:1"), T_ladder=(200.0,), replicates=10), 1
+    )
+    assert rows["cdf:1"] is rows["winsup:1"] and rows["cdf:1"][0].name == "cdf_le_1"
 
 
 class TestEmit:

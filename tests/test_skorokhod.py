@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stableshot import SteppyPath, dist_m1, dist_uniform, harness
+from stableshot import SteppyPath, dist_m1, dist_uniform, harness, skorokhod
 from stableshot.rng import RngStream
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -55,13 +55,39 @@ class TestPathType:
             SteppyPath.step(1.0, 0.0, [], [0.0])
         with pytest.raises(ValueError):
             SteppyPath.step(0.0, 1.0, [0.5, 0.5], [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError):
+            SteppyPath.step(0.0, 1.0, [np.nan], [0.0, 1.0])  # non-finite jump time
+
+    def test_limits_outside_the_interval(self):
+        with pytest.raises(ValueError):
+            step_half().left_limit(2.0)
+        with pytest.raises(ValueError):
+            step_half().evaluate(np.nan)
+
+    def test_pwl_repeated_node_is_a_jump(self):
+        f = SteppyPath.pwl(0.0, 1.0, [0.2, 0.5, 0.5, 0.8], [0.0, 1.0, 3.0, 2.0])
+        assert f.left_limit(0.5) == 1.0 and f.evaluate(0.5) == 3.0
+        assert f.evaluate(0.35) == pytest.approx(0.5)
+        assert f.completed_graph().tolist() == [
+            [0.0, 0.0], [0.2, 0.0], [0.5, 1.0], [0.5, 3.0], [0.8, 2.0], [1.0, 2.0]
+        ]
+
+    def test_vertices_are_read_only_copies(self):
+        times = np.array([0.5])
+        f = SteppyPath.step(0.0, 1.0, times, [0.0, 1.0])
+        times[0] = 0.6
+        assert f.t.tolist() == [0.0, 0.5, 0.5, 1.0]
+        with pytest.raises(ValueError):
+            f.v[0] = 2.0
+        with pytest.raises(AttributeError):
+            f.t = np.array([0.0, 1.0])
 
     def test_restrict_step(self):
         f = SteppyPath.step(0.0, 1.0, [0.3, 0.7], [0.0, 1.0, 2.0])
         g = f.restrict(0.5, 1.0)
         assert g.evaluate(0.5) == 1.0
         assert g.evaluate(0.7) == 2.0
-        assert list(g.times) == [0.7]
+        assert g.completed_graph().tolist() == [[0.5, 1.0], [0.7, 1.0], [0.7, 2.0], [1.0, 2.0]]
 
     def test_restrict_pwl(self):
         g = ramp(0.2).restrict(0.0, 0.5)
@@ -162,15 +188,36 @@ class TestM1:
         assert lo >= 0.4 - 1e-12  # initial values differ by 0.4
 
 
+def _densify_loop(poly, target):
+    # reference: one segment at a time, k equal steps on a segment of
+    # max-metric length seg, k = ceil(seg / target), at least 1
+    pieces = [poly[:1]]
+    for i in range(len(poly) - 1):
+        seg = max(abs(poly[i + 1, 0] - poly[i, 0]), abs(poly[i + 1, 1] - poly[i, 1]))
+        k = int(np.ceil(seg / target)) if seg > 0 else 1
+        pieces.append(poly[i] + (np.arange(1, k + 1) / k)[:, None] * (poly[i + 1] - poly[i]))
+    return np.vstack(pieces)
+
+
+def test_densify_equals_the_segment_loop():
+    gen = np.random.default_rng(4)
+    zero_jump = SteppyPath.step(0.0, 1.0, [0.5], [1.0, 1.0])
+    paths = [random_step(gen) for _ in range(30)] + [ramp(0.05), ramp(0.0), zero_jump]
+    for f in paths:
+        poly = f.completed_graph()
+        for target in (2.0 / 128, 2.0 / 256, 0.3):
+            assert np.array_equal(skorokhod._densify(poly, target), _densify_loop(poly, target))
+
+
 def test_m1_diagnostic_brackets_match_the_benchmark_reference():
     # The M1 diagnostic's GoF reads the same for any Frechet DP value, so a
-    # wrong DP shows only in the brackets themselves.  Recompute the first
+    # wrong DP shows only in the brackets themselves.  Recompute all the
     # pairs exactly as the diagnostic draws them at seed 1 (the sequence of
     # perfbench/workloads.m1_brackets) and compare with the recorded ones.
     reference = json.loads(REFERENCE.read_text())
-    assert reference["m1_seed"] == 1
+    assert reference["m1_seed"] == 1 and len(reference["m1_brackets"]) == 50
     gen = RngStream(1, stream_id=3).generator()
-    for want in reference["m1_brackets"][:10]:
+    for want in reference["m1_brackets"]:
         f = harness._random_step_path(gen)
         g = harness._random_step_path(gen)
         got = list(dist_m1(f, g, grid_n=128))
