@@ -26,7 +26,6 @@ from .heavy_rand import (
     TailDist,
     c_alpha,
     sample_stable,
-    stable_cf,
     tail_quantile_a,
 )
 from .limits import LimitSpec, limit_params

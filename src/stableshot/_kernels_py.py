@@ -3,9 +3,9 @@
 * ``compensated_cumsum`` -- running sum of deltas, a plain ``np.cumsum``:
   int64 for integer deltas, float64 otherwise.  On a path with mixed
   rates it runs the float level, which carries a rounding slack of
-  ``eps_num = 1e-9 * accumulated |w|``; on a constant-rate path it runs
-  the integer occupancy count, exact, and the level is ``w0 * count``
-  (see ``ShotNoisePath``).  The function keeps its name because the
+  ``1e-9 * accumulated |w|``; on a constant-rate path it runs the integer
+  occupancy count, exact, and the level is ``w0 * count`` (see
+  ``traffic.build_path``).  The function keeps its name because the
   benchmark traces it by that name.
 * ``busy_bounds`` -- indices where an integer occupancy sequence leaves /
   enters zero.

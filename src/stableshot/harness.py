@@ -38,7 +38,7 @@ from ._backend import backend_name
 from .cycles import MAX_CYCLE_LOAD, collect_cycle_lengths, cycle_tail_table, hill_alpha
 from .functionals import WindowFunctional
 from .heavy_rand import TailDist, sample_stable, tail_quantile_a
-from .limits import LimitSpec, limit_params
+from .limits import limit_params
 from .rng import RngStream
 from .skorokhod import SteppyPath, dist_m1, dist_uniform
 from .stats import GofReport, iqr, ks_threshold, ks_two_sample, rate_regression
@@ -63,6 +63,10 @@ ANALYSES = (
     "cdf_rate",
     "m1_diagnostic",
 )
+
+# expected sessions one replicate path of a z analysis may draw: a T = 1e5
+# path peaks near 150 B per session, so this is about 2.3 GB per worker
+MAX_PATH_SESSIONS = 1.5e7
 
 
 @dataclass(frozen=True)
@@ -278,6 +282,17 @@ def validate(scenario: Scenario) -> list:
             f"offered load lambda*E[Y] = {load:g} is too heavy for {cycling}: their "
             f"cycle banking holds bounded memory only at loads <= {MAX_CYCLE_LOAD:.3g}"
         )
+    z_runs = sorted(runs & {"stable_limit", "self_similarity", "cdf_rate"})
+    if z_runs:
+        # a replicate path draws its arrivals on [0, T + 2h] plus the
+        # sessions alive at 0 (see _z_task)
+        sessions = scenario.lam * (scenario.T_ladder[-1] + 2 * scenario.window_h) + load
+        if sessions > MAX_PATH_SESSIONS:
+            raise ValueError(
+                f"expected sessions per replicate path lambda*(T_top + 2*window_h) + "
+                f"lambda*E[Y] = {sessions:g} exceed {MAX_PATH_SESSIONS:g} for {z_runs}: "
+                "each path holds all of its sessions in memory at once"
+            )
     notes.append(f"mean session duration E[Y] = {ey:g}")
     notes.append(f"offered load lambda*E[Y] = {load:g}")
     try:
@@ -509,27 +524,18 @@ def _analysis_hill(scenario: Scenario) -> dict:
     return {"alpha_hat": float(est), "se": float(se), "gof": gof}
 
 
-def _limit_spec_for(scenario: Scenario, phi: WindowFunctional, calE, method: str) -> LimitSpec:
-    """Limit law of phi's integral, from its response curve (calE, method)."""
-    law = scenario.law()
-    spec = limit_params(
-        phi.name,
-        scenario.lam,
-        scenario.alpha,
-        law.sample_rates if law.common_rate is None else law.common_rate,
-        calE,
-        rng=RngStream(scenario.seed, stream_id=2**31 - 1),
-    )
-    if method == "monte_carlo":
-        spec = replace(spec, provenance="monte_carlo")
-    return spec
-
-
 def _analysis_stable_limit(scenario: Scenario, z_rows: dict) -> dict:
+    # the equally weighted atoms of the limit rate law G, shared by every
+    # functional: a constant rate is one atom
+    law = scenario.law()
+    w_star = law.sample_rates(
+        1 if law.common_rate is not None else 10_000,
+        RngStream(scenario.seed, stream_id=2**31 - 1).generator(),
+    )
     block = {}
     for spec_str in scenario.functionals:
         phi, calE, cal0, se, method, z_phi = z_rows[spec_str]
-        lspec = _limit_spec_for(scenario, phi, calE, method)
+        lspec = limit_params(phi.name, scenario.lam, scenario.alpha, w_star, calE)
         per_T = {}
         reports = []
         for t_index, T in enumerate(scenario.T_ladder):
@@ -797,8 +803,10 @@ def emit(report: Report, out_dir, fmt: str = "csv-bundle") -> list:
                     ["replicate", "z"],
                     list(enumerate(np.asarray(z))),
                 )
+            # an exact curve needs a constant rate, whose G is one atom, so
+            # the curve's method is also the limit law's
             with open(path(f"stable_limit_{phi_name}_params.txt"), "w") as fh:
-                fh.write(sub["limit"].to_text())
+                fh.write(sub["limit"].to_text() + f"provenance: {sub['centering_method']}\n")
     if "self_similarity" in blocks and "error" not in blocks["self_similarity"]:
         samples = blocks["self_similarity"]["samples"]
         _write_csv(

@@ -2,9 +2,9 @@
 
 Provides the Pareto duration distribution with its tail
 quantile ``a(t) = (1/sf)^{<-}(t)``, the stable scale constant
-``c(alpha) = |Gamma(1-alpha) cos(pi alpha/2)|``, the Chambers-Mallows-Stuck
-sampler and the matching characteristic function.  Sampler and CF share the
-"1-type" parametrization: for alpha != 1,
+``c(alpha) = |Gamma(1-alpha) cos(pi alpha/2)|`` and the Chambers-Mallows-Stuck
+sampler.  The sampler draws the law of the "1-type" parametrization: for
+alpha != 1,
 
     E exp(itX) = exp{ i mu t - sigma^alpha |t|^alpha
                       (1 - i beta sgn(t) tan(pi alpha / 2)) }.
@@ -24,7 +24,6 @@ __all__ = [
     "tail_quantile_a",
     "c_alpha",
     "sample_stable",
-    "stable_cf",
 ]
 
 
@@ -132,21 +131,11 @@ def _cms_standard(alpha: float, beta: float, n: int, gen: np.random.Generator):
 
 
 def sample_stable(params: StableParams, n: int, rng: RngStream) -> np.ndarray:
-    """n i.i.d. draws from the stable law of ``stable_cf`` (CMS construction)."""
+    """n i.i.d. draws from the stable law of the module docstring's
+    characteristic function (CMS construction)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if params.alpha == 1.0:
         raise NotImplementedError("alpha = 1 is outside the supported range")
     x = _cms_standard(params.alpha, params.beta, n, rng.generator())
     return params.sigma * x + params.mu
-
-
-def stable_cf(params: StableParams, t) -> np.ndarray | complex:
-    """Characteristic function at t; modulus <= 1, value 1 at t = 0."""
-    t_arr = np.asarray(t, dtype=float)
-    a = params.alpha
-    skew = 1.0 - 1j * params.beta * np.sign(t_arr) * math.tan(math.pi * a / 2.0)
-    val = np.exp(
-        1j * params.mu * t_arr - params.sigma**a * np.abs(t_arr) ** a * skew
-    )
-    return complex(val) if np.isscalar(t) else val

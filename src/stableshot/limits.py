@@ -16,16 +16,13 @@ time u has scale u^(1/alpha) * sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .heavy_rand import StableParams, c_alpha
-from .rng import RngStream
 
 __all__ = ["LimitSpec", "limit_params"]
-
-GSampler = Union[float, Callable[[int, np.random.Generator], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -38,7 +35,6 @@ class LimitSpec:
     signed_moment: float  # E[|Delta|^alpha sgn(Delta)]
     params: StableParams
     degenerate: bool = False
-    provenance: str = "exact"
 
     def to_text(self) -> str:
         lines = [
@@ -52,34 +48,20 @@ class LimitSpec:
             f"beta: {self.params.beta!r}",
             f"mu: {self.params.mu!r}",
             f"degenerate: {self.degenerate}",
-            f"provenance: {self.provenance}",
         ]
         return "\n".join(lines) + "\n"
 
 
-def limit_params(
-    phi_name: str,
-    lam: float,
-    alpha: float,
-    g_sampler: GSampler,
-    calE: Callable,
-    n_mc: int = 10_000,
-    rng: RngStream = RngStream(0),
-) -> LimitSpec:
+def limit_params(phi_name: str, lam: float, alpha: float, w_star, calE: Callable) -> LimitSpec:
     """Stable parameters of the u = 1 marginal of the limit motion.
 
-    ``g_sampler`` is either a point mass (float, evaluated exactly) or a
-    sampler of the limiting rate law; ``calE`` maps a rate vector to the
-    response E(w, phi) (analytic where available -- a Monte Carlo estimator
-    plugged in here adds a documented inner-noise bias to |Delta|^alpha).
+    ``w_star`` holds equally weighted atoms of the limit rate law G: one
+    for a constant rate (exact), draws of G otherwise (Monte Carlo); a
+    scalar is one atom.  ``calE`` maps a rate vector to the response
+    E(w, phi) (analytic where available -- a Monte Carlo estimator plugged
+    in here adds a documented inner-noise bias to |Delta|^alpha).
     """
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
-    gen = rng.generator()
-    if callable(g_sampler):
-        w_star, provenance = np.asarray(g_sampler(n_mc, gen), dtype=float), "monte_carlo"
-    else:
-        w_star, provenance = np.array([float(g_sampler)]), "exact"
+    w_star = np.atleast_1d(np.asarray(w_star, dtype=float))
     cal0 = float(np.asarray(calE(np.zeros(1)), dtype=float)[0])
     delta = np.asarray(calE(w_star), dtype=float) - cal0
     abs_m = float(np.mean(np.abs(delta) ** alpha))
@@ -88,12 +70,11 @@ def limit_params(
         return LimitSpec(
             name=phi_name, alpha=alpha, lam=lam, calE_0=cal0, abs_moment=0.0, signed_moment=0.0,
             params=StableParams(alpha=alpha, sigma=0.0, beta=0.0, mu=0.0),
-            degenerate=True, provenance=provenance,
+            degenerate=True,
         )
     sigma = (lam * c_alpha(alpha) * abs_m) ** (1.0 / alpha)
     beta = signed_m / abs_m
     return LimitSpec(
         name=phi_name, alpha=alpha, lam=lam, calE_0=cal0, abs_moment=abs_m, signed_moment=signed_m,
         params=StableParams(alpha=alpha, sigma=sigma, beta=beta, mu=0.0),
-        provenance=provenance,
     )

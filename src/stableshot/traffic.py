@@ -149,31 +149,23 @@ class TrafficConfig:
 class ShotNoisePath:
     """Piecewise-constant cadlag level and occupancy on [t0, t1].
 
-    ``times`` are merged event timestamps strictly inside (t0, t1]; the
-    level / count after event i are ``levels[i]`` / ``counts[i]``.  Counts
-    are exact integers.  Given a common rate ``w0`` (pass ``rate_delta``
-    and ``init_level`` as None; ``rate_delta`` stays None), every level is
-    ``w0 * count``, exact whatever the summation order, with slack
-    ``eps_num = 1e-9 * (w0 * sum |count_delta|)``.  Otherwise levels are plain running float sums of
-    ``rate_delta`` with slack ``eps_num = 1e-9 * accumulated |w|``, and are
+    ``times`` are merged event timestamps strictly inside (t0, t1].  Each
+    step array holds the value before the first event, then the value
+    after each event, so a lookup at t reads index
+    ``searchsorted(times, t, 'right')``; ``levels`` / ``counts`` are views
+    of the post-event tails and ``init_level`` / ``init_count`` the first
+    entries.  Counts are exact integers; build_path makes every level
     exactly 0 wherever the count is 0, so level-based functionals such as
     ``idle`` see the same idle time as the count-based cycles whatever the
     rates.
     """
 
-    def __init__(self, t0, t1, times, rate_delta, count_delta, init_level, init_count, w0=None):
+    def __init__(self, t0, t1, times, level_steps, count_steps):
         self.t0 = float(t0)
         self.t1 = float(t1)
         self.times = np.asarray(times, dtype=float)
-        self.count_delta = np.asarray(count_delta, dtype=np.int64)
-        self.init_count = int(init_count)
-        self.w0 = None if w0 is None else float(w0)
-        if self.w0 is None:
-            self.rate_delta = np.asarray(rate_delta, dtype=float)
-            self.init_level = float(init_level)
-        else:
-            self.rate_delta = None
-            self.init_level = self.w0 * self.init_count
+        self._level_steps = np.asarray(level_steps, dtype=float)
+        self._count_steps = np.asarray(count_steps, dtype=np.int64)
         if self.t0 >= self.t1:
             raise ValueError("need t0 < t1")
         if len(self.times) and (
@@ -182,34 +174,15 @@ class ShotNoisePath:
             raise ValueError("event times must lie in (t0, t1]")
         if np.any(self.times[1:] <= self.times[:-1]):
             raise ValueError("event times must be strictly increasing (merged)")
-        # the value before the first event, then after each event, built
-        # once: a lookup at t reads index searchsorted(times, t, 'right'),
-        # and levels/counts are views of the tails, not second copies
-        n = len(self.times)
-        self._level_steps = np.empty(n + 1)
-        self._level_steps[0] = self.init_level
-        self._count_steps = np.empty(n + 1, dtype=np.int64)
-        self._count_steps[0] = self.init_count
+        n = len(self.times) + 1
+        if len(self._level_steps) != n or len(self._count_steps) != n:
+            raise ValueError(f"each step array needs len(times) + 1 = {n} entries")
+        if np.any(self._count_steps < 0):
+            raise ValueError("occupancy count went negative")
         self.levels = self._level_steps[1:]
         self.counts = self._count_steps[1:]
-        if self.w0 is None:
-            running = kernels.compensated_cumsum(self.rate_delta)
-            np.add(running, self.init_level, out=self.levels)
-            np.cumsum(self.count_delta, out=self.counts)
-            self.counts += self.init_count
-            self.levels[self.counts == 0] = 0.0  # drop float residues of departed rates
-            # |deltas| reuse the running sum's buffer
-            self.eps_num = 1e-9 * float(np.abs(self.rate_delta, out=running).sum())
-        else:
-            # the running count, exact in int64
-            running = kernels.compensated_cumsum(self.count_delta)
-            np.add(running, self.init_count, out=self.counts)
-            np.multiply(self.counts, self.w0, out=self.levels)
-            self.eps_num = 1e-9 * (self.w0 * float(np.abs(self.count_delta, out=running).sum()))
-        if self.init_count < 0 or np.any(self.counts < 0):
-            raise ValueError("occupancy count went negative")
-        if self.init_level < 0 or np.any(self.levels < -self.eps_num):
-            raise ValueError("level went below numerical slack")
+        self.init_level = float(self._level_steps[0])
+        self.init_count = int(self._count_steps[0])
 
     def __len__(self):
         return len(self.times)
@@ -260,7 +233,7 @@ def build_path(sessions: Sessions, t0: float, t1: float) -> ShotNoisePath:
     departures past t1 are dropped (the level simply never decreases
     there).  Coincident deltas are merged into one net event.  When every
     session has the same rate and t0 >= 0, the path is built from the
-    occupancy count alone (level = w0 * count, see ShotNoisePath).
+    occupancy count alone (level = w0 * count, exact whatever the order).
     """
     if t0 >= t1:
         raise ValueError("need t0 < t1")
@@ -281,18 +254,34 @@ def build_path(sessions: Sessions, t0: float, t1: float) -> ShotNoisePath:
         c_delta += 1
         keys >>= 1
         times, (c_delta,) = _merge_ties(times, c_delta)
-        return ShotNoisePath(t0, t1, times, None, c_delta, None, init_count, w0=w0)
+        count_steps = _steps(kernels.compensated_cumsum(c_delta), init_count)  # exact in int64
+        return ShotNoisePath(t0, t1, times, count_steps * w0, count_steps)
     times, r_delta, n_arr, init_level, init_count = _session_events(sessions, t0, t1)
-    # gather one column at a time and drop the permutation before the path
-    # is built: beside the path's own arrays, its running sum is then the
-    # one event-length temporary (numpy frees each source as it is rebound)
+    # gather one column at a time and drop the permutation before the steps
+    # are formed (numpy frees each source as it is rebound)
     order = np.argsort(times, kind="stable")
     times = times[order]
     r_delta = r_delta[order]
     c_delta = np.where(order < n_arr, 1, -1)  # the first n_arr events are the arrivals
     del order
     times, (r_delta, c_delta) = _merge_ties(times, r_delta, c_delta)
-    return ShotNoisePath(t0, t1, times, r_delta, c_delta, init_level, init_count)
+    level_steps = _steps(kernels.compensated_cumsum(r_delta), init_level)
+    count_steps = _steps(np.cumsum(c_delta, out=c_delta), init_count)
+    level_steps[count_steps == 0] = 0.0  # drop float residues of departed rates
+    # a running float sum may dip below 0 by a slack of 1e-9 * accumulated
+    # |w| (|deltas| in place: they are not read again)
+    if np.any(level_steps < -1e-9 * float(np.abs(r_delta, out=r_delta).sum())):
+        raise ValueError("level went below numerical slack")
+    return ShotNoisePath(t0, t1, times, level_steps, count_steps)
+
+
+def _steps(running, init):
+    """A path's step array: ``init`` before the first event, then
+    ``init + running`` after each."""
+    steps = np.empty(running.size + 1, dtype=running.dtype)
+    steps[0] = init
+    np.add(running, init, out=steps[1:])
+    return steps
 
 
 def _merge_ties(times, *deltas):

@@ -2,14 +2,16 @@
 
 Nothing in the package calls these: each is an independent, plainly
 written route to a number the package computes another way (the level at
-a time point, a functional's integral, per-cycle integrals, the distance
-between an empirical and a stable characteristic function).
+a time point, a functional's integral, per-cycle integrals, the stable
+characteristic function and its distance from an empirical one).
 """
+
+import math
 
 import numpy as np
 
 from stableshot.functionals import functional_steps
-from stableshot.heavy_rand import StableParams, stable_cf
+from stableshot.heavy_rand import StableParams
 
 
 def _eval_steps(path, steps, t):
@@ -62,6 +64,18 @@ def cycle_integrals(path, decomposition, phi) -> np.ndarray:
     bounds, vals = functional_steps(path, phi, t0, t1)
     at = prefix_integral(bounds, vals)
     return at(decomposition.s_end) - at(decomposition.s_start)
+
+
+def stable_cf(params: StableParams, t) -> np.ndarray | complex:
+    """Characteristic function at t of the law heavy_rand.sample_stable
+    draws; modulus <= 1, value 1 at t = 0."""
+    t_arr = np.asarray(t, dtype=float)
+    a = params.alpha
+    skew = 1.0 - 1j * params.beta * np.sign(t_arr) * math.tan(math.pi * a / 2.0)
+    val = np.exp(
+        1j * params.mu * t_arr - params.sigma**a * np.abs(t_arr) ** a * skew
+    )
+    return complex(val) if np.isscalar(t) else val
 
 
 def ecf_distance(sample, params: StableParams, t_grid) -> float:

@@ -84,8 +84,7 @@ def test_level_and_count_detection_agree_unit_rates():
         lam=1.0, law=law(), horizon=500.0, stationary_init=False, rng=RngStream(1)
     )
     p = build_path(simulate_sessions(cfg), 0.0, 500.0)
-    assert np.array_equal(p.levels > p.eps_num, p.counts > 0)
-    assert (p.init_level > p.eps_num) == (p.init_count > 0)
+    assert np.array_equal(p._level_steps > 0, p._count_steps > 0)
     assert decompose_cycles(p, 500.0).m_T > 0
 
 

@@ -1,8 +1,10 @@
 """Scenario plumbing, determinism, report emission, and the CLI."""
 
+import importlib.util
 import math
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +216,11 @@ class TestScenario:
             (dict(T_ladder=(1e3, 1e4, 1e5), x_grid=(1.0, 1.0000001), analyses=("cdf_rate",)),
              "both name the GoF cdf_rate/x=1"),
             (dict(functionals=("cdf:1", "winsup:1")), "both build the name 'cdf_le_1'"),
+            # each replicate path would draw about 1e11 sessions; the second
+            # passes the cap only through its 2 * window_h of extra arrivals
+            (dict(lam=1e7, T_ladder=(1e4,), replicates=5), "= 1.0003e\\+11 exceed 1.5e\\+07"),
+            (dict(lam=1e3, T_ladder=(1e4,), window_h=3e3, functionals=("winsup:1",)),
+             "= 1.6003e\\+07 exceed 1.5e\\+07 for \\['stable_limit'\\]"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -229,6 +236,8 @@ class TestScenario:
         # a load past the cycle banking's bound matters only to the cycle analyses
         validate(tiny_scenario(lam=3.1, analyses=("stable_limit", "m1_diagnostic")))
         validate(tiny_scenario(lam=3.0, analyses=("cycle_mean", "cycle_tail", "hill")))
+        # and a path too large to hold matters only to the z analyses
+        validate(tiny_scenario(lam=1e7, T_ladder=(1e4,), analyses=("m1_diagnostic",)))
 
     def test_validate_accepts_the_fewest_replicates_that_can_fail(self):
         validate(tiny_scenario(replicates=4))
@@ -565,6 +574,17 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit(run(tiny_scenario(analyses=())), tmp_path, fmt="json")
 
+    @pytest.mark.parametrize("method", ["exact", "monte_carlo"])
+    def test_params_file_names_the_centering_method(self, tmp_path, method):
+        # a limit law is exact only from an exact curve, which needs a
+        # constant rate, whose G is one atom
+        rep = run(_family(method))
+        emit(rep, tmp_path)
+        for name, sub in rep.blocks["stable_limit"].items():
+            text = (tmp_path / f"stable_limit_{name}_params.txt").read_text()
+            assert sub["centering_method"] == method
+            assert text == sub["limit"].to_text() + f"provenance: {method}\n"
+
 
 class TestCli:
     def test_demo_and_validate(self, tmp_path, capsys):
@@ -624,6 +644,9 @@ class TestCli:
             # F_T(x) = K(x) = 0 below 0: the rate fit would have no dispersion
             ("analyses: [cdf_rate]\nT_ladder: [100.0, 1000.0, 10000.0]\nx_grid: [-0.5, 1.0]\n",
              "x_grid must be nonnegative"),
+            # about 1e11 sessions per replicate path: rejected before any is drawn
+            ("lam: 1.0e+7\nT_ladder: [1.0e+4]\nreplicates: 5\n",
+             "lambda*E[Y] = 1.0003e+11 exceed 1.5e+07"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -796,3 +819,25 @@ def test_sorted_response_bit_identical(stat, b, w):
     shifted = _sorted_response(("id", None), np.sort(s))(w)
     want = np.array([float(np.mean(s + wv)) for wv in w])
     np.testing.assert_allclose(shifted, want, rtol=1e-12, atol=0)
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, imported by path (perfbench is no package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["replicate-fanout", "mc-kernels"])
+def test_workload_records_match_the_benchmark_reference(name):
+    # the benchmark's recorded GoF statistics, centerings, limit laws and z
+    # sums at seed 1: both build_path routes, exact and Monte Carlo curves,
+    # and the one-atom and sampled limit rate laws
+    workloads = _perfbench_workloads()
+    scenarios, _ = workloads.build(name, 1)
+    values, _ = workloads.run_parts(run, scenarios, 1)
+    result = workloads.check_runs(name, 1, [values], workloads.load_reference())
+    assert result["has_reference"] and result["attempted"] > 0
+    assert result["failed"] == 0, result["problems"]

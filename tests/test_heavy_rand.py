@@ -13,11 +13,10 @@ from stableshot import (
     TailDist,
     c_alpha,
     sample_stable,
-    stable_cf,
     tail_quantile_a,
 )
 
-from oracles import ecf_distance
+from oracles import ecf_distance, stable_cf
 
 
 class TestTailDist:

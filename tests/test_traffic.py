@@ -68,10 +68,11 @@ class TestBuildPath:
         )
         p = build_path(s, 0.0, 3.0)
         assert np.array_equal(p.times, [0.5, 1.0, 1.5, 1.75, 2.0, 2.5])
-        assert np.array_equal(p.rate_delta, [3.0, 3.0, 0.75, -0.25, -3.5, -3.0])
-        assert np.array_equal(p.count_delta, [2, 0, 2, -1, -2, -1])
+        assert np.array_equal(np.diff(p._level_steps), [3.0, 3.0, 0.75, -0.25, -3.5, -3.0])
+        assert np.array_equal(np.diff(p._count_steps), [2, 0, 2, -1, -2, -1])
         assert np.array_equal(p.levels, [3.0, 6.0, 6.75, 6.5, 3.0, 0.0])
         assert np.array_equal(p.counts, [2, 2, 4, 3, 1, 0])
+        assert_paths_bit_identical(p, reference_build_path(s, 0.0, 3.0))
 
     def test_merge_matches_unique_on_tied_grid(self):
         # arrivals and durations on a quarter grid, so many events tie
@@ -95,8 +96,10 @@ class TestBuildPath:
         uniq, first = np.unique(times[order], return_index=True)
         assert len(uniq) < len(times)
         assert np.array_equal(p.times, uniq)
-        assert np.array_equal(p.rate_delta, np.add.reduceat(r_delta[order], first))
-        assert np.array_equal(p.count_delta, np.add.reduceat(c_delta[order], first))
+        # the rates are dyadic, so every running sum is exact
+        assert np.array_equal(p.levels, p.init_level + np.cumsum(np.add.reduceat(r_delta[order], first)))
+        assert np.array_equal(p.counts, p.init_count + np.cumsum(np.add.reduceat(c_delta[order], first)))
+        assert_paths_bit_identical(p, reference_build_path(s, t0, t1))
 
     def test_path_without_events(self):
         # no sessions, and one that straddles the whole of [0, 2]
@@ -146,7 +149,8 @@ def reference_build_path(sessions, t0, t1):
     # unconditional run starts, and before it sorted packed event keys; the
     # path must stay bit-identical to it.  With one common rate and t0 >= 0
     # the levels are w0 * count (a float running sum of a non-dyadic w0
-    # differs from that in the last bits)
+    # differs from that in the last bits); otherwise they are running sums
+    # of the rate deltas, zeroed where the count is 0
     gamma, y, w = sessions.gamma, sessions.y, sessions.w
     dep = gamma + y
     live = dep > t0
@@ -169,10 +173,14 @@ def reference_build_path(sessions, t0, t1):
             r_delta = np.add.reduceat(r_delta, start_idx)
             c_delta = np.add.reduceat(c_delta, start_idx)
             times = times[start_idx]
+    count_steps = np.concatenate([[init_count], init_count + np.cumsum(c_delta)])
     rates = np.unique(sessions.w)
     if len(rates) == 1 and t0 >= 0:
-        return traffic.ShotNoisePath(t0, t1, times, None, c_delta, None, init_count, w0=rates[0])
-    return traffic.ShotNoisePath(t0, t1, times, r_delta, c_delta, init_level, init_count)
+        level_steps = rates[0] * count_steps
+    else:
+        level_steps = np.concatenate([[init_level], init_level + np.cumsum(r_delta)])
+        level_steps[count_steps == 0] = 0.0
+    return traffic.ShotNoisePath(t0, t1, times, level_steps, count_steps)
 
 
 def _bits(a):
@@ -181,17 +189,11 @@ def _bits(a):
 
 
 def assert_paths_bit_identical(p, q):
-    for name in ("times", "rate_delta", "count_delta", "levels", "counts"):
+    for name in ("times", "_level_steps", "_count_steps", "levels", "counts"):
         a, b = getattr(p, name), getattr(q, name)
-        if a is None or b is None:
-            assert a is b, name
-            continue
         assert a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b)), name
-    for name in ("t0", "t1", "init_level", "init_count", "eps_num", "w0"):
+    for name in ("t0", "t1", "init_level", "init_count"):
         a, b = getattr(p, name), getattr(q, name)
-        if a is None or b is None:
-            assert a is b, name
-            continue
         assert type(a) is type(b) and _bits(np.float64(a)) == _bits(np.float64(b)), name
 
 
@@ -251,13 +253,8 @@ class TestCountRoute:
         s = Sessions(gamma, y, np.full(len(pairs), w0))
         assert s.common_rate == w0
         p = build_path(s, t0, t0 + span)
-        assert p.w0 == w0 and p.rate_delta is None
-        assert np.array_equal(p.levels, w0 * p.counts) and p.init_level == w0 * p.init_count
-        assert np.array_equal(p.counts, p.init_count + np.cumsum(p.count_delta))
-        ref = reference_build_path(s, t0, t0 + span)
-        for name in ("times", "counts", "count_delta"):
-            assert np.array_equal(_bits(getattr(p, name)), _bits(getattr(ref, name))), name
-        assert_paths_bit_identical(p, ref)
+        assert np.array_equal(_bits(p._level_steps), _bits(w0 * p._count_steps))
+        assert_paths_bit_identical(p, reference_build_path(s, t0, t0 + span))
 
     @pytest.mark.parametrize(
         "w, t0",
@@ -269,7 +266,7 @@ class TestCountRoute:
         # arrives at -0.5, inside the path when t0 = -1
         s = Sessions([-2.0, -0.5, 1.0, 1.0], [2.5, 1.0, 0.5, 2.0], w)
         p = build_path(s, t0, 4.0)
-        assert p.w0 is None and p.rate_delta is not None
+        # the reference's levels here are the running sums of the rate deltas
         assert_paths_bit_identical(p, reference_build_path(s, t0, 4.0))
         assert len(p) < 2 * len(s)  # ties merged
 
@@ -277,6 +274,40 @@ class TestCountRoute:
         assert Sessions([0.0, 1.0], [1.0, 1.0], [0.5, 0.5]).common_rate == 0.5
         assert Sessions([0.0, 1.0], [1.0, 1.0], [0.5, 0.25]).common_rate is None
         assert Sessions([], [], []).common_rate is None
+
+
+class TestShotNoisePathChecks:
+    # one event at 1.0 on [0, 2]: one step before it and one after
+    def test_a_valid_path(self):
+        p = traffic.ShotNoisePath(0.0, 2.0, [1.0], [0.0, 1.5], [0, 1])
+        assert p.init_level == 0.0 and p.init_count == 0
+        assert np.array_equal(p.levels, [1.5]) and np.array_equal(p.counts, [1])
+
+    @pytest.mark.parametrize("times", [[0.0], [-0.5], [2.5]])
+    def test_times_outside_the_span(self, times):
+        with pytest.raises(ValueError, match=r"lie in \(t0, t1\]"):
+            traffic.ShotNoisePath(0.0, 2.0, times, [0.0, 1.0], [0, 1])
+
+    def test_an_unmerged_repeated_time(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            traffic.ShotNoisePath(0.0, 2.0, [1.0, 1.0], [0.0, 1.0, 2.0], [0, 1, 2])
+
+    @pytest.mark.parametrize("count_steps", [[-1, 0], [1, -1]])
+    def test_a_negative_count(self, count_steps):
+        with pytest.raises(ValueError, match="count went negative"):
+            traffic.ShotNoisePath(0.0, 2.0, [1.0], [0.0, 0.0], count_steps)
+
+    @pytest.mark.parametrize(
+        "level_steps, count_steps",
+        [([1.0], [0, 1]), ([0.0, 1.0], [1]), ([0.0, 1.0, 1.0], [0, 1]), ([0.0, 1.0], [0, 1, 1])],
+    )
+    def test_step_arrays_of_the_wrong_length(self, level_steps, count_steps):
+        with pytest.raises(ValueError, match=r"len\(times\) \+ 1 = 2 entries"):
+            traffic.ShotNoisePath(0.0, 2.0, [1.0], level_steps, count_steps)
+
+    def test_needs_t0_before_t1(self):
+        with pytest.raises(ValueError, match="t0 < t1"):
+            traffic.ShotNoisePath(1.0, 1.0, [], [0.0], [0])
 
 
 class TestSessionsValidation:
