@@ -38,9 +38,13 @@ __all__ = [
 
 # expected sessions of one fresh-start chunk of collect_cycle_lengths:
 # bounds its memory at heavy load, where a cycle spans many sessions: a
-# chunk holds its three session columns and one running max of the
-# departures, about 32 bytes a session (64 MB at the cap)
+# chunk holds its arrival and duration columns, a rate column unless the
+# rates are constant (one broadcast then) and one bool onset mask: 17
+# bytes a session at constant rates (34 MB at the cap), 25 otherwise
 _CHUNK_SESSIONS = 2_000_000
+# sessions of one block of fresh_start_cycle_lengths' running max of the
+# departures (512 KiB of float64)
+_SCAN_SESSIONS = 1 << 16
 # fewest mean cycles a chunk spans, 200 e^(lam E[Y]) expected sessions:
 # above MAX_CYCLE_LOAD = lam E[Y] that floor alone exceeds _CHUNK_SESSIONS
 _MIN_CHUNK_CYCLES = 200
@@ -122,13 +126,19 @@ def fresh_start_cycle_lengths(sessions: Sessions, T: float) -> np.ndarray:
     lo = int(np.searchsorted(gamma, 0.0, side="right"))
     hi = int(np.searchsorted(gamma, T, side="right"))
     gamma = gamma[:hi]
-    # reach[i]: the latest departure of sessions 0..i, as build_path
-    # computes departures
-    reach = gamma + sessions.y[:hi]
-    np.maximum.accumulate(reach, out=reach)
     onset = np.empty(hi, dtype=bool)
-    np.greater(gamma[1:], reach[:-1], out=onset[1:])
-    onset[:1] = True
+    # the latest departure of the sessions before block [a, b), as
+    # build_path computes departures; max is exact, so the running max
+    # carried from block to block equals a one-shot one
+    reach = -np.inf
+    for a in range(0, hi, _SCAN_SESSIONS):
+        b = min(a + _SCAN_SESSIONS, hi)
+        dep = gamma[a:b] + sessions.y[a:b]
+        dep[0] = max(dep[0], reach)
+        np.maximum.accumulate(dep, out=dep)
+        onset[a] = gamma[a] > reach
+        np.greater(gamma[a + 1 : b], dep[:-1], out=onset[a + 1 : b])
+        reach = dep[-1]
     onset[:lo] = False
     return np.diff(gamma[onset])
 

@@ -400,20 +400,25 @@ def _z_task(task):
     for j, r in enumerate(range(r_lo, r_hi)):
         cfg = replace(base, rng=RngStream(scenario.seed, stream_id=r).substream(t_index))
         path = build_path(simulate_sessions(cfg), 0.0, T + h)
-        flat_dt = None  # segment lengths of path.segments(0, T)
+        bounds, levels, _ = path.segments(0.0, T)
+        dt = np.diff(bounds)
+        del bounds
         for i, (phi, c) in enumerate(zip(phis, centerings)):
-            bounds, vals = fns.functional_steps(path, phi, 0.0, T)
             if phi.h == 0.0:
-                if flat_dt is None:
-                    flat_dt = np.diff(bounds)
-                dt = flat_dt
+                vals, seg = phi(levels), dt
             else:
-                dt = np.diff(bounds)
-            area = vals - c
-            area *= dt
+                bounds, vals = fns.functional_steps(path, phi, 0.0, T)
+                seg = np.diff(bounds)
+                del bounds
+            # (phi - c) * seg in phi's own output where it makes one:
+            # identity returns the read-only level view, so it gets a copy
+            area = np.subtract(vals, c, out=vals if vals.flags.writeable else None)
+            area *= seg
             out[i, j] = np.cumsum(area, out=area)[-1] / a_T
+            # free this functional's arrays before the next one makes its own
+            del vals, seg, area
         # hold one path at a time: drop this one before the next is built
-        del path
+        del path, levels, dt
     return out
 
 

@@ -61,8 +61,11 @@ class TailDist:
         return a * self.xm / (a - 1)
 
     def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
+        """n draws: ppf_sf of n uniforms, computed in the uniforms' array."""
         u = gen.uniform(size=n)
-        return np.asarray(self.ppf_sf(u), dtype=float)
+        np.power(u, -1.0 / self.declared_alpha, out=u)
+        u *= self.xm
+        return u
 
     def sample_size_biased(self, n: int, gen: np.random.Generator) -> np.ndarray:
         """Draws from the duration-weighted law y P(Y in dy) / E[Y], a
@@ -71,7 +74,9 @@ class TailDist:
         a = self.declared_alpha
         if a <= 1:
             raise ValueError("size-biased pareto needs tail index > 1")
-        return self.xm * u ** (-1.0 / (a - 1))
+        np.power(u, -1.0 / (a - 1), out=u)
+        u *= self.xm
+        return u
 
 
 @dataclass(frozen=True)

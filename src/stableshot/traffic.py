@@ -42,7 +42,8 @@ class Sessions:
     """Column store of session triples (arrival time, duration, rate).
 
     ``common_rate`` is the rate every session shares, or None when the
-    rates differ or there are no sessions.
+    rates differ or there are no sessions.  The columns may be read-only:
+    simulated constant rates are one broadcast of the rate.
     """
 
     def __init__(self, gamma, y, w):
@@ -111,9 +112,10 @@ class JointLaw:
         return self.w_params[0] if self.w_kind == "constant" else None
 
     def sample_rates(self, n: int, gen: np.random.Generator) -> np.ndarray:
-        """n draws of W, which are also draws of G."""
+        """n draws of W, which are also draws of G; a constant law's are one
+        read-only broadcast of w0, with no array of its own."""
         if self.w_kind == "constant":
-            return np.full(n, self.w_params[0])
+            return np.broadcast_to(self.w_params[0], n)
         if self.w_kind == "uniform":
             return gen.uniform(self.w_params[0], self.w_params[1], n)
         return gen.exponential(self.w_params[0], n)
@@ -220,10 +222,11 @@ def simulate_sessions(config: TrafficConfig) -> Sessions:
     n0 = gen.poisson(config.lam * config.law.mean_y)
     y0, w0 = config.law.sample_size_biased_pairs(n0, gen)
     gamma0 = -gen.uniform(size=n0) * y0
-    # the stationary sessions first, then the fresh arrivals
-    return Sessions(
-        np.concatenate([gamma0, gamma_f]), np.concatenate([y0, y_f]), np.concatenate([w0, w_f])
-    )
+    # the stationary sessions first, then the fresh arrivals; constant
+    # rates stay one broadcast
+    w = config.law.common_rate
+    w = np.concatenate([w0, w_f]) if w is None else np.broadcast_to(w, n0 + n_fresh)
+    return Sessions(np.concatenate([gamma0, gamma_f]), np.concatenate([y0, y_f]), w)
 
 
 def build_path(sessions: Sessions, t0: float, t1: float) -> ShotNoisePath:

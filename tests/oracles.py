@@ -2,8 +2,9 @@
 
 Nothing in the package calls these: each is an independent, plainly
 written route to a number the package computes another way (the level at
-a time point, a functional's integral, per-cycle integrals, the stable
-characteristic function and its distance from an empirical one).
+a time point, a functional's integral, per-cycle integrals, cycle lengths
+from one scan of the departures, the stable characteristic function and
+its distance from an empirical one).
 """
 
 import math
@@ -64,6 +65,19 @@ def cycle_integrals(path, decomposition, phi) -> np.ndarray:
     bounds, vals = functional_steps(path, phi, t0, t1)
     at = prefix_integral(bounds, vals)
     return at(decomposition.s_end) - at(decomposition.s_start)
+
+
+def one_shot_cycle_lengths(sessions, T: float) -> np.ndarray:
+    """cycles.fresh_start_cycle_lengths with one running max of the
+    departures over all sessions arriving by T, in one array."""
+    gamma = sessions.gamma
+    lo = int(np.searchsorted(gamma, 0.0, side="right"))
+    hi = int(np.searchsorted(gamma, T, side="right"))
+    gamma = gamma[:hi]
+    reach = np.maximum.accumulate(gamma + sessions.y[:hi])
+    onset = np.r_[True, gamma[1:] > reach[:-1]][:hi]
+    onset[:lo] = False
+    return np.diff(gamma[onset])
 
 
 def stable_cf(params: StableParams, t) -> np.ndarray | complex:

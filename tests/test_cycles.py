@@ -1,6 +1,7 @@
 """Regenerative cycle decomposition and tail estimation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from stableshot.cycles import (
     _chunk_horizon,
     fresh_start_cycle_lengths,
 )
+from oracles import one_shot_cycle_lengths
 
 
 def law():
@@ -165,9 +167,62 @@ def test_session_route_equals_path_route(sessions, T):
     sessions = sorted(sessions)
     gamma, y, w = (np.array(c, dtype=float) for c in zip(*sessions)) if sessions else ([], [], [])
     s = Sessions(gamma, y, w)
-    got = fresh_start_cycle_lengths(s, T)
     want = _path_cycle_lengths(s, T)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the departures' running max in one block, then in blocks of 4
+    # sessions, up to 10 of them
+    for block in (cycles._SCAN_SESSIONS, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cycles, "_SCAN_SESSIONS", block)
+            got = fresh_start_cycle_lengths(s, T)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+_BLOCK = 8
+
+
+def _blocked_and_one_shot(monkeypatch, gamma, y, T):
+    monkeypatch.setattr(cycles, "_SCAN_SESSIONS", _BLOCK)
+    s = Sessions(gamma, y, np.ones(len(gamma)))
+    got = fresh_start_cycle_lengths(s, T)
+    want = one_shot_cycle_lengths(s, T)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("hi", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK + 1])
+def test_blocked_scan_matches_one_shot_at_block_edges(monkeypatch, hi):
+    # hi sessions arrive by T, then two after it; every other session
+    # outlasts the next arrival, so onsets fall on both sides of each edge
+    gamma = np.arange(1.0, hi + 3.0)
+    y = np.where(np.arange(gamma.size) % 2 == 0, 1.5, 0.5)
+    got = _blocked_and_one_shot(monkeypatch, gamma, y, T=float(hi) + 0.5)
+    assert got.size == max(0, (hi - 1) // 2)
+
+
+def test_blocked_scan_onset_on_a_block_first_arrival(monkeypatch):
+    # arrivals at 1, 2, ...: the first session departs at 8.5, so the
+    # first arrival of block 2, at 9, is the next onset; a long session of
+    # block 2 departs at 19 and is carried past its edge, so block 3's
+    # first arrival, at 17, starts no cycle, and 20 is the next onset
+    gamma = np.arange(1.0, 4 * _BLOCK + 1.0)
+    y = np.full(gamma.size, 0.5)
+    y[0] = _BLOCK - 0.5
+    y[_BLOCK + 2] = _BLOCK
+    got = _blocked_and_one_shot(monkeypatch, gamma, y, T=4.0 * _BLOCK)
+    onsets = 1.0 + np.concatenate([[0.0], np.cumsum(got)])
+    assert onsets[1] == _BLOCK + 1
+    assert 2 * _BLOCK + 1 not in onsets and 2 * _BLOCK + 4 in onsets
+
+
+def test_blocked_scan_carries_arrivals_before_zero_across_edges(monkeypatch):
+    # the 12 arrivals at or before 0 fill block 1 and part of block 2;
+    # one of block 1's departs at 3.25, so the arrivals at 1, 2 and 3 in
+    # block 2 start no cycle, and the onsets run from 4 to 23
+    gamma = np.concatenate([np.linspace(-6.0, 0.0, 12), np.arange(1.0, 3 * _BLOCK)])
+    y = np.full(gamma.size, 0.5)
+    y[3] = 3.25 - gamma[3]
+    got = _blocked_and_one_shot(monkeypatch, gamma, y, T=3.0 * _BLOCK)
+    assert got.size == 3 * _BLOCK - 5 and np.all(got == 1.0)
 
 
 def test_session_route_hand_cases():
@@ -209,6 +264,18 @@ def test_collect_cycle_lengths_builds_no_path(monkeypatch):
     monkeypatch.setattr(cycles, "decompose_cycles", no_path)
     lengths = collect_cycle_lengths(1.0, law(), 500, RngStream(3))
     assert lengths.size == 500
+
+
+def test_collect_cycle_lengths_peak_memory():
+    # the cycle-bank benchmark's law and target: two fresh-start chunks of
+    # about 1e6 sessions, each holding its arrivals and durations (16 MB)
+    tracemalloc.start()
+    try:
+        lengths = collect_cycle_lengths(1.0, law(), 60_000, RngStream(1, stream_id=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lengths.size == 60_000 and peak < 20e6
 
 
 class TestTailTable:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import tracemalloc
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -453,6 +454,62 @@ def test_z_matrix_bytes_do_not_depend_on_workers_or_chunks(replicates):
     for workers in (1, 2, 3):
         got = _z_matrix(sc, _MIXED_PHIS, _MIXED_CENTERINGS, workers)
         assert got.tobytes() == want, f"workers={workers}"
+
+
+# every functional form at h = 0, reading the path's own segments, beside
+# a window sup with its own merged steps
+_TASK_PHIS = tuple(
+    make_functional(s, 1.0) for s in ("identity", "idle", "cdf:1", "clipped:2", "winsup:3")
+)
+
+
+def _read_only_build_path(*args):
+    path = build_path(*args)
+    for a in (path.times, path._level_steps, path._count_steps):
+        a.flags.writeable = False
+    return path
+
+
+def test_z_task_areas_equal_each_functional_alone_and_write_no_path(monkeypatch):
+    sc = tiny_scenario(w_kind="uniform", w_params=(0.1, 1.0), window_h=1.0, replicates=6)
+    T, h = sc.T_ladder[0], sc.window_h
+    centerings = (3.0, 0.05, 0.2, 1.1, 0.9)
+    # a write into any path array raises
+    monkeypatch.setattr(harness, "build_path", _read_only_build_path)
+    got = harness._z_task((sc, 0, 0, sc.replicates, _TASK_PHIS, centerings))
+    a_T = float(tail_quantile_a(sc.y_dist(), T))
+    want = np.empty((len(_TASK_PHIS), sc.replicates))
+    for r in range(sc.replicates):
+        rng = RngStream(sc.seed, stream_id=r).substream(0)
+        path = build_path(simulate_sessions(sc.config(T + 2 * h, rng)), 0.0, T + h)
+        for i, (phi, c) in enumerate(zip(_TASK_PHIS, centerings)):
+            bounds, vals = functional_steps(path, phi, 0.0, T)
+            want[i, r] = np.cumsum((vals - c) * np.diff(bounds))[-1] / a_T
+    assert got.tobytes() == want.tobytes()
+    # identity hands back the path's own levels, as a read-only view
+    levels = path.segments(0.0, T)[1]
+    same = _TASK_PHIS[0](levels)
+    assert np.shares_memory(same, path._level_steps) and not same.flags.writeable
+
+
+def test_z_task_replicate_peak_memory():
+    # one unit-rate replicate at T = 1e4, about 20k events: at most three
+    # event-length float arrays above the path itself, in build_path or
+    # in any functional's area
+    sc = tiny_scenario(T_ladder=(1e4,), replicates=1)
+    phis = tuple(make_functional(s) for s in ("identity", "idle", "cdf:1", "clipped:2"))
+    task = (sc, 0, 0, 1, phis, (3.0, 0.05, 0.2, 1.1))
+    harness._z_task(task)  # first-call allocations are not the replicate's
+    tracemalloc.start()
+    try:
+        harness._z_task(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rng = RngStream(sc.seed, stream_id=0).substream(0)
+    path = build_path(simulate_sessions(sc.config(1e4, rng)), 0.0, 1e4)
+    path_bytes = path.times.nbytes + path._level_steps.nbytes + path._count_steps.nbytes
+    assert peak < path_bytes + 3 * path.times.nbytes
 
 
 @pytest.mark.parametrize("workers, replicates, pool", [(64, 3, 6), (2, 50, 2)])

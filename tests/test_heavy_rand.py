@@ -63,6 +63,16 @@ class TestTailDist:
             emp = (y > q).mean()
             assert emp == pytest.approx(q ** -1.5, rel=0.05)
 
+    # 1.5, 2 and 3 give the size-biased exponents -2, -1 and -0.5
+    @pytest.mark.parametrize("alpha, xm", [(1.5, 1.0), (2.0, 0.3), (3.0, 2.5), (1.7, 7.0)])
+    def test_draws_are_ppf_sf_of_the_uniforms_bit_for_bit(self, alpha, xm):
+        d = TailDist.pareto(alpha, xm)
+        gen, ref = RngStream(3).generator(), RngStream(3).generator()
+        assert d.sample(5000, gen).tobytes() == d.ppf_sf(ref.uniform(size=5000)).tobytes()
+        # the size-biased law is the Pareto law of index alpha - 1
+        biased = TailDist.pareto(alpha - 1.0, xm).ppf_sf(ref.uniform(size=5000))
+        assert d.sample_size_biased(5000, gen).tobytes() == biased.tobytes()
+
 
 class TestTailQuantile:
     def test_pareto_closed_form(self):

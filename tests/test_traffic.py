@@ -493,6 +493,41 @@ class TestRateModels:
         assert simulate_sessions(cfg).common_rate == j.common_rate
 
 
+class TestConstantRatesAreOneBroadcast:
+    def test_sample_rates_is_a_read_only_broadcast(self):
+        w = law(w0=2.5).sample_rates(1000, RngStream(0).generator())
+        assert w.shape == (1000,) and w.strides == (0,) and not w.flags.writeable
+        assert np.all(w == 2.5)
+
+    @pytest.mark.parametrize("stationary_init", [True, False])
+    def test_simulated_sessions_share_one_broadcast(self, stationary_init):
+        cfg = TrafficConfig(
+            lam=1.0, law=law(w0=0.7), horizon=500.0, stationary_init=stationary_init,
+            rng=RngStream(30),
+        )
+        s = simulate_sessions(cfg)
+        assert s.w.strides == (0,) and not s.w.flags.writeable
+        assert len(s.w) == len(s) and s.common_rate == 0.7
+
+    # t0 = 0 takes the count route, t0 < 0 the rate sums (1/3 leaves residues)
+    @pytest.mark.parametrize("t0", [0.0, -5.0])
+    def test_paths_equal_those_of_full_rate_arrays(self, t0):
+        cfg = TrafficConfig(lam=1.5, law=law(w0=1.0 / 3.0), horizon=2000.0, rng=RngStream(31))
+        s = simulate_sessions(cfg)
+        full = Sessions(s.gamma, s.y, np.full(len(s), s.common_rate))
+        assert_paths_bit_identical(build_path(s, t0, 2000.0), build_path(full, t0, 2000.0))
+
+    @pytest.mark.parametrize("h", [0.0, 2.0])
+    def test_window_draws_equal_those_of_full_rate_arrays(self, monkeypatch, h):
+        cfg = TrafficConfig(lam=2.0, law=law(w0=0.7), horizon=1.0, rng=RngStream(32))
+        got = stationary_window_draws(cfg, 5000, RngStream(33), h)
+        broadcast = JointLaw.sample_rates
+        monkeypatch.setattr(
+            JointLaw, "sample_rates", lambda self, n, gen: np.array(broadcast(self, n, gen))
+        )
+        assert got.tobytes() == stationary_window_draws(cfg, 5000, RngStream(33), h).tobytes()
+
+
 def _window_sup(gamma, end, w, h):
     # per-draw reference: sup over [0, h] of one draw's step superposition,
     # its base the live rates added one at a time in session order
