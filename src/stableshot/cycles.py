@@ -54,11 +54,10 @@ MAX_CYCLE_LOAD = math.log(_CHUNK_SESSIONS / _MIN_CHUNK_CYCLES)
 class CycleDecomposition:
     """Complete cycles of a path before horizon T, as contiguous arrays."""
 
-    def __init__(self, s_start, busy_end, s_end, never_idle=False):
+    def __init__(self, s_start, busy_end, s_end):
         self.s_start = np.asarray(s_start, dtype=float)
         self.busy_end = np.asarray(busy_end, dtype=float)
         self.s_end = np.asarray(s_end, dtype=float)
-        self.never_idle = bool(never_idle)
         if len(self.s_start) and np.any(self.s_end[:-1] != self.s_start[1:]):
             raise ValueError("cycles must be contiguous")
 
@@ -88,17 +87,15 @@ def decompose_cycles(path, T) -> CycleDecomposition:
         raise ValueError("path does not cover [t0, T]")
     starts_idx, ends_idx = kernels.busy_bounds(path.counts, path.init_count)
     starts = path.times[starts_idx]
-    ends = path.times[ends_idx]
-    if len(starts) == 0:
-        return CycleDecomposition([], [], [], never_idle=path.init_count > 0 and len(ends) == 0)
+    n_complete = int(np.searchsorted(starts, T, side="right")) - 1
+    if n_complete < 1:
+        return CycleDecomposition([], [], [])
     # every event lies in (t0, t1], so each start is a busy onset after an
     # idle stretch inside the path.  Ends alternate with starts; a path
     # that begins busy has an end before its first start, which closes no
     # cycle and is dropped.
+    ends = path.times[ends_idx]
     ends = ends[ends > starts[0]]
-    n_complete = int(np.searchsorted(starts, T, side="right")) - 1
-    if n_complete < 1:
-        return CycleDecomposition([], [], [])
     s_start = starts[:n_complete]
     s_end = starts[1 : n_complete + 1]
     busy_end = ends[:n_complete]

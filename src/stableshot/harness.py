@@ -8,11 +8,12 @@ deterministically: replicate r always draws from stream_id = r of the
 master seed, with a substream per horizon, so results do not depend on
 the worker count or completion order.
 
-The z analyses (stable_limit, self_similarity, cdf_rate) read one z
-stage, built when the first of them runs: the distinct functionals of the
-specs they need (equal functionals compare equal, so cdf:1 and cdf:1.0
-are one), one response curve each and one ``_z_matrix`` call, so each
-replicate path is simulated once per horizon for the whole run.
+The z analyses (stable_limit, self_similarity, cdf_rate: those whose
+``ANALYSES`` record lists the specs they read) read one z stage, built
+when the first of them runs: the distinct functionals of those specs
+(equal functionals compare equal, so cdf:1 and cdf:1.0 are one), one
+response curve each and one ``_z_matrix`` call, so each replicate
+path is simulated once per horizon for the whole run.
 Replicates go to the worker pool in contiguous chunks: one task per
 horizon at one worker, 4 * workers per horizon otherwise.  A task
 receives the functionals, builds a(T) and the law once and returns a
@@ -53,16 +54,6 @@ __all__ = [
     "validate",
     "builtin_scenarios",
 ]
-
-ANALYSES = (
-    "cycle_mean",
-    "cycle_tail",
-    "hill",
-    "stable_limit",
-    "self_similarity",
-    "cdf_rate",
-    "m1_diagnostic",
-)
 
 # expected sessions one replicate path of a z analysis may draw: a T = 1e5
 # path peaks near 150 B per session, so this is about 2.3 GB per worker
@@ -233,12 +224,10 @@ def validate(scenario: Scenario) -> list:
             f"w_params must not exceed 1e+100, got {list(law.w_params)!r}: the limit law "
             "raises rates to the power alpha, which overflows a double near 1e300"
         )
-    # a KS statistic is at most 1, so a threshold of 1 or more always passes;
-    # stable_limit tests n replicates against 4n reference draws,
-    # self_similarity n against n
+    # a KS statistic is at most 1, so a threshold of 1 or more always passes
     n = scenario.replicates
-    for analysis, n_eff in (("stable_limit", 0.8 * n), ("self_similarity", n / 2)):
-        if analysis in runs and ks_threshold(n_eff) >= 1:
+    for analysis, (_, _, _, ks_share) in ANALYSES.items():
+        if analysis in runs and ks_share and ks_threshold(ks_share * n) >= 1:
             raise ValueError(f"replicates = {n} is too few for {analysis}: its KS test cannot fail")
     if not all(math.isfinite(x) for x in scenario.x_grid):
         raise ValueError(f"x_grid must be finite, got {list(scenario.x_grid)!r}")
@@ -262,7 +251,7 @@ def validate(scenario: Scenario) -> list:
                 )
         if scenario.replicates < 2:
             raise ValueError("cdf_rate needs replicates >= 2 for a dispersion")
-    for analysis, k in (("stable_limit", 1), ("self_similarity", 2), ("cdf_rate", 3)):
+    for analysis, (_, _, k, _) in ANALYSES.items():
         if analysis in runs and len(scenario.T_ladder) < k:
             raise ValueError(f"{analysis} needs at least {k} horizon{'s' * (k > 1)} in T_ladder")
     if scenario.n_cycles < 1:
@@ -282,7 +271,7 @@ def validate(scenario: Scenario) -> list:
             f"offered load lambda*E[Y] = {load:g} is too heavy for {cycling}: their "
             f"cycle banking holds bounded memory only at loads <= {MAX_CYCLE_LOAD:.3g}"
         )
-    z_runs = sorted(runs & {"stable_limit", "self_similarity", "cdf_rate"})
+    z_runs = sorted(a for a in runs if ANALYSES[a][1])
     if z_runs:
         # a replicate path draws its arrivals on [0, T + 2h] plus the
         # sessions alive at 0 (see _z_task)
@@ -454,13 +443,9 @@ def _z_stage(scenario: Scenario, workers: int) -> dict:
     scenario's z analyses read.  Specs that build equal functionals
     (cdf:1 and cdf:1.0) map to one row: one response curve and one row of
     the one _z_matrix call per distinct functional."""
-    reads = {
-        "stable_limit": scenario.functionals,
-        "self_similarity": scenario.functionals[:1],
-        "cdf_rate": [f"cdf:{x!r}" for x in scenario.x_grid],
-    }
+    reads = [ANALYSES[a][1] for a in scenario.analyses]
     h = scenario.window_h
-    phis = {s: make_functional(s, h) for a in scenario.analyses for s in reads.get(a, ())}
+    phis = {s: make_functional(s, h) for r in reads if r for s in r(scenario)}
     distinct = list(dict.fromkeys(phis.values()))
     curves = [response_curve(scenario, phi) for phi in distinct]
     z = _z_matrix(scenario, distinct, [curve[1] for curve in curves], workers)
@@ -679,6 +664,23 @@ def _analysis_m1_diagnostic(scenario: Scenario) -> dict:
     return {"n_pairs": n_pairs, "grid_n": grid_n, "gof": gof}
 
 
+# name -> (runner, reads, min_horizons, ks_share).  reads(scenario) lists
+# the z-stage specs a z analysis reads, and its runner takes the stage's
+# rows after the scenario; it is None for an analysis that reads no z.  A
+# z analysis needs min_horizons rungs of T_ladder, and its KS test has
+# ks_share * replicates effective samples: stable_limit tests n replicates
+# against 4n reference draws, self_similarity n against n.
+ANALYSES = {
+    "cycle_mean": (_analysis_cycle_mean, None, 0, 0),
+    "cycle_tail": (_analysis_cycle_tail, None, 0, 0),
+    "hill": (_analysis_hill, None, 0, 0),
+    "stable_limit": (_analysis_stable_limit, lambda sc: sc.functionals, 1, 0.8),
+    "self_similarity": (_analysis_self_similarity, lambda sc: sc.functionals[:1], 2, 0.5),
+    "cdf_rate": (_analysis_cdf_rate, lambda sc: [f"cdf:{x!r}" for x in sc.x_grid], 3, 0),
+    "m1_diagnostic": (_analysis_m1_diagnostic, None, 0, 0),
+}
+
+
 # -- report -----------------------------------------------------------------
 
 
@@ -736,27 +738,18 @@ def run(scenario: Scenario, workers: Optional[int] = None) -> Report:
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     report = Report(scenario=scenario, notes=notes, backend=backend_name())
-    z_readers = ("stable_limit", "self_similarity", "cdf_rate")
     z_rows = None  # the z stage's rows or error, from the first z block on
-    dispatch = {
-        "cycle_mean": lambda: _analysis_cycle_mean(scenario),
-        "cycle_tail": lambda: _analysis_cycle_tail(scenario),
-        "hill": lambda: _analysis_hill(scenario),
-        "stable_limit": lambda: _analysis_stable_limit(scenario, z_rows),
-        "self_similarity": lambda: _analysis_self_similarity(scenario, z_rows),
-        "cdf_rate": lambda: _analysis_cdf_rate(scenario, z_rows),
-        "m1_diagnostic": lambda: _analysis_m1_diagnostic(scenario),
-    }
     for name in scenario.analyses:
-        if name in z_readers and z_rows is None:
+        runner, reads, _, _ = ANALYSES[name]
+        if reads and z_rows is None:
             try:
                 z_rows = _z_stage(scenario, workers)
             except Exception as exc:  # attempted once, recorded in every z block
                 z_rows = exc
         try:
-            if name in z_readers and isinstance(z_rows, Exception):
+            if reads and isinstance(z_rows, Exception):
                 raise z_rows
-            report.blocks[name] = dispatch[name]()
+            report.blocks[name] = runner(scenario, z_rows) if reads else runner(scenario)
         except Exception as exc:  # analyses are independent by contract
             report.blocks[name] = {"error": f"{type(exc).__name__}: {exc}"}
     return report

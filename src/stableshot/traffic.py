@@ -243,6 +243,7 @@ def build_path(sessions: Sessions, t0: float, t1: float) -> ShotNoisePath:
     w0 = sessions.common_rate
     if w0 is not None and t0 >= 0:
         times, _, n_arr, _, init_count = _session_events(sessions, t0, t1, rates=False)
+        del sessions  # the last reference when the caller passed them inline
         # every time exceeds t0 >= 0, so the bit patterns of these positive
         # floats sort as unsigned integers; shifted left, they carry
         # is_departure in the low bit (an arrival sorts before a departure
@@ -260,6 +261,7 @@ def build_path(sessions: Sessions, t0: float, t1: float) -> ShotNoisePath:
         count_steps = _steps(kernels.compensated_cumsum(c_delta), init_count)  # exact in int64
         return ShotNoisePath(t0, t1, times, count_steps * w0, count_steps)
     times, r_delta, n_arr, init_level, init_count = _session_events(sessions, t0, t1)
+    del sessions
     # gather one column at a time and drop the permutation before the steps
     # are formed (numpy frees each source as it is rebound)
     order = np.argsort(times, kind="stable")

@@ -294,7 +294,7 @@ class TestRun:
         def boom(scenario):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(harness, "_analysis_hill", boom)
+        monkeypatch.setitem(harness.ANALYSES, "hill", (boom, None, 0, 0))
         sc = tiny_scenario(analyses=("hill", "m1_diagnostic"))
         rep = run(sc)
         assert rep.blocks["hill"] == {"error": "RuntimeError: boom"}
@@ -404,6 +404,50 @@ class TestOnePathPerReplicate:
             assert rep.blocks[name] == {"error": "RuntimeError: no curve"}
         assert rep.blocks["m1_diagnostic"]["gof"].passed
         assert not rep.all_passed
+
+    def test_a_new_z_analysis_is_one_record(self, monkeypatch):
+        # a toy that reads functionals[:1] and returns its row: validate
+        # takes its name and horizon floor from the table, the run builds
+        # one z stage for it and the three z analyses, and their blocks are
+        # byte-identical to a run without it
+        stages = []
+        z_stage = harness._z_stage
+
+        def counted_stage(*args):
+            stages.append(args)
+            return z_stage(*args)
+
+        def toy(scenario, z_rows):
+            return {"row": z_rows[scenario.functionals[0]]}
+
+        sc = _z_scenario(T_ladder=(200.0, 400.0, 800.0, 1600.0))
+        without = run(sc)
+        monkeypatch.setitem(harness.ANALYSES, "toy", (toy, lambda s: s.functionals[:1], 4, 0))
+        monkeypatch.setattr(harness, "_z_stage", counted_stage)
+        with pytest.raises(ValueError, match="toy needs at least 4 horizons in T_ladder"):
+            validate(replace(sc, T_ladder=sc.T_ladder[:3], analyses=("toy",)))
+        with_toy = replace(sc, analyses=("toy",) + sc.analyses)
+        validate(with_toy)
+        rep = run(with_toy)
+        assert len(stages) == 1
+        assert list(rep.blocks) == ["toy", *sc.analyses]
+        for name in sc.analyses:
+            _assert_same(rep.blocks[name], without.blocks[name])
+        # alone, the toy's stage holds just the spec it reads
+        alone = run(replace(sc, analyses=("toy",)))
+        samples = without.blocks["stable_limit"]["identity"]["samples"]
+        for block in (rep.blocks["toy"], alone.blocks["toy"]):
+            phi, *_, z = block["row"]
+            assert phi.name == "identity"
+            assert z.tobytes() == np.stack(list(samples.values())).tobytes()
+
+    def test_an_analysis_that_reads_no_z_builds_no_stage(self, monkeypatch):
+        stages = []
+        monkeypatch.setattr(harness, "_z_stage", lambda *args: stages.append(args))
+        monkeypatch.setitem(harness.ANALYSES, "toy", (lambda sc: {"n": sc.replicates}, None, 0, 0))
+        rep = run(tiny_scenario(analyses=("toy", "m1_diagnostic")))
+        assert stages == []
+        assert rep.blocks["toy"] == {"n": 30} and rep.blocks["m1_diagnostic"]["gof"].passed
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_self_similarity_banks(self, workers, tmp_path):
@@ -758,7 +802,7 @@ class TestCli:
         def boom(scenario):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(harness, "_analysis_m1_diagnostic", boom)
+        monkeypatch.setitem(harness.ANALYSES, "m1_diagnostic", (boom, None, 0, 0))
         cfg = tmp_path / "s.yaml"
         tiny_scenario(analyses=("m1_diagnostic",)).to_yaml(cfg)
         assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path / "r")]) == 1
@@ -861,6 +905,7 @@ _stat = st.lists(
     w=st.lists(st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.7, 1.0 / 3.0]), st.floats(0.0, 4.0)), min_size=1, max_size=40),
 )
 @example(stat=[0.1, 0.2, 0.1, 0.2], b=0.3, w=[0.2, 0.1])  # 0.1 + 0.2 > 0.3 in floats
+@example(stat=[0.0, 5e-324], b=0.0, w=[5e-324])  # means one subnormal ulp apart
 def test_sorted_response_bit_identical(stat, b, w):
     s = np.array(stat)
     w = np.array(w + [b - x for x in stat[:10]])
@@ -868,14 +913,17 @@ def test_sorted_response_bit_identical(stat, b, w):
     want = np.array([float(np.mean((s + wv <= b).astype(float))) for wv in w])
     assert np.array_equal(indicator, want)
     # min(s + w, b) only for the w >= 0 that rates give: with w < 0 the
-    # terms of the mean can cancel, and no relative tolerance holds
+    # terms of the mean can cancel, and no relative tolerance holds.  Both
+    # sides round correctly, but among subnormals one ulp is a large
+    # relative step (5e-324 against 1e-323), so an absolute floor below
+    # every normal float covers them
     w = w[w >= 0]
     clipped = _sorted_response(("min", b), np.sort(s))(w)
     want = np.array([float(np.mean(np.minimum(s + wv, b))) for wv in w])
-    np.testing.assert_allclose(clipped, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(clipped, want, rtol=1e-12, atol=1e-320)
     shifted = _sorted_response(("id", None), np.sort(s))(w)
     want = np.array([float(np.mean(s + wv)) for wv in w])
-    np.testing.assert_allclose(shifted, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(shifted, want, rtol=1e-12, atol=1e-320)
 
 
 def _perfbench_workloads():
