@@ -93,20 +93,17 @@ def functional_steps(path: ShotNoisePath, phi: WindowFunctional, t0: float, t1: 
     Returns (bounds, values): segment i is [bounds[i], bounds[i+1]) with
     constant value values[i].  Requires path data up to t1 + h.
 
-    With h = 0 phi reads the level, and the steps are the path's own
-    segments.  Otherwise the sup over [s, s + h] is constant between
-    consecutive entries of the merged lists ``times`` and ``times - h``; a
-    segment reads it as the range max of the level steps between the
-    counts #{j : times[j] <= start} and #{j : times[j] - h <= start}.
+    The sup over [s, s + h] is constant between consecutive entries of the
+    merged lists ``times`` and ``times - h``; a segment reads it as the
+    range max of the level steps between the counts #{j : times[j] <=
+    start} and #{j : times[j] - h <= start}.  At h = 0 the lists coincide:
+    the steps are the path's own segments, each window one level step.
     """
     if t0 < path.t0 or t1 + phi.h > path.t1 or t0 >= t1:
         raise ValueError("path must cover [t0, t1 + h]")
-    if phi.h == 0.0:
-        bounds, s, _ = path.segments(t0, t1)
-    else:
-        bounds, lo, hi = _merged_steps(path.times, phi.h, t0, t1)
-        # counts run to len(times), past segments()' end
-        s = kernels.sliding_range_max(path._level_steps, lo, hi)
+    bounds, lo, hi = _merged_steps(path.times, phi.h, t0, t1)
+    # counts run to len(times), past segments()' end
+    s = kernels.sliding_range_max(path._level_steps, lo, hi)
     return bounds, np.asarray(phi(s), dtype=float)
 
 

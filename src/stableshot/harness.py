@@ -28,7 +28,7 @@ import math
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -84,12 +84,8 @@ class Scenario:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "w_params", tuple(self.w_params))
-        object.__setattr__(self, "T_ladder", tuple(float(t) for t in self.T_ladder))
-        object.__setattr__(self, "functionals", tuple(self.functionals))
-        object.__setattr__(self, "x_grid", tuple(float(x) for x in self.x_grid))
-        object.__setattr__(self, "analyses", tuple(self.analyses))
-        object.__setattr__(self, "tail_x", tuple(float(x) for x in self.tail_x))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _typed(f.name, getattr(self, f.name), f.default))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -108,8 +104,7 @@ class Scenario:
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-        defaults = cls()
-        return cls(**{k: _typed(k, v, getattr(defaults, k)) for k, v in d.items()})
+        return cls(**d)
 
     def to_yaml(self, dest) -> None:
         with open(dest, "w") as fh:
@@ -156,7 +151,8 @@ def _number(x):
 
 def _typed(key: str, value, default):
     """``value`` for scenario field ``key`` if it has the type of the
-    field's default (numbers as floats); ValueError otherwise."""
+    field's default (numbers as floats, lists as tuples); ValueError
+    otherwise."""
     if isinstance(default, int):
         ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif isinstance(default, str):
@@ -167,10 +163,11 @@ def _typed(key: str, value, default):
     elif isinstance(default[0], str):
         ok = isinstance(value, (list, tuple)) and all(isinstance(x, str) for x in value)
         want = "a list of strings"
+        value = tuple(value) if ok else value
     else:
         ok = isinstance(value, (list, tuple)) and all(_number(x) is not None for x in value)
         want = "a list of numbers"
-        value = [_number(x) for x in value] if ok else value
+        value = tuple(_number(x) for x in value) if ok else value
     if not ok:
         raise ValueError(f"scenario field {key!r} must be {want}, got {value!r}")
     return value

@@ -57,16 +57,6 @@ class SteppyPath:
         [times[i-1], times[i]), with jump epochs ``times`` inside (a, b)."""
         return cls(np.repeat(np.concatenate([[a], times, [b]]), 2)[1:-1], np.repeat(values, 2))
 
-    @classmethod
-    def pwl(cls, a, b, times, values) -> "SteppyPath":
-        """Linear through the nodes (times, values), held constant out to a
-        and b; two nodes at one time make a jump."""
-        t = np.concatenate([[a], times, [b]])
-        v = np.concatenate([values[:1], values, values[-1:]])
-        # a node at a or at b takes the place of its end vertex
-        keep = slice(int(t[1] == t[0]), t.size - int(t[-2] == t[-1]))
-        return cls(t[keep], v[keep])
-
     def limits(self, t):
         """(left limit, value) of the path at each time in t."""
         t = np.asarray(t, dtype=float)
@@ -82,13 +72,6 @@ class SteppyPath:
         left, value = np.where(between, line, self.v[first]), np.where(between, line, self.v[last])
         return (float(left), float(value)) if t.ndim == 0 else (left, value)
 
-    def evaluate(self, t):
-        return self.limits(t)[1]
-
-    def left_limit(self, t):
-        """Value approached from the left (equals evaluate except at jumps)."""
-        return self.limits(t)[0]
-
     def restrict(self, a, b) -> "SteppyPath":
         if not (self.a <= a < b <= self.b):
             raise ValueError("restriction interval not contained in [a, b]")
@@ -98,10 +81,6 @@ class SteppyPath:
             np.concatenate([[a], self.t[inside], [b]]),
             np.concatenate([value[:1], self.v[inside], left[1:]]),
         )
-
-    def completed_graph(self) -> np.ndarray:
-        """Vertex list (t, v) of the graph with jumps filled vertically."""
-        return np.column_stack([self.t, self.v])
 
 
 def dist_uniform(f: SteppyPath, g: SteppyPath) -> float:
@@ -132,13 +111,13 @@ def dist_m1(f: SteppyPath, g: SteppyPath, grid_n: int = 128):
     # absolute mesh: the discrete minimax distance then differs from the
     # true parametric infimum by at most 2 * (b - a) / grid_n
     mesh = 2.0 * (f.b - f.a) / grid_n
-    gf, gg = f.completed_graph(), g.completed_graph()
+    gf, gg = (np.column_stack([p.t, p.v]) for p in (f, g))
     dp = kernels.frechet_minimax(_densify(gf, mesh), _densify(gg, mesh))
     upper = min(float(dp), dist_uniform(f, g))
     lower = max(
-        abs(gf[0, 1] - gg[0, 1]),  # initial values must match up
-        abs(gf[-1, 1] - gg[-1, 1]),  # terminal values must match up
-        abs(gf[:, 1].max() - gg[:, 1].max()),
-        abs(gf[:, 1].min() - gg[:, 1].min()),
+        abs(f.v[0] - g.v[0]),  # initial values must match up
+        abs(f.v[-1] - g.v[-1]),  # terminal values must match up
+        abs(f.v.max() - g.v.max()),
+        abs(f.v.min() - g.v.min()),
     )
     return float(min(lower, upper)), upper

@@ -287,7 +287,7 @@ def test_a9_m1_properties(announce):
     # steep-ramp example: M1-close to the jump despite uniform distance 1
     delta = 0.05
     f = SteppyPath.step(0.0, 1.0, [0.5], [0.0, 1.0])
-    g = SteppyPath.pwl(0.0, 1.0, [0.5 - delta, 0.5], [0.0, 1.0])
+    g = SteppyPath([0.0, 0.5 - delta, 0.5, 1.0], [0.0, 0.0, 1.0, 1.0])
     _, up_ramp = dist_m1(f, g, grid_n=256)
     ok &= up_ramp <= delta + 4.0 / 256
     announce(

@@ -230,19 +230,78 @@ class TestStepsMatchMidpointReference:
             )
 
     def test_fn_writing_in_place_raises(self):
-        # identity's steps are the path's own levels, so a write through
-        # them raises instead of changing the path
+        # identity's steps are a copy of the path's levels: a write into
+        # them leaves the path alone, and a write into segments() raises
         p = hand_path()
         before = p.levels.copy()
         _, vals = functional_steps(p, identity(), 0.0, 3.0)
-        with pytest.raises(ValueError, match="read-only"):
-            vals += 1.0
+        vals += 1.0
         assert np.array_equal(p.levels, before)
         assert integrate_phi(p, identity(), 0.0, 3.0) == 4.5
         # the views are read-only, the path's own arrays are not
         _, levels, counts = p.segments()
+        with pytest.raises(ValueError, match="read-only"):
+            levels += 1.0
         assert not levels.flags.writeable and not counts.flags.writeable
         assert p.levels.flags.writeable and p.counts.flags.writeable
+
+
+H0_FUNCTIONALS = (identity(), idle_indicator(), clipped(1.0), cdf_indicator(2.0))
+
+
+def assert_steps_are_segments(path, t0, t1):
+    # at h = 0 the merge of times and times - h gives the path's own
+    # segments, and one-entry windows read their levels
+    bounds, levels, _ = path.segments(t0, t1)
+    for phi in H0_FUNCTIONALS:
+        assert_same_steps(functional_steps(path, phi, t0, t1), (bounds, phi(levels)))
+
+
+@st.composite
+def level_cases(draw, common_rate):
+    """(path, t0, t1) with every event time and range end on GRID, so
+    sessions tie and range ends sit on events.  With ``common_rate`` every
+    session has one rate and build_path counts occupancy from t0 = 0;
+    otherwise each session draws its own rate and the path starts at
+    t0 = -1, so build_path sums rate steps."""
+    start, end = (0, 40) if common_rate else (-4, 40)
+    n = draw(st.integers(0, 25))
+    starts = draw(st.lists(st.integers(start - 8, end + 2), min_size=n, max_size=n))
+    lengths = draw(st.lists(st.integers(1, 24), min_size=n, max_size=n))
+    rate = st.sampled_from([0.1, 0.5, 1.0, 2.0, 3.0])
+    rates = [draw(rate)] * n if common_rate else draw(st.lists(rate, min_size=n, max_size=n))
+    sessions = Sessions(GRID * np.array(starts, float), GRID * np.array(lengths, float), rates)
+    path = build_path(sessions, GRID * start, GRID * end)
+    k0 = draw(st.integers(start, end - 1))
+    k1 = draw(st.integers(k0 + 1, end))
+    return path, GRID * k0, GRID * k1
+
+
+class TestStepsAtZeroWindowAreSegments:
+    @settings(max_examples=200, deadline=None)
+    @given(case=level_cases(common_rate=True))
+    def test_count_route_paths(self, case):
+        assert_steps_are_segments(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=level_cases(common_rate=False))
+    def test_rate_sum_route_paths(self, case):
+        assert_steps_are_segments(*case)
+
+    def test_paths_without_events(self):
+        for sessions in (Sessions([], [], []), Sessions([-3.0], [10.0], [2.0])):
+            path = build_path(sessions, 0.0, 4.0)
+            assert len(path) == 0
+            for t0, t1 in ((0.0, 4.0), (0.5, 2.5)):
+                assert_steps_are_segments(path, t0, t1)
+
+    @pytest.mark.parametrize("rates", [("constant", (0.3,)), ("uniform", (0.1, 1.0))])
+    def test_simulated_paths(self, rates):
+        law = JointLaw(TailDist.pareto(1.5, 1.0), *rates)
+        cfg = TrafficConfig(lam=1.0, law=law, horizon=3000.0, rng=RngStream(0))
+        path = build_path(simulate_sessions(cfg), 0.0, 3000.0)
+        for t0, t1 in ((0.0, 3000.0), (0.5, 2500.25), (100.0, 100.5)):
+            assert_steps_are_segments(path, t0, t1)
 
 
 class TestCycleIntegrals:

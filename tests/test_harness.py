@@ -222,6 +222,10 @@ class TestScenario:
             (dict(lam=1e7, T_ladder=(1e4,), replicates=5), "= 1.0003e\\+11 exceed 1.5e\\+07"),
             (dict(lam=1e3, T_ladder=(1e4,), window_h=3e3, functionals=("winsup:1",)),
              "= 1.6003e\\+07 exceed 1.5e\\+07 for \\['stable_limit'\\]"),
+            # a Scenario is typed where it is built, not only from a document
+            (dict(analyses="stable_limit"), "'analyses' must be a list of strings"),
+            (dict(replicates=250.0), "'replicates' must be an integer, got 250.0"),
+            (dict(seed=1.5), "'seed' must be an integer, got 1.5"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -935,11 +939,11 @@ def _perfbench_workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["replicate-fanout", "mc-kernels"])
+@pytest.mark.parametrize("name", ["replicate-fanout", "mc-kernels", "cycle-bank"])
 def test_workload_records_match_the_benchmark_reference(name):
     # the benchmark's recorded GoF statistics, centerings, limit laws and z
     # sums at seed 1: both build_path routes, exact and Monte Carlo curves,
-    # and the one-atom and sampled limit rate laws
+    # the one-atom and sampled limit rate laws, and the banked busy cycles
     workloads = _perfbench_workloads()
     scenarios, _ = workloads.build(name, 1)
     values, _ = workloads.run_parts(run, scenarios, 1)

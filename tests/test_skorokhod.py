@@ -19,9 +19,7 @@ def step_half():
 
 def ramp(delta):
     # 0 up to 1/2 - delta, linear to 1 at 1/2, then flat 1
-    return SteppyPath.pwl(
-        0.0, 1.0, [0.5 - delta, 0.5], [0.0, 1.0]
-    )
+    return SteppyPath([0.0, 0.5 - delta, 0.5, 1.0], [0.0, 0.0, 1.0, 1.0])
 
 
 def random_step(gen, lo=0.0, hi=1.0):
@@ -35,16 +33,16 @@ def random_step(gen, lo=0.0, hi=1.0):
 class TestPathType:
     def test_evaluate_step(self):
         f = step_half()
-        assert f.evaluate(0.49) == 0.0
-        assert f.evaluate(0.5) == 1.0  # right continuous
-        assert f.left_limit(0.5) == 0.0
-        assert f.evaluate(1.0) == 1.0
+        assert f.limits(0.49)[1] == 0.0
+        assert f.limits(0.5)[1] == 1.0  # right continuous
+        assert f.limits(0.5)[0] == 0.0
+        assert f.limits(1.0)[1] == 1.0
 
     def test_evaluate_pwl(self):
         g = ramp(0.1)
-        assert g.evaluate(0.0) == 0.0
-        assert g.evaluate(0.45) == pytest.approx(0.5)
-        assert g.evaluate(0.75) == 1.0
+        assert g.limits(0.0)[1] == 0.0
+        assert g.limits(0.45)[1] == pytest.approx(0.5)
+        assert g.limits(0.75)[1] == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -60,17 +58,14 @@ class TestPathType:
 
     def test_limits_outside_the_interval(self):
         with pytest.raises(ValueError):
-            step_half().left_limit(2.0)
+            step_half().limits(2.0)
         with pytest.raises(ValueError):
-            step_half().evaluate(np.nan)
+            step_half().limits(np.nan)
 
     def test_pwl_repeated_node_is_a_jump(self):
-        f = SteppyPath.pwl(0.0, 1.0, [0.2, 0.5, 0.5, 0.8], [0.0, 1.0, 3.0, 2.0])
-        assert f.left_limit(0.5) == 1.0 and f.evaluate(0.5) == 3.0
-        assert f.evaluate(0.35) == pytest.approx(0.5)
-        assert f.completed_graph().tolist() == [
-            [0.0, 0.0], [0.2, 0.0], [0.5, 1.0], [0.5, 3.0], [0.8, 2.0], [1.0, 2.0]
-        ]
+        f = SteppyPath([0.0, 0.2, 0.5, 0.5, 0.8, 1.0], [0.0, 0.0, 1.0, 3.0, 2.0, 2.0])
+        assert f.limits(0.5) == (1.0, 3.0)
+        assert f.limits(0.35)[1] == pytest.approx(0.5)
 
     def test_vertices_are_read_only_copies(self):
         times = np.array([0.5])
@@ -85,20 +80,19 @@ class TestPathType:
     def test_restrict_step(self):
         f = SteppyPath.step(0.0, 1.0, [0.3, 0.7], [0.0, 1.0, 2.0])
         g = f.restrict(0.5, 1.0)
-        assert g.evaluate(0.5) == 1.0
-        assert g.evaluate(0.7) == 2.0
-        assert g.completed_graph().tolist() == [[0.5, 1.0], [0.7, 1.0], [0.7, 2.0], [1.0, 2.0]]
+        assert g.limits(0.5)[1] == 1.0
+        assert g.limits(0.7)[1] == 2.0
+        assert g.t.tolist() == [0.5, 0.7, 0.7, 1.0] and g.v.tolist() == [1.0, 1.0, 2.0, 2.0]
 
     def test_restrict_pwl(self):
         g = ramp(0.2).restrict(0.0, 0.5)
-        assert g.evaluate(0.5) == pytest.approx(1.0)
-        assert g.evaluate(0.3) == pytest.approx(ramp(0.2).evaluate(0.3))
+        assert g.limits(0.5)[1] == pytest.approx(1.0)
+        assert g.limits(0.3)[1] == pytest.approx(ramp(0.2).limits(0.3)[1])
 
     def test_completed_graph_fills_jumps(self):
-        verts = step_half().completed_graph()
+        f = step_half()
         # both (0.5, 0) and (0.5, 1) are vertices
-        at_half = verts[verts[:, 0] == 0.5]
-        assert set(at_half[:, 1]) == {0.0, 1.0}
+        assert set(f.v[f.t == 0.5]) == {0.0, 1.0}
 
 
 class TestUniform:
@@ -204,7 +198,7 @@ def test_densify_equals_the_segment_loop():
     zero_jump = SteppyPath.step(0.0, 1.0, [0.5], [1.0, 1.0])
     paths = [random_step(gen) for _ in range(30)] + [ramp(0.05), ramp(0.0), zero_jump]
     for f in paths:
-        poly = f.completed_graph()
+        poly = np.column_stack([f.t, f.v])
         for target in (2.0 / 128, 2.0 / 256, 0.3):
             assert np.array_equal(skorokhod._densify(poly, target), _densify_loop(poly, target))
 
