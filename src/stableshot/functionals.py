@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from . import traffic
 from ._backend import kernels
-from .rng import RngStream
-from .traffic import ShotNoisePath, TrafficConfig
+from .traffic import ShotNoisePath
 
 __all__ = [
     "WindowFunctional",
@@ -25,7 +23,7 @@ __all__ = [
     "idle_indicator",
     "window_sup_indicator",
     "functional_steps",
-    "monte_carlo_response",
+    "sorted_response",
     "empirical_cdf",
 ]
 
@@ -131,26 +129,12 @@ def _merged_steps(times, h, t0, t1):
     return bounds, lo, hi
 
 
-def monte_carlo_response(phi: WindowFunctional, config: TrafficConfig, n_mc: int, rng: RngStream):
-    """Response curve w -> E[phi(w + X_h(0))] over n_mc shared stationary
-    window draws.
-
-    Returns (calE, samples): ``calE(w)`` is the vector of draw means, one
-    per entry of w, computed from the sorted draws of phi's statistic s;
-    ``samples(w)`` the per-draw values phi(s + w) at one scalar w.
-    Indicator means are bit-identical to the per-point means; ``min``
-    means (prefix sums of the sorted draws) and ``id`` means (mean(s) + w)
-    agree with them to rounding for w >= 0, where a negative w could
-    cancel terms.
-    """
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
-    s = traffic.stationary_window_draws(config, n_mc, rng, phi.h)
-    return _sorted_response(phi.form, np.sort(s)), lambda w: phi(s + w)
-
-
-def _sorted_response(form, s):
-    """calE of 1{s + w <= b}, min(s + w, b) or s + w from the sorted draws s."""
+def sorted_response(form, s):
+    """calE(w), the mean of 1{s + w <= b}, min(s + w, b) or s + w (by
+    ``form``) over the sorted draws s.  Indicator means are bit-identical
+    to the per-point means; ``min`` means (prefix sums of s) and ``id``
+    means (mean(s) + w) agree with them to rounding for w >= 0, where a
+    negative w could cancel terms."""
     op, b = form
     n = s.size
     if op == "id":

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from . import functionals as fns
+from . import functionals as fns, traffic
 from ._backend import backend_name
 from .cycles import MAX_CYCLE_LOAD, collect_cycle_lengths, cycle_tail_table, hill_alpha
 from .functionals import WindowFunctional
@@ -58,6 +58,8 @@ __all__ = [
 # expected sessions one replicate path of a z analysis may draw: a T = 1e5
 # path peaks near 150 B per session, so this is about 2.3 GB per worker
 MAX_PATH_SESSIONS = 1.5e7
+# window draws of one Monte Carlo response curve, all held at once
+MC_DRAWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -279,6 +281,15 @@ def validate(scenario: Scenario) -> list:
                 f"lambda*E[Y] = {sessions:g} exceed {MAX_PATH_SESSIONS:g} for {z_runs}: "
                 "each path holds all of its sessions in memory at once"
             )
+        for spec in (s for a in z_runs for s in ANALYSES[a][1](scenario)):
+            phi = make_functional(spec, scenario.window_h)
+            sessions = MC_DRAWS * scenario.lam * (ey + phi.h)
+            if not _exact_curve(law, phi) and sessions > MAX_PATH_SESSIONS:
+                raise ValueError(
+                    f"the Monte Carlo response curve of {spec!r} holds "
+                    f"{MC_DRAWS}*lambda*(E[Y] + h) = {sessions:g} expected sessions at once, "
+                    f"over {MAX_PATH_SESSIONS:g}"
+                )
     notes.append(f"mean session duration E[Y] = {ey:g}")
     notes.append(f"offered load lambda*E[Y] = {load:g}")
     try:
@@ -344,22 +355,29 @@ def exact_poisson_calE(phi: WindowFunctional, nu: float, w0: float):
     return calE
 
 
-def response_curve(scenario: Scenario, phi: WindowFunctional, n_mc: int = 100_000):
-    """(calE, cal0, se, method): exact where a closed form exists,
-    otherwise a Monte Carlo curve over shared stationary window draws, with
-    cal0 and se the mean of phi over the draws and its standard error."""
+def _exact_curve(law: JointLaw, phi: WindowFunctional) -> bool:
+    """Whether phi's curve is exact_poisson_calE's (else a Monte Carlo one)."""
+    return law.common_rate is not None and phi.h == 0
+
+
+def response_curve(scenario: Scenario, phi: WindowFunctional, n_mc: int = MC_DRAWS):
+    """(calE, cal0, se, method) of w -> E[phi(w + X_h(0))]: exact where a
+    closed form exists, else from n_mc stationary window draws s of phi's
+    statistic (a substream keyed by phi's name), with cal0 and se the mean
+    of phi(s) and its standard error and calE ``fns.sorted_response`` of s."""
     law = scenario.law()
-    if law.common_rate is not None and phi.h == 0:
+    if _exact_curve(law, phi):
         calE = exact_poisson_calE(phi, scenario.lam * law.mean_y, law.common_rate)
         return calE, float(calE(0.0)[0]), 0.0, "exact"
     key = zlib.crc32(phi.name.encode()) % 2**31
     rng = RngStream(scenario.seed, stream_id=2**31).substream(key)
-    cfg = scenario.config(horizon=1.0, rng=rng)
-    calE, samples = fns.monte_carlo_response(phi, cfg, n_mc, rng)
-    base = samples(0.0)
+    cfg = TrafficConfig(lam=scenario.lam, law=law, horizon=1.0)
+    s = traffic.stationary_window_draws(cfg, n_mc, rng, phi.h)
+    base = phi(s)  # s itself for identity, so it is reduced before the sort
     cal0 = float(np.mean(base))
     se = float(np.std(base, ddof=1) / math.sqrt(n_mc))
-    return calE, cal0, se, "monte_carlo"
+    s.sort()
+    return fns.sorted_response(phi.form, s), cal0, se, "monte_carlo"
 
 
 # -- replicate workers (module level so ProcessPoolExecutor can pickle) ----
@@ -453,12 +471,15 @@ def _z_stage(scenario: Scenario, workers: int) -> dict:
 # -- analyses ---------------------------------------------------------------
 
 
+def _cycle_lengths(scenario: Scenario, stream_id: int) -> np.ndarray:
+    """Cycle lengths of stream 0 (cycle_mean), 1 (cycle_tail) or 2 (hill)."""
+    rng = RngStream(scenario.seed, stream_id=stream_id)
+    return collect_cycle_lengths(scenario.lam, scenario.law(), scenario.n_cycles, rng)
+
+
 def _analysis_cycle_mean(scenario: Scenario) -> dict:
-    law = scenario.law()
-    theory = math.exp(scenario.lam * law.mean_y) / scenario.lam
-    lengths = collect_cycle_lengths(
-        scenario.lam, law, scenario.n_cycles, RngStream(scenario.seed, stream_id=0)
-    )
+    theory = math.exp(scenario.lam * scenario.y_dist().mean_y) / scenario.lam
+    lengths = _cycle_lengths(scenario, 0)
     mean = float(lengths.mean())
     se = float(lengths.std(ddof=1) / math.sqrt(lengths.size))
     gof = GofReport(
@@ -472,12 +493,10 @@ def _analysis_cycle_mean(scenario: Scenario) -> dict:
 
 
 def _analysis_cycle_tail(scenario: Scenario) -> dict:
-    law = scenario.law()
-    lengths = collect_cycle_lengths(
-        scenario.lam, law, scenario.n_cycles, RngStream(scenario.seed, stream_id=1)
-    )
+    lengths = _cycle_lengths(scenario, 1)
+    y_dist = scenario.y_dist()
     table = cycle_tail_table(
-        lengths, scenario.y_dist(), scenario.lam, law.mean_y,
+        lengths, y_dist, scenario.lam, y_dist.mean_y,
         scenario.tail_x, [scenario.tail_t],
     )
     rel = [
@@ -496,10 +515,7 @@ def _analysis_cycle_tail(scenario: Scenario) -> dict:
 
 
 def _analysis_hill(scenario: Scenario) -> dict:
-    lengths = collect_cycle_lengths(
-        scenario.lam, scenario.law(), scenario.n_cycles,
-        RngStream(scenario.seed, stream_id=2),
-    )
+    lengths = _cycle_lengths(scenario, 2)
     est, se = hill_alpha(lengths, scenario.hill_k)
     gof = GofReport(
         name=f"{scenario.name}/hill",

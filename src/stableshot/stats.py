@@ -50,16 +50,15 @@ class GofReport:
         )
 
 
-def ks_threshold(n: float, level: float = 0.01) -> float:
-    """Asymptotic one-sample KS critical value c(level)/sqrt(n)."""
-    if not 0 < level < 1:
-        raise ValueError("level must be in (0, 1)")
+def ks_threshold(n: float) -> float:
+    """Asymptotic one-sample KS critical value c(0.01)/sqrt(n): every KS
+    test here is at level 0.01."""
     if n <= 0:
         raise ValueError("n must be positive")
-    return math.sqrt(-math.log(level / 2.0) / 2.0) / math.sqrt(n)
+    return math.sqrt(-math.log(0.01 / 2.0) / 2.0) / math.sqrt(n)
 
 
-def ks_two_sample(a, b, name: str, level: float = 0.01) -> GofReport:
+def ks_two_sample(a, b, name: str) -> GofReport:
     """Two-sample KS test: sup |F_a - F_b| against the asymptotic threshold."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
@@ -72,7 +71,7 @@ def ks_two_sample(a, b, name: str, level: float = 0.01) -> GofReport:
     diff -= np.searchsorted(b, both, side="right") / b.size
     stat = float(max(diff.max(), np.clip(-diff.min(), 0, 1)))
     n_eff = a.size * b.size / (a.size + b.size)
-    return GofReport(name, stat, ks_threshold(n_eff, level), int(min(a.size, b.size)))
+    return GofReport(name, stat, ks_threshold(n_eff), int(min(a.size, b.size)))
 
 
 def rate_regression(sizes, dispersions):

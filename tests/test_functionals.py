@@ -25,8 +25,8 @@ from stableshot import (
     window_sup_indicator,
 )
 from stableshot._backend import kernels
-from stableshot.functionals import WindowFunctional, functional_steps, monte_carlo_response
-from stableshot.harness import make_functional
+from stableshot.functionals import WindowFunctional, functional_steps
+from stableshot.harness import Scenario, make_functional, response_curve
 
 from oracles import cycle_integrals, eval_level, integrate_phi
 
@@ -385,14 +385,15 @@ class TestEmpiricalCdf:
 
 
 class TestResponse:
+    # rates in [0.1, 1] take the Monte Carlo route; the level is 0 exactly
+    # when no session is alive, with probability exp(-lambda E[Y]) = exp(-3)
+    sc = Scenario(lam=1.0, w_kind="uniform", w_params=(0.1, 1.0), seed=7)
+
     def test_idle_probability(self):
-        cfg = TrafficConfig(lam=1.0, law=law(), horizon=1.0, rng=RngStream(7))
-        _, samples = monte_carlo_response(idle_indicator(), cfg, 40_000, RngStream(7))
-        draws = samples(0.0)
-        est, se = float(np.mean(draws)), float(np.std(draws, ddof=1) / math.sqrt(draws.size))
+        _, est, se, method = response_curve(self.sc, idle_indicator(), n_mc=40_000)
+        assert method == "monte_carlo"
         assert est == pytest.approx(math.exp(-3.0), abs=4 * se + 1e-3)
 
     def test_shift_by_w_kills_idle(self):
-        cfg = TrafficConfig(lam=1.0, law=law(), horizon=1.0, rng=RngStream(8))
-        calE, _ = monte_carlo_response(idle_indicator(), cfg, 2000, RngStream(8))
+        calE, *_ = response_curve(self.sc, idle_indicator(), n_mc=2000)
         assert calE(0.5)[0] == 0.0

@@ -26,9 +26,10 @@ from stableshot import (
     run,
     simulate_sessions,
     tail_quantile_a,
+    traffic,
 )
 from stableshot.cli import main
-from stableshot.functionals import _sorted_response, functional_steps, monte_carlo_response
+from stableshot.functionals import functional_steps, sorted_response
 from stableshot.harness import _z_matrix, make_functional, response_curve, validate
 from stableshot.traffic import stationary_window_draws
 
@@ -226,6 +227,13 @@ class TestScenario:
             (dict(analyses="stable_limit"), "'analyses' must be a list of strings"),
             (dict(replicates=250.0), "'replicates' must be an integer, got 250.0"),
             (dict(seed=1.5), "'seed' must be an integer, got 1.5"),
+            # each path fits, but a Monte Carlo response curve would hold
+            # 1e5 windows' sessions at once: 3e8 here, about 15 GB
+            (dict(lam=1e3, w_kind="uniform", w_params=(0.1, 1.0), T_ladder=(1e4,),
+                  functionals=("clipped:2",)),
+             "curve of 'clipped:2' holds 100000\\*lambda\\*\\(E\\[Y\\] \\+ h\\) = 3e\\+08 "
+             "expected sessions at once, over 1.5e\\+07"),
+            (dict(functionals=("winsup:3",), window_h=200.0), "= 2.03e\\+07 expected sessions"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -243,6 +251,8 @@ class TestScenario:
         validate(tiny_scenario(lam=3.0, analyses=("cycle_mean", "cycle_tail", "hill")))
         # and a path too large to hold matters only to the z analyses
         validate(tiny_scenario(lam=1e7, T_ladder=(1e4,), analyses=("m1_diagnostic",)))
+        # and so many Monte Carlo draws only to a curve without a closed form
+        validate(tiny_scenario(lam=1e3, T_ladder=(1e4,), functionals=("cdf:1",)))
 
     def test_validate_accepts_the_fewest_replicates_that_can_fail(self):
         validate(tiny_scenario(replicates=4))
@@ -752,6 +762,11 @@ class TestCli:
             # about 1e11 sessions per replicate path: rejected before any is drawn
             ("lam: 1.0e+7\nT_ladder: [1.0e+4]\nreplicates: 5\n",
              "lambda*E[Y] = 1.0003e+11 exceed 1.5e+07"),
+            # the Monte Carlo response curves would draw 3e8 and 2.03e7 sessions
+            ("lam: 1000\nw_kind: uniform\nw_params: [0.1, 1.0]\nT_ladder: [1.0e+4]\n"
+             "functionals: ['clipped:2']\n", "(E[Y] + h) = 3e+08 expected sessions at once"),
+            ("functionals: ['winsup:3']\nwindow_h: 200\n",
+             "(E[Y] + h) = 2.03e+07 expected sessions at once, over 1.5e+07"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -852,14 +867,29 @@ def _loop_calE(phi, stat, w):
     return np.array([float(np.mean(phi(stat + wv))) for wv in w])
 
 
+def _recorded_draws(monkeypatch) -> list:
+    """A list that gets a copy of every array traffic.stationary_window_draws
+    returns from here on, taken before its caller can sort it."""
+    calls = []
+    draws = traffic.stationary_window_draws
+
+    def record(*args, **kwargs):
+        out = draws(*args, **kwargs)
+        calls.append(out.copy())
+        return out
+
+    monkeypatch.setattr(traffic, "stationary_window_draws", record)
+    return calls
+
+
 @pytest.mark.parametrize("spec", ["winsup:3", "idle", "cdf:1.5", "clipped:2", "identity"])
-def test_monte_carlo_response_matches_loop(spec):
+def test_response_curve_matches_loop(spec, monkeypatch):
     sc = Scenario(**_MC)
     phi = make_functional(spec, sc.window_h)
-    n = 4000
-    rng = RngStream(5)
-    calE, samples = monte_carlo_response(phi, sc.config(1.0, rng), n, rng)
-    stat = stationary_window_draws(sc.config(1.0, rng), n, rng, phi.h)
+    calls = _recorded_draws(monkeypatch)
+    calE, *_, method = response_curve(sc, phi, n_mc=4000)
+    (stat,) = calls  # the curve's own draws
+    assert method == "monte_carlo"
     op, b = phi.form
     if b is None:  # identity has no threshold; any shifts will do
         b = 1.0
@@ -877,7 +907,18 @@ def test_monte_carlo_response_matches_loop(spec):
         # rates are nonnegative; a negative w could cancel terms of the mean
         keep = w >= 0
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0)
-    assert np.array_equal(samples(0.25), phi(stat + 0.25))
+
+
+def test_response_curve_draws_once_per_monte_carlo_curve(monkeypatch):
+    # the draws are taken through the traffic module's attribute, once per
+    # Monte Carlo curve; a closed-form curve takes none
+    calls = _recorded_draws(monkeypatch)
+    for spec in ("winsup:3", "clipped:2", "identity"):
+        response_curve(Scenario(**_MC), make_functional(spec, 1.0), n_mc=100)
+    assert len(calls) == 3
+    for spec in ("identity", "idle", "cdf:1"):
+        assert response_curve(Scenario(), make_functional(spec))[3] == "exact"
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("spec", ["winsup:3", "clipped:2", "idle"])
@@ -913,7 +954,7 @@ _stat = st.lists(
 def test_sorted_response_bit_identical(stat, b, w):
     s = np.array(stat)
     w = np.array(w + [b - x for x in stat[:10]])
-    indicator = _sorted_response(("le", b), np.sort(s))(w)
+    indicator = sorted_response(("le", b), np.sort(s))(w)
     want = np.array([float(np.mean((s + wv <= b).astype(float))) for wv in w])
     assert np.array_equal(indicator, want)
     # min(s + w, b) only for the w >= 0 that rates give: with w < 0 the
@@ -922,10 +963,10 @@ def test_sorted_response_bit_identical(stat, b, w):
     # relative step (5e-324 against 1e-323), so an absolute floor below
     # every normal float covers them
     w = w[w >= 0]
-    clipped = _sorted_response(("min", b), np.sort(s))(w)
+    clipped = sorted_response(("min", b), np.sort(s))(w)
     want = np.array([float(np.mean(np.minimum(s + wv, b))) for wv in w])
     np.testing.assert_allclose(clipped, want, rtol=1e-12, atol=1e-320)
-    shifted = _sorted_response(("id", None), np.sort(s))(w)
+    shifted = sorted_response(("id", None), np.sort(s))(w)
     want = np.array([float(np.mean(s + wv)) for wv in w])
     np.testing.assert_allclose(shifted, want, rtol=1e-12, atol=1e-320)
 

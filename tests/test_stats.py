@@ -44,7 +44,7 @@ class TestKs:
 
     def test_threshold_constant(self):
         # c(0.01) = sqrt(-ln(0.005)/2) = 1.628
-        assert ks_threshold(1, 0.01) == pytest.approx(1.628, abs=1e-3)
+        assert ks_threshold(1) == pytest.approx(1.628, abs=1e-3)
 
     def test_null_calibration(self):
         # same stable law, independent seeds: should pass nearly always
