@@ -17,7 +17,8 @@
   of Eiter & Mannila 1994), found without the DP table: a lower bound,
   then a bisection over the cost values, each step a bit-parallel
   reachability test on the free cells (Alt & Godau 1995's decision and
-  search, on the discrete grid).  It holds the n x m cost matrix.
+  search, on the discrete grid).  It holds the n x m cost matrix and no
+  float temporary of its size.
 
 The max/min selections and the cost comparisons are exact: no rounding
 enters, so the sparse table returns the same values as a monotone-deque
@@ -28,6 +29,11 @@ DP.
 import numpy as np
 
 BACKEND = "python"
+
+# cells of one row block of frechet_minimax's |dv| buffer (128 KiB), and
+# the most costs its first bisection samples
+_BLOCK_CELLS = 1 << 14
+_SAMPLE_CELLS = 1 << 12
 
 
 def compensated_cumsum(deltas):
@@ -129,36 +135,66 @@ def frechet_minimax(p, q):
     with c <= eps hold such a path (``_free_path``).  Every path visits
     every row and every column and both corners, so D is at least
     lb = max(max_i min_j c, max_j min_i c, c[0, 0], c[-1, -1]).  When lb
-    admits a path it is D; otherwise a bisection over the sorted distinct
-    costs above lb finds the smallest one that does.  Each step compares
+    admits a path it is D.  Otherwise D is a cost above lb, found in two
+    bisections: first over the distinct costs above lb of a strided
+    sample of c, with the largest cost (which frees every cell) as the
+    last candidate; then over the distinct costs strictly between the
+    two candidates that bracket D, and the upper one.  Each step compares
     cost floats, so D is the very float a row-by-row sweep of
     D[i, j] = max(c[i, j], min(D[i-1, j], D[i, j-1], D[i-1, j-1])) returns.
 
-    Memory: the float64 cost matrix and, while it is built, one temporary
-    of its size: 16 * n * m bytes (16 MB for 1,000 x 1,000 vertices).
-    Rows run along the shorter polyline (D is symmetric), so the Python
-    loop makes min(n, m) steps per test.  Raises ValueError unless p and q
-    are non-empty (k, 2) arrays of finite floats.
+    Memory: the float64 cost matrix, built a block of rows at a time, and
+    at most two bytes per cell of comparison masks beside it: 10 * n * m
+    bytes (10 MB for 1,000 x 1,000 vertices), plus O(n + m).  Rows run
+    along the shorter polyline (D is symmetric), so the Python loop makes
+    min(n, m) steps per test.  Raises ValueError unless p and q are
+    non-empty (k, 2) arrays of finite floats.
     """
     p, q = _polyline(p), _polyline(q)
     if len(p) > len(q):
         p, q = q, p
-    cost = np.subtract.outer(np.ascontiguousarray(p[:, 0]), np.ascontiguousarray(q[:, 0]))
-    np.abs(cost, out=cost)
-    dv = np.subtract.outer(np.ascontiguousarray(p[:, 1]), np.ascontiguousarray(q[:, 1]))
-    np.abs(dv, out=dv)
-    np.maximum(cost, dv, out=cost)
-    del dv
+    cost = _cost_matrix(p, q)
     lb = max(cost.min(axis=1).max(), cost.min(axis=0).max(), cost[0, 0], cost[-1, -1])
     if _free_path(cost <= lb):
         return float(lb)
-    # some cost exceeds lb, and the largest frees every cell
-    above = np.unique(cost[cost > lb])
-    lo, hi = 0, len(above) - 1
+    flat = cost.ravel()
+    sample = flat[:: -(-flat.size // _SAMPLE_CELLS)]
+    coarse = np.unique(np.append(sample[sample > lb], flat.max()))
+    k = _first_free(cost, coarse)
+    below = coarse[k - 1] if k else lb
+    between = flat > below
+    between &= flat < coarse[k]
+    fine = np.unique(np.append(flat[between], coarse[k]))
+    del between
+    return float(fine[_first_free(cost, fine)])
+
+
+def _cost_matrix(p, q):
+    """c[i, j] = max(|dt|, |dv|) of p[i] and q[j], built a block of rows at
+    a time in the float64 matrix, with one block-sized |dv| buffer."""
+    n, m = len(p), len(q)
+    cost = np.empty((n, m))
+    rows = max(1, _BLOCK_CELLS // m)
+    dv = np.empty((rows, m))
+    qt, qv = np.ascontiguousarray(q[:, 0]), np.ascontiguousarray(q[:, 1])
+    for a in range(0, n, rows):
+        block, dvb = cost[a : a + rows], dv[: min(rows, n - a)]
+        np.subtract.outer(p[a : a + rows, 0], qt, out=block)
+        np.abs(block, out=block)
+        np.subtract.outer(p[a : a + rows, 1], qv, out=dvb)
+        np.abs(dvb, out=dvb)
+        np.maximum(block, dvb, out=block)
+    return cost
+
+
+def _first_free(cost, eps):
+    """Index of the smallest of the increasing ``eps`` whose free cells
+    (cost <= eps) hold a path; the last of them must."""
+    lo, hi = 0, len(eps) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _free_path(cost <= above[mid]):
+        if _free_path(cost <= eps[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return float(above[lo])
+    return lo

@@ -5,12 +5,14 @@
     stableshot demo --out scenarios/
 
 Exit code 0 iff the report passes (no analysis errored and every
-goodness-of-fit report passed), 1 if it fails, 2 on an invalid scenario.
+goodness-of-fit report passed), 1 if it fails, 2 on an invalid scenario or
+an output directory that cannot be created.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -57,8 +59,6 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "demo":
-        import os
-
         os.makedirs(args.out, exist_ok=True)
         for name, sc in builtin_scenarios().items():
             dest = os.path.join(args.out, f"{name}.yaml")
@@ -76,6 +76,11 @@ def main(argv=None) -> int:
         validate(scenario)
     except (ValueError, OSError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
+        return 2
+    try:  # before the run, which a bad output path would otherwise waste
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
         return 2
     report = run(scenario)
     files = emit(report, args.out, fmt=args.format)

@@ -58,7 +58,9 @@ __all__ = [
 # expected sessions one replicate path of a z analysis may draw: a T = 1e5
 # path peaks near 150 B per session, so this is about 2.3 GB per worker
 MAX_PATH_SESSIONS = 1.5e7
-# window draws of one Monte Carlo response curve, all held at once
+# window draws of one Monte Carlo response curve; their drawn session
+# columns are all held at once (only the sups are reduced a block of draws
+# at a time), so validate caps MC_DRAWS * lambda * (E[Y] + h) sessions
 MC_DRAWS = 100_000
 
 

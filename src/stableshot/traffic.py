@@ -34,7 +34,9 @@ __all__ = [
 ]
 
 # cells of one block of stationary_window_draws' padded event matrix
-# (1 MiB of float64): bounds its memory whatever the draw count
+# (1 MiB of float64); a block of draws holds at most a sixteenth as many
+# sessions (see _sups_by_block), so its memory is bounded whatever the
+# draw count
 _BLOCK_CELLS = 1 << 17
 
 
@@ -335,40 +337,60 @@ def _session_events(sessions: Sessions, t0: float, t1: float, rates: bool = True
 
 def stationary_window_draws(config: TrafficConfig, n: int, rng: RngStream, h: float = 0.0):
     """n i.i.d. draws of the sup of the stationary level over [0, h], which
-    is X(0) at h = 0, for all draws in one vectorized pass."""
+    is X(0) at h = 0.
+
+    Each draw's window holds its sessions alive at 0 and its fresh
+    arrivals in [0, h), of which there are none at h = 0.  The columns of
+    both kinds are drawn for all n draws at once, the session ends formed
+    in place; ``_sups_by_block`` then reduces contiguous blocks of draws,
+    so the working memory beyond the drawn columns is bounded whatever n.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _window_sups(*_window_sessions(config, n, rng, h), n, h)
-
-
-def _window_sessions(config: TrafficConfig, n: int, rng: RngStream, h: float):
-    """(owner, gamma, end, w) of the sessions of n independent stationary
-    windows on [0, h]: the sessions alive at 0, then the fresh arrivals in
-    [0, h), drawn only when h > 0; ``owner`` is the draw index of each
-    session."""
     gen = rng.generator()
     lam, law = config.lam, config.law
-    nu = lam * law.mean_y
 
-    n_init = gen.poisson(nu, n)
-    tot0 = int(n_init.sum())
-    y0, w0 = law.sample_size_biased_pairs(tot0, gen)
-    g0 = -gen.uniform(size=tot0) * y0
-    owner0 = np.repeat(np.arange(n), n_init)
+    n_init = gen.poisson(lam * law.mean_y, n)
+    y0, w0 = law.sample_size_biased_pairs(int(n_init.sum()), gen)
+    g0 = gen.uniform(size=y0.size)
+    g0 *= y0
+    np.negative(g0, out=g0)  # -(u * y) is (-u) * y bit for bit
+    y0 += g0  # now each session's end
 
-    if h > 0:
-        n_fresh = gen.poisson(lam * h, n)
-        totf = int(n_fresh.sum())
-        yf, wf = law.sample_pairs(totf, gen)
-        gf = gen.uniform(0.0, h, totf)
-        ownerf = np.repeat(np.arange(n), n_fresh)
-        gamma = np.concatenate([g0, gf])
-        dur = np.concatenate([y0, yf])
-        w = np.concatenate([w0, wf])
-        owner = np.concatenate([owner0, ownerf])
-    else:
-        gamma, dur, w, owner = g0, y0, w0, owner0
-    return owner, gamma, gamma + dur, w
+    n_fresh = gen.poisson(lam * h, n)  # all 0 at h = 0
+    yf, wf = law.sample_pairs(int(n_fresh.sum()), gen)
+    gf = gen.uniform(0.0, h, yf.size)
+    yf += gf  # now each session's end
+    return _sups_by_block((n_init, g0, y0, w0), (n_fresh, gf, yf, wf), h)
+
+
+def _sups_by_block(init, fresh, h: float) -> np.ndarray:
+    """``_window_sups`` of every draw, a block of draws at a time.
+
+    ``init`` and ``fresh`` are (counts, gamma, end, w): per-draw session
+    counts, then columns holding draw 0's sessions, then draw 1's, and so
+    on.  Draw i's sessions are its init ones, then its fresh ones, each in
+    column order.  A block is the longest run of draws with at most
+    ``_BLOCK_CELLS // 16`` sessions in all, and at least one draw: under
+    3 MB of temporaries at four sessions a draw.
+    """
+    n_init, n_fresh = init[0], fresh[0]
+    n = n_init.size
+    upto = np.add(n_init, n_fresh)
+    np.cumsum(upto, out=upto)  # sessions of draws 0..i
+    sups = np.empty(n)
+    a = i0 = f0 = 0
+    while a < n:
+        done = int(upto[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(upto, done + _BLOCK_CELLS // 16, side="right")))
+        i1 = i0 + int(n_init[a:b].sum())
+        f1 = f0 + int(n_fresh[a:b].sum())
+        draws = np.arange(b - a)
+        owner = np.concatenate([np.repeat(draws, n_init[a:b]), np.repeat(draws, n_fresh[a:b])])
+        gamma, end, w = (np.concatenate([c0[i0:i1], cf[f0:f1]]) for c0, cf in zip(init[1:], fresh[1:]))
+        sups[a:b] = _window_sups(owner, gamma, end, w, b - a, h)
+        a, i0, f0 = b, i1, f1
+    return sups
 
 
 def _window_sups(owner, gamma, end, w, n: int, h: float) -> np.ndarray:

@@ -19,6 +19,7 @@ from stableshot import (
     Scenario,
     build_path,
     builtin_scenarios,
+    cli,
     emit,
     empirical_cdf,
     harness,
@@ -807,6 +808,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "invalid scenario" in err and message in err
         assert not (tmp_path / "r").exists()
+
+    def test_run_out_not_a_directory_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def never(scenario):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setattr(cli, "run", never)
+        cfg = tmp_path / "s.yaml"
+        tiny_scenario(analyses=("m1_diagnostic",)).to_yaml(cfg)
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        assert main(["run", "--scenario", str(cfg), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot create output directory" in err and str(taken) in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert taken.read_text() == "a file\n"
 
     def test_run_exit_codes(self, tmp_path, capsys):
         cfg = tmp_path / "s.yaml"

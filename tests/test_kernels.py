@@ -1,6 +1,7 @@
 """Contract tests for the numpy kernels: hand-checkable cases and exact
 agreement with simple reference implementations."""
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -225,11 +226,19 @@ def _grid_polylines(draw, max_len=10):
 
 
 @settings(max_examples=300, deadline=None)
-@given(p=_grid_polylines(), q=_grid_polylines())
-def test_frechet_minimax_matches_row_loop_on_grid(p, q):
+@given(
+    p=_grid_polylines(), q=_grid_polylines(),
+    sample_cells=st.integers(1, 12), block_cells=st.integers(1, 30),
+)
+def test_frechet_minimax_matches_row_loop_on_grid(p, q, sample_cells, block_cells):
     want = _row_loop_frechet(p, q)
-    assert _kernels_py.frechet_minimax(p, q) == want
-    assert _kernels_py.frechet_minimax(q, p) == want
+    with pytest.MonkeyPatch.context() as mp:
+        # a few sampled costs leave most of the search to the second
+        # bisection; a few cells a block build the costs in many row blocks
+        mp.setattr(_kernels_py, "_SAMPLE_CELLS", sample_cells)
+        mp.setattr(_kernels_py, "_BLOCK_CELLS", block_cells)
+        assert _kernels_py.frechet_minimax(p, q) == want
+        assert _kernels_py.frechet_minimax(q, p) == want
 
 
 @pytest.mark.parametrize("m", [1, 2, 7])
@@ -268,6 +277,55 @@ def test_frechet_minimax_searches_above_the_lower_bound(case):
     for a, b in ((p, q), (q, p)):
         assert _kernels_py.frechet_minimax(a, b) == d_want == _row_loop_frechet(a, b)
         assert d_want == _naive_frechet(a, b)
+
+
+# (case, sampled costs, where D lies): the search first bisects over the
+# distinct sampled costs above lb and the largest cost, then over the costs
+# strictly between the two of those that bracket D
+_SAMPLE_SPLITS = [("mid", 2, "sample"), ("mid", 3, "between"), ("top", 3, "top")]
+
+
+@pytest.mark.parametrize("case, sample_cells, where", _SAMPLE_SPLITS)
+def test_frechet_minimax_two_stage_search(monkeypatch, case, sample_cells, where):
+    pv, qv, _, d_want = _SEARCH_CASES[case]
+    p = np.column_stack([np.zeros(len(pv)), pv])
+    q = np.column_stack([np.zeros(len(qv)), qv])
+    lb, c = _lower_bound(p, q)  # p is the shorter, so c is the kernel's matrix
+    sample = c.ravel()[:: -(-c.size // sample_cells)]  # the kernel's stride
+    sampled = sample[sample > lb]
+    if where == "top":
+        assert d_want == c.max()
+    elif where == "sample":
+        assert d_want in sampled and d_want < c.max()
+    else:
+        assert d_want not in sampled
+        assert sampled[sampled < d_want].size and sampled[sampled > d_want].size
+    monkeypatch.setattr(_kernels_py, "_SAMPLE_CELLS", sample_cells)
+    for a, b in ((p, q), (q, p)):
+        assert _kernels_py.frechet_minimax(a, b) == d_want == _row_loop_frechet(a, b)
+
+
+def test_frechet_minimax_peak_memory():
+    # two independent 1,000-vertex walks over a time span ten times their
+    # spread: most of the 1e6 costs exceed lb, D is above it, and both
+    # bisections run
+    gen = np.random.default_rng(4)
+    t = np.linspace(0.0, 10.0, 1000)
+    p, q = (np.column_stack([t, gen.normal(size=1000).cumsum() / 30]) for _ in range(2))
+    lb, c = _lower_bound(p, q)
+    assert (c > lb).mean() > 0.5
+    del c
+    # a small search first, for numpy's lazy imports
+    pv, qv, _, _ = _SEARCH_CASES["mid"]
+    _kernels_py.frechet_minimax(*(np.column_stack([np.zeros(len(v)), v]) for v in (pv, qv)))
+    tracemalloc.start()
+    try:
+        d = _kernels_py.frechet_minimax(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d > lb
+    assert peak < 11 * 1000 * 1000 + 400 * (1000 + 1000)
 
 
 @pytest.mark.parametrize(

@@ -432,18 +432,38 @@ class TestStationarity:
         [(1.0, 1.0, ("uniform", 0.1, 1.0)), (5.0, 3.0, ("uniform", 0.1, 1.0)),
          (0.3, 0.5, ("exponential", 0.7)), (2.0, 0.0, ("uniform", 0.1, 1.0))],
     )
-    def test_window_sups_equal_per_draw_sweep(self, lam, h, rates):
-        # 20,000 draws span several row blocks; lam = 5 puts 8 or more
-        # sessions alive at 0 in most draws, where numpy's pairwise sum
-        # would change the order of the base sum
+    def test_window_sups_equal_per_draw_sweep(self, monkeypatch, lam, h, rates):
+        # 20,000 draws span several blocks of draws and of rows, more with
+        # the budget patched down; lam = 5 puts 8 or more sessions alive
+        # at 0 in most draws, where numpy's pairwise sum would change the
+        # order of the base sum
         cfg = TrafficConfig(
             lam=lam, law=JointLaw(TailDist.pareto(1.5), rates[0], rates[1:]),
             horizon=1.0, rng=RngStream(20),
         )
         n = 20_000
-        sups = stationary_window_draws(cfg, n, RngStream(21), h)
-        owner, gamma, end, w = traffic._window_sessions(cfg, n, RngStream(21), h)
-        assert np.array_equal(sups, _per_draw_sups(owner, gamma, end, w, n, h))
+        want = _per_draw_sups(*_drawn_sessions(cfg, n, RngStream(21), h), n, h)
+        assert np.array_equal(stationary_window_draws(cfg, n, RngStream(21), h), want)
+        monkeypatch.setattr(traffic, "_BLOCK_CELLS", 1 << 9)
+        assert np.array_equal(stationary_window_draws(cfg, n, RngStream(21), h), want)
+
+    def test_window_draws_peak_memory(self):
+        # the mc-kernels benchmark's law and window: about 4e5 sessions,
+        # whose drawn columns (two counts per draw, three floats per
+        # session) are all the draws hold beyond one block of draws
+        cfg = TrafficConfig(
+            lam=1.0, law=JointLaw(TailDist.pareto(1.5), "uniform", (0.1, 1.0)), horizon=1.0
+        )
+        n, h = 100_000, 1.0
+        stationary_window_draws(cfg, 10, RngStream(0), h)  # numpy's lazy imports
+        tracemalloc.start()
+        try:
+            sups = stationary_window_draws(cfg, n, RngStream(1), h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = 8 * (2 * n + 3 * n * cfg.lam * (cfg.law.mean_y + h))
+        assert sups.shape == (n,) and peak < columns + 4e6
 
     def test_time_average_matches_ensemble(self):
         # ergodicity sanity: long-run time average of X equals lam E[Y] E[W]
@@ -567,6 +587,26 @@ def _window_sup(gamma, end, w, h):
     return float(max(base, levels.max(initial=base)))
 
 
+def _drawn_sessions(config, n, rng, h):
+    # (owner, gamma, end, w) of the sessions of n stationary windows, drawn
+    # by the same generator calls as stationary_window_draws and held in
+    # one set of columns: the sessions alive at 0, then (h > 0 only) the
+    # fresh arrivals in [0, h); owner is each session's draw index
+    gen = rng.generator()
+    law = config.law
+    n_init = gen.poisson(config.lam * law.mean_y, n)
+    y0, w0 = law.sample_size_biased_pairs(int(n_init.sum()), gen)
+    g0 = -gen.uniform(size=y0.size) * y0
+    owner, gamma, dur, w = np.repeat(np.arange(n), n_init), g0, y0, w0
+    if h > 0:
+        n_fresh = gen.poisson(config.lam * h, n)
+        yf, wf = law.sample_pairs(int(n_fresh.sum()), gen)
+        gf = gen.uniform(0.0, h, yf.size)
+        owner = np.concatenate([owner, np.repeat(np.arange(n), n_fresh)])
+        gamma, dur, w = np.concatenate([g0, gf]), np.concatenate([y0, yf]), np.concatenate([w0, wf])
+    return owner, gamma, gamma + dur, w
+
+
 def _per_draw_sups(owner, gamma, end, w, n, h):
     order = np.argsort(owner, kind="stable")  # each draw's sessions in index order
     gamma, end, w = gamma[order], end[order], w[order]
@@ -589,21 +629,23 @@ _session = st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(
     sessions=st.lists(_session, max_size=60),
+    n_init=st.integers(0, 80),
     extra_live=st.integers(0, 20),
     h=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
-    block_cells=st.integers(1, 40),
+    block_cells=st.integers(1, 200),
 )
-@example(sessions=[], extra_live=0, h=1.0, block_cells=1)
-@example(sessions=[], extra_live=9, h=1.0, block_cells=3)
+@example(sessions=[], n_init=0, extra_live=0, h=1.0, block_cells=1)
+@example(sessions=[], n_init=0, extra_live=9, h=1.0, block_cells=3)
 # an arrival at the instant 20 sessions depart: a sweep adds the arrival
 # first, so the level peaks there; sorting the row unstably loses the peak
 @example(
     sessions=[(0, -0.25, 0.75, 0.7)] * 20 + [(0, 0.5, 1.0, 1.0)],
-    extra_live=0, h=1.0, block_cells=40,
+    n_init=20, extra_live=0, h=1.0, block_cells=200,
 )
-def test_window_sups_bit_identical(sessions, extra_live, h, block_cells):
-    # extra_live adds sessions alive at 0 to draw 6 (8 or more, where a
-    # pairwise sum would change the order); draw 7 never has a session
+def test_window_sups_bit_identical(sessions, n_init, extra_live, h, block_cells):
+    # the first n_init sessions are the init kind, the rest fresh; extra_live
+    # adds sessions alive at 0 to draw 6 (8 or more, where a pairwise sum
+    # would change the order); draw 7 never has a session
     n = 8
     sessions = sessions + [(6, -0.5 - 0.25 * i, 2.0 + 0.5 * i, 0.1 + 0.3 * i) for i in range(extra_live)]
     if sessions:
@@ -614,10 +656,17 @@ def test_window_sups_bit_identical(sessions, extra_live, h, block_cells):
         owner = np.empty(0, np.int64)
         gamma = dur = w = np.empty(0)
     end = gamma + dur
+    # each kind's columns grouped by draw, each draw's in list order
+    kinds = []
+    for part in (slice(None, n_init), slice(n_init, None)):
+        by_draw = np.argsort(owner[part], kind="stable")
+        counts = np.bincount(owner[part], minlength=n)
+        kinds.append((counts, *(c[part][by_draw] for c in (gamma, end, w))))
     with pytest.MonkeyPatch.context() as mp:
-        # a tiny cell budget puts block boundaries between most draws
+        # a small cell budget puts boundaries of blocks of draws (at most 12
+        # sessions a block) and of padded rows between most draws
         mp.setattr(traffic, "_BLOCK_CELLS", block_cells)
-        got = traffic._window_sups(owner, gamma, end, w, n, h)
+        got = traffic._sups_by_block(*kinds, h)
     want = _per_draw_sups(owner, gamma, end, w, n, h)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
