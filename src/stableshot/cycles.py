@@ -9,9 +9,11 @@ where the count is.
 
 ``decompose_cycles`` reads the cycles of a built path.  The i.i.d. cycle
 lengths of ``collect_cycle_lengths`` come straight from fresh-start
-sessions instead (``fresh_start_cycle_lengths``): sorted arrivals start a
-busy period exactly when every earlier session has departed, so the busy
-onsets need one running max of the departures, and no event sort or path.
+arrivals and durations instead (``fresh_start_cycle_lengths``): sorted
+arrivals start a busy period exactly when every earlier session has
+departed, so the busy onsets need one running max of the departures, and
+no event sort or path; the durations are drawn a block at a time as the
+scan reads them.
 """
 
 from __future__ import annotations
@@ -24,8 +26,16 @@ import numpy as np
 from ._backend import kernels
 from .heavy_rand import TailDist, tail_quantile_a
 from .rng import RngStream
-# build_path is unused here; it stays importable as the benchmark traces it
-from .traffic import JointLaw, Sessions, TrafficConfig, build_path, simulate_sessions
+# build_path and simulate_sessions are unused here; they stay importable
+# as the benchmark traces them
+from .traffic import (
+    JointLaw,
+    TrafficConfig,
+    build_path,
+    checked_durations,
+    fresh_arrivals,
+    simulate_sessions,
+)
 
 __all__ = [
     "CycleDecomposition",
@@ -38,12 +48,11 @@ __all__ = [
 
 # expected sessions of one fresh-start chunk of collect_cycle_lengths:
 # bounds its memory at heavy load, where a cycle spans many sessions: a
-# chunk holds its arrival and duration columns, a rate column unless the
-# rates are constant (one broadcast then) and one bool onset mask: 17
-# bytes a session at constant rates (34 MB at the cap), 25 otherwise
+# chunk holds its arrival column, 8 bytes a session (16 MB at the cap),
+# whatever the rate law, plus one scan block
 _CHUNK_SESSIONS = 2_000_000
-# sessions of one block of fresh_start_cycle_lengths' running max of the
-# departures (512 KiB of float64)
+# sessions of one block of fresh_start_cycle_lengths' durations and
+# running max of the departures (512 KiB of float64 each)
 _SCAN_SESSIONS = 1 << 16
 # fewest mean cycles a chunk spans, 200 e^(lam E[Y]) expected sessions:
 # above MAX_CYCLE_LOAD = lam E[Y] that floor alone exceeds _CHUNK_SESSIONS
@@ -102,42 +111,55 @@ def decompose_cycles(path, T) -> CycleDecomposition:
     return CycleDecomposition(s_start, busy_end, s_end)
 
 
-def fresh_start_cycle_lengths(sessions: Sessions, T: float) -> np.ndarray:
-    """Lengths of the complete cycles on [0, T] of sorted sessions.
+def fresh_start_cycle_lengths(gamma, durations, T: float) -> np.ndarray:
+    """Lengths of the complete cycles on [0, T] of sessions sorted by arrival.
 
-    Equal to ``decompose_cycles(build_path(sessions, 0, T), T).lengths``
-    for sessions sorted by arrival time, without building the path.  An
-    arrival at ``gamma[i]`` in (0, T] starts a busy period exactly when
-    every earlier session has departed strictly before it: a departure
-    tying an arrival merges into one net event, so the count never reads
-    0 there.  Arrivals at or before 0 belong to the initial state, and
-    arrivals past T lie outside the path.  Sessions, not levels, keep a
-    cycle busy, so zero-rate sessions count.  Raises ValueError on
-    unsorted arrivals.
+    ``gamma`` holds the arrival times.  ``durations(a, b)`` returns the
+    durations of sessions a..b-1; the scan asks for consecutive blocks
+    from session 0 on, and for none past the last arrival by T, so a
+    reader may draw them as it goes.  Equal to
+    ``decompose_cycles(build_path(sessions, 0, T), T).lengths``, without
+    building the path.  An arrival at ``gamma[i]`` in (0, T] starts a busy
+    period exactly when every earlier session has departed strictly before
+    it: a departure tying an arrival merges into one net event, so the
+    count never reads 0 there.  Arrivals at or before 0 belong to the
+    initial state, and arrivals past T lie outside the path.  Sessions,
+    not levels, keep a cycle busy, so rates do not enter.  Raises
+    ValueError on unsorted or non-finite arrivals and on durations that
+    are not positive and finite.
     """
     if T <= 0:
         raise ValueError("need T > 0")
-    gamma = sessions.gamma
+    gamma = np.asarray(gamma, dtype=float)
+    if not (-np.inf < gamma.min(initial=0.0) and gamma.max(initial=0.0) < np.inf):
+        raise ValueError("session arrival times must be finite")
     if np.any(gamma[1:] < gamma[:-1]):
         raise ValueError("session arrivals must be sorted")
     lo = int(np.searchsorted(gamma, 0.0, side="right"))
     hi = int(np.searchsorted(gamma, T, side="right"))
-    gamma = gamma[:hi]
-    onset = np.empty(hi, dtype=bool)
+    return np.diff(np.concatenate([gamma[:0], *_busy_onsets(gamma, durations, lo, hi)]))
+
+
+def _busy_onsets(gamma, durations, lo: int, hi: int):
+    """The busy onsets among sessions lo..hi-1, one array per block of
+    sessions 0..hi-1: the scan of fresh_start_cycle_lengths."""
+    dep = np.empty(min(hi, _SCAN_SESSIONS))
+    onset = np.empty(dep.size, dtype=bool)
     # the latest departure of the sessions before block [a, b), as
     # build_path computes departures; max is exact, so the running max
     # carried from block to block equals a one-shot one
     reach = -np.inf
     for a in range(0, hi, _SCAN_SESSIONS):
         b = min(a + _SCAN_SESSIONS, hi)
-        dep = gamma[a:b] + sessions.y[a:b]
-        dep[0] = max(dep[0], reach)
-        np.maximum.accumulate(dep, out=dep)
-        onset[a] = gamma[a] > reach
-        np.greater(gamma[a + 1 : b], dep[:-1], out=onset[a + 1 : b])
-        reach = dep[-1]
-    onset[:lo] = False
-    return np.diff(gamma[onset])
+        g, d, is_onset = gamma[a:b], dep[: b - a], onset[: b - a]
+        np.add(g, checked_durations(durations(a, b)), out=d)
+        d[0] = max(d[0], reach)
+        np.maximum.accumulate(d, out=d)
+        is_onset[0] = g[0] > reach
+        np.greater(g[1:], d[:-1], out=is_onset[1:])
+        is_onset[: max(0, lo - a)] = False
+        reach = d[-1]
+        yield g[is_onset]
 
 
 def collect_cycle_lengths(
@@ -150,9 +172,11 @@ def collect_cycle_lengths(
 
     Simulates fresh-start chunks (X(0) = 0, so cycles are i.i.d. from the
     first arrival on) with independent substreams until enough cycles are
-    banked.  Each chunk's arrivals come sorted from ``simulate_sessions``,
-    so its cycles are read from the sessions with
-    ``fresh_start_cycle_lengths``; no path is built.
+    banked.  A chunk draws its sorted arrivals as ``simulate_sessions``
+    does (``fresh_arrivals``), then each block of durations from the same
+    generator as ``fresh_start_cycle_lengths`` reads it, so the durations
+    equal the sessions' and are never all held; rates, drawn after the
+    durations, are never drawn.  No path is built.
     """
     chunk_horizon = _chunk_horizon(lam, law, n_target)
     out = []
@@ -166,7 +190,10 @@ def collect_cycle_lengths(
             stationary_init=False,
             rng=rng.substream(chunk),
         )
-        lengths = fresh_start_cycle_lengths(simulate_sessions(cfg), chunk_horizon)
+        gen = cfg.rng.generator()
+        lengths = fresh_start_cycle_lengths(
+            fresh_arrivals(cfg, gen), lambda a, b: law.y_dist.sample(b - a, gen), chunk_horizon
+        )
         out.append(lengths)
         have += lengths.size
         chunk += 1

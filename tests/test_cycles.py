@@ -28,6 +28,7 @@ from stableshot.cycles import (
     _chunk_horizon,
     fresh_start_cycle_lengths,
 )
+from stableshot.traffic import fresh_arrivals
 from oracles import one_shot_cycle_lengths
 
 
@@ -140,6 +141,15 @@ def _path_cycle_lengths(s, T):
     return decompose_cycles(build_path(s, 0.0, T), T).lengths
 
 
+def _reader(y):
+    """A duration reader over an array, as fresh_start_cycle_lengths reads one."""
+    return lambda a, b: y[a:b]
+
+
+def _scan(s, T):
+    return fresh_start_cycle_lengths(s.gamma, _reader(s.y), T)
+
+
 # fresh-start sessions on a quarter grid: arrivals tie each other, 0, T
 # and departures; durations reach past T; some rates are 0
 _fresh_session = st.tuples(
@@ -173,7 +183,7 @@ def test_session_route_equals_path_route(sessions, T):
     for block in (cycles._SCAN_SESSIONS, 4):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cycles, "_SCAN_SESSIONS", block)
-            got = fresh_start_cycle_lengths(s, T)
+            got = _scan(s, T)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -183,7 +193,7 @@ _BLOCK = 8
 def _blocked_and_one_shot(monkeypatch, gamma, y, T):
     monkeypatch.setattr(cycles, "_SCAN_SESSIONS", _BLOCK)
     s = Sessions(gamma, y, np.ones(len(gamma)))
-    got = fresh_start_cycle_lengths(s, T)
+    got = _scan(s, T)
     want = one_shot_cycle_lengths(s, T)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     return got
@@ -228,10 +238,10 @@ def test_blocked_scan_carries_arrivals_before_zero_across_edges(monkeypatch):
 def test_session_route_hand_cases():
     # onsets 0.5, 2.0 and 3.0 (at T): cycles [0.5, 2.0) and [2.0, 3.0)
     s = Sessions([0.5, 1.0, 2.0, 3.0], [1.0, 0.5, 0.5, 1.0], [1.0, 0.0, 1.0, 1.0])
-    assert np.array_equal(fresh_start_cycle_lengths(s, 3.0), [1.5, 1.0])
+    assert np.array_equal(_scan(s, 3.0), [1.5, 1.0])
     # the arrival at 0 starts no cycle; the one at 1.0 ties a departure
     s = Sessions([0.0, 1.0, 2.5, 4.0], [1.0, 0.5, 0.5, 1.0], [1.0, 1.0, 1.0, 1.0])
-    assert np.array_equal(fresh_start_cycle_lengths(s, 4.0), [1.5])
+    assert np.array_equal(_scan(s, 4.0), [1.5])
 
 
 @pytest.mark.parametrize("lam, rates", [(0.5, (0.0, 1.0)), (2.0, (0.0, 1.0)), (1.0, None)])
@@ -244,16 +254,89 @@ def test_session_route_equals_path_route_simulated(lam, rates):
             rng=RngStream(7).substream(sub),
         )
         s = simulate_sessions(cfg)
-        got = fresh_start_cycle_lengths(s, 2e4)
+        got = _scan(s, 2e4)
         assert got.size > 10 and np.array_equal(got, _path_cycle_lengths(s, 2e4))
 
 
 def test_session_route_rejects_unsorted_arrivals_and_bad_T():
     s = Sessions([1.0, 0.5], [1.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="sorted"):
-        fresh_start_cycle_lengths(s, 4.0)
+        _scan(s, 4.0)
+    # the unsorted pair lies past T, where no duration is read
+    with pytest.raises(ValueError, match="sorted"):
+        fresh_start_cycle_lengths([0.5, 5.0, 4.5], _reader(np.ones(3)), 2.0)
     with pytest.raises(ValueError):
-        fresh_start_cycle_lengths(Sessions([0.5], [1.0], [1.0]), 0.0)
+        _scan(Sessions([0.5], [1.0], [1.0]), 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_session_route_rejects_arrivals_that_are_not_finite(bad):
+    with pytest.raises(ValueError, match="session arrival times must be finite"):
+        fresh_start_cycle_lengths([0.5, 1.0, bad], _reader(np.ones(3)), 2.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("at", [0, 5, 9])
+def test_session_route_checks_each_block_of_durations(monkeypatch, bad, at):
+    # blocks of 4: the bad duration lies in the first, second or third
+    monkeypatch.setattr(cycles, "_SCAN_SESSIONS", 4)
+    y = np.ones(10)
+    y[at] = bad
+    with pytest.raises(ValueError, match="session durations must be positive and finite"):
+        fresh_start_cycle_lengths(np.arange(1.0, 11.0), _reader(y), 20.0)
+
+
+def test_session_route_reads_consecutive_blocks_up_to_T(monkeypatch):
+    monkeypatch.setattr(cycles, "_SCAN_SESSIONS", 4)
+    blocks = []
+
+    def reader(a, b):
+        blocks.append((a, b))
+        return np.full(b - a, 0.5)
+
+    got = fresh_start_cycle_lengths(np.arange(1.0, 12.0), reader, 9.5)
+    assert blocks == [(0, 4), (4, 8), (8, 9)]
+    assert np.array_equal(got, np.ones(8))
+
+
+def _one_shot_bank(lam, law_, n_target, rng):
+    """collect_cycle_lengths from whole simulated sessions: each chunk's
+    cycles by the one-shot scan of tests/oracles.py."""
+    h = _chunk_horizon(lam, law_, n_target)
+    out, chunk = [], 0
+    while sum(x.size for x in out) < n_target:
+        cfg = TrafficConfig(lam=lam, law=law_, horizon=h, stationary_init=False,
+                            rng=rng.substream(chunk))
+        out.append(one_shot_cycle_lengths(simulate_sessions(cfg), h))
+        chunk += 1
+    return np.concatenate(out)[:n_target]
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("constant", (1.0,)), ("uniform", (0.1, 1.0)), ("exponential", (1.0,)),
+])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_collect_cycle_lengths_equals_one_shot_sessions(kind, params, lam):
+    # durations drawn a block at a time as the scan reads them are the
+    # one-shot column of simulate_sessions, bit for bit, at any block size;
+    # 400 cycles take a second chunk at lam 0.5 and 2, where a lighter
+    # tail keeps the load, and so the chunks, small
+    law_ = JointLaw(TailDist.pareto(2.5 if lam == 2.0 else 1.5, 1.0), kind, params)
+    want = _one_shot_bank(lam, law_, 400, RngStream(11))
+    for block in (cycles._SCAN_SESSIONS, 4, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cycles, "_SCAN_SESSIONS", block)
+            got = collect_cycle_lengths(lam, law_, 400, RngStream(11))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_collect_cycle_lengths_draws_no_rates(monkeypatch):
+    def no_rates(*a, **k):
+        raise AssertionError("a fresh chunk drew rates")
+
+    monkeypatch.setattr(JointLaw, "sample_rates", no_rates)
+    law_ = JointLaw(TailDist.pareto(1.5, 1.0), "uniform", (0.1, 1.0))
+    assert collect_cycle_lengths(1.0, law_, 500, RngStream(3)).size == 500
 
 
 def test_collect_cycle_lengths_builds_no_path(monkeypatch):
@@ -266,16 +349,31 @@ def test_collect_cycle_lengths_builds_no_path(monkeypatch):
     assert lengths.size == 500
 
 
-def test_collect_cycle_lengths_peak_memory():
-    # the cycle-bank benchmark's law and target: two fresh-start chunks of
-    # about 1e6 sessions, each holding its arrivals and durations (16 MB)
-    tracemalloc.start()
-    try:
-        lengths = collect_cycle_lengths(1.0, law(), 60_000, RngStream(1, stream_id=0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert lengths.size == 60_000 and peak < 20e6
+def test_collect_cycle_lengths_peak_memory(monkeypatch):
+    # the cycle-bank benchmark's load and target: two fresh-start chunks of
+    # about 1e6 sessions, each holding its arrivals (8 MB) and one scan
+    # block, whatever the rates; holding every duration, and the rates
+    # unless constant, it peaked at 18.5 MB, and 26.5 MB at uniform rates
+    arrival_bytes = []
+
+    def arrivals(*a):
+        gamma = fresh_arrivals(*a)
+        arrival_bytes.append(gamma.nbytes)
+        return gamma
+
+    monkeypatch.setattr(cycles, "fresh_arrivals", arrivals)
+    for rates in [("constant", (1.0,)), ("uniform", (0.1, 1.0))]:
+        law_ = JointLaw(TailDist.pareto(1.5, 1.0), *rates)
+        collect_cycle_lengths(1.0, law_, 10, RngStream(2))  # first-call allocations are not the bank's
+        arrival_bytes.clear()
+        tracemalloc.start()
+        try:
+            lengths = collect_cycle_lengths(1.0, law_, 60_000, RngStream(1, stream_id=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lengths.size == 60_000 and len(arrival_bytes) == 2
+        assert peak < max(arrival_bytes) + 2.5e6, rates
 
 
 class TestTailTable:

@@ -278,13 +278,15 @@ class TestCountRoute:
 
 
 @pytest.mark.parametrize(
-    "kind, params, arrays", [("constant", (1.0,), 1.75), ("uniform", (0.1, 1.0), 2.75)]
+    "kind, params, arrays", [("constant", (1.0,), 1.0), ("uniform", (0.1, 1.0), 2.75)]
 )
 def test_build_path_releases_sessions_passed_inline(kind, params, arrays):
     # sessions passed inline die once their events are drawn, so at
-    # T = 1e4 (about 20k events) the build peaks 1.42 event-length arrays
-    # above the finished path at unit rates and 2.33 at uniform ones;
-    # holding them through the sort and the cumsum gave 2.43 and 3.64
+    # T = 1e4 (about 20k events) the build peaks 0.83 event-length arrays
+    # above the finished path at unit rates, where the deltas are written
+    # into the step array (1.42 with a delta array and a step array of
+    # their own), and 2.33 at uniform ones; holding them through the sort
+    # and the cumsum gave 2.43 and 3.64
     T = 1e4
     cfg = TrafficConfig(lam=1.0, law=JointLaw(TailDist.pareto(1.5, 1.0), kind, params),
                         horizon=T, rng=RngStream(0, stream_id=0))
