@@ -118,8 +118,8 @@ def fresh_start_cycle_lengths(gamma, durations, T: float) -> np.ndarray:
     durations of sessions a..b-1; the scan asks for consecutive blocks
     from session 0 on, and for none past the last arrival by T, so a
     reader may draw them as it goes.  Equal to
-    ``decompose_cycles(build_path(sessions, 0, T), T).lengths``, without
-    building the path.  An arrival at ``gamma[i]`` in (0, T] starts a busy
+    ``decompose_cycles(build_path(sessions, 0, T), T).lengths`` for
+    sessions with these arrivals and durations, without building the path.  An arrival at ``gamma[i]`` in (0, T] starts a busy
     period exactly when every earlier session has departed strictly before
     it: a departure tying an arrival merges into one net event, so the
     count never reads 0 there.  Arrivals at or before 0 belong to the
@@ -142,7 +142,8 @@ def fresh_start_cycle_lengths(gamma, durations, T: float) -> np.ndarray:
 
 def _busy_onsets(gamma, durations, lo: int, hi: int):
     """The busy onsets among sessions lo..hi-1, one array per block of
-    sessions 0..hi-1: the scan of fresh_start_cycle_lengths."""
+    sessions 0..hi-1: the scan of fresh_start_cycle_lengths, a generator
+    so that its block buffers are freed before the onsets are joined."""
     dep = np.empty(min(hi, _SCAN_SESSIONS))
     onset = np.empty(dep.size, dtype=bool)
     # the latest departure of the sessions before block [a, b), as
