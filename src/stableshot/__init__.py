@@ -11,16 +11,8 @@ from .cycles import (
     decompose_cycles,
     hill_alpha,
 )
-from .functionals import (
-    WindowFunctional,
-    cdf_indicator,
-    clipped,
-    empirical_cdf,
-    identity,
-    idle_indicator,
-    window_sup_indicator,
-)
-from .harness import Report, Scenario, builtin_scenarios, emit, run
+from .functionals import WindowFunctional, empirical_cdf
+from .harness import Report, Scenario, builtin_scenarios, emit, make_functional, run
 from .heavy_rand import (
     StableParams,
     TailDist,

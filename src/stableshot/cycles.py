@@ -28,14 +28,7 @@ from .heavy_rand import TailDist, tail_quantile_a
 from .rng import RngStream
 # build_path and simulate_sessions are unused here; they stay importable
 # as the benchmark traces them
-from .traffic import (
-    JointLaw,
-    TrafficConfig,
-    build_path,
-    checked_durations,
-    fresh_arrivals,
-    simulate_sessions,
-)
+from .traffic import JointLaw, build_path, checked_durations, fresh_arrivals, simulate_sessions
 
 __all__ = [
     "CycleDecomposition",
@@ -179,21 +172,18 @@ def collect_cycle_lengths(
     equal the sessions' and are never all held; rates, drawn after the
     durations, are never drawn.  No path is built.
     """
+    if not lam > 0:
+        raise ValueError("arrival intensity must be positive")
     chunk_horizon = _chunk_horizon(lam, law, n_target)
     out = []
     have = 0
     chunk = 0
     while have < n_target:
-        cfg = TrafficConfig(
-            lam=lam,
-            law=law,
-            horizon=chunk_horizon,
-            stationary_init=False,
-            rng=rng.substream(chunk),
-        )
-        gen = cfg.rng.generator()
+        gen = rng.substream(chunk).generator()
         lengths = fresh_start_cycle_lengths(
-            fresh_arrivals(cfg, gen), lambda a, b: law.y_dist.sample(b - a, gen), chunk_horizon
+            fresh_arrivals(lam, chunk_horizon, gen),
+            lambda a, b: law.y_dist.sample(b - a, gen),
+            chunk_horizon,
         )
         out.append(lengths)
         have += lengths.size

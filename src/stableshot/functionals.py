@@ -4,7 +4,9 @@ A functional phi reads the supremum of the window {X(s+t), 0 <= t <= h},
 which is the level x(0) at h = 0, and applies its form to it.  Then
 s -> phi(X_h(s)) is piecewise constant with breakpoints in the event times
 and the event times shifted by -h, so time integrals are computed exactly
-as sum(value * segment length) -- no quadrature.
+as sum(value * segment length) -- no quadrature.  A functional is built
+from its spec string (``identity``, ``cdf:1``, ``winsup:2``, ...) by
+``harness.make_functional``.
 """
 
 from __future__ import annotations
@@ -17,11 +19,6 @@ from .traffic import ShotNoisePath
 
 __all__ = [
     "WindowFunctional",
-    "identity",
-    "clipped",
-    "cdf_indicator",
-    "idle_indicator",
-    "window_sup_indicator",
     "functional_steps",
     "sorted_response",
     "empirical_cdf",
@@ -56,33 +53,6 @@ class WindowFunctional:
         if op == "min":
             return np.minimum(s, b)
         return s
-
-
-def identity() -> WindowFunctional:
-    """phi(x) = x(0).  Unbounded; kept for the classical empirical-mean case."""
-    return WindowFunctional("identity", 0.0, ("id", None))
-
-
-def clipped(b: float) -> WindowFunctional:
-    """phi(x) = min(x(0), b), e.g. rate clipped at a bandwidth cap."""
-    return WindowFunctional(f"clipped_{b:g}", 0.0, ("min", float(b)))
-
-
-def cdf_indicator(x: float) -> WindowFunctional:
-    """phi = 1{x(0) <= x}; integrating it yields the time-average CDF."""
-    return WindowFunctional(f"cdf_le_{x:g}", 0.0, ("le", float(x)))
-
-
-def idle_indicator() -> WindowFunctional:
-    """phi = 1{x(0) = 0} (idle detection on the level)."""
-    return WindowFunctional("idle", 0.0, ("le", 0.0))
-
-
-def window_sup_indicator(b: float, h: float) -> WindowFunctional:
-    """phi = 1{sup over [0, h] of x <= b}; at h = 0 that is cdf_indicator(b)."""
-    if h == 0:
-        return cdf_indicator(b)
-    return WindowFunctional(f"sup_le_{b:g}_h{h:g}", float(h), ("le", float(b)))
 
 
 def functional_steps(path: ShotNoisePath, phi: WindowFunctional, t0: float, t1: float):

@@ -198,6 +198,7 @@ def validate(scenario: Scenario) -> list:
         raise ValueError(f"T_ladder must be finite, got {list(scenario.T_ladder)!r}")
     if list(scenario.T_ladder) != sorted(set(scenario.T_ladder)):
         raise ValueError("T_ladder must be strictly increasing")
+    _unique_names("T_ladder", scenario.T_ladder, "the horizon T=")
     if any(t <= 1 for t in scenario.T_ladder):
         raise ValueError("horizons must exceed 1 (normalizer a(t) needs t > 1)")
     bad = set(scenario.analyses) - set(ANALYSES)
@@ -244,19 +245,15 @@ def validate(scenario: Scenario) -> list:
             raise ValueError(
                 f"x_grid must be nonnegative for cdf_rate, got {list(scenario.x_grid)!r}"
             )
-        # GoFs are named x={x:g}, which rounds monotonically, so entries of
-        # one name are neighbours (1 and 1.0000001 are both x=1)
-        for x0, x1 in zip(scenario.x_grid, scenario.x_grid[1:]):
-            if f"{x0:g}" == f"{x1:g}":
-                raise ValueError(
-                    f"x_grid entries {x0!r} and {x1!r} both name the GoF cdf_rate/x={x0:g}; "
-                    "x_grid names must be unique"
-                )
+        _unique_names("x_grid", scenario.x_grid, "the GoF cdf_rate/x=")
         if scenario.replicates < 2:
             raise ValueError("cdf_rate needs replicates >= 2 for a dispersion")
     for analysis, (_, _, k, _) in ANALYSES.items():
         if analysis in runs and len(scenario.T_ladder) < k:
             raise ValueError(f"{analysis} needs at least {k} horizon{'s' * (k > 1)} in T_ladder")
+    if "self_similarity" in runs:
+        top = scenario.T_ladder[-1]
+        _unique_names("T_ladder", scenario.T_ladder[:-1], "the GoF self_similarity/u=", top)
     if scenario.n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
     if "hill" in runs and not 1 <= scenario.hill_k < scenario.n_cycles:
@@ -306,10 +303,23 @@ def validate(scenario: Scenario) -> list:
     return notes
 
 
+def _unique_names(key: str, values, prefix: str, scale: float = 1.0) -> None:
+    """ValueError if two increasing ``values`` of scenario field ``key`` print
+    as one name ``prefix`` + f"{v / scale:g}", which rounds monotonically: so
+    entries of one name are neighbours (1 and 1.0000001 are both x=1)."""
+    for v0, v1 in zip(values, values[1:]):
+        name = f"{prefix}{v0 / scale:g}"
+        if name == f"{prefix}{v1 / scale:g}":
+            raise ValueError(
+                f"{key} entries {v0!r} and {v1!r} both name {name}; {key} names must be unique"
+            )
+
+
 def make_functional(spec: str, h: float = 0.0) -> WindowFunctional:
-    """Parse a functional spec string: identity | clipped:b | idle |
-    cdf:x | winsup:b (window supremum indicator over [0, h]); the number
-    must be finite, and identity and idle take none."""
+    """The functional of a spec string, named as results and records key it:
+    identity | idle | clipped:b | cdf:x | winsup:b (window supremum indicator
+    over [0, h], which is cdf:b at h = 0); the number must be finite, and
+    identity and idle take none."""
     head, sep, arg = spec.partition(":")
     if head in ("clipped", "cdf", "winsup"):
         x = _number(arg)
@@ -318,15 +328,15 @@ def make_functional(spec: str, h: float = 0.0) -> WindowFunctional:
     if head in ("identity", "idle") and sep:
         raise ValueError(f"functional spec {spec!r} takes no number")
     if head == "identity":
-        return fns.identity()
-    if head == "clipped":
-        return fns.clipped(x)
+        return WindowFunctional("identity", 0.0, ("id", None))
     if head == "idle":
-        return fns.idle_indicator()
-    if head == "cdf":
-        return fns.cdf_indicator(x)
+        return WindowFunctional("idle", 0.0, ("le", 0.0))
+    if head == "clipped":
+        return WindowFunctional(f"clipped_{x:g}", 0.0, ("min", x))
+    if head == "cdf" or (head == "winsup" and h == 0):
+        return WindowFunctional(f"cdf_le_{x:g}", 0.0, ("le", x))
     if head == "winsup":
-        return fns.window_sup_indicator(x, h)
+        return WindowFunctional(f"sup_le_{x:g}_h{h:g}", float(h), ("le", x))
     raise ValueError(f"unknown functional spec {spec!r}")
 
 

@@ -61,20 +61,21 @@ class TailDist:
         return a * self.xm / (a - 1)
 
     def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
-        """n draws: ppf_sf of n uniforms, computed in the uniforms' array."""
-        u = gen.uniform(size=n)
-        np.power(u, -1.0 / self.declared_alpha, out=u)
-        u *= self.xm
-        return u
+        """n draws: ppf_sf of n uniforms."""
+        return self._pareto(n, self.declared_alpha, gen)
 
     def sample_size_biased(self, n: int, gen: np.random.Generator) -> np.ndarray:
         """Draws from the duration-weighted law y P(Y in dy) / E[Y], a
         Pareto law of tail index alpha - 1."""
-        u = gen.uniform(size=n)
         a = self.declared_alpha
         if a <= 1:
             raise ValueError("size-biased pareto needs tail index > 1")
-        np.power(u, -1.0 / (a - 1), out=u)
+        return self._pareto(n, a - 1, gen)
+
+    def _pareto(self, n: int, alpha: float, gen: np.random.Generator) -> np.ndarray:
+        """n Pareto(alpha, xm) draws xm * U^(-1/alpha), in the uniforms' array."""
+        u = gen.uniform(size=n)
+        np.power(u, -1.0 / alpha, out=u)
         u *= self.xm
         return u
 

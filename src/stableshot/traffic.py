@@ -146,7 +146,6 @@ class TrafficConfig:
     lam: float
     law: JointLaw
     horizon: float
-    stationary_init: bool = True
     rng: RngStream = field(default_factory=lambda: RngStream(0))
 
     def __post_init__(self):
@@ -219,14 +218,12 @@ class ShotNoisePath:
 
 
 def simulate_sessions(config: TrafficConfig) -> Sessions:
-    """Fresh Poisson arrivals on [0, horizon], plus (optionally) the exact
-    stationary population alive at time 0."""
+    """Fresh Poisson arrivals on [0, horizon], plus the exact stationary
+    population alive at time 0."""
     gen = config.rng.generator()
-    gamma_f = fresh_arrivals(config, gen)
+    gamma_f = fresh_arrivals(config.lam, config.horizon, gen)
     n_fresh = gamma_f.size
     y_f, w_f = config.law.sample_pairs(n_fresh, gen)
-    if not config.stationary_init:
-        return Sessions(gamma_f, y_f, w_f)
     n0 = gen.poisson(config.lam * config.law.mean_y)
     y0, w0 = config.law.sample_size_biased_pairs(n0, gen)
     gamma0 = -gen.uniform(size=n0) * y0
@@ -237,11 +234,11 @@ def simulate_sessions(config: TrafficConfig) -> Sessions:
     return Sessions(np.concatenate([gamma0, gamma_f]), np.concatenate([y0, y_f]), w)
 
 
-def fresh_arrivals(config: TrafficConfig, gen: np.random.Generator) -> np.ndarray:
-    """The sorted fresh arrival times on [0, horizon]: a Poisson count, then
-    that many uniforms, the first draws ``simulate_sessions`` takes from
-    ``gen``.  The sessions' durations come next in the stream."""
-    gamma = gen.uniform(0.0, config.horizon, gen.poisson(config.lam * config.horizon))
+def fresh_arrivals(lam: float, horizon: float, gen: np.random.Generator) -> np.ndarray:
+    """The sorted arrival times of intensity ``lam`` on [0, horizon]: a Poisson
+    count, then that many uniforms, the first draws ``simulate_sessions`` takes
+    from ``gen``.  The sessions' durations come next in the stream."""
+    gamma = gen.uniform(0.0, horizon, gen.poisson(lam * horizon))
     gamma.sort()
     return gamma
 

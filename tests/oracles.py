@@ -4,7 +4,8 @@ Nothing in the package calls these: each is an independent, plainly
 written route to a number the package computes another way (the level at
 a time point, a functional's integral, per-cycle integrals, cycle lengths
 from one scan of the departures, the stable characteristic function and
-its distance from an empirical one).
+its distance from an empirical one), or, in ``fresh_sessions``, test
+traffic the package only draws inside ``collect_cycle_lengths``.
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 
 from stableshot.functionals import functional_steps
 from stableshot.heavy_rand import StableParams
+from stableshot.traffic import Sessions, fresh_arrivals
 
 
 def _eval_steps(path, steps, t):
@@ -65,6 +67,15 @@ def cycle_integrals(path, decomposition, phi) -> np.ndarray:
     bounds, vals = functional_steps(path, phi, t0, t1)
     at = prefix_integral(bounds, vals)
     return at(decomposition.s_end) - at(decomposition.s_start)
+
+
+def fresh_sessions(config):
+    """A fresh start's sessions on [0, horizon], none alive at 0: the
+    arrivals and then their (duration, rate) pairs, drawn from one
+    generator as ``simulate_sessions`` draws its fresh sessions."""
+    gen = config.rng.generator()
+    gamma = fresh_arrivals(config.lam, config.horizon, gen)
+    return Sessions(gamma, *config.law.sample_pairs(gamma.size, gen))
 
 
 def one_shot_cycle_lengths(sessions, T: float) -> np.ndarray:

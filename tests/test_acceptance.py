@@ -21,23 +21,20 @@ from stableshot import (
     TrafficConfig,
     build_path,
     c_alpha,
-    clipped,
     collect_cycle_lengths,
     cycle_tail_table,
     decompose_cycles,
     dist_m1,
     dist_uniform,
     hill_alpha,
-    idle_indicator,
     ks_two_sample,
     sample_stable,
-    simulate_sessions,
     stationary_window_draws,
 )
 from stableshot.harness import Scenario, _z_task, make_functional, run
 from stableshot.skorokhod import SteppyPath
 
-from oracles import cycle_integrals, ecf_distance
+from oracles import cycle_integrals, ecf_distance, fresh_sessions
 
 ALPHA = 1.5
 EY = 3.0
@@ -157,16 +154,13 @@ def test_a3_cycle_tail(announce, big_cycle_sample):
 def test_a4_renewal_identity(announce):
     # mean per-cycle integral of phi = stationary mean of phi * mean cycle length
     horizon = 2.3e6  # ~ 1e5 complete cycles
-    cfg = TrafficConfig(
-        lam=1.0, law=law(), horizon=horizon, stationary_init=False,
-        rng=RngStream(SEED, 13),
-    )
-    path = build_path(simulate_sessions(cfg), 0.0, horizon)
+    cfg = TrafficConfig(lam=1.0, law=law(), horizon=horizon, rng=RngStream(SEED, 13))
+    path = build_path(fresh_sessions(cfg), 0.0, horizon)
     dec = decompose_cycles(path, horizon)
     ok_all, details = True, []
     for phi, e0 in [
-        (clipped(1.0), 1.0 - math.exp(-3.0)),  # E min(X, 1) = P(X >= 1)
-        (idle_indicator(), math.exp(-3.0)),
+        (make_functional("clipped:1.0"), 1.0 - math.exp(-3.0)),  # E min(X, 1) = P(X >= 1)
+        (make_functional("idle"), math.exp(-3.0)),
     ]:
         z = cycle_integrals(path, dec, phi)
         d = z - e0 * dec.lengths

@@ -19,7 +19,6 @@ from stableshot import (
     cycle_tail_table,
     decompose_cycles,
     hill_alpha,
-    simulate_sessions,
 )
 from stableshot import cycles
 from stableshot.cycles import (
@@ -29,7 +28,7 @@ from stableshot.cycles import (
     fresh_start_cycle_lengths,
 )
 from stableshot.traffic import fresh_arrivals
-from oracles import one_shot_cycle_lengths
+from oracles import fresh_sessions, one_shot_cycle_lengths
 
 
 def law():
@@ -83,10 +82,8 @@ def test_T_out_of_range():
 def test_level_and_count_detection_agree_unit_rates():
     # with positive rates the level is busy exactly where the count is, so
     # the count-based cycles are the level-based ones
-    cfg = TrafficConfig(
-        lam=1.0, law=law(), horizon=500.0, stationary_init=False, rng=RngStream(1)
-    )
-    p = build_path(simulate_sessions(cfg), 0.0, 500.0)
+    cfg = TrafficConfig(lam=1.0, law=law(), horizon=500.0, rng=RngStream(1))
+    p = build_path(fresh_sessions(cfg), 0.0, 500.0)
     assert np.array_equal(p._level_steps > 0, p._count_steps > 0)
     assert decompose_cycles(p, 500.0).m_T > 0
 
@@ -249,11 +246,8 @@ def test_session_route_equals_path_route_simulated(lam, rates):
     kind, params = ("constant", (1.0,)) if rates is None else ("uniform", rates)
     law_ = JointLaw(TailDist.pareto(1.5, 1.0), kind, params)
     for sub in range(3):
-        cfg = TrafficConfig(
-            lam=lam, law=law_, horizon=2e4, stationary_init=False,
-            rng=RngStream(7).substream(sub),
-        )
-        s = simulate_sessions(cfg)
+        cfg = TrafficConfig(lam=lam, law=law_, horizon=2e4, rng=RngStream(7).substream(sub))
+        s = fresh_sessions(cfg)
         got = _scan(s, 2e4)
         assert got.size > 10 and np.array_equal(got, _path_cycle_lengths(s, 2e4))
 
@@ -305,9 +299,8 @@ def _one_shot_bank(lam, law_, n_target, rng):
     h = _chunk_horizon(lam, law_, n_target)
     out, chunk = [], 0
     while sum(x.size for x in out) < n_target:
-        cfg = TrafficConfig(lam=lam, law=law_, horizon=h, stationary_init=False,
-                            rng=rng.substream(chunk))
-        out.append(one_shot_cycle_lengths(simulate_sessions(cfg), h))
+        cfg = TrafficConfig(lam=lam, law=law_, horizon=h, rng=rng.substream(chunk))
+        out.append(one_shot_cycle_lengths(fresh_sessions(cfg), h))
         chunk += 1
     return np.concatenate(out)[:n_target]
 
@@ -318,7 +311,7 @@ def _one_shot_bank(lam, law_, n_target, rng):
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_collect_cycle_lengths_equals_one_shot_sessions(kind, params, lam):
     # durations drawn a block at a time as the scan reads them are the
-    # one-shot column of simulate_sessions, bit for bit, at any block size;
+    # one-shot column of fresh_sessions, bit for bit, at any block size;
     # 400 cycles take a second chunk at lam 0.5 and 2, where a lighter
     # tail keeps the load, and so the chunks, small
     law_ = JointLaw(TailDist.pareto(2.5 if lam == 2.0 else 1.5, 1.0), kind, params)
@@ -337,6 +330,12 @@ def test_collect_cycle_lengths_draws_no_rates(monkeypatch):
     monkeypatch.setattr(JointLaw, "sample_rates", no_rates)
     law_ = JointLaw(TailDist.pareto(1.5, 1.0), "uniform", (0.1, 1.0))
     assert collect_cycle_lengths(1.0, law_, 500, RngStream(3)).size == 500
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+def test_collect_cycle_lengths_rejects_nonpositive_intensity(lam):
+    with pytest.raises(ValueError, match="arrival intensity must be positive"):
+        collect_cycle_lengths(lam, law(), 10, RngStream(0))
 
 
 def test_collect_cycle_lengths_builds_no_path(monkeypatch):

@@ -15,20 +15,15 @@ from stableshot import (
     TailDist,
     TrafficConfig,
     build_path,
-    cdf_indicator,
-    clipped,
     decompose_cycles,
     empirical_cdf,
-    identity,
-    idle_indicator,
     simulate_sessions,
-    window_sup_indicator,
 )
 from stableshot._backend import kernels
 from stableshot.functionals import WindowFunctional, functional_steps
 from stableshot.harness import Scenario, make_functional, response_curve
 
-from oracles import cycle_integrals, eval_level, integrate_phi
+from oracles import cycle_integrals, eval_level, fresh_sessions, integrate_phi
 
 
 def law():
@@ -44,26 +39,26 @@ def hand_path(t1=3.0):
 
 class TestBuiltins:
     def test_identity(self):
-        phi = identity()
+        phi = make_functional("identity")
         assert phi(np.array([3.5])) == pytest.approx(3.5)
 
     def test_clipped(self):
-        phi = clipped(1.0)
+        phi = make_functional("clipped:1.0")
         got = phi(np.array([0.0, 0.5, 2.0]))
         assert np.allclose(got, [0.0, 0.5, 1.0])
 
     def test_cdf_indicator(self):
-        phi = cdf_indicator(1.0)
+        phi = make_functional("cdf:1.0")
         got = phi(np.array([0.5, 1.0, 1.5]))
         assert np.allclose(got, [1.0, 1.0, 0.0])
 
     def test_idle(self):
-        phi = idle_indicator()
+        phi = make_functional("idle")
         got = phi(np.array([0.0, 0.1]))
         assert np.allclose(got, [1.0, 0.0])
 
     def test_window_sup(self):
-        phi = window_sup_indicator(2.0, 1.0)
+        phi = make_functional("winsup:2.0", 1.0)
         sups = np.array([1.5, 3.0])
         assert np.allclose(phi(sups), [1.0, 0.0])
 
@@ -84,41 +79,39 @@ class TestIntegration:
     def test_identity_exact_area(self):
         p = hand_path()
         # 0*.5 + 2*.5 + 5*.5 + 2*.5 = 4.5
-        assert integrate_phi(p, identity(), 0.0, 3.0) == pytest.approx(4.5)
+        assert integrate_phi(p, make_functional("identity"), 0.0, 3.0) == pytest.approx(4.5)
 
     def test_clipped_exact_area(self):
         p = hand_path()
         # min(level, 1): 0*.5 + 1*1.5 = 1.5 over [0,3]
-        assert integrate_phi(p, clipped(1.0), 0.0, 3.0) == pytest.approx(1.5)
+        assert integrate_phi(p, make_functional("clipped:1.0"), 0.0, 3.0) == pytest.approx(1.5)
 
     def test_idle_time(self):
         p = hand_path()
         # idle on [0,.5) and [2,3): total 1.5
-        assert integrate_phi(p, idle_indicator(), 0.0, 3.0) == pytest.approx(1.5)
+        assert integrate_phi(p, make_functional("idle"), 0.0, 3.0) == pytest.approx(1.5)
 
     def test_subinterval(self):
         p = hand_path()
-        assert integrate_phi(p, identity(), 1.0, 2.0) == pytest.approx(3.5)
+        assert integrate_phi(p, make_functional("identity"), 1.0, 2.0) == pytest.approx(3.5)
 
     def test_steps_partition(self):
         p = hand_path()
-        bounds, vals = functional_steps(p, identity(), 0.0, 3.0)
+        bounds, vals = functional_steps(p, make_functional("identity"), 0.0, 3.0)
         assert bounds[0] == 0.0 and bounds[-1] == 3.0
         assert np.all(np.diff(bounds) > 0)
         assert len(vals) == len(bounds) - 1
 
     def test_requires_window_coverage(self):
         p = hand_path(t1=3.0)
-        phi = window_sup_indicator(1.0, h=1.0)
+        phi = make_functional("winsup:1.0", 1.0)
         with pytest.raises(ValueError):
             functional_steps(p, phi, 0.0, 3.0)  # needs data to 3 + h
 
     def test_window_sup_vs_bruteforce(self):
-        cfg = TrafficConfig(
-            lam=1.0, law=law(), horizon=52.0, stationary_init=False, rng=RngStream(1)
-        )
-        p = build_path(simulate_sessions(cfg), 0.0, 52.0)
-        phi = window_sup_indicator(1.0, h=2.0)
+        cfg = TrafficConfig(lam=1.0, law=law(), horizon=52.0, rng=RngStream(1))
+        p = build_path(fresh_sessions(cfg), 0.0, 52.0)
+        phi = make_functional("winsup:1.0", 2.0)
         bounds, vals = functional_steps(p, phi, 0.0, 50.0)
         mids = 0.5 * (bounds[:-1] + bounds[1:])
         for m, v in zip(mids[::7], vals[::7]):
@@ -167,12 +160,11 @@ def grid_cases(draw):
     path = build_path(sessions, 0.0, t1 + 1.25)
     phi = draw(
         st.one_of(
-            st.just(identity()),
-            st.just(idle_indicator()),
-            st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.1]).map(cdf_indicator),
-            st.sampled_from([0.5, 1.0, 2.5]).map(clipped),
+            st.sampled_from(["identity", "idle"]).map(make_functional),
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.1]).map(lambda x: make_functional(f"cdf:{x!r}")),
+            st.sampled_from([0.5, 1.0, 2.5]).map(lambda b: make_functional(f"clipped:{b!r}")),
             st.builds(
-                window_sup_indicator,
+                lambda b, h: make_functional(f"winsup:{b!r}", h),
                 st.sampled_from([0.0, 1.0, 2.0, 3.5]),
                 st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.25]),
             ),
@@ -194,7 +186,7 @@ class TestStepsMatchMidpointReference:
         assert_same_steps(functional_steps(path, phi, t0, t1), midpoint_steps(path, phi, t0, t1))
 
     @pytest.mark.parametrize(
-        "phi", [identity(), clipped(1.0), window_sup_indicator(1.0, 1.0)],
+        "phi", [make_functional("identity"), make_functional("clipped:1.0"), make_functional("winsup:1.0", 1.0)],
         ids=lambda phi: phi.name,
     )
     def test_path_without_events(self, phi):
@@ -206,7 +198,7 @@ class TestStepsMatchMidpointReference:
             assert got[0].tolist() == [0.5, 2.5] and len(got[1]) == 1
 
     @pytest.mark.parametrize(
-        "phi", [window_sup_indicator(0.5, 0.15), window_sup_indicator(1.5, 1.0)]
+        "phi", [make_functional("winsup:0.5", 0.15), make_functional("winsup:1.5", 1.0)]
     )
     def test_event_at_path_end_reached_by_rounding(self, phi):
         # fl(t1 + h) == path.t1 passes the coverage check, but fl(path.t1 - h)
@@ -223,8 +215,8 @@ class TestStepsMatchMidpointReference:
         rates = JointLaw(TailDist.pareto(1.5, 1.0), "uniform", (0.1, 1.0))
         cfg = TrafficConfig(lam=1.0, law=rates, horizon=402.0, rng=RngStream(seed))
         path = build_path(simulate_sessions(cfg), 0.0, 402.0)
-        for phi in (identity(), idle_indicator(), clipped(0.7), cdf_indicator(1.5),
-                    window_sup_indicator(2.0, 2.0)):
+        for phi in (make_functional("identity"), make_functional("idle"), make_functional("clipped:0.7"), make_functional("cdf:1.5"),
+                    make_functional("winsup:2.0", 2.0)):
             assert_same_steps(
                 functional_steps(path, phi, 1.0, 400.0), midpoint_steps(path, phi, 1.0, 400.0)
             )
@@ -234,10 +226,10 @@ class TestStepsMatchMidpointReference:
         # them leaves the path alone, and a write into segments() raises
         p = hand_path()
         before = p.levels.copy()
-        _, vals = functional_steps(p, identity(), 0.0, 3.0)
+        _, vals = functional_steps(p, make_functional("identity"), 0.0, 3.0)
         vals += 1.0
         assert np.array_equal(p.levels, before)
-        assert integrate_phi(p, identity(), 0.0, 3.0) == 4.5
+        assert integrate_phi(p, make_functional("identity"), 0.0, 3.0) == 4.5
         # the views are read-only, the path's own arrays are not
         _, levels, counts = p.segments()
         with pytest.raises(ValueError, match="read-only"):
@@ -246,7 +238,7 @@ class TestStepsMatchMidpointReference:
         assert p.levels.flags.writeable and p.counts.flags.writeable
 
 
-H0_FUNCTIONALS = (identity(), idle_indicator(), clipped(1.0), cdf_indicator(2.0))
+H0_FUNCTIONALS = (make_functional("identity"), make_functional("idle"), make_functional("clipped:1.0"), make_functional("cdf:2.0"))
 
 
 def assert_steps_are_segments(path, t0, t1):
@@ -306,27 +298,22 @@ class TestStepsAtZeroWindowAreSegments:
 
 class TestCycleIntegrals:
     def test_sum_matches_direct_integral(self):
-        cfg = TrafficConfig(
-            lam=1.0, law=law(), horizon=2000.0, stationary_init=False, rng=RngStream(2)
-        )
-        p = build_path(simulate_sessions(cfg), 0.0, 2000.0)
+        cfg = TrafficConfig(lam=1.0, law=law(), horizon=2000.0, rng=RngStream(2))
+        p = build_path(fresh_sessions(cfg), 0.0, 2000.0)
         dec = decompose_cycles(p, 2000.0)
         assert dec.m_T > 10
-        z = cycle_integrals(p, dec, clipped(1.0))
-        direct = integrate_phi(p, clipped(1.0), dec.s0, float(dec.s_end[-1]))
+        z = cycle_integrals(p, dec, make_functional("clipped:1.0"))
+        direct = integrate_phi(p, make_functional("clipped:1.0"), dec.s0, float(dec.s_end[-1]))
         assert z.sum() == pytest.approx(direct, rel=1e-9)
 
     def test_renewal_identity(self):
         # mean per-cycle integral = E(0, phi) * mean cycle length
-        cfg = TrafficConfig(
-            lam=1.0, law=law(), horizon=200_000.0, stationary_init=False,
-            rng=RngStream(3),
-        )
-        p = build_path(simulate_sessions(cfg), 0.0, 200_000.0)
+        cfg = TrafficConfig(lam=1.0, law=law(), horizon=200_000.0, rng=RngStream(3))
+        p = build_path(fresh_sessions(cfg), 0.0, 200_000.0)
         dec = decompose_cycles(p, 200_000.0)
         for phi, e0 in [
-            (idle_indicator(), math.exp(-3.0)),
-            (clipped(1.0), 1.0 - math.exp(-3.0)),
+            (make_functional("idle"), math.exp(-3.0)),
+            (make_functional("clipped:1.0"), 1.0 - math.exp(-3.0)),
         ]:
             z = cycle_integrals(p, dec, phi)
             lhs = z.mean()
@@ -390,10 +377,10 @@ class TestResponse:
     sc = Scenario(lam=1.0, w_kind="uniform", w_params=(0.1, 1.0), seed=7)
 
     def test_idle_probability(self):
-        _, est, se, method = response_curve(self.sc, idle_indicator(), n_mc=40_000)
+        _, est, se, method = response_curve(self.sc, make_functional("idle"), n_mc=40_000)
         assert method == "monte_carlo"
         assert est == pytest.approx(math.exp(-3.0), abs=4 * se + 1e-3)
 
     def test_shift_by_w_kills_idle(self):
-        calE, *_ = response_curve(self.sc, idle_indicator(), n_mc=2000)
+        calE, *_ = response_curve(self.sc, make_functional("idle"), n_mc=2000)
         assert calE(0.5)[0] == 0.0

@@ -235,6 +235,12 @@ class TestScenario:
              "curve of 'clipped:2' holds 100000\\*lambda\\*\\(E\\[Y\\] \\+ h\\) = 3e\\+08 "
              "expected sessions at once, over 1.5e\\+07"),
             (dict(functionals=("winsup:3",), window_h=200.0), "= 2.03e\\+07 expected sessions"),
+            # two horizons of one printed name: one GoF name and one CSV file
+            # for both, and two GoFs of one self_similarity u = T / T_top
+            (dict(T_ladder=(1000.0, 1000.0001)),
+             "entries 1000.0 and 1000.0001 both name the horizon T=1000; T_ladder names"),
+            (dict(T_ladder=(9000.01, 9000.02, 9e4), analyses=("self_similarity",)),
+             "both name the GoF self_similarity/u=0\\.1; T_ladder names must be unique"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -265,12 +271,27 @@ class TestScenario:
         assert any("E[Y]" in n for n in notes)
 
     def test_make_functional(self):
-        assert make_functional("identity").name == "identity"
-        assert make_functional("clipped:2.5").form == ("min", 2.5)
-        assert make_functional("cdf:1").name == "cdf_le_1"
-        assert make_functional("idle").name == "idle"
-        with pytest.raises(ValueError):
-            make_functional("mystery:1")
+        # the parser holds the naming rules; results blocks, Monte Carlo
+        # substreams and benchmark records are keyed by these names
+        for args, want in [
+            (("identity",), ("identity", 0.0, ("id", None))),
+            (("idle",), ("idle", 0.0, ("le", 0.0))),
+            (("clipped:2.5",), ("clipped_2.5", 0.0, ("min", 2.5))),
+            (("cdf:1",), ("cdf_le_1", 0.0, ("le", 1.0))),
+            (("winsup:3", 0.0), ("cdf_le_3", 0.0, ("le", 3.0))),
+            (("winsup:3", 1.0), ("sup_le_3_h1", 1.0, ("le", 3.0))),
+            (("winsup:3.5", 0.25), ("sup_le_3.5_h0.25", 0.25, ("le", 3.5))),
+        ]:
+            phi = make_functional(*args)
+            assert (phi.name, phi.h, phi.form) == want
+            assert type(phi.h) is float and type(phi.form[1]) in (float, type(None))
+        for spec, message in [
+            ("idle:1", "'idle:1' takes no number"),
+            ("cdf:nan", "'cdf:nan' needs a finite number"),
+            ("mystery:1", "unknown functional spec 'mystery:1'"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                make_functional(spec)
 
 
 class TestRun:
@@ -768,6 +789,9 @@ class TestCli:
              "functionals: ['clipped:2']\n", "(E[Y] + h) = 3e+08 expected sessions at once"),
             ("functionals: ['winsup:3']\nwindow_h: 200\n",
              "(E[Y] + h) = 2.03e+07 expected sessions at once, over 1.5e+07"),
+            ("T_ladder: [1000.0, 1000.0001]\n", "both name the horizon T=1000"),
+            ("analyses: [self_similarity]\nT_ladder: [9000.01, 9000.02, 90000.0]\n",
+             "both name the GoF self_similarity/u=0.1"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])

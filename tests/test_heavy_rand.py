@@ -73,6 +73,13 @@ class TestTailDist:
         biased = TailDist.pareto(alpha - 1.0, xm).ppf_sf(ref.uniform(size=5000))
         assert d.sample_size_biased(5000, gen).tobytes() == biased.tobytes()
 
+    def test_size_biased_rejects_index_at_most_1_before_drawing(self):
+        gen = RngStream(4).generator()
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError, match="size-biased pareto needs tail index > 1"):
+            TailDist.pareto(1.0).sample_size_biased(10, gen)
+        assert gen.bit_generator.state == state
+
 
 class TestTailQuantile:
     def test_pareto_closed_form(self):

@@ -10,7 +10,6 @@ from stableshot import (
     LimitSpec,
     RngStream,
     c_alpha,
-    cdf_indicator,
     limit_params,
 )
 from stableshot.harness import _poisson_pmf, exact_poisson_calE, make_functional
@@ -73,7 +72,7 @@ class TestLimitParams:
 def poisson_cdf_calE(x, nu):
     # unit rates: the stationary level is a Poisson(nu) count, so
     # calE(w) = P(w + N <= x) and calE(0) is the centering K(x)
-    return exact_poisson_calE(cdf_indicator(x), nu, 1.0)
+    return exact_poisson_calE(make_functional(f"cdf:{float(x)!r}"), nu, 1.0)
 
 
 def K(nu, x):

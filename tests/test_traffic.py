@@ -16,14 +16,15 @@ from stableshot import (
     TailDist,
     TrafficConfig,
     build_path,
-    idle_indicator,
+    make_functional,
     simulate_sessions,
     stationary_window_draws,
     traffic,
 )
 from stableshot.functionals import functional_steps
+from stableshot.traffic import fresh_arrivals
 
-from oracles import eval_count, eval_level, integrate_phi
+from oracles import eval_count, eval_level, fresh_sessions, integrate_phi
 
 
 def law(alpha=1.5, xm=1.0, w0=1.0):
@@ -222,14 +223,14 @@ class TestBuildPathMatchesReference:
         s = Sessions(gamma, y, w)
         assert_paths_bit_identical(build_path(s, t0, t0 + span), reference_build_path(s, t0, t0 + span))
 
-    @pytest.mark.parametrize("stationary_init", [True, False])
+    @pytest.mark.parametrize("stationary", [True, False])
     @pytest.mark.parametrize("t0", [0.0, 37.5])
-    def test_simulated_sessions(self, stationary_init, t0):
+    def test_simulated_sessions(self, stationary, t0):
         cfg = TrafficConfig(
             lam=1.5, law=JointLaw(TailDist.pareto(1.5), "uniform", (0.0, 1.0)),
-            horizon=2000.0, stationary_init=stationary_init, rng=RngStream(8),
+            horizon=2000.0, rng=RngStream(8),
         )
-        s = simulate_sessions(cfg)
+        s = simulate_sessions(cfg) if stationary else fresh_sessions(cfg)
         assert_paths_bit_identical(build_path(s, t0, 2000.0), reference_build_path(s, t0, 2000.0))
 
 
@@ -369,19 +370,9 @@ class TestSessionsValidation:
 
 
 class TestSimulate:
-    def test_fresh_start_begins_empty(self):
-        cfg = TrafficConfig(
-            lam=1.0, law=law(), horizon=50.0, stationary_init=False, rng=RngStream(5)
-        )
-        p = build_path(simulate_sessions(cfg), 0.0, 50.0)
-        assert p.init_count == 0
-
     def test_arrival_rate(self):
-        cfg = TrafficConfig(
-            lam=2.0, law=law(), horizon=5000.0, stationary_init=False, rng=RngStream(6)
-        )
-        s = simulate_sessions(cfg)
-        n_inside = int(((s.gamma >= 0) & (s.gamma <= 5000.0)).sum())
+        gamma = fresh_arrivals(2.0, 5000.0, RngStream(6).generator())
+        n_inside = int(((gamma >= 0) & (gamma <= 5000.0)).sum())
         assert n_inside == pytest.approx(10_000, rel=0.05)
 
     def test_config_validation(self):
@@ -546,13 +537,10 @@ class TestConstantRatesAreOneBroadcast:
         assert w.shape == (1000,) and w.strides == (0,) and not w.flags.writeable
         assert np.all(w == 2.5)
 
-    @pytest.mark.parametrize("stationary_init", [True, False])
-    def test_simulated_sessions_share_one_broadcast(self, stationary_init):
-        cfg = TrafficConfig(
-            lam=1.0, law=law(w0=0.7), horizon=500.0, stationary_init=stationary_init,
-            rng=RngStream(30),
-        )
-        s = simulate_sessions(cfg)
+    @pytest.mark.parametrize("stationary", [True, False])
+    def test_simulated_sessions_share_one_broadcast(self, stationary):
+        cfg = TrafficConfig(lam=1.0, law=law(w0=0.7), horizon=500.0, rng=RngStream(30))
+        s = simulate_sessions(cfg) if stationary else fresh_sessions(cfg)
         assert s.w.strides == (0,) and not s.w.flags.writeable
         assert len(s.w) == len(s) and s.common_rate == 0.7
 
@@ -685,8 +673,8 @@ class TestLevelMatchesCount:
         bounds, levels, counts = p.segments(0.0, 2e4)
         idle = (counts == 0).astype(float)
         assert np.array_equal(levels == 0.0, counts == 0)
-        assert np.array_equal(functional_steps(p, idle_indicator(), 0.0, 2e4)[1], idle)
-        assert integrate_phi(p, idle_indicator(), 0.0, 2e4) == float(np.dot(idle, np.diff(bounds)))
+        assert np.array_equal(functional_steps(p, make_functional("idle"), 0.0, 2e4)[1], idle)
+        assert integrate_phi(p, make_functional("idle"), 0.0, 2e4) == float(np.dot(idle, np.diff(bounds)))
 
     @settings(max_examples=100, deadline=None)
     @given(
