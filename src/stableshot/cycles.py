@@ -28,7 +28,9 @@ from .heavy_rand import TailDist, tail_quantile_a
 from .rng import RngStream
 # build_path and simulate_sessions are unused here; they stay importable
 # as the benchmark traces them
-from .traffic import JointLaw, build_path, checked_durations, fresh_arrivals, simulate_sessions
+from .traffic import (
+    JointLaw, build_path, checked_arrivals, checked_durations, fresh_arrivals, simulate_sessions,
+)
 
 __all__ = [
     "CycleDecomposition",
@@ -123,9 +125,7 @@ def fresh_start_cycle_lengths(gamma, durations, T: float) -> np.ndarray:
     """
     if T <= 0:
         raise ValueError("need T > 0")
-    gamma = np.asarray(gamma, dtype=float)
-    if not (-np.inf < gamma.min(initial=0.0) and gamma.max(initial=0.0) < np.inf):
-        raise ValueError("session arrival times must be finite")
+    gamma = checked_arrivals(np.asarray(gamma, dtype=float))
     if np.any(gamma[1:] < gamma[:-1]):
         raise ValueError("session arrivals must be sorted")
     lo = int(np.searchsorted(gamma, 0.0, side="right"))

@@ -259,6 +259,8 @@ def validate(scenario: Scenario) -> list:
     if "hill" in runs and not 1 <= scenario.hill_k < scenario.n_cycles:
         raise ValueError(f"hill_k must lie in [1, n_cycles), got {scenario.hill_k}")
     if "cycle_tail" in runs:
+        if not scenario.tail_x:
+            raise ValueError("tail_x must not be empty for cycle_tail")
         if not all(math.isfinite(x) and x > 0 for x in scenario.tail_x):
             raise ValueError(f"tail_x must be finite and positive, got {list(scenario.tail_x)!r}")
         if not (math.isfinite(scenario.tail_t) and scenario.tail_t > 1):
@@ -759,11 +761,10 @@ def _gofs(obj) -> list:
 
 
 def run(scenario: Scenario, workers: Optional[int] = None) -> Report:
-    notes = validate(scenario)
     if workers is None:
         workers = scenario.workers
-    elif workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    # the override passes the field's own checks; the report keeps scenario
+    notes = validate(replace(scenario, workers=workers))
     report = Report(scenario=scenario, notes=notes, backend=backend_name())
     z_rows = None  # the z stage's rows or error, from the first z block on
     for name in scenario.analyses:

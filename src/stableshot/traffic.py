@@ -33,10 +33,10 @@ __all__ = [
     "stationary_window_draws",
 ]
 
-# cells of one block of stationary_window_draws' padded event matrix
-# (1 MiB of float64); a block of draws holds at most a sixteenth as many
-# sessions (see _sups_by_block), so its memory is bounded whatever the
-# draw count
+# the budget of one block of stationary_window_draws' draws (1 MiB of
+# float64): a block holds at most a quarter as many sessions and half as
+# many cells of padded event matrix (see _sups_by_block), so its memory is
+# bounded whatever the draw count
 _BLOCK_CELLS = 1 << 17
 
 
@@ -54,10 +54,7 @@ class Sessions:
         self.w = np.asarray(w, dtype=float)
         if not (len(self.gamma) == len(self.y) == len(self.w)):
             raise ValueError("column lengths differ")
-        # min and max propagate NaN, and NaN fails every comparison, so
-        # these reductions reject NaN and infinities without a temporary
-        if not (-np.inf < self.gamma.min(initial=0.0) and self.gamma.max(initial=0.0) < np.inf):
-            raise ValueError("session arrival times must be finite")
+        checked_arrivals(self.gamma)
         checked_durations(self.y)
         w_lo, w_hi = self.w.min(initial=np.inf), self.w.max(initial=-np.inf)
         if not (w_lo >= 0 and w_hi < np.inf):
@@ -66,6 +63,16 @@ class Sessions:
 
     def __len__(self):
         return len(self.gamma)
+
+
+def checked_arrivals(gamma: np.ndarray) -> np.ndarray:
+    """``gamma``, after checking that every arrival time is finite
+    (ValueError otherwise)."""
+    # min and max propagate NaN, and NaN fails every comparison, so these
+    # reductions (and checked_durations') reject NaN without a temporary
+    if not (-np.inf < gamma.min(initial=0.0) and gamma.max(initial=0.0) < np.inf):
+        raise ValueError("session arrival times must be finite")
+    return gamma
 
 
 def checked_durations(y: np.ndarray) -> np.ndarray:
@@ -371,7 +378,8 @@ def stationary_window_draws(config: TrafficConfig, n: int, rng: RngStream, h: fl
     arrivals in [0, h), of which there are none at h = 0.  The columns of
     both kinds are drawn for all n draws at once, the session ends formed
     in place; ``_sups_by_block`` then reduces contiguous blocks of draws,
-    so the working memory beyond the drawn columns is bounded whatever n.
+    each of at most ``_BLOCK_CELLS // 4`` sessions, so the working memory
+    beyond the drawn columns is bounded whatever n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -393,36 +401,17 @@ def stationary_window_draws(config: TrafficConfig, n: int, rng: RngStream, h: fl
 
 
 def _sups_by_block(init, fresh, h: float) -> np.ndarray:
-    """``_window_sups`` of every draw, a block of draws at a time.
+    """sup over [0, h] of each draw's step superposition, a block of draws
+    at a time.
 
     ``init`` and ``fresh`` are (counts, gamma, end, w): per-draw session
     counts, then columns holding draw 0's sessions, then draw 1's, and so
     on.  Draw i's sessions are its init ones, then its fresh ones, each in
-    column order.  A block is the longest run of draws with at most
-    ``_BLOCK_CELLS // 16`` sessions in all, and at least one draw: under
-    3 MB of temporaries at four sessions a draw.
-    """
-    n_init, n_fresh = init[0], fresh[0]
-    n = n_init.size
-    upto = np.add(n_init, n_fresh)
-    np.cumsum(upto, out=upto)  # sessions of draws 0..i
-    sups = np.empty(n)
-    a = i0 = f0 = 0
-    while a < n:
-        done = int(upto[a - 1]) if a else 0
-        b = max(a + 1, int(np.searchsorted(upto, done + _BLOCK_CELLS // 16, side="right")))
-        i1 = i0 + int(n_init[a:b].sum())
-        f1 = f0 + int(n_fresh[a:b].sum())
-        draws = np.arange(b - a)
-        owner = np.concatenate([np.repeat(draws, n_init[a:b]), np.repeat(draws, n_fresh[a:b])])
-        gamma, end, w = (np.concatenate([c0[i0:i1], cf[f0:f1]]) for c0, cf in zip(init[1:], fresh[1:]))
-        sups[a:b] = _window_sups(owner, gamma, end, w, b - a, h)
-        a, i0, f0 = b, i1, f1
-    return sups
-
-
-def _window_sups(owner, gamma, end, w, n: int, h: float) -> np.ndarray:
-    """sup over [0, h] of each draw's step superposition, draws 0..n-1.
+    column order.  Every block has the same number of draws, sized so that
+    it holds at most ``_BLOCK_CELLS // 4`` sessions even if each of its
+    draws were as wide as the widest init and fresh counts; a session adds
+    at most two events, so its padded event matrices have at most
+    ``_BLOCK_CELLS // 2`` cells.
 
     Every post-event level with event time in (0, h] is attained in
     [0, h], and at h = 0 the sup is the level X(0).  Each sup adds the
@@ -431,42 +420,42 @@ def _window_sups(owner, gamma, end, w, n: int, h: float) -> np.ndarray:
     sequential cumsum of the event deltas (arrivals, then departures) in
     stable time order; so it is bit-identical to one.
     """
-    # base level X(0): np.add.at adds each draw's live rates in index order
-    live = (gamma <= 0.0) & (end > 0.0)
-    base = np.zeros(n)
-    np.add.at(base, owner[live], w[live])
+    n_init, n_fresh = init[0], fresh[0]
+    rows = max(1, _BLOCK_CELLS // (4 * max(1, int(n_init.max()) + int(n_fresh.max()))))
+    sups = np.empty(n_init.size)
+    i0 = f0 = 0
+    for a in range(0, n_init.size, rows):
+        b = a + rows  # past n for a short last block, which slicing clips
+        c_init, c_fresh = n_init[a:b], n_fresh[a:b]
+        i1, f1 = i0 + int(c_init.sum()), f0 + int(c_fresh.sum())
+        draws = np.arange(c_init.size)
+        owner = np.concatenate([np.repeat(draws, c_init), np.repeat(draws, c_fresh)])
+        gamma, end, w = (np.concatenate([c0[i0:i1], cf[f0:f1]]) for c0, cf in zip(init[1:], fresh[1:]))
+        i0, f0 = i1, f1
 
-    # events in (0, h], grouped by draw in sweep order (a stable sort of
-    # the owners, which come in four sorted runs), then per block one
-    # +inf-padded row of times per draw, stably sorted row by row; the
-    # row-wise cumsum adds sequentially, and the zero deltas of the
-    # padding only repeat a row's last level
-    arr = (gamma > 0.0) & (gamma <= h)
-    dep = (end > 0.0) & (end <= h)
-    t_ev = np.concatenate([gamma[arr], end[dep]])
-    d_ev = np.concatenate([w[arr], -w[dep]])
-    o_ev = np.concatenate([owner[arr], owner[dep]])
-    by_owner = np.argsort(o_ev, kind="stable")
-    t_ev, d_ev, o_ev = t_ev[by_owner], d_ev[by_owner], o_ev[by_owner]
-    n_ev = np.bincount(o_ev, minlength=n)
-    first_ev = np.append(0, np.cumsum(n_ev))
-    col = np.arange(o_ev.size) - first_ev[o_ev]
+        # base level X(0): np.add.at adds each draw's live rates in index order
+        live = (gamma <= 0.0) & (end > 0.0)
+        base = np.zeros(draws.size)
+        np.add.at(base, owner[live], w[live])
 
-    sups = base.copy()
-    rows_per_block = max(1, _BLOCK_CELLS // max(1, int(n_ev.max(initial=0))))
-    for a in range(0, n, rows_per_block):
-        b = min(a + rows_per_block, n)
-        e0, e1 = first_ev[a], first_ev[b]
-        if e0 == e1:
-            continue
-        shape = (b - a, int(n_ev[a:b].max()))
-        cells = (o_ev[e0:e1] - a, col[e0:e1])
-        times = np.full(shape, np.inf)
-        times[cells] = t_ev[e0:e1]
-        steps = np.zeros(shape)
-        steps[cells] = d_ev[e0:e1]
+        # events in (0, h], grouped by draw in sweep order (a stable sort of
+        # the owners, which come in four sorted runs), then one +inf-padded
+        # row of times per draw, stably sorted row by row; the row-wise
+        # cumsum adds sequentially, and the zero deltas of the padding only
+        # repeat a row's last level
+        arr = (gamma > 0.0) & (gamma <= h)
+        dep = (end > 0.0) & (end <= h)
+        o_ev = np.concatenate([owner[arr], owner[dep]])
+        by_owner = np.argsort(o_ev, kind="stable")
+        o_ev = o_ev[by_owner]
+        n_ev = np.bincount(o_ev, minlength=draws.size)
+        cells = (o_ev, np.arange(o_ev.size) - (np.cumsum(n_ev) - n_ev)[o_ev])
+        times = np.full((draws.size, int(n_ev.max())), np.inf)
+        times[cells] = np.concatenate([gamma[arr], end[dep]])[by_owner]
+        steps = np.zeros(times.shape)
+        steps[cells] = np.concatenate([w[arr], -w[dep]])[by_owner]
         steps = np.take_along_axis(steps, np.argsort(times, axis=1, kind="stable"), axis=1)
-        levels = base[a:b, None] + np.cumsum(steps, axis=1)
-        np.maximum(sups[a:b], levels.max(axis=1), out=sups[a:b])
+        levels = base[:, None] + np.cumsum(steps, axis=1)
+        np.maximum(base, levels.max(axis=1, initial=-np.inf), out=sups[a:b])
     return sups
 

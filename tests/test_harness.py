@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from stableshot import (
-    Report,
     RngStream,
     Scenario,
     build_path,
@@ -241,6 +240,8 @@ class TestScenario:
              "entries 1000.0 and 1000.0001 both name the horizon T=1000; T_ladder names"),
             (dict(T_ladder=(9000.01, 9000.02, 9e4), analyses=("self_similarity",)),
              "both name the GoF self_similarity/u=0\\.1; T_ladder names must be unique"),
+            # the cycles would be banked for a table of no cells, which fails
+            (dict(tail_x=(), analyses=("cycle_tail",)), "tail_x must not be empty for cycle_tail"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -324,6 +325,16 @@ class TestRun:
     def test_run_rejects_a_bad_worker_count(self):
         with pytest.raises(ValueError, match="workers"):
             run(tiny_scenario(analyses=()), workers=0)
+
+    @pytest.mark.parametrize("workers", [2.0, True])
+    def test_run_rejects_a_worker_override_of_the_wrong_type(self, monkeypatch, workers):
+        # the override is typed as the Scenario field is, before the z stage
+        # could record the error in every z block or run True as 1
+        staged = []
+        monkeypatch.setattr(harness, "_z_stage", lambda *args: staged.append(args))
+        with pytest.raises(ValueError, match="'workers' must be an integer"):
+            run(tiny_scenario(), workers=workers)
+        assert staged == []
 
     def test_analysis_error_is_contained(self, monkeypatch):
         # an analysis that raises: the error lands in its block only
@@ -792,6 +803,7 @@ class TestCli:
             ("T_ladder: [1000.0, 1000.0001]\n", "both name the horizon T=1000"),
             ("analyses: [self_similarity]\nT_ladder: [9000.01, 9000.02, 90000.0]\n",
              "both name the GoF self_similarity/u=0.1"),
+            ("analyses: [cycle_tail]\ntail_x: []\n", "tail_x must not be empty for cycle_tail"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])

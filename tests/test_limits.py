@@ -7,7 +7,6 @@ import pytest
 from scipy import stats as sps
 
 from stableshot import (
-    LimitSpec,
     RngStream,
     c_alpha,
     limit_params,

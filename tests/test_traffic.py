@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats as sps
 
 from stableshot import (
     JointLaw,
@@ -423,13 +422,15 @@ class TestStationarity:
     @pytest.mark.parametrize(
         "lam, h, rates",
         [(1.0, 1.0, ("uniform", 0.1, 1.0)), (5.0, 3.0, ("uniform", 0.1, 1.0)),
-         (0.3, 0.5, ("exponential", 0.7)), (2.0, 0.0, ("uniform", 0.1, 1.0))],
+         (0.3, 0.5, ("exponential", 0.7)), (2.0, 0.0, ("uniform", 0.1, 1.0)),
+         (0.05, 1.0, ("uniform", 0.1, 1.0)), (20.0, 1.0, ("uniform", 0.1, 1.0))],
     )
     def test_window_sups_equal_per_draw_sweep(self, monkeypatch, lam, h, rates):
-        # 20,000 draws span several blocks of draws and of rows, more with
-        # the budget patched down; lam = 5 puts 8 or more sessions alive
-        # at 0 in most draws, where numpy's pairwise sum would change the
-        # order of the base sum
+        # 20,000 draws span several blocks of draws, more with the budget
+        # patched down; lam = 5 puts 8 or more sessions alive at 0 in most
+        # draws, where numpy's pairwise sum would change the order of the
+        # base sum; at lam = 0.05 most draws are empty, and lam = 20 makes
+        # wide draws and narrow blocks
         cfg = TrafficConfig(
             lam=lam, law=JointLaw(TailDist.pareto(1.5), rates[0], rates[1:]),
             horizon=1.0, rng=RngStream(20),
@@ -653,8 +654,8 @@ def test_window_sups_bit_identical(sessions, n_init, extra_live, h, block_cells)
         counts = np.bincount(owner[part], minlength=n)
         kinds.append((counts, *(c[part][by_draw] for c in (gamma, end, w))))
     with pytest.MonkeyPatch.context() as mp:
-        # a small cell budget puts boundaries of blocks of draws (at most 12
-        # sessions a block) and of padded rows between most draws
+        # a small cell budget puts boundaries of blocks of draws between
+        # most draws
         mp.setattr(traffic, "_BLOCK_CELLS", block_cells)
         got = traffic._sups_by_block(*kinds, h)
     want = _per_draw_sups(owner, gamma, end, w, n, h)
