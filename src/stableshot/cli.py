@@ -32,9 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=None, help="override file seed")
-    p_run.add_argument(
-        "--format", choices=("csv-bundle", "structured-text"), default="csv-bundle"
-    )
 
     p_val = sub.add_parser("validate", help="check a scenario file, print diagnostics")
     p_val.add_argument("--scenario", required=True)
@@ -47,43 +44,37 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
-    if args.command == "validate":
+    if args.command in ("validate", "run"):
         try:
-            notes = validate(Scenario.from_yaml(args.scenario))
+            scenario = Scenario.from_yaml(args.scenario)
+            if args.command == "run" and args.seed is not None:
+                scenario = replace(scenario, seed=args.seed)
+            if args.command == "run" and args.workers is not None:
+                scenario = replace(scenario, workers=args.workers)
+            notes = validate(scenario)
         except (ValueError, OSError) as exc:
             print(f"invalid scenario: {exc}", file=sys.stderr)
             return 2
+    if args.command == "validate":
         for note in notes:
             print(note)
         print("scenario ok")
         return 0
 
-    if args.command == "demo":
+    try:  # before a run, which a bad output path would otherwise waste
         os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        return 2
+    if args.command == "demo":
         for name, sc in builtin_scenarios().items():
             dest = os.path.join(args.out, f"{name}.yaml")
             sc.to_yaml(dest)
             print(f"wrote {dest}")
         return 0
 
-    # run
-    try:
-        scenario = Scenario.from_yaml(args.scenario)
-        if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
-        if args.workers is not None:
-            scenario = replace(scenario, workers=args.workers)
-        validate(scenario)
-    except (ValueError, OSError) as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return 2
-    try:  # before the run, which a bad output path would otherwise waste
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output directory: {exc}", file=sys.stderr)
-        return 2
     report = run(scenario)
-    files = emit(report, args.out, fmt=args.format)
+    files = emit(report, args.out)
     for g in report.gofs():
         print(g.line())
     for name, block in report.blocks.items():

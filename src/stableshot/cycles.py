@@ -53,6 +53,8 @@ _SCAN_SESSIONS = 1 << 16
 # above MAX_CYCLE_LOAD = lam E[Y] that floor alone exceeds _CHUNK_SESSIONS
 _MIN_CHUNK_CYCLES = 200
 MAX_CYCLE_LOAD = math.log(_CHUNK_SESSIONS / _MIN_CHUNK_CYCLES)
+# chunks collect_cycle_lengths simulates before it gives up
+MAX_CHUNKS = 10_000
 
 
 class CycleDecomposition:
@@ -188,9 +190,15 @@ def collect_cycle_lengths(
         out.append(lengths)
         have += lengths.size
         chunk += 1
-        if chunk > 10_000:
+        if chunk > MAX_CHUNKS:
             raise RuntimeError("cycle collection is not converging")
     return np.concatenate(out)[:n_target]
+
+
+def expected_chunks(lam: float, law: JointLaw, n_target: int) -> float:
+    """Chunks collect_cycle_lengths expects to simulate for n_target cycles,
+    each banking about _chunk_horizon / E[C] of them."""
+    return n_target * math.exp(lam * law.mean_y) / lam / _chunk_horizon(lam, law, n_target)
 
 
 def _chunk_horizon(lam: float, law: JointLaw, n_target: int) -> float:

@@ -36,7 +36,10 @@ import yaml
 
 from . import functionals as fns, traffic
 from ._backend import backend_name
-from .cycles import MAX_CYCLE_LOAD, collect_cycle_lengths, cycle_tail_table, hill_alpha
+from .cycles import (
+    MAX_CHUNKS, MAX_CYCLE_LOAD, collect_cycle_lengths, cycle_tail_table, expected_chunks,
+    hill_alpha,
+)
 from .functionals import WindowFunctional
 from .heavy_rand import TailDist, sample_stable, tail_quantile_a
 from .limits import limit_params
@@ -109,7 +112,8 @@ class Scenario:
             raise ValueError(f"a scenario must be a mapping of fields, got {got}")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+            # YAML keys need not be strings, nor of one type
+            raise ValueError(f"unknown scenario keys: {sorted(unknown, key=repr)}")
         return cls(**d)
 
     def to_yaml(self, dest) -> None:
@@ -198,7 +202,6 @@ def validate(scenario: Scenario) -> list:
         raise ValueError(f"T_ladder must be finite, got {list(scenario.T_ladder)!r}")
     if list(scenario.T_ladder) != sorted(set(scenario.T_ladder)):
         raise ValueError("T_ladder must be strictly increasing")
-    _unique_names("T_ladder", scenario.T_ladder, "the horizon T=")
     if any(t <= 1 for t in scenario.T_ladder):
         raise ValueError("horizons must exceed 1 (normalizer a(t) needs t > 1)")
     bad = set(scenario.analyses) - set(ANALYSES)
@@ -211,17 +214,15 @@ def validate(scenario: Scenario) -> list:
     runs = set(scenario.analyses)
     if not scenario.functionals and runs & {"stable_limit", "self_similarity"}:
         raise ValueError("functionals must not be empty for stable_limit or self_similarity")
-    # results blocks and Monte Carlo substreams are keyed by the built name,
-    # which rounds a spec's number (cdf:1 and cdf:1.0000001 are both cdf_le_1)
-    specs_by_name = {}
+    specs = {}  # built functional -> its first spec
     for spec in scenario.functionals:
-        name = make_functional(spec, scenario.window_h).name  # raises on bad spec
-        if name in specs_by_name:
+        phi = make_functional(spec, scenario.window_h)  # raises on bad spec
+        if phi in specs:
             raise ValueError(
-                f"functionals {specs_by_name[name]!r} and {spec!r} both build the name "
-                f"{name!r}; functional names must be unique"
+                f"functionals {specs[phi]!r} and {spec!r} both build {phi.name}; "
+                "functionals must not repeat"
             )
-        specs_by_name[name] = spec
+        specs[phi] = spec
     law = scenario.law()  # raises on bad rate model
     if max(law.w_params) > 1e100:  # w0, b or mean
         raise ValueError(
@@ -245,15 +246,17 @@ def validate(scenario: Scenario) -> list:
             raise ValueError(
                 f"x_grid must be nonnegative for cdf_rate, got {list(scenario.x_grid)!r}"
             )
-        _unique_names("x_grid", scenario.x_grid, "the GoF cdf_rate/x=")
         if scenario.replicates < 2:
             raise ValueError("cdf_rate needs replicates >= 2 for a dispersion")
     for analysis, (_, _, k, _) in ANALYSES.items():
         if analysis in runs and len(scenario.T_ladder) < k:
             raise ValueError(f"{analysis} needs at least {k} horizon{'s' * (k > 1)} in T_ladder")
-    if "self_similarity" in runs:
-        top = scenario.T_ladder[-1]
-        _unique_names("T_ladder", scenario.T_ladder[:-1], "the GoF self_similarity/u=", top)
+    if "self_similarity" in runs:  # adjacent rungs can give one float u = T/T_top
+        *lower, top = scenario.T_ladder
+        for t0, t1 in zip(lower, lower[1:]):
+            if t0 / top == t1 / top:
+                raise ValueError(f"T_ladder entries {t0!r} and {t1!r} both give u = T/T_top = "
+                                 f"{t0 / top!r}: self_similarity needs distinct u")
     if scenario.n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
     if "hill" in runs and not 1 <= scenario.hill_k < scenario.n_cycles:
@@ -272,6 +275,12 @@ def validate(scenario: Scenario) -> list:
         raise ValueError(
             f"offered load lambda*E[Y] = {load:g} is too heavy for {cycling}: their "
             f"cycle banking holds bounded memory only at loads <= {MAX_CYCLE_LOAD:.3g}"
+        )
+    chunks = expected_chunks(scenario.lam, law, scenario.n_cycles) if cycling else 0
+    if chunks > MAX_CHUNKS:
+        raise ValueError(
+            f"n_cycles = {scenario.n_cycles} needs about {chunks:.3g} fresh-start chunks for "
+            f"{cycling}, over the {MAX_CHUNKS} that cycle banking simulates"
         )
     z_runs = sorted(a for a in runs if ANALYSES[a][1])
     if z_runs:
@@ -305,16 +314,11 @@ def validate(scenario: Scenario) -> list:
     return notes
 
 
-def _unique_names(key: str, values, prefix: str, scale: float = 1.0) -> None:
-    """ValueError if two increasing ``values`` of scenario field ``key`` print
-    as one name ``prefix`` + f"{v / scale:g}", which rounds monotonically: so
-    entries of one name are neighbours (1 and 1.0000001 are both x=1)."""
-    for v0, v1 in zip(values, values[1:]):
-        name = f"{prefix}{v0 / scale:g}"
-        if name == f"{prefix}{v1 / scale:g}":
-            raise ValueError(
-                f"{key} entries {v0!r} and {v1!r} both name {name}; {key} names must be unique"
-            )
+def _num(x: float) -> str:
+    """x as result keys and file names print it: f"{x:g}" where that reads
+    back as exactly x, else repr, so distinct numbers get distinct names."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
 
 
 def make_functional(spec: str, h: float = 0.0) -> WindowFunctional:
@@ -334,11 +338,11 @@ def make_functional(spec: str, h: float = 0.0) -> WindowFunctional:
     if head == "idle":
         return WindowFunctional("idle", 0.0, ("le", 0.0))
     if head == "clipped":
-        return WindowFunctional(f"clipped_{x:g}", 0.0, ("min", x))
+        return WindowFunctional(f"clipped_{_num(x)}", 0.0, ("min", x))
     if head == "cdf" or (head == "winsup" and h == 0):
-        return WindowFunctional(f"cdf_le_{x:g}", 0.0, ("le", x))
+        return WindowFunctional(f"cdf_le_{_num(x)}", 0.0, ("le", x))
     if head == "winsup":
-        return WindowFunctional(f"sup_le_{x:g}_h{h:g}", float(h), ("le", x))
+        return WindowFunctional(f"sup_le_{_num(x)}_h{_num(h)}", float(h), ("le", x))
     raise ValueError(f"unknown functional spec {spec!r}")
 
 
@@ -563,7 +567,7 @@ def _analysis_stable_limit(scenario: Scenario, z_rows: dict) -> dict:
             if lspec.degenerate:
                 reports.append(
                     GofReport(
-                        name=f"{scenario.name}/stable_limit/{phi.name}/T={T:g}",
+                        name=f"{scenario.name}/stable_limit/{phi.name}/T={_num(T)}",
                         stat=float(np.abs(z).max()),
                         threshold=1e-6 + 10 * se * T / tail_quantile_a(scenario.y_dist(), T),
                         n=z.size,
@@ -578,7 +582,7 @@ def _analysis_stable_limit(scenario: Scenario, z_rows: dict) -> dict:
             )
             reports.append(
                 ks_two_sample(
-                    z, ref, f"{scenario.name}/stable_limit/{phi.name}/T={T:g}"
+                    z, ref, f"{scenario.name}/stable_limit/{phi.name}/T={_num(T)}"
                 )
             )
         block[phi.name] = {
@@ -602,7 +606,7 @@ def _analysis_self_similarity(scenario: Scenario, z_rows: dict) -> dict:
     T_top = scenario.T_ladder[-1]
     gofs = [
         ks_two_sample(
-            z_k, z[-1], f"{scenario.name}/self_similarity/{phi.name}/u={T_k / T_top:g}"
+            z_k, z[-1], f"{scenario.name}/self_similarity/{phi.name}/u={_num(T_k / T_top)}"
         )
         for T_k, z_k in zip(scenario.T_ladder[:-1], z[:-1])
     ]
@@ -630,7 +634,7 @@ def _analysis_cdf_rate(scenario: Scenario, z_rows: dict) -> dict:
         disp = np.array([iqr(z_T) for z_T in z_x]) * to_error
         # replicates that all read one F_T(x), such as an x above every
         # level a horizon reaches, leave no dispersion to fit on a log scale
-        flat = [f"{T:g}" for T, d in zip(scenario.T_ladder, disp) if not d > 0]
+        flat = [_num(T) for T, d in zip(scenario.T_ladder, disp) if not d > 0]
         if flat:
             slope = stderr = math.nan
             stat, detail = math.inf, f"IQR 0 at T={', '.join(flat)}: no log fit"
@@ -645,7 +649,7 @@ def _analysis_cdf_rate(scenario: Scenario, z_rows: dict) -> dict:
             "d_sample": d_sample,
             "left_skew": bool(d_sample.mean() < np.median(d_sample)),
             "gof": GofReport(
-                name=f"{scenario.name}/cdf_rate/x={x:g}",
+                name=f"{scenario.name}/cdf_rate/x={_num(x)}",
                 stat=stat,
                 threshold=0.10,
                 n=scenario.replicates,
@@ -793,10 +797,8 @@ def _write_csv(dest, header, rows):
         w.writerows(rows)
 
 
-def emit(report: Report, out_dir, fmt: str = "csv-bundle") -> list:
-    """Write the report to out_dir; returns the list of files written."""
-    if fmt not in ("csv-bundle", "structured-text"):
-        raise ValueError(f"unknown emit format {fmt!r}")
+def emit(report: Report, out_dir) -> list:
+    """Write the report and its CSVs to out_dir; returns the files written."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -808,9 +810,6 @@ def emit(report: Report, out_dir, fmt: str = "csv-bundle") -> list:
     with open(path("report.txt"), "w") as fh:
         fh.write(report.to_text())
     report.scenario.to_yaml(path("scenario_echo.yaml"))
-    if fmt == "structured-text":
-        return written
-
     blocks = report.blocks
     if "cycle_tail" in blocks and "table" in blocks["cycle_tail"]:
         _write_csv(
@@ -825,7 +824,7 @@ def emit(report: Report, out_dir, fmt: str = "csv-bundle") -> list:
         for phi_name, sub in blocks["stable_limit"].items():
             for T, z in sub["samples"].items():
                 _write_csv(
-                    path(f"stable_limit_{phi_name}_T{T:g}.csv"),
+                    path(f"stable_limit_{phi_name}_T{_num(T)}.csv"),
                     ["replicate", "z"],
                     list(enumerate(np.asarray(z))),
                 )
@@ -837,7 +836,7 @@ def emit(report: Report, out_dir, fmt: str = "csv-bundle") -> list:
         samples = blocks["self_similarity"]["samples"]
         _write_csv(
             path("self_similarity.csv"),
-            ["replicate"] + [f"z_T{T:g}" for T in samples],
+            ["replicate"] + [f"z_T{_num(T)}" for T in samples],
             [(r, *zs) for r, zs in enumerate(zip(*samples.values()))],
         )
     if "cdf_rate" in blocks and "error" not in blocks["cdf_rate"]:

@@ -1,15 +1,18 @@
 """The public surface: every exported name resolves, and none pulls in scipy."""
 
+import argparse
 import ast
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import stableshot
-from stableshot import Scenario
+from stableshot import Scenario, cli
 
 
 def test_every_module_all_entry_exists():
@@ -29,6 +32,23 @@ def test_every_package_import_exists():
     ]
     assert names
     assert [n for n in names if not hasattr(stableshot, n)] == []
+
+
+def test_readme_cli_usage_names_the_parser_commands_and_flags():
+    # a flag dropped from the parser must not stay documented, nor the reverse
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    usage = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        flag
+        for command in sub.choices.values()
+        for action in command._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert set(re.findall(r"^stableshot (\w+)", usage, re.M)) == set(sub.choices)
+    assert set(re.findall(r"--[a-z][a-z-]*", usage)) == flags
 
 
 _NO_SCIPY_SCRIPT = """

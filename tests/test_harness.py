@@ -173,9 +173,9 @@ class TestScenario:
             # |W|^alpha overflows in the limit law, and w0 * k in the exact curve
             (dict(w_params=(1e300,)), "w_params must not exceed 1e\\+100"),
             (dict(w_params=(1e308,)), "w_params must not exceed 1e\\+100"),
-            (dict(functionals=("cdf:1", "cdf:1.0000001")), "cdf_le_1"),
+            (dict(functionals=("cdf:1", "cdf:1.0")), "cdf_le_1"),
             (dict(functionals=("identity", "clipped:2", "clipped:2.0")), "clipped_2"),
-            (dict(functionals=("winsup:3", "winsup:3.0000001"), window_h=1.0), "sup_le_3_h1"),
+            (dict(functionals=("winsup:3", "winsup:3.0"), window_h=1.0), "sup_le_3_h1"),
             (dict(T_ladder=(1e3, math.inf)), "T_ladder"),
             (dict(T_ladder=(math.nan,)), "T_ladder"),
             (dict(x_grid=(1.0, math.inf)), "x_grid"),
@@ -215,9 +215,12 @@ class TestScenario:
             (dict(w_params=(math.inf,)), "w_params of w_kind 'constant' must satisfy"),
             (dict(w_params=(math.nan,)), "w_params of w_kind 'constant' must satisfy"),
             (dict(T_ladder=()), "stable_limit needs at least 1 horizon in T_ladder"),
-            (dict(T_ladder=(1e3, 1e4, 1e5), x_grid=(1.0, 1.0000001), analyses=("cdf_rate",)),
-             "both name the GoF cdf_rate/x=1"),
-            (dict(functionals=("cdf:1", "winsup:1")), "both build the name 'cdf_le_1'"),
+            # 2e4 chunks of about 5e4 cycles: the cap of 1e4 chunks would
+            # be reached holding 5e8 lengths, 4 GB
+            (dict(n_cycles=10**9, analyses=("cycle_mean",)),
+             "n_cycles = 1000000000 needs about 2e\\+04 fresh-start chunks for \\['cycle_mean'\\]"),
+            (dict(functionals=("cdf:1", "winsup:1")),
+             "both build cdf_le_1; functionals must not repeat"),
             # each replicate path would draw about 1e11 sessions; the second
             # passes the cap only through its 2 * window_h of extra arrivals
             (dict(lam=1e7, T_ladder=(1e4,), replicates=5), "= 1.0003e\\+11 exceed 1.5e\\+07"),
@@ -234,12 +237,13 @@ class TestScenario:
              "curve of 'clipped:2' holds 100000\\*lambda\\*\\(E\\[Y\\] \\+ h\\) = 3e\\+08 "
              "expected sessions at once, over 1.5e\\+07"),
             (dict(functionals=("winsup:3",), window_h=200.0), "= 2.03e\\+07 expected sessions"),
-            # two horizons of one printed name: one GoF name and one CSV file
-            # for both, and two GoFs of one self_similarity u = T / T_top
-            (dict(T_ladder=(1000.0, 1000.0001)),
-             "entries 1000.0 and 1000.0001 both name the horizon T=1000; T_ladder names"),
-            (dict(T_ladder=(9000.01, 9000.02, 9e4), analyses=("self_similarity",)),
-             "both name the GoF self_similarity/u=0\\.1; T_ladder names must be unique"),
+            # adjacent horizons whose u = T / T_top is one float: two
+            # self_similarity GoFs of one u, also past the first pair
+            (dict(T_ladder=(1000.0, 1000.0000000000001, 1e4), analyses=("self_similarity",)),
+             "entries 1000.0 and 1000.0000000000001 both give u = T/T_top = 0\\.1: "
+             "self_similarity needs distinct u"),
+            (dict(T_ladder=(500.0, 1000.0, 1000.0000000000001, 1e4), analyses=("self_similarity",)),
+             "both give u = T/T_top = 0\\.1"),
             # the cycles would be banked for a table of no cells, which fails
             (dict(tail_x=(), analyses=("cycle_tail",)), "tail_x must not be empty for cycle_tail"),
         ],
@@ -282,6 +286,9 @@ class TestScenario:
             (("winsup:3", 0.0), ("cdf_le_3", 0.0, ("le", 3.0))),
             (("winsup:3", 1.0), ("sup_le_3_h1", 1.0, ("le", 3.0))),
             (("winsup:3.5", 0.25), ("sup_le_3.5_h0.25", 0.25, ("le", 3.5))),
+            # a number that :g would round is named by its repr
+            (("cdf:1.0000001",), ("cdf_le_1.0000001", 0.0, ("le", 1.0000001))),
+            (("winsup:3", 1 / 3), ("sup_le_3_h0.3333333333333333", 1 / 3, ("le", 3.0))),
         ]:
             phi = make_functional(*args)
             assert (phi.name, phi.h, phi.form) == want
@@ -294,12 +301,47 @@ class TestScenario:
             with pytest.raises(ValueError, match=message):
                 make_functional(spec)
 
+    def test_num_names_each_number_exactly(self):
+        # :g where it reads back exactly, so every number the benchmark and
+        # the built-in scenarios use keeps its name; repr otherwise
+        for x, want in [(1e3, "1000"), (1e6, "1e+06"), (0.25, "0.25"), (1.0, "1"),
+                        (1 / 3, "0.3333333333333333"), (1.0000001, "1.0000001"),
+                        (123456789.0, "123456789.0")]:
+            assert harness._num(x) == want and float(harness._num(x)) == x
+
 
 class TestRun:
     def test_empty_analyses(self):
         rep = run(tiny_scenario(analyses=()))
         assert rep.blocks == {}
         assert rep.all_passed
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ("analyses: [cdf_rate]\nT_ladder: [200.0, 400.0, 800.0]\nx_grid: [1.0, 1.0000001]\n",
+             ["s/cdf_rate/x=1", "s/cdf_rate/x=1.0000001"]),
+            ("functionals: ['cdf:1', 'cdf:1.0000001']\n",
+             ["s/stable_limit/cdf_le_1/T=200", "s/stable_limit/cdf_le_1.0000001/T=200"]),
+            ("T_ladder: [1000.0, 1000.0001]\n",
+             ["s/stable_limit/identity/T=1000", "s/stable_limit/identity/T=1000.0001"]),
+            ("analyses: [self_similarity]\nT_ladder: [9000.01, 9000.02, 90000.0]\n",
+             ["s/self_similarity/identity/u=0.10000011111111111",
+              "s/self_similarity/identity/u=0.10000022222222223"]),
+        ],
+    )
+    def test_numbers_that_print_alike_get_distinct_names(self, tmp_path, capsys, text, names):
+        # numbers equal to 6 digits name their own GoFs, blocks and files
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text("name: s\nT_ladder: [200.0]\nreplicates: 8\nseed: 5\n" + text)
+        assert main(["validate", "--scenario", str(cfg)]) == 0
+        rep = run(Scenario.from_yaml(cfg))
+        assert not any("error" in block for block in rep.blocks.values())
+        assert [g.name for g in rep.gofs()] == names
+        files = [Path(f).name for f in emit(rep, tmp_path / "out")]
+        assert len(set(files)) == len(files)
+        csv_names = [line.split(",")[0] for line in (tmp_path / "out" / "gof.csv").open()]
+        assert csv_names[1:] == names
 
     def test_deterministic_body(self):
         sc = tiny_scenario()
@@ -713,15 +755,6 @@ class TestEmit:
         assert "gof.csv" in names
         assert any(n.startswith("stable_limit_identity_T") for n in names)
 
-    def test_structured_text_only(self, tmp_path):
-        rep = run(tiny_scenario(analyses=()))
-        files = emit(rep, tmp_path / "out", fmt="structured-text")
-        assert len(files) == 2
-
-    def test_bad_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit(run(tiny_scenario(analyses=())), tmp_path, fmt="json")
-
     @pytest.mark.parametrize("method", ["exact", "monte_carlo"])
     def test_params_file_names_the_centering_method(self, tmp_path, method):
         # a limit law is exact only from an exact curve, which needs a
@@ -762,7 +795,9 @@ class TestCli:
             ("analyses: [hill]\nhill_k: 0\n", "hill_k"),
             ("functionals: []\nanalyses: [stable_limit]\n", "functionals"),
             ("analyses: [cdf_rate]\nT_ladder: [1000.0, 10000.0]\n", "T_ladder"),
-            ("functionals: ['cdf:1', 'cdf:1.0000001']\n", "cdf_le_1"),
+            # cdf:1.0000001 is a functional of its own; cdf:1.0 repeats cdf:1
+            ("functionals: ['cdf:1', 'cdf:1.0000001', 'cdf:1.0']\n",
+             "'cdf:1' and 'cdf:1.0' both build cdf_le_1"),
             ("T_ladder: [.inf]\n", "T_ladder"),
             ("seed: -1\n", "seed"),
             ("workers: -2\n", "workers"),
@@ -776,8 +811,8 @@ class TestCli:
             ("w_kind: constant\nw_params: [1.0e+308]\n", "w_params must not exceed 1e+100"),
             ("analyses: [stable_limit]\nT_ladder: []\n",
              "stable_limit needs at least 1 horizon in T_ladder"),
-            ("analyses: [cdf_rate]\nT_ladder: [1.0e+3, 1.0e+4, 1.0e+5]\nx_grid: [1.0, 1.0000001]\n",
-             "both name the GoF cdf_rate/x=1"),
+            ("analyses: [cdf_rate]\nT_ladder: [1.0e+3, 1.0e+4, 1.0e+5]\nx_grid: []\n",
+             "x_grid must not be empty for cdf_rate"),
             ("functionals: ['identity:3']\n", "identity:3"),
             ("analyses: [self_similarity]\nT_ladder: [1000.0]\n", "T_ladder"),
             ("functionals: [clipped]\n", "'clipped' needs a finite number"),
@@ -800,10 +835,13 @@ class TestCli:
              "functionals: ['clipped:2']\n", "(E[Y] + h) = 3e+08 expected sessions at once"),
             ("functionals: ['winsup:3']\nwindow_h: 200\n",
              "(E[Y] + h) = 2.03e+07 expected sessions at once, over 1.5e+07"),
-            ("T_ladder: [1000.0, 1000.0001]\n", "both name the horizon T=1000"),
-            ("analyses: [self_similarity]\nT_ladder: [9000.01, 9000.02, 90000.0]\n",
-             "both name the GoF self_similarity/u=0.1"),
+            ("analyses: [self_similarity]\nT_ladder: [1000.0, 1000.0000000000001, 10000.0]\n",
+             "both give u = T/T_top = 0.1"),
             ("analyses: [cycle_tail]\ntail_x: []\n", "tail_x must not be empty for cycle_tail"),
+            ("analyses: [cycle_mean]\nn_cycles: 1000000000\n",
+             "needs about 2e+04 fresh-start chunks for ['cycle_mean']"),
+            # YAML keys of two types, which do not sort together
+            ("1: 2\nfoo: 3\n", "unknown scenario keys: ['foo', 1]"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -859,6 +897,14 @@ class TestCli:
         assert "cannot create output directory" in err and str(taken) in err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert taken.read_text() == "a file\n"
+
+    def test_demo_out_not_a_directory_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        assert main(["demo", "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot create output directory" in err and str(taken) in err
+        assert "Traceback" not in err and taken.read_text() == "a file\n"
 
     def test_run_exit_codes(self, tmp_path, capsys):
         cfg = tmp_path / "s.yaml"

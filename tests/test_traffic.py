@@ -633,6 +633,13 @@ _session = st.tuples(
     sessions=[(0, -0.25, 0.75, 0.7)] * 20 + [(0, 0.5, 1.0, 1.0)],
     n_init=20, extra_live=0, h=1.0, block_cells=200,
 )
+# the same tie in a row that also holds other times: numpy's default sort
+# keeps an all-equal row in order, but reorders the ties of this one
+@example(
+    sessions=[(0, -0.25, 1.25, 0.7)] * 20
+    + [(0, 1.0, 2.0, 1.0), (0, 0.25, 0.25, 0.1), (0, 1.5, 0.25, 0.1)],
+    n_init=20, extra_live=0, h=2.0, block_cells=200,
+)
 def test_window_sups_bit_identical(sessions, n_init, extra_live, h, block_cells):
     # the first n_init sessions are the init kind, the rest fresh; extra_live
     # adds sessions alive at 0 to draw 6 (8 or more, where a pairwise sum
