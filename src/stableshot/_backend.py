@@ -9,5 +9,5 @@ from . import _kernels_py as kernels
 
 
 def backend_name() -> str:
-    """Name of the kernel implementation, recorded in every report: 'python'."""
+    """Name of the kernel implementation, recorded in every benchmark run: 'python'."""
     return kernels.BACKEND

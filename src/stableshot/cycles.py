@@ -55,6 +55,9 @@ _MIN_CHUNK_CYCLES = 200
 MAX_CYCLE_LOAD = math.log(_CHUNK_SESSIONS / _MIN_CHUNK_CYCLES)
 # chunks collect_cycle_lengths simulates before it gives up
 MAX_CHUNKS = 10_000
+# cycles collect_cycle_lengths may bank: their float64 lengths, and the
+# copy that joins the chunks, take about 240 MB at the cap
+MAX_CYCLES = 15_000_000
 
 
 class CycleDecomposition:
@@ -220,7 +223,7 @@ class TailCell:
     reliable: bool
 
 
-def cycle_tail_table(cycle_lengths, dist: TailDist, lam, ey, x_grid, t_grid):
+def cycle_tail_table(cycle_lengths, dist: TailDist, lam, x_grid, t_grid):
     """Empirical t * P(C > a(t) x) against the limit exp(lam*E[Y]) x^(-alpha).
 
     Cells backed by fewer than 20 exceedances are flagged unreliable.
@@ -232,7 +235,7 @@ def cycle_tail_table(cycle_lengths, dist: TailDist, lam, ey, x_grid, t_grid):
     if np.any(x_grid <= 0):
         raise ValueError("x grid must be positive")
     alpha = dist.declared_alpha
-    const = math.exp(lam * ey)
+    const = math.exp(lam * dist.mean_y)
     rows = []
     for t in np.asarray(t_grid, dtype=float):
         a_t = float(tail_quantile_a(dist, t))

@@ -10,7 +10,8 @@ u = 1 marginal has
     mu          = 0,
 
 with Delta = E(W*, phi) - E(0, phi) and W* drawn from G.  The marginal at
-time u has scale u^(1/alpha) * sigma.
+time u has scale u^(1/alpha) * sigma.  Delta = 0 a.s. gives sigma = 0 by
+the same formula: a ``degenerate`` LimitSpec, the point mass at 0, beta 0.
 """
 
 from __future__ import annotations
@@ -28,18 +29,21 @@ __all__ = ["LimitSpec", "limit_params"]
 @dataclass(frozen=True)
 class LimitSpec:
     name: str
-    alpha: float
     lam: float
     calE_0: float
     abs_moment: float  # E|Delta|^alpha
     signed_moment: float  # E[|Delta|^alpha sgn(Delta)]
     params: StableParams
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether the limit is the point mass at 0 (Delta = 0 a.s.)."""
+        return self.abs_moment == 0.0
 
     def to_text(self) -> str:
         lines = [
             f"name: {self.name}",
-            f"alpha: {self.alpha!r}",
+            f"alpha: {self.params.alpha!r}",
             f"lambda: {self.lam!r}",
             f"calE_0: {self.calE_0!r}",
             f"abs_moment: {self.abs_moment!r}",
@@ -66,15 +70,9 @@ def limit_params(phi_name: str, lam: float, alpha: float, w_star, calE: Callable
     delta = np.asarray(calE(w_star), dtype=float) - cal0
     abs_m = float(np.mean(np.abs(delta) ** alpha))
     signed_m = float(np.mean(np.abs(delta) ** alpha * np.sign(delta)))
-    if abs_m == 0.0:
-        return LimitSpec(
-            name=phi_name, alpha=alpha, lam=lam, calE_0=cal0, abs_moment=0.0, signed_moment=0.0,
-            params=StableParams(alpha=alpha, sigma=0.0, beta=0.0, mu=0.0),
-            degenerate=True,
-        )
     sigma = (lam * c_alpha(alpha) * abs_m) ** (1.0 / alpha)
-    beta = signed_m / abs_m
+    beta = signed_m / abs_m if abs_m else 0.0
     return LimitSpec(
-        name=phi_name, alpha=alpha, lam=lam, calE_0=cal0, abs_moment=abs_m, signed_moment=signed_m,
+        name=phi_name, lam=lam, calE_0=cal0, abs_moment=abs_m, signed_moment=signed_m,
         params=StableParams(alpha=alpha, sigma=sigma, beta=beta, mu=0.0),
     )

@@ -37,7 +37,6 @@ from stableshot.skorokhod import SteppyPath
 from oracles import cycle_integrals, ecf_distance, fresh_sessions
 
 ALPHA = 1.5
-EY = 3.0
 SEED = 20260826
 E3 = math.exp(3.0)
 
@@ -128,8 +127,7 @@ def big_cycle_sample():
 def test_a3_cycle_tail(announce, big_cycle_sample):
     # t P(C > a(t) x) -> exp(lam E Y) x^(-alpha) at t = 1e3, x in {1, 2}
     cells = cycle_tail_table(
-        big_cycle_sample, TailDist.pareto(ALPHA), 1.0, EY,
-        [1.0, 2.0], [1e3, 1e4, 1e5],
+        big_cycle_sample, TailDist.pareto(ALPHA), 1.0, [1.0, 2.0], [1e3, 1e4, 1e5]
     )
     ratios = {(c.t, c.x): c.empirical / c.theoretical for c in cells}
     at_1e3 = [c for c in cells if c.t == 1e3]

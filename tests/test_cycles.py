@@ -379,7 +379,7 @@ class TestTailTable:
     def test_cells_and_constant(self):
         lengths = collect_cycle_lengths(1.0, law(), 20_000, RngStream(4))
         cells = cycle_tail_table(
-            lengths, TailDist.pareto(1.5), 1.0, 3.0, x_grid=[1.0, 2.0], t_grid=[100.0]
+            lengths, TailDist.pareto(1.5), 1.0, x_grid=[1.0, 2.0], t_grid=[100.0]
         )
         assert len(cells) == 2
         c1, c2 = cells
@@ -390,16 +390,16 @@ class TestTailTable:
 
     def test_reliability_flag(self):
         cells = cycle_tail_table(
-            np.ones(100), TailDist.pareto(1.5), 1.0, 3.0, [1.0], [50.0]
+            np.ones(100), TailDist.pareto(1.5), 1.0, [1.0], [50.0]
         )
         assert cells[0].n_exceed == 0
         assert not cells[0].reliable
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            cycle_tail_table(np.empty(0), TailDist.pareto(1.5), 1.0, 3.0, [1.0], [10.0])
+            cycle_tail_table(np.empty(0), TailDist.pareto(1.5), 1.0, [1.0], [10.0])
         with pytest.raises(ValueError):
-            cycle_tail_table(np.ones(5), TailDist.pareto(1.5), 1.0, 3.0, [-1.0], [10.0])
+            cycle_tail_table(np.ones(5), TailDist.pareto(1.5), 1.0, [-1.0], [10.0])
 
 
 class TestHill:

@@ -17,6 +17,7 @@ from stableshot import (
     build_path,
     decompose_cycles,
     empirical_cdf,
+    harness,
     simulate_sessions,
 )
 from stableshot._backend import kernels
@@ -376,11 +377,13 @@ class TestResponse:
     # when no session is alive, with probability exp(-lambda E[Y]) = exp(-3)
     sc = Scenario(lam=1.0, w_kind="uniform", w_params=(0.1, 1.0), seed=7)
 
-    def test_idle_probability(self):
-        _, est, se, method = response_curve(self.sc, make_functional("idle"), n_mc=40_000)
+    def test_idle_probability(self, monkeypatch):
+        monkeypatch.setattr(harness, "MC_DRAWS", 40_000)
+        _, est, se, method = response_curve(self.sc, make_functional("idle"))
         assert method == "monte_carlo"
         assert est == pytest.approx(math.exp(-3.0), abs=4 * se + 1e-3)
 
-    def test_shift_by_w_kills_idle(self):
-        calE, *_ = response_curve(self.sc, make_functional("idle"), n_mc=2000)
+    def test_shift_by_w_kills_idle(self, monkeypatch):
+        monkeypatch.setattr(harness, "MC_DRAWS", 2000)
+        calE, *_ = response_curve(self.sc, make_functional("idle"))
         assert calE(0.5)[0] == 0.0

@@ -246,6 +246,15 @@ class TestScenario:
              "both give u = T/T_top = 0\\.1"),
             # the cycles would be banked for a table of no cells, which fails
             (dict(tail_x=(), analyses=("cycle_tail",)), "tail_x must not be empty for cycle_tail"),
+            # -0.0 reads as 0.0, so both specs build one cdf_le_0
+            (dict(functionals=("cdf:0", "cdf:-0.0")),
+             "'cdf:0' and 'cdf:-0.0' both build cdf_le_0; functionals must not repeat"),
+            # 9,800 chunks, under MAX_CHUNKS, would bank 4.9e8 lengths: 3.9 GB,
+            # and np.concatenate copies them
+            (dict(n_cycles=490_000_000, analyses=("cycle_mean",)),
+             "n_cycles = 490000000 exceeds 15000000 for \\['cycle_mean'\\]"),
+            (dict(n_cycles=20_000_000, analyses=("cycle_tail", "hill")),
+             "n_cycles = 20000000 exceeds 15000000 for \\['cycle_tail', 'hill'\\]"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -265,6 +274,8 @@ class TestScenario:
         validate(tiny_scenario(lam=1e7, T_ladder=(1e4,), analyses=("m1_diagnostic",)))
         # and so many Monte Carlo draws only to a curve without a closed form
         validate(tiny_scenario(lam=1e3, T_ladder=(1e4,), functionals=("cdf:1",)))
+        # and a cycle bank too large to hold only to the cycle analyses
+        validate(tiny_scenario(n_cycles=490_000_000, analyses=("stable_limit", "m1_diagnostic")))
 
     def test_validate_accepts_the_fewest_replicates_that_can_fail(self):
         validate(tiny_scenario(replicates=4))
@@ -289,10 +300,16 @@ class TestScenario:
             # a number that :g would round is named by its repr
             (("cdf:1.0000001",), ("cdf_le_1.0000001", 0.0, ("le", 1.0000001))),
             (("winsup:3", 1 / 3), ("sup_le_3_h0.3333333333333333", 1 / 3, ("le", 3.0))),
+            # -0.0 builds the functional, and the name, of 0
+            (("cdf:-0.0",), ("cdf_le_0", 0.0, ("le", 0.0))),
+            (("winsup:-0", 1.0), ("sup_le_0_h1", 1.0, ("le", 0.0))),
         ]:
             phi = make_functional(*args)
             assert (phi.name, phi.h, phi.form) == want
             assert type(phi.h) is float and type(phi.form[1]) in (float, type(None))
+        # one functional, so one response curve and one z row
+        zero, negative_zero = make_functional("cdf:0"), make_functional("cdf:-0.0")
+        assert zero == negative_zero and math.copysign(1.0, negative_zero.form[1]) == 1.0
         for spec, message in [
             ("idle:1", "'idle:1' takes no number"),
             ("cdf:nan", "'cdf:nan' needs a finite number"),
@@ -328,6 +345,9 @@ class TestRun:
             ("analyses: [self_similarity]\nT_ladder: [9000.01, 9000.02, 90000.0]\n",
              ["s/self_similarity/identity/u=0.10000011111111111",
               "s/self_similarity/identity/u=0.10000022222222223"]),
+            # -0.0 is the number 0, named as 0
+            ("analyses: [cdf_rate]\nT_ladder: [200.0, 400.0, 800.0]\nx_grid: [-0.0, 1.0]\n",
+             ["s/cdf_rate/x=0", "s/cdf_rate/x=1"]),
         ],
     )
     def test_numbers_that_print_alike_get_distinct_names(self, tmp_path, capsys, text, names):
@@ -537,6 +557,31 @@ class TestOnePathPerReplicate:
         rep = run(tiny_scenario(analyses=("toy", "m1_diagnostic")))
         assert stages == []
         assert rep.blocks["toy"] == {"n": 30} and rep.blocks["m1_diagnostic"]["gof"].passed
+
+    @pytest.mark.parametrize(
+        "analyses, order",
+        [(("cycle_mean", "cdf_rate"), ["cycles", "z stage"]),
+         (("cdf_rate", "cycle_mean"), ["z stage", "cycles"])],
+    )
+    def test_z_stage_is_built_when_the_first_z_analysis_runs(self, monkeypatch, analyses, order):
+        # not before the loop, which would put it ahead of cycle banking
+        # listed first: run's comment gives what that order costs
+        calls = []
+        collect, z_stage = harness.collect_cycle_lengths, harness._z_stage
+
+        def counted_collect(*args):
+            calls.append("cycles")
+            return collect(*args)
+
+        def counted_stage(*args):
+            calls.append("z stage")
+            return z_stage(*args)
+
+        monkeypatch.setattr(harness, "collect_cycle_lengths", counted_collect)
+        monkeypatch.setattr(harness, "_z_stage", counted_stage)
+        rep = run(replace(_cdf_scenario(), analyses=analyses, n_cycles=200))
+        assert not [name for name, block in rep.blocks.items() if "error" in block]
+        assert calls == order
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_self_similarity_banks(self, workers, tmp_path):
@@ -842,6 +887,9 @@ class TestCli:
              "needs about 2e+04 fresh-start chunks for ['cycle_mean']"),
             # YAML keys of two types, which do not sort together
             ("1: 2\nfoo: 3\n", "unknown scenario keys: ['foo', 1]"),
+            # fewer chunks than MAX_CHUNKS, but 3.9 GB of cycle lengths
+            ("analyses: [cycle_mean]\nn_cycles: 490000000\n",
+             "n_cycles = 490000000 exceeds 15000000 for ['cycle_mean']"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -985,7 +1033,8 @@ def test_response_curve_matches_loop(spec, monkeypatch):
     sc = Scenario(**_MC)
     phi = make_functional(spec, sc.window_h)
     calls = _recorded_draws(monkeypatch)
-    calE, *_, method = response_curve(sc, phi, n_mc=4000)
+    monkeypatch.setattr(harness, "MC_DRAWS", 4000)
+    calE, *_, method = response_curve(sc, phi)
     (stat,) = calls  # the curve's own draws
     assert method == "monte_carlo"
     op, b = phi.form
@@ -1011,8 +1060,9 @@ def test_response_curve_draws_once_per_monte_carlo_curve(monkeypatch):
     # the draws are taken through the traffic module's attribute, once per
     # Monte Carlo curve; a closed-form curve takes none
     calls = _recorded_draws(monkeypatch)
+    monkeypatch.setattr(harness, "MC_DRAWS", 100)
     for spec in ("winsup:3", "clipped:2", "identity"):
-        response_curve(Scenario(**_MC), make_functional(spec, 1.0), n_mc=100)
+        response_curve(Scenario(**_MC), make_functional(spec, 1.0))
     assert len(calls) == 3
     for spec in ("identity", "idle", "cdf:1"):
         assert response_curve(Scenario(), make_functional(spec))[3] == "exact"
@@ -1020,12 +1070,13 @@ def test_response_curve_draws_once_per_monte_carlo_curve(monkeypatch):
 
 
 @pytest.mark.parametrize("spec", ["winsup:3", "clipped:2", "idle"])
-def test_response_curve_centering_is_loop_mean(spec):
+def test_response_curve_centering_is_loop_mean(spec, monkeypatch):
     # the centering is the plain mean of phi over the draws, bit for bit,
     # whichever way calE evaluates the other shifts
     sc = Scenario(**_MC)
     phi = make_functional(spec, sc.window_h)
-    _, cal0, se, method = response_curve(sc, phi, n_mc=3000)
+    monkeypatch.setattr(harness, "MC_DRAWS", 3000)
+    _, cal0, se, method = response_curve(sc, phi)
     rng = RngStream(sc.seed, stream_id=2**31).substream(zlib.crc32(phi.name.encode()) % 2**31)
     cfg = sc.config(1.0, rng)
     base = phi(stationary_window_draws(cfg, 3000, rng, phi.h))

@@ -1,4 +1,5 @@
-"""Every top-level import of the package and of the tests is read."""
+"""Every top-level import of the package and of the tests is read, and
+every parameter of the package's functions."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,53 @@ def test_every_import_is_read(path):
     rel = str(path.relative_to(ROOT))
     unread = set(unread_imports(path.read_text())) - EXEMPT.get(rel, set())
     assert not unread, f"{rel} imports {sorted(unread)} and never reads them"
+
+
+PACKAGE = [p for p in SOURCES if p.parent.name == "stableshot"]
+
+
+def unread_parameters(source: str) -> list:
+    """(function, parameter) for each parameter of a function or lambda of
+    ``source`` that its body never reads, nested functions included;
+    ``self``, ``cls`` and ``_``-prefixed names are exempt."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id for stmt in body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        unread += [
+            (name, p) for p in params
+            if p not in read and p not in ("self", "cls") and not p.startswith("_")
+        ]
+    return unread
+
+
+def test_the_scan_finds_an_unread_parameter():
+    source = (
+        "def f(a, b, *c, d=1, _e=2, **g):\n"
+        "    b = 3\n"
+        "    def inner(h):\n"
+        "        return a + d\n"
+        "    return lambda i, j: i + inner\n"
+        "class C:\n"
+        "    def m(self, k):\n"
+        "        return 0\n"
+    )
+    # b is only written, and a is read only by the nested function
+    assert sorted(unread_parameters(source)) == [
+        ("<lambda>", "j"), ("f", "b"), ("f", "c"), ("f", "g"), ("inner", "h"), ("m", "k")
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_parameter_is_read(path):
+    unread = unread_parameters(path.read_text())
+    assert not unread, f"{path.relative_to(ROOT)} never reads the parameters {unread}"

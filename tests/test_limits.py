@@ -67,6 +67,24 @@ class TestLimitParams:
         spec = limit_params("identity", 1.0, 1.5, 1.0, identity_calE)
         assert "identity" in spec.to_text()
 
+    def test_to_text_is_pinned(self):
+        # the stable_limit params file: a degenerate limit is the general
+        # formula at E|Delta|^alpha = 0, and prints as it always has
+        regular = limit_params("identity", 1.0, 1.5, 1.0, identity_calE)
+        assert regular.to_text() == (
+            "name: identity\nalpha: 1.5\nlambda: 1.0\ncalE_0: 3.0\nabs_moment: 1.0\n"
+            "signed_moment: 1.0\nsigma: 1.8452701486440282\nbeta: 1.0\nmu: 0.0\n"
+            "degenerate: False\n"
+        )
+        # nu = 500: Delta = -P(N = 0) = -7e-218, whose |Delta|^alpha underflows
+        calE = exact_poisson_calE(make_functional("cdf:0.5"), nu=500.0, w0=1.0)
+        degenerate = limit_params("cdf_le_0.5", 1.0, 1.5, 1.0, calE)
+        assert degenerate.to_text() == (
+            "name: cdf_le_0.5\nalpha: 1.5\nlambda: 1.0\ncalE_0: 7.124576406741286e-218\n"
+            "abs_moment: 0.0\nsigned_moment: 0.0\nsigma: 0.0\nbeta: 0.0\nmu: 0.0\n"
+            "degenerate: True\n"
+        )
+
 
 def poisson_cdf_calE(x, nu):
     # unit rates: the stationary level is a Poisson(nu) count, so
