@@ -232,7 +232,7 @@ def cycle_tail_table(cycle_lengths, dist: TailDist, lam, x_grid, t_grid):
     if lengths.size == 0:
         raise ValueError("need a nonempty cycle-length sample")
     x_grid = np.asarray(x_grid, dtype=float)
-    if np.any(x_grid <= 0):
+    if not np.all(x_grid > 0):
         raise ValueError("x grid must be positive")
     alpha = dist.declared_alpha
     const = math.exp(lam * dist.mean_y)

@@ -42,7 +42,7 @@ class WindowFunctional:
     def __post_init__(self):
         if self.form[0] not in ("le", "min", "id"):
             raise ValueError(f"unsupported functional form {self.form!r}")
-        if self.h < 0:
+        if not self.h >= 0:
             raise ValueError("window length must be nonnegative")
 
     def __call__(self, s):

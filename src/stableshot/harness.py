@@ -147,26 +147,29 @@ class Scenario:
 
 def _number(x):
     """float(x) for an int, a float or a numeric string (YAML 1.1 reads
-    1e3 as a string), else None; -0.0 reads as 0.0, so that one number
-    builds one functional and one name."""
+    1e3 as a string) whose value is a finite double, else None; -0.0 reads
+    as 0.0, so that one number builds one functional and one name."""
     if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         return None
     try:
-        return float(x) + 0.0
-    except ValueError:
+        x = float(x) + 0.0
+    except (ValueError, OverflowError):
         return None
+    return x if math.isfinite(x) else None
 
 
 def _typed(key: str, value, default):
     """``value`` for scenario field ``key`` if it has the type of the
-    field's default (numbers as floats, lists as tuples); ValueError
-    otherwise."""
+    field's default (numbers as finite floats, integers within int64,
+    lists as tuples); ValueError otherwise."""
     if isinstance(default, int):
-        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        want = "an integer that fits in 64 bits" if ok else "an integer"
+        ok = ok and -(2**63) <= value < 2**63
     elif isinstance(default, str):
         ok, want = isinstance(value, str), "a string"
     elif isinstance(default, float):
-        ok, want = _number(value) is not None, "a number"
+        ok, want = _number(value) is not None, "a finite number"
         value = _number(value) if ok else value
     elif isinstance(default[0], str):
         ok = isinstance(value, (list, tuple)) and all(isinstance(x, str) for x in value)
@@ -174,7 +177,7 @@ def _typed(key: str, value, default):
         value = tuple(value) if ok else value
     else:
         ok = isinstance(value, (list, tuple)) and all(_number(x) is not None for x in value)
-        want = "a list of numbers"
+        want = "a list of finite numbers"
         value = tuple(_number(x) for x in value) if ok else value
     if not ok:
         raise ValueError(f"scenario field {key!r} must be {want}, got {value!r}")
@@ -186,8 +189,8 @@ def validate(scenario: Scenario) -> list:
     notes = []
     for key in ("lam", "alpha", "xm"):
         v = getattr(scenario, key)
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{key} must be finite and positive, got {v!r}")
+        if not v > 0:
+            raise ValueError(f"{key} must be positive, got {v!r}")
     if not 1 < scenario.alpha < 2:
         raise ValueError("tail index must lie in (1, 2)")
     if scenario.replicates < 1:
@@ -196,8 +199,6 @@ def validate(scenario: Scenario) -> list:
         raise ValueError(f"seed must be a nonnegative integer, got {scenario.seed!r}")
     if scenario.workers < 1:
         raise ValueError(f"workers must be >= 1, got {scenario.workers!r}")
-    if not all(math.isfinite(t) for t in scenario.T_ladder):
-        raise ValueError(f"T_ladder must be finite, got {list(scenario.T_ladder)!r}")
     if list(scenario.T_ladder) != sorted(set(scenario.T_ladder)):
         raise ValueError("T_ladder must be strictly increasing")
     if any(t <= 1 for t in scenario.T_ladder):
@@ -207,8 +208,8 @@ def validate(scenario: Scenario) -> list:
         raise ValueError(f"unknown analyses: {sorted(bad)}")
     if len(set(scenario.analyses)) < len(scenario.analyses):
         raise ValueError(f"analyses must not repeat, got {list(scenario.analyses)!r}")
-    if not (math.isfinite(scenario.window_h) and scenario.window_h >= 0):
-        raise ValueError(f"window_h must be finite and nonnegative, got {scenario.window_h!r}")
+    if scenario.window_h < 0:
+        raise ValueError(f"window_h must be nonnegative, got {scenario.window_h!r}")
     runs = set(scenario.analyses)
     if not scenario.functionals and runs & {"stable_limit", "self_similarity"}:
         raise ValueError("functionals must not be empty for stable_limit or self_similarity")
@@ -232,8 +233,6 @@ def validate(scenario: Scenario) -> list:
     for analysis, (_, _, _, ks_share) in ANALYSES.items():
         if analysis in runs and ks_share and ks_threshold(ks_share * n) >= 1:
             raise ValueError(f"replicates = {n} is too few for {analysis}: its KS test cannot fail")
-    if not all(math.isfinite(x) for x in scenario.x_grid):
-        raise ValueError(f"x_grid must be finite, got {list(scenario.x_grid)!r}")
     if list(scenario.x_grid) != sorted(set(scenario.x_grid)):
         raise ValueError("x_grid must be strictly increasing")
     if "cdf_rate" in runs:
@@ -262,10 +261,10 @@ def validate(scenario: Scenario) -> list:
     if "cycle_tail" in runs:
         if not scenario.tail_x:
             raise ValueError("tail_x must not be empty for cycle_tail")
-        if not all(math.isfinite(x) and x > 0 for x in scenario.tail_x):
-            raise ValueError(f"tail_x must be finite and positive, got {list(scenario.tail_x)!r}")
-        if not (math.isfinite(scenario.tail_t) and scenario.tail_t > 1):
-            raise ValueError(f"tail_t must be finite and exceed 1, got {scenario.tail_t!r}")
+        if not all(x > 0 for x in scenario.tail_x):
+            raise ValueError(f"tail_x must be positive, got {list(scenario.tail_x)!r}")
+        if scenario.tail_t <= 1:
+            raise ValueError(f"tail_t must exceed 1, got {scenario.tail_t!r}")
     ey = scenario.y_dist().mean_y
     load = scenario.lam * ey
     cycling = sorted(runs & {"cycle_mean", "cycle_tail", "hill"})
@@ -274,8 +273,9 @@ def validate(scenario: Scenario) -> list:
             f"offered load lambda*E[Y] = {load:g} is too heavy for {cycling}: their "
             f"cycle banking holds bounded memory only at loads <= {MAX_CYCLE_LOAD:.3g}"
         )
+    # NaN where the mean cycle e^(lam E[Y]) / lam is past a double
     chunks = expected_chunks(scenario.lam, law, scenario.n_cycles) if cycling else 0
-    if chunks > MAX_CHUNKS:
+    if not chunks <= MAX_CHUNKS:
         raise ValueError(
             f"n_cycles = {scenario.n_cycles} needs about {chunks:.3g} fresh-start chunks for "
             f"{cycling}, over the {MAX_CHUNKS} that cycle banking simulates"
@@ -330,7 +330,7 @@ def make_functional(spec: str, h: float = 0.0) -> WindowFunctional:
     head, sep, arg = spec.partition(":")
     if head in ("clipped", "cdf", "winsup"):
         x = _number(arg)
-        if x is None or not math.isfinite(x):
+        if x is None:
             raise ValueError(f"functional spec {spec!r} needs a finite number")
     if head in ("identity", "idle") and sep:
         raise ValueError(f"functional spec {spec!r} takes no number")
@@ -454,6 +454,8 @@ def _z_matrix(scenario: Scenario, phis, centerings, workers: int) -> np.ndarray:
     replicates go out in contiguous chunks, one per horizon at one worker
     and 4 * workers otherwise; every z is computed the same way in any
     chunk, so the result does not depend on the worker count."""
+    # under fork the pool starts every worker up front, so none past the CPUs
+    workers = min(workers, os.cpu_count() or 1)
     n = scenario.replicates
     n_chunks = 1 if workers <= 1 else min(n, 4 * workers)
     edges = [n * k // n_chunks for k in range(n_chunks + 1)]
@@ -465,7 +467,6 @@ def _z_matrix(scenario: Scenario, phis, centerings, workers: int) -> np.ndarray:
     if workers <= 1 or len(tasks) <= 1:
         blocks = [_z_task(t) for t in tasks]
     else:
-        # under fork, the pool starts all max_workers processes up front
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as ex:
             blocks = list(ex.map(_z_task, tasks))
     z = np.empty((len(phis), len(scenario.T_ladder), n))
@@ -510,7 +511,7 @@ def _analysis_cycle_mean(scenario: Scenario) -> dict:
         n=lengths.size,
         detail=f"mean={mean:.4f} theory={theory:.4f} se={se:.4f}",
     )
-    return {"mean": mean, "se": se, "theory": theory, "n": int(lengths.size), "gof": gof}
+    return {"mean": mean, "se": se, "theory": theory, "gof": gof}
 
 
 def _analysis_cycle_tail(scenario: Scenario) -> dict:
@@ -530,7 +531,7 @@ def _analysis_cycle_tail(scenario: Scenario) -> dict:
         n=int(lengths.size),
         detail=f"{len(rel)} reliable cells of {len(table)}",
     )
-    return {"table": table, "gof": gof, "n": int(lengths.size)}
+    return {"table": table, "gof": gof}
 
 
 def _analysis_hill(scenario: Scenario) -> dict:
@@ -605,7 +606,6 @@ def _analysis_self_similarity(scenario: Scenario, z_rows: dict) -> dict:
     ]
     return {
         "functional": phi.name,
-        "exponent": 1.0 / scenario.alpha,
         "samples": dict(zip(scenario.T_ladder, z)),
         "gofs": gofs,
         "centering_method": method,
@@ -649,12 +649,7 @@ def _analysis_cdf_rate(scenario: Scenario, z_rows: dict) -> dict:
                 detail=detail,
             ),
         }
-    return {
-        "x_grid": np.asarray(scenario.x_grid, dtype=float),
-        "K": K,
-        "T_ladder": scenario.T_ladder,
-        "per_x": per_x,
-    }
+    return {"K": K, "per_x": per_x}
 
 
 def _random_step_path(gen: np.random.Generator) -> SteppyPath:
@@ -671,6 +666,9 @@ def _analysis_m1_diagnostic(scenario: Scenario) -> dict:
     n_pairs = 50
     grid_n = 128
     worst = 0.0
+    # dist_m1 returns upper = min(dp, dist_uniform(f, g)) and lower <= upper,
+    # so the first two terms are never positive and only interval splitting
+    # can fail: perfbench's bracket recomputation checks the Frechet DP
     for _ in range(n_pairs):
         f = _random_step_path(gen)
         g = _random_step_path(gen)
@@ -687,7 +685,7 @@ def _analysis_m1_diagnostic(scenario: Scenario) -> dict:
         n=n_pairs,
         detail=f"grid_n={grid_n}",
     )
-    return {"n_pairs": n_pairs, "grid_n": grid_n, "gof": gof}
+    return {"gof": gof}
 
 
 # name -> (runner, reads, min_horizons, ks_share).  reads(scenario) lists
@@ -837,7 +835,7 @@ def emit(report: Report, out_dir) -> list:
         cr = blocks["cdf_rate"]
         rows = []
         for x, sub in cr["per_x"].items():
-            for T, d in zip(cr["T_ladder"], sub["iqr"]):
+            for T, d in zip(report.scenario.T_ladder, sub["iqr"]):
                 rows.append((x, T, d, sub["slope"], sub["stderr"]))
         _write_csv(path("cdf_rate.csv"), ["x", "T", "iqr", "slope", "stderr"], rows)
     gof_rows = [

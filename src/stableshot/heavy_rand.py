@@ -37,9 +37,9 @@ class TailDist:
 
     @classmethod
     def pareto(cls, alpha: float, xm: float = 1.0) -> "TailDist":
-        if alpha <= 0:
+        if not alpha > 0:
             raise ValueError(f"pareto tail index must be positive, got {alpha}")
-        if xm <= 0:
+        if not xm > 0:
             raise ValueError(f"pareto scale must be positive, got {xm}")
         return cls(declared_alpha=alpha, xm=xm)
 
@@ -92,9 +92,9 @@ class StableParams:
     def __post_init__(self):
         if not 0 < self.alpha <= 2:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if abs(self.beta) > 1:
+        if not abs(self.beta) <= 1:
             raise ValueError(f"beta must be in [-1, 1], got {self.beta}")
 
 
@@ -104,7 +104,7 @@ def tail_quantile_a(dist: TailDist, t) -> np.ndarray | float:
     Exactly xm * t^(1/alpha) for Pareto; nondecreasing in t.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 1):
+    if not np.all(t_arr > 1):
         raise ValueError("tail quantile requires t > 1")
     out = dist.ppf_sf(1.0 / t_arr)
     return float(out) if np.isscalar(t) else np.asarray(out)

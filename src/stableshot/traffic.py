@@ -156,9 +156,9 @@ class TrafficConfig:
     rng: RngStream = field(default_factory=lambda: RngStream(0))
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("arrival intensity must be positive")
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise ValueError("horizon must be positive")
         self.law.mean_y  # raises if E[Y] is not finite
 

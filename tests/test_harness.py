@@ -1,7 +1,11 @@
 """Scenario plumbing, determinism, report emission, and the CLI."""
 
+import contextlib
 import importlib.util
+import io
 import math
+import os
+import tempfile
 import tracemalloc
 import zlib
 from dataclasses import replace
@@ -9,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
@@ -29,9 +34,12 @@ from stableshot import (
     traffic,
 )
 from stableshot.cli import main
-from stableshot.functionals import functional_steps, sorted_response
+from stableshot.cycles import cycle_tail_table
+from stableshot.functionals import WindowFunctional, functional_steps, sorted_response
 from stableshot.harness import _z_matrix, make_functional, response_curve, validate
-from stableshot.traffic import stationary_window_draws
+from stableshot.heavy_rand import StableParams, TailDist
+from stableshot.stats import ks_threshold
+from stableshot.traffic import TrafficConfig, stationary_window_draws
 
 from oracles import prefix_integral
 
@@ -212,8 +220,9 @@ class TestScenario:
              "x_grid must be nonnegative"),
             (dict(T_ladder=(1e2, 1e3, 1e4), x_grid=(-1.0,), analyses=("cdf_rate",)),
              "x_grid must be nonnegative"),
-            (dict(w_params=(math.inf,)), "w_params of w_kind 'constant' must satisfy"),
-            (dict(w_params=(math.nan,)), "w_params of w_kind 'constant' must satisfy"),
+            # a non-finite number fails the field's type, before any rule reads it
+            (dict(w_params=(math.inf,)), "w_params' must be a list of finite numbers"),
+            (dict(w_params=(math.nan,)), "w_params' must be a list of finite numbers"),
             (dict(T_ladder=()), "stable_limit needs at least 1 horizon in T_ladder"),
             # 2e4 chunks of about 5e4 cycles: the cap of 1e4 chunks would
             # be reached holding 5e8 lengths, 4 GB
@@ -255,6 +264,13 @@ class TestScenario:
              "n_cycles = 490000000 exceeds 15000000 for \\['cycle_mean'\\]"),
             (dict(n_cycles=20_000_000, analyses=("cycle_tail", "hill")),
              "n_cycles = 20000000 exceeds 15000000 for \\['cycle_tail', 'hill'\\]"),
+            # whatever the analyses read: a number is finite, an integer fits in 64 bits
+            (dict(tail_t=math.inf), "'tail_t' must be a finite number, got inf"),
+            (dict(tail_x=(1.0, math.nan)), "'tail_x' must be a list of finite numbers"),
+            (dict(lam=10**400), "'lam' must be a finite number, got 1000"),
+            (dict(replicates=10**400), "'replicates' must be an integer that fits in 64 bits"),
+            (dict(seed=2**63), "'seed' must be an integer that fits in 64 bits"),
+            (dict(seed=-(2**63) - 1), "'seed' must be an integer that fits in 64 bits"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -626,7 +642,9 @@ def _per_replicate_z(sc, phis, centerings):
 
 
 @pytest.mark.parametrize("replicates", [1, 7, 50])
-def test_z_matrix_bytes_do_not_depend_on_workers_or_chunks(replicates):
+def test_z_matrix_bytes_do_not_depend_on_workers_or_chunks(monkeypatch, replicates):
+    # three CPUs, so that three workers are not capped to fewer on a small box
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     sc = tiny_scenario(window_h=1.0, T_ladder=(50.0, 200.0), replicates=replicates)
     want = _per_replicate_z(sc, _MIXED_PHIS, _MIXED_CENTERINGS).tobytes()
     for workers in (1, 2, 3):
@@ -690,10 +708,15 @@ def test_z_task_replicate_peak_memory():
     assert peak < path_bytes + 3 * path.times.nbytes
 
 
-@pytest.mark.parametrize("workers, replicates, pool", [(64, 3, 6), (2, 50, 2)])
+@pytest.mark.parametrize(
+    "workers, replicates, pool", [(64, 3, 6), (2, 50, 2), (5000, 50, 8)]
+)
 def test_pool_is_no_larger_than_the_task_list(monkeypatch, workers, replicates, pool):
     # under fork a pool starts all max_workers processes up front, so it is
-    # sized to the tasks; the stub runs them in this process and starts none
+    # sized to the tasks and to the CPUs, 8 here: 5000 workers would fork
+    # 100 processes for 100 single-replicate tasks.  The stub runs the
+    # tasks in this process and starts none
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     sizes = []
 
     class RecordingPool:
@@ -850,8 +873,8 @@ class TestCli:
             ("w_kind: constant\nw_params: [1.0, 2.0]\n", "w_params of w_kind 'constant'"),
             ("w_params: []\n", "w_params of w_kind 'constant'"),
             ("w_kind: uniform\nw_params: [0.5]\n", "w_params of w_kind 'uniform'"),
-            ("w_kind: constant\nw_params: [.inf]\n", "w_params of w_kind 'constant' must satisfy"),
-            ("w_kind: constant\nw_params: [.nan]\n", "w_params of w_kind 'constant' must satisfy"),
+            ("w_kind: constant\nw_params: [.inf]\n", "'w_params' must be a list of finite numbers"),
+            ("w_kind: constant\nw_params: [.nan]\n", "'w_params' must be a list of finite numbers"),
             ("w_kind: constant\nw_params: [1.0e+300]\n", "w_params must not exceed 1e+100"),
             ("w_kind: constant\nw_params: [1.0e+308]\n", "w_params must not exceed 1e+100"),
             ("analyses: [stable_limit]\nT_ladder: []\n",
@@ -890,6 +913,15 @@ class TestCli:
             # fewer chunks than MAX_CHUNKS, but 3.9 GB of cycle lengths
             ("analyses: [cycle_mean]\nn_cycles: 490000000\n",
              "n_cycles = 490000000 exceeds 15000000 for ['cycle_mean']"),
+            # integers past a double, and a mean cycle past a double
+            pytest.param(f"lam: 1{'0' * 400}\n", "'lam' must be a finite number", id="lam=10**400"),
+            pytest.param(f"replicates: 1{'0' * 400}\n",
+                         "'replicates' must be an integer that fits in 64 bits", id="replicates=10**400"),
+            pytest.param(f"analyses: [cycle_mean]\nn_cycles: 1{'0' * 400}\n",
+                         "'n_cycles' must be an integer that fits in 64 bits", id="n_cycles=10**400"),
+            pytest.param(f"workers: 1{'0' * 400}\n",
+                         "'workers' must be an integer that fits in 64 bits", id="workers=10**400"),
+            ("lam: 1.0e-320\nanalyses: [cycle_mean]\n", "needs about nan fresh-start chunks"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -1001,6 +1033,96 @@ def test_builtin_scenarios_all_validate():
     for name, sc in builtin_scenarios().items():
         assert sc.name == name
         validate(sc)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: TrafficConfig(lam=math.nan, law=Scenario().law(), horizon=1.0),
+        lambda: TrafficConfig(lam=1.0, law=Scenario().law(), horizon=math.nan),
+        lambda: TailDist.pareto(math.nan),
+        lambda: TailDist.pareto(1.5, math.nan),
+        lambda: StableParams(1.5, math.nan),
+        lambda: StableParams(1.5, 1.0, math.nan),
+        lambda: WindowFunctional("x", math.nan, ("le", 1.0)),
+        lambda: tail_quantile_a(TailDist.pareto(1.5), math.nan),
+        lambda: ks_threshold(math.nan),
+        lambda: cycle_tail_table([1.0, 2.0], TailDist.pareto(1.5), 1.0, [math.nan], [10.0]),
+        # at a subnormal lam the mean cycle e^(lam E[Y]) / lam is past a
+        # double, and the expected chunk count NaN
+        lambda: validate(tiny_scenario(lam=1e-320, analyses=("cycle_mean",))),
+    ],
+    ids=["lam", "horizon", "pareto_alpha", "pareto_xm", "sigma", "beta", "window_h",
+         "tail_quantile_t", "ks_threshold_n", "cycle_tail_x", "validate_chunks"],
+)
+def test_range_guards_reject_nan(call):
+    # each guard is written so that NaN fails it, as a comparison with NaN
+    # is always False
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_result_blocks_hold_no_copy_of_the_scenario():
+    # what a block would copy is read where it lives: x_grid and T_ladder
+    # from the scenario, sample sizes from the GoFs
+    sc = tiny_scenario(analyses=tuple(harness.ANALYSES), T_ladder=(200.0, 400.0, 800.0),
+                       replicates=20, n_cycles=200, hill_k=20)
+    blocks = run(sc).blocks
+    assert {name: sorted(block) for name, block in blocks.items()} == {
+        "cycle_mean": ["gof", "mean", "se", "theory"],
+        "cycle_tail": ["gof", "table"],
+        "hill": ["alpha_hat", "gof", "se"],
+        "stable_limit": ["identity"],
+        "self_similarity": ["centering_method", "centering_se", "functional", "gofs", "samples"],
+        "cdf_rate": ["K", "per_x"],
+        "m1_diagnostic": ["gof"],
+    }
+
+
+# scenario values of every kind a YAML file can hold: integers past a double
+# and past int64, non-finite and subnormal floats and -0.0, numeric and spec
+# strings, booleans, null, and short lists of these
+_SCALARS = st.one_of(
+    st.integers(), st.integers(-(10**400), 10**400),
+    st.sampled_from([10**400, -(10**400), 2**63, -(2**63) - 1, 2**63 - 1]),
+    st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, 5e-324, 1e-320, -0.0]),
+    st.text(max_size=6), st.sampled_from(["1e400", "nan", "cdf:1e400", "winsup:inf", "hill"]),
+    st.booleans(), st.none(),
+)
+_VALUES = _SCALARS | st.lists(_SCALARS, max_size=3)
+# a ladder of 3 rungs and 20 replicates, so each set reaches its own rules
+_ANALYSIS_SETS = st.sampled_from(
+    [[], ["stable_limit", "self_similarity", "cdf_rate"], ["cycle_mean", "cycle_tail", "hill"],
+     ["m1_diagnostic"]]
+)
+_FIELDS = st.sampled_from(sorted(Scenario.__dataclass_fields__))
+
+
+def _document(analyses, key, value):
+    return {"analyses": analyses, "T_ladder": [200.0, 400.0, 800.0], "replicates": 20, key: value}
+
+
+@settings(max_examples=200, deadline=None)
+@given(analyses=_ANALYSIS_SETS, key=_FIELDS, value=_VALUES)
+def test_no_scenario_value_crashes_validate(analyses, key, value):
+    # a value either passes or is rejected with a message: never another error
+    try:
+        validate(Scenario.from_dict(_document(analyses, key, value)))
+    except ValueError:
+        pass
+
+
+@settings(max_examples=10, deadline=None)
+@given(analyses=_ANALYSIS_SETS, key=_FIELDS, value=_VALUES)
+def test_no_scenario_file_crashes_the_cli(analyses, key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "s.yaml")
+        with open(cfg, "w") as fh:
+            yaml.safe_dump(_document(analyses, key, value), fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["validate", "--scenario", cfg])
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
 
 
 # -- Monte Carlo response curve ---------------------------------------------
