@@ -42,8 +42,8 @@ class WindowFunctional:
     def __post_init__(self):
         if self.form[0] not in ("le", "min", "id"):
             raise ValueError(f"unsupported functional form {self.form!r}")
-        if not self.h >= 0:
-            raise ValueError("window length must be nonnegative")
+        if not 0 <= self.h < np.inf:
+            raise ValueError("window length must be nonnegative and finite")
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)

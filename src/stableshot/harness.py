@@ -14,11 +14,13 @@ when the first of them runs: the distinct functionals of those specs
 (equal functionals compare equal, so cdf:1 and cdf:1.0 are one), one
 response curve each and one ``_z_matrix`` call, so each replicate
 path is simulated once per horizon for the whole run.
-Replicates go to the worker pool in contiguous chunks: one task per
-horizon at one worker, 4 * workers per horizon otherwise.  A task
-receives the functionals, builds a(T) and the law once and returns a
-block of z-values, each the last entry of one in-place cumsum over the
-path's segments.
+Replicates go to the worker pool in contiguous chunks, the longest
+horizon's first: one task per horizon at one worker, 4 * workers per
+horizon otherwise.  A task receives the functionals, builds a(T) and the
+law once and returns a block of z-values.  On a constant-rate path each
+h = 0 functional's z is read from the path's occupation measure, the time
+it spends at each count; every other z is the last entry of one in-place
+cumsum over the path's segments.
 """
 
 from __future__ import annotations
@@ -273,7 +275,12 @@ def validate(scenario: Scenario) -> list:
             f"offered load lambda*E[Y] = {load:g} is too heavy for {cycling}: their "
             f"cycle banking holds bounded memory only at loads <= {MAX_CYCLE_LOAD:.3g}"
         )
-    # NaN where the mean cycle e^(lam E[Y]) / lam is past a double
+    # at a subnormal lam the mean cycle is past a double, and the chunk count NaN
+    if cycling and not math.exp(load) / scenario.lam < math.inf:
+        raise ValueError(
+            f"lam = {scenario.lam!r} makes the mean cycle e^(lambda*E[Y])/lambda "
+            f"past a double for {cycling}"
+        )
     chunks = expected_chunks(scenario.lam, law, scenario.n_cycles) if cycling else 0
     if not chunks <= MAX_CHUNKS:
         raise ValueError(
@@ -408,9 +415,13 @@ def _z_task(task):
     """Replicates r_lo..r_hi-1 at horizon T_ladder[t_index]: a
     (len(phis), r_hi - r_lo) block of z-values, one row per functional.
 
-    a(T) and the law are built once per chunk.  Each replicate's path is
-    simulated once, and z is the last entry of the sequential cumsum of
-    (phi - c) times the segment lengths, divided by a(T): the prefix
+    a(T) and the law are built once per chunk, and each replicate's path
+    is simulated once.  With a constant rate w0 the level on [0, T] is
+    w0 times the occupancy count, so an h = 0 functional's z is
+    sum_k (phi(w0 k) - c) L_k / a(T), with L_k the time the path spends
+    at count k: one bincount of the segment lengths serves every such
+    functional.  Otherwise z is the last entry of the sequential cumsum
+    of (phi - c) times the segment lengths, divided by a(T): the prefix
     integral at T, bit for bit.  Functionals with h = 0 read the path's
     own segments, so they share the lengths.
     """
@@ -418,17 +429,24 @@ def _z_task(task):
     T = scenario.T_ladder[t_index]
     h = scenario.window_h
     a_T = float(tail_quantile_a(scenario.y_dist(), T))
+    law = scenario.law()
+    w0 = law.common_rate
     # replicate streams have always been drawn on [0, T + 2h], though the
     # path reads only [0, T + h]: perfbench/reference.json pins those streams
-    base = TrafficConfig(lam=scenario.lam, law=scenario.law(), horizon=T + 2 * h)
+    base = TrafficConfig(lam=scenario.lam, law=law, horizon=T + 2 * h)
     out = np.empty((len(phis), r_hi - r_lo))
     for j, r in enumerate(range(r_lo, r_hi)):
         cfg = replace(base, rng=RngStream(scenario.seed, stream_id=r).substream(t_index))
         path = build_path(simulate_sessions(cfg), 0.0, T + h)
-        bounds, levels, _ = path.segments(0.0, T)
+        bounds, levels, counts = path.segments(0.0, T)
         dt = np.diff(bounds)
         del bounds
+        # occ[k]: the time in [0, T] at count k, whose level is w0 * k
+        occ = None if w0 is None else np.bincount(counts, weights=dt)
         for i, (phi, c) in enumerate(zip(phis, centerings)):
+            if phi.h == 0.0 and occ is not None:
+                out[i, j] = (phi(w0 * np.arange(occ.size)) - c) @ occ / a_T
+                continue
             if phi.h == 0.0:
                 vals, seg = phi(levels), dt
             else:
@@ -443,7 +461,7 @@ def _z_task(task):
             # free this functional's arrays before the next one makes its own
             del vals, seg, area
         # hold one path at a time: drop this one before the next is built
-        del path, levels, dt
+        del path, levels, counts, dt
     return out
 
 
@@ -452,16 +470,19 @@ def _z_matrix(scenario: Scenario, phis, centerings, workers: int) -> np.ndarray:
     centerings[i], on replicate r's path to T_ladder[t_index].  One
     simulated path per (T, r) serves every functional.  Each horizon's
     replicates go out in contiguous chunks, one per horizon at one worker
-    and 4 * workers otherwise; every z is computed the same way in any
-    chunk, so the result does not depend on the worker count."""
+    and 4 * workers otherwise, the longest horizon's first, so that its
+    heavy chunks do not form the pool's tail; every z is computed the same
+    way in any chunk and placed by (t_index, lo, hi), so the result does
+    not depend on the worker count."""
     # under fork the pool starts every worker up front, so none past the CPUs
     workers = min(workers, os.cpu_count() or 1)
     n = scenario.replicates
     n_chunks = 1 if workers <= 1 else min(n, 4 * workers)
     edges = [n * k // n_chunks for k in range(n_chunks + 1)]
+    ladder = scenario.T_ladder
     tasks = [
         (scenario, t_index, lo, hi, tuple(phis), tuple(centerings))
-        for t_index in range(len(scenario.T_ladder))
+        for t_index in sorted(range(len(ladder)), key=ladder.__getitem__, reverse=True)
         for lo, hi in zip(edges[:-1], edges[1:])
     ]
     if workers <= 1 or len(tasks) <= 1:

@@ -37,10 +37,10 @@ class TailDist:
 
     @classmethod
     def pareto(cls, alpha: float, xm: float = 1.0) -> "TailDist":
-        if not alpha > 0:
-            raise ValueError(f"pareto tail index must be positive, got {alpha}")
-        if not xm > 0:
-            raise ValueError(f"pareto scale must be positive, got {xm}")
+        if not 0 < alpha < math.inf:
+            raise ValueError(f"pareto tail index must be positive and finite, got {alpha}")
+        if not 0 < xm < math.inf:
+            raise ValueError(f"pareto scale must be positive and finite, got {xm}")
         return cls(declared_alpha=alpha, xm=xm)
 
     def sf(self, y):
@@ -92,8 +92,8 @@ class StableParams:
     def __post_init__(self):
         if not 0 < self.alpha <= 2:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if not self.sigma >= 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
         if not abs(self.beta) <= 1:
             raise ValueError(f"beta must be in [-1, 1], got {self.beta}")
 

@@ -53,8 +53,8 @@ class GofReport:
 def ks_threshold(n: float) -> float:
     """Asymptotic one-sample KS critical value c(0.01)/sqrt(n): every KS
     test here is at level 0.01."""
-    if not n > 0:
-        raise ValueError("n must be positive")
+    if not 0 < n < math.inf:
+        raise ValueError("n must be positive and finite")
     return math.sqrt(-math.log(0.01 / 2.0) / 2.0) / math.sqrt(n)
 
 

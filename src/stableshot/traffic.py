@@ -156,10 +156,10 @@ class TrafficConfig:
     rng: RngStream = field(default_factory=lambda: RngStream(0))
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("arrival intensity must be positive")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("arrival intensity must be positive and finite")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError("horizon must be positive and finite")
         self.law.mean_y  # raises if E[Y] is not finite
 
 

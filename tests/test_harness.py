@@ -39,7 +39,7 @@ from stableshot.functionals import WindowFunctional, functional_steps, sorted_re
 from stableshot.harness import _z_matrix, make_functional, response_curve, validate
 from stableshot.heavy_rand import StableParams, TailDist
 from stableshot.stats import ks_threshold
-from stableshot.traffic import TrafficConfig, stationary_window_draws
+from stableshot.traffic import Sessions, TrafficConfig, stationary_window_draws
 
 from oracles import prefix_integral
 
@@ -626,6 +626,16 @@ _MIXED_PHIS = tuple(make_functional(s, 1.0) for s in ("identity", "idle", "cdf:1
 _MIXED_CENTERINGS = (3.0, 0.05, 0.2, 0.9)
 
 
+def _prefix_z(path, phis, centerings, T, a_T) -> np.ndarray:
+    """Each functional's z on path: the per-segment prefix integral of
+    phi - c at T, over a(T)."""
+    z = np.empty(len(phis))
+    for i, (phi, c) in enumerate(zip(phis, centerings)):
+        bounds, vals = functional_steps(path, phi, 0.0, T)
+        z[i] = float(prefix_integral(bounds, vals - c)(T)) / a_T
+    return z
+
+
 def _per_replicate_z(sc, phis, centerings):
     """z[i, t_index, r] one replicate at a time, by the prefix integral at T."""
     h = sc.window_h
@@ -635,9 +645,7 @@ def _per_replicate_z(sc, phis, centerings):
         for r in range(sc.replicates):
             rng = RngStream(sc.seed, stream_id=r).substream(t_index)
             path = build_path(simulate_sessions(sc.config(T + 2 * h, rng)), 0.0, T + h)
-            for i, (phi, c) in enumerate(zip(phis, centerings)):
-                bounds, vals = functional_steps(path, phi, 0.0, T)
-                z[i, t_index, r] = float(prefix_integral(bounds, vals - c)(T)) / a_T
+            z[:, t_index, r] = _prefix_z(path, phis, centerings, T, a_T)
     return z
 
 
@@ -646,10 +654,71 @@ def test_z_matrix_bytes_do_not_depend_on_workers_or_chunks(monkeypatch, replicat
     # three CPUs, so that three workers are not capped to fewer on a small box
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     sc = tiny_scenario(window_h=1.0, T_ladder=(50.0, 200.0), replicates=replicates)
-    want = _per_replicate_z(sc, _MIXED_PHIS, _MIXED_CENTERINGS).tobytes()
-    for workers in (1, 2, 3):
+    want = _per_replicate_z(sc, _MIXED_PHIS, _MIXED_CENTERINGS)
+    one = _z_matrix(sc, _MIXED_PHIS, _MIXED_CENTERINGS, 1)
+    for workers in (2, 3):
         got = _z_matrix(sc, _MIXED_PHIS, _MIXED_CENTERINGS, workers)
-        assert got.tobytes() == want, f"workers={workers}"
+        assert got.tobytes() == one.tobytes(), f"workers={workers}"
+    # the window sup sums its own segments in time order, as the reference
+    # does; the h = 0 rows sum the occupation measure in count order, so
+    # they agree with it up to rounding
+    assert one[3].tobytes() == want[3].tobytes()
+    np.testing.assert_allclose(one[:3], want[:3], rtol=1e-12, atol=0)
+
+
+# every h = 0 form on a constant-rate path, read from its occupation
+# measure, beside a window sup; the window reaches past T, so a route that
+# read the occupation on [0, T + h] would differ
+_OCC_SPECS = ("identity", "idle", "cdf:1", "clipped:2", "winsup:3")
+_OCC_CENTERINGS = (1.5, 0.0625, 0.25, 1.125, 0.875)
+
+
+@pytest.mark.parametrize("w0", [0.5, 2.5])
+def test_occupation_z_matches_the_prefix_integral(w0):
+    # w0 != 1, so that an occupation route reading phi at k, not at w0 * k,
+    # differs
+    sc = tiny_scenario(w_params=(w0,), window_h=1.0, T_ladder=(50.0, 200.0), replicates=6)
+    phis = tuple(make_functional(s, sc.window_h) for s in _OCC_SPECS)
+    got = _z_matrix(sc, phis, _OCC_CENTERINGS, 1)
+    want = _per_replicate_z(sc, phis, _OCC_CENTERINGS)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert got[-1].tobytes() == want[-1].tobytes()
+
+
+def _dyadic_sessions(w0, T):
+    """Sessions whose arrivals lie on the grid of 1/8 in [-4, T + 1), with
+    durations on it in [1/8, 4)."""
+    gen = np.random.default_rng(5)
+    gamma = gen.integers(-32, 8 * (T + 1), 16) / 8
+    return Sessions(gamma, gen.integers(1, 32, 16) / 8, np.broadcast_to(w0, 16))
+
+
+# a dyadic path whose count runs from 0 to 3 and has events past T, and
+# three paths with no event in [0, T]: no session at all, one session
+# alive over all of [0, T + h], and sessions that arrive in (T, T + h]
+_EDGE_SESSIONS = {
+    "dyadic": _dyadic_sessions,
+    "empty": lambda w0, T: Sessions([], [], []),
+    "one_across": lambda w0, T: Sessions([-0.5], [T + 8.0], [w0]),
+    "after_T": lambda w0, T: Sessions([T + 0.25, T + 0.5], [4.0, 0.125], [w0, w0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_EDGE_SESSIONS))
+@pytest.mark.parametrize("w0", [0.5, 2.5])
+def test_occupation_z_is_exact_on_dyadic_paths(monkeypatch, w0, kind):
+    # event times, rates and centerings on dyadic grids make every product
+    # and partial sum exact in either order, so the occupation route and
+    # the time-ordered prefix integral agree byte for byte
+    T = 16.0
+    sc = tiny_scenario(w_params=(w0,), window_h=1.0, T_ladder=(T,), replicates=1)
+    sessions = _EDGE_SESSIONS[kind](w0, T)
+    monkeypatch.setattr(harness, "simulate_sessions", lambda cfg: sessions)
+    phis = tuple(make_functional(s, sc.window_h) for s in _OCC_SPECS)
+    got = harness._z_task((sc, 0, 0, 1, phis, _OCC_CENTERINGS))[:, 0]
+    a_T = float(tail_quantile_a(sc.y_dist(), T))
+    want = _prefix_z(build_path(sessions, 0.0, T + 1.0), phis, _OCC_CENTERINGS, T, a_T)
+    assert got.tobytes() == want.tobytes()
 
 
 # every functional form at h = 0, reading the path's own segments, beside
@@ -708,16 +777,11 @@ def test_z_task_replicate_peak_memory():
     assert peak < path_bytes + 3 * path.times.nbytes
 
 
-@pytest.mark.parametrize(
-    "workers, replicates, pool", [(64, 3, 6), (2, 50, 2), (5000, 50, 8)]
-)
-def test_pool_is_no_larger_than_the_task_list(monkeypatch, workers, replicates, pool):
-    # under fork a pool starts all max_workers processes up front, so it is
-    # sized to the tasks and to the CPUs, 8 here: 5000 workers would fork
-    # 100 processes for 100 single-replicate tasks.  The stub runs the
-    # tasks in this process and starts none
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    sizes = []
+def _record_pool(monkeypatch):
+    """Put a stub pool in _z_matrix's place, one that runs its tasks in this
+    process and starts none; returns the lists of the sizes it is opened
+    with and of the tasks it maps."""
+    sizes, mapped = [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -730,14 +794,42 @@ def test_pool_is_no_larger_than_the_task_list(monkeypatch, workers, replicates, 
             return False
 
         def map(self, fn, tasks):
+            tasks = list(tasks)
+            mapped.extend(tasks)
             return map(fn, tasks)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return sizes, mapped
+
+
+@pytest.mark.parametrize(
+    "workers, replicates, pool", [(64, 3, 6), (2, 50, 2), (5000, 50, 8)]
+)
+def test_pool_is_no_larger_than_the_task_list(monkeypatch, workers, replicates, pool):
+    # under fork a pool starts all max_workers processes up front, so it is
+    # sized to the tasks and to the CPUs, 8 here: 5000 workers would fork
+    # 100 processes for 100 single-replicate tasks.  The stub runs the
+    # tasks in this process and starts none
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    sizes, _ = _record_pool(monkeypatch)
     sc = tiny_scenario(T_ladder=(50.0, 200.0), replicates=replicates)
     phis = (make_functional("identity"),)
     got = _z_matrix(sc, phis, (0.0,), workers)
     assert sizes == [pool]
     assert got.tobytes() == _z_matrix(sc, phis, (0.0,), 1).tobytes()
+
+
+def test_tasks_reach_the_pool_longest_horizon_first(monkeypatch):
+    # the longest horizon's chunks take the most time, so they go out
+    # first and do not form the pool's tail
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _, mapped = _record_pool(monkeypatch)
+    sc = tiny_scenario(T_ladder=(50.0, 100.0, 200.0), replicates=5, window_h=1.0)
+    phis = (make_functional("identity"), make_functional("winsup:3", 1.0))
+    got = _z_matrix(sc, phis, (1.5, 0.875), 2)
+    assert [sc.T_ladder[task[1]] for task in mapped] == [200.0] * 5 + [100.0] * 5 + [50.0] * 5
+    assert [task[2:4] for task in mapped[:5]] == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    assert got.tobytes() == _z_matrix(sc, phis, (1.5, 0.875), 1).tobytes()
 
 
 def test_cdf_rate_matches_empirical_cdf_reference():
@@ -921,7 +1013,11 @@ class TestCli:
                          "'n_cycles' must be an integer that fits in 64 bits", id="n_cycles=10**400"),
             pytest.param(f"workers: 1{'0' * 400}\n",
                          "'workers' must be an integer that fits in 64 bits", id="workers=10**400"),
-            ("lam: 1.0e-320\nanalyses: [cycle_mean]\n", "needs about nan fresh-start chunks"),
+            # the mean cycle e^(lam E[Y]) / lam is past a double at a subnormal lam
+            ("lam: 1.0e-320\nanalyses: [cycle_mean]\n",
+             "lam = 1e-320 makes the mean cycle e^(lambda*E[Y])/lambda past a double"),
+            ("lam: 5.0e-324\nanalyses: [hill]\n",
+             "lam = 5e-324 makes the mean cycle e^(lambda*E[Y])/lambda past a double for ['hill']"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -1059,6 +1155,25 @@ def test_range_guards_reject_nan(call):
     # each guard is written so that NaN fails it, as a comparison with NaN
     # is always False
     with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: TrafficConfig(lam=math.inf, law=Scenario().law(), horizon=1.0),
+        lambda: TrafficConfig(lam=1.0, law=Scenario().law(), horizon=math.inf),
+        lambda: TailDist.pareto(math.inf),
+        lambda: TailDist.pareto(1.5, math.inf),
+        lambda: StableParams(1.5, math.inf),
+        lambda: WindowFunctional("x", math.inf, ("le", 1.0)),
+        lambda: ks_threshold(math.inf),
+    ],
+    ids=["lam", "horizon", "pareto_alpha", "pareto_xm", "sigma", "window_h", "ks_threshold_n"],
+)
+def test_range_guards_reject_inf(call):
+    # each of these values must be finite, as well as positive or nonnegative
+    with pytest.raises(ValueError, match="finite"):
         call()
 
 
