@@ -94,7 +94,7 @@ def decompose_cycles(path, T) -> CycleDecomposition:
     """
     if T > path.t1 or T <= path.t0:
         raise ValueError("path does not cover [t0, T]")
-    starts_idx, ends_idx = kernels.busy_bounds(path.counts, path.init_count)
+    starts_idx, ends_idx = kernels.busy_bounds(path.count_steps[1:], int(path.count_steps[0]))
     starts = path.times[starts_idx]
     n_complete = int(np.searchsorted(starts, T, side="right")) - 1
     if n_complete < 1:

@@ -71,7 +71,7 @@ def functional_steps(path: ShotNoisePath, phi: WindowFunctional, t0: float, t1: 
         raise ValueError("path must cover [t0, t1 + h]")
     bounds, lo, hi = _merged_steps(path.times, phi.h, t0, t1)
     # counts run to len(times), past segments()' end
-    s = kernels.sliding_range_max(path._level_steps, lo, hi)
+    s = kernels.sliding_range_max(path.level_steps, lo, hi)
     return bounds, np.asarray(phi(s), dtype=float)
 
 

@@ -282,6 +282,12 @@ def validate(scenario: Scenario) -> list:
             f"past a double for {cycling}"
         )
     chunks = expected_chunks(scenario.lam, law, scenario.n_cycles) if cycling else 0
+    # a finite mean cycle can still make n_cycles of them past a double
+    if math.isnan(chunks):
+        raise ValueError(
+            f"lam = {scenario.lam!r} makes n_cycles = {scenario.n_cycles} times the mean "
+            f"cycle e^(lambda*E[Y])/lambda past a double for {cycling}"
+        )
     if not chunks <= MAX_CHUNKS:
         raise ValueError(
             f"n_cycles = {scenario.n_cycles} needs about {chunks:.3g} fresh-start chunks for "
@@ -290,6 +296,8 @@ def validate(scenario: Scenario) -> list:
     if cycling and scenario.n_cycles > MAX_CYCLES:
         raise ValueError(f"n_cycles = {scenario.n_cycles} exceeds {MAX_CYCLES} for {cycling}: "
                          "cycle banking holds every length in memory, twice as it joins them")
+    if "cycle_mean" in runs and scenario.n_cycles < 2:
+        raise ValueError(f"cycle_mean needs n_cycles >= 2 for a standard error, got {scenario.n_cycles}")
     z_runs = sorted(a for a in runs if ANALYSES[a][1])
     if z_runs:
         # a replicate path draws its arrivals on [0, T + 2h] plus the

@@ -166,23 +166,22 @@ class TrafficConfig:
 class ShotNoisePath:
     """Piecewise-constant cadlag level and occupancy on [t0, t1].
 
-    ``times`` are merged event timestamps strictly inside (t0, t1].  Each
-    step array holds the value before the first event, then the value
-    after each event, so a lookup at t reads index
-    ``searchsorted(times, t, 'right')``; ``levels`` / ``counts`` are views
-    of the post-event tails and ``init_level`` / ``init_count`` the first
-    entries.  Counts are exact integers; build_path makes every level
-    exactly 0 wherever the count is 0, so level-based functionals such as
-    ``idle`` see the same idle time as the count-based cycles whatever the
-    rates.
+    A path is its two step arrays over ``times``, the merged event
+    timestamps strictly inside (t0, t1].  ``level_steps`` (float) and
+    ``count_steps`` (int64) each hold the value before the first event,
+    then the value after each event, so a lookup at t reads index
+    ``searchsorted(times, t, 'right')``.  Counts are exact integers;
+    build_path makes every level exactly 0 wherever the count is 0, so
+    level-based functionals such as ``idle`` see the same idle time as the
+    count-based cycles whatever the rates.
     """
 
     def __init__(self, t0, t1, times, level_steps, count_steps):
         self.t0 = float(t0)
         self.t1 = float(t1)
         self.times = np.asarray(times, dtype=float)
-        self._level_steps = np.asarray(level_steps, dtype=float)
-        self._count_steps = np.asarray(count_steps, dtype=np.int64)
+        self.level_steps = np.asarray(level_steps, dtype=float)
+        self.count_steps = np.asarray(count_steps, dtype=np.int64)
         if self.t0 >= self.t1:
             raise ValueError("need t0 < t1")
         if len(self.times) and (
@@ -192,14 +191,10 @@ class ShotNoisePath:
         if np.any(self.times[1:] <= self.times[:-1]):
             raise ValueError("event times must be strictly increasing (merged)")
         n = len(self.times) + 1
-        if len(self._level_steps) != n or len(self._count_steps) != n:
+        if len(self.level_steps) != n or len(self.count_steps) != n:
             raise ValueError(f"each step array needs len(times) + 1 = {n} entries")
-        if np.any(self._count_steps < 0):
+        if np.any(self.count_steps < 0):
             raise ValueError("occupancy count went negative")
-        self.levels = self._level_steps[1:]
-        self.counts = self._count_steps[1:]
-        self.init_level = float(self._level_steps[0])
-        self.init_count = int(self._count_steps[0])
 
     def __len__(self):
         return len(self.times)
@@ -218,8 +213,8 @@ class ShotNoisePath:
         i0 = int(np.searchsorted(self.times, lo, side="right"))
         i1 = int(np.searchsorted(self.times, hi, side="left"))
         bounds = np.concatenate([[lo], self.times[i0:i1], [hi]])
-        levels = self._level_steps[i0 : i1 + 1]
-        counts = self._count_steps[i0 : i1 + 1]
+        levels = self.level_steps[i0 : i1 + 1]
+        counts = self.count_steps[i0 : i1 + 1]
         levels.flags.writeable = counts.flags.writeable = False
         return bounds, levels, counts
 
@@ -259,8 +254,6 @@ def build_path(sessions: Sessions, t0: float, t1: float) -> ShotNoisePath:
     session has the same rate and t0 >= 0, the path is built from the
     occupancy count alone (level = w0 * count, exact whatever the order).
     """
-    if t0 >= t1:
-        raise ValueError("need t0 < t1")
     w0 = sessions.common_rate
     if w0 is not None and t0 >= 0:
         times, _, n_arr, _, init_count = _session_events(sessions, t0, t1, rates=False)

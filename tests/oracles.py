@@ -26,13 +26,13 @@ def _eval_steps(path, steps, t):
 
 def eval_level(path, t):
     """X(t) under the cadlag convention; O(log n) binary search."""
-    out = _eval_steps(path, path._level_steps, t)
+    out = _eval_steps(path, path.level_steps, t)
     return float(out) if np.isscalar(t) else out
 
 
 def eval_count(path, t):
     """The occupancy count at t, cadlag like the level."""
-    out = _eval_steps(path, path._count_steps, t)
+    out = _eval_steps(path, path.count_steps, t)
     return int(out) if np.isscalar(t) else out
 
 

@@ -84,7 +84,7 @@ def test_level_and_count_detection_agree_unit_rates():
     # the count-based cycles are the level-based ones
     cfg = TrafficConfig(lam=1.0, law=law(), horizon=500.0, rng=RngStream(1))
     p = build_path(fresh_sessions(cfg), 0.0, 500.0)
-    assert np.array_equal(p._level_steps > 0, p._count_steps > 0)
+    assert np.array_equal(p.level_steps > 0, p.count_steps > 0)
     assert decompose_cycles(p, 500.0).m_T > 0
 
 

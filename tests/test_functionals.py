@@ -226,17 +226,17 @@ class TestStepsMatchMidpointReference:
         # identity's steps are a copy of the path's levels: a write into
         # them leaves the path alone, and a write into segments() raises
         p = hand_path()
-        before = p.levels.copy()
+        before = p.level_steps.copy()
         _, vals = functional_steps(p, make_functional("identity"), 0.0, 3.0)
         vals += 1.0
-        assert np.array_equal(p.levels, before)
+        assert np.array_equal(p.level_steps, before)
         assert integrate_phi(p, make_functional("identity"), 0.0, 3.0) == 4.5
         # the views are read-only, the path's own arrays are not
         _, levels, counts = p.segments()
         with pytest.raises(ValueError, match="read-only"):
             levels += 1.0
         assert not levels.flags.writeable and not counts.flags.writeable
-        assert p.levels.flags.writeable and p.counts.flags.writeable
+        assert p.level_steps.flags.writeable and p.count_steps.flags.writeable
 
 
 H0_FUNCTIONALS = (make_functional("identity"), make_functional("idle"), make_functional("clipped:1.0"), make_functional("cdf:2.0"))

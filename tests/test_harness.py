@@ -271,6 +271,13 @@ class TestScenario:
             (dict(replicates=10**400), "'replicates' must be an integer that fits in 64 bits"),
             (dict(seed=2**63), "'seed' must be an integer that fits in 64 bits"),
             (dict(seed=-(2**63) - 1), "'seed' must be an integer that fits in 64 bits"),
+            # n_cycles mean cycles of 1e305 each are past a double: the
+            # chunk count is inf / inf
+            (dict(lam=1e-305, analyses=("cycle_mean",)),
+             "lam = 1e-305 makes n_cycles = 10000 times the mean cycle e\\^\\(lambda\\*E\\[Y\\]\\)/lambda "
+             "past a double for \\['cycle_mean'\\]"),
+            (dict(n_cycles=1, analyses=("cycle_mean",)),
+             "cycle_mean needs n_cycles >= 2 for a standard error, got 1"),
         ],
     )
     def test_validate_rejects_values_that_fail_at_run_time(self, overrides, message):
@@ -292,6 +299,8 @@ class TestScenario:
         validate(tiny_scenario(lam=1e3, T_ladder=(1e4,), functionals=("cdf:1",)))
         # and a cycle bank too large to hold only to the cycle analyses
         validate(tiny_scenario(n_cycles=490_000_000, analyses=("stable_limit", "m1_diagnostic")))
+        # and a single cycle only to cycle_mean's standard error
+        validate(tiny_scenario(n_cycles=1, analyses=("cycle_tail",)))
 
     def test_validate_accepts_the_fewest_replicates_that_can_fail(self):
         validate(tiny_scenario(replicates=4))
@@ -730,7 +739,7 @@ _TASK_PHIS = tuple(
 
 def _read_only_build_path(*args):
     path = build_path(*args)
-    for a in (path.times, path._level_steps, path._count_steps):
+    for a in (path.times, path.level_steps, path.count_steps):
         a.flags.writeable = False
     return path
 
@@ -754,7 +763,7 @@ def test_z_task_areas_equal_each_functional_alone_and_write_no_path(monkeypatch)
     # identity hands back the path's own levels, as a read-only view
     levels = path.segments(0.0, T)[1]
     same = _TASK_PHIS[0](levels)
-    assert np.shares_memory(same, path._level_steps) and not same.flags.writeable
+    assert np.shares_memory(same, path.level_steps) and not same.flags.writeable
 
 
 def test_z_task_replicate_peak_memory():
@@ -773,7 +782,7 @@ def test_z_task_replicate_peak_memory():
         tracemalloc.stop()
     rng = RngStream(sc.seed, stream_id=0).substream(0)
     path = build_path(simulate_sessions(sc.config(1e4, rng)), 0.0, 1e4)
-    path_bytes = path.times.nbytes + path._level_steps.nbytes + path._count_steps.nbytes
+    path_bytes = path.times.nbytes + path.level_steps.nbytes + path.count_steps.nbytes
     assert peak < path_bytes + 3 * path.times.nbytes
 
 
@@ -1018,6 +1027,13 @@ class TestCli:
              "lam = 1e-320 makes the mean cycle e^(lambda*E[Y])/lambda past a double"),
             ("lam: 5.0e-324\nanalyses: [hill]\n",
              "lam = 5e-324 makes the mean cycle e^(lambda*E[Y])/lambda past a double for ['hill']"),
+            # a finite mean cycle, but n_cycles of them past a double
+            ("lam: 1.0e-305\nanalyses: [cycle_mean]\n",
+             "lam = 1e-305 makes n_cycles = 10000 times the mean cycle e^(lambda*E[Y])/lambda "
+             "past a double for ['cycle_mean']"),
+            # one cycle has no standard error
+            ("analyses: [cycle_mean]\nn_cycles: 1\n",
+             "cycle_mean needs n_cycles >= 2 for a standard error, got 1"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])

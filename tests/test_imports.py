@@ -1,5 +1,6 @@
 """Every top-level import of the package and of the tests is read, and
-every parameter of the package's functions."""
+every parameter of the package's functions; and no module of the package
+touches another object's private attributes."""
 
 import ast
 from pathlib import Path
@@ -92,3 +93,38 @@ def test_the_scan_finds_an_unread_parameter():
 def test_every_parameter_is_read(path):
     unread = unread_parameters(path.read_text())
     assert not unread, f"{path.relative_to(ROOT)} never reads the parameters {unread}"
+
+
+def private_reads(source: str) -> list:
+    """(line, expression), in line order, for each access to an attribute
+    named ``_x`` (one leading underscore, not a dunder) of anything but
+    ``self`` or ``cls``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Attribute) and node.attr.startswith("_")):
+            continue
+        if node.attr.startswith("__") and node.attr.endswith("__"):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+            continue
+        found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_the_scan_finds_a_private_read():
+    source = (
+        "class C:\n"
+        "    def m(self, other):\n"
+        "        return self._a + other._b + type(self).__name__\n"
+        "    @classmethod\n"
+        "    def k(cls):\n"
+        "        return cls._c\n"
+        "x = C()._d + C.__doc__\n"
+    )
+    assert private_reads(source) == [(3, "other._b"), (7, "C()._d")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_private_state_of_another_object_is_read(path):
+    found = private_reads(path.read_text())
+    assert not found, f"{path.relative_to(ROOT)} reads another object's private state: {found}"

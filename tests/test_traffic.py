@@ -69,10 +69,10 @@ class TestBuildPath:
         )
         p = build_path(s, 0.0, 3.0)
         assert np.array_equal(p.times, [0.5, 1.0, 1.5, 1.75, 2.0, 2.5])
-        assert np.array_equal(np.diff(p._level_steps), [3.0, 3.0, 0.75, -0.25, -3.5, -3.0])
-        assert np.array_equal(np.diff(p._count_steps), [2, 0, 2, -1, -2, -1])
-        assert np.array_equal(p.levels, [3.0, 6.0, 6.75, 6.5, 3.0, 0.0])
-        assert np.array_equal(p.counts, [2, 2, 4, 3, 1, 0])
+        assert np.array_equal(np.diff(p.level_steps), [3.0, 3.0, 0.75, -0.25, -3.5, -3.0])
+        assert np.array_equal(np.diff(p.count_steps), [2, 0, 2, -1, -2, -1])
+        assert np.array_equal(p.level_steps[1:], [3.0, 6.0, 6.75, 6.5, 3.0, 0.0])
+        assert np.array_equal(p.count_steps[1:], [2, 2, 4, 3, 1, 0])
         assert_paths_bit_identical(p, reference_build_path(s, 0.0, 3.0))
 
     def test_merge_matches_unique_on_tied_grid(self):
@@ -98,15 +98,15 @@ class TestBuildPath:
         assert len(uniq) < len(times)
         assert np.array_equal(p.times, uniq)
         # the rates are dyadic, so every running sum is exact
-        assert np.array_equal(p.levels, p.init_level + np.cumsum(np.add.reduceat(r_delta[order], first)))
-        assert np.array_equal(p.counts, p.init_count + np.cumsum(np.add.reduceat(c_delta[order], first)))
+        assert np.array_equal(p.level_steps[1:], p.level_steps[0] + np.cumsum(np.add.reduceat(r_delta[order], first)))
+        assert np.array_equal(p.count_steps[1:], p.count_steps[0] + np.cumsum(np.add.reduceat(c_delta[order], first)))
         assert_paths_bit_identical(p, reference_build_path(s, t0, t1))
 
     def test_path_without_events(self):
         # no sessions, and one that straddles the whole of [0, 2]
         for s, level in ((Sessions([], [], []), 0.0), (Sessions([-1.0], [5.0], [2.0]), 2.0)):
             p = build_path(s, 0.0, 2.0)
-            assert len(p) == 0 and p.levels.size == 0 and p.counts.size == 0
+            assert len(p) == 0 and p.level_steps.size == 1 and p.count_steps.size == 1
             assert eval_level(p, 1.0) == level and eval_count(p, 2.0) == int(level > 0)
             bounds, levels, counts = p.segments()
             assert np.array_equal(bounds, [0.0, 2.0])
@@ -115,8 +115,8 @@ class TestBuildPath:
     def test_straddler_clipped_into_init(self):
         s = Sessions([-0.5], [1.0], [2.0])
         p = build_path(s, 0.0, 2.0)
-        assert p.init_level == 2.0
-        assert p.init_count == 1
+        assert p.level_steps[0] == 2.0
+        assert p.count_steps[0] == 1
         assert eval_level(p, 0.0) == 2.0
         assert eval_level(p, 0.5) == 0.0  # departs at -0.5 + 1.0
 
@@ -129,13 +129,13 @@ class TestBuildPath:
     def test_counts_nonnegative_and_integer(self):
         cfg = TrafficConfig(lam=1.0, law=law(), horizon=200.0, rng=RngStream(3))
         p = build_path(simulate_sessions(cfg), 0.0, 200.0)
-        assert p.counts.dtype.kind == "i"
-        assert p.counts.min() >= 0
+        assert p.count_steps.dtype.kind == "i"
+        assert p.count_steps.min() >= 0
 
     def test_level_count_consistency_unit_rates(self):
         cfg = TrafficConfig(lam=1.0, law=law(), horizon=100.0, rng=RngStream(4))
         p = build_path(simulate_sessions(cfg), 0.0, 100.0)
-        assert np.array_equal(p.levels, p.counts) and p.init_level == p.init_count
+        assert np.array_equal(p.level_steps, p.count_steps)
 
     def test_segments_partition(self):
         p = hand_path()
@@ -190,10 +190,10 @@ def _bits(a):
 
 
 def assert_paths_bit_identical(p, q):
-    for name in ("times", "_level_steps", "_count_steps", "levels", "counts"):
+    for name in ("times", "level_steps", "count_steps"):
         a, b = getattr(p, name), getattr(q, name)
         assert a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b)), name
-    for name in ("t0", "t1", "init_level", "init_count"):
+    for name in ("t0", "t1"):
         a, b = getattr(p, name), getattr(q, name)
         assert type(a) is type(b) and _bits(np.float64(a)) == _bits(np.float64(b)), name
 
@@ -254,7 +254,7 @@ class TestCountRoute:
         s = Sessions(gamma, y, np.full(len(pairs), w0))
         assert s.common_rate == w0
         p = build_path(s, t0, t0 + span)
-        assert np.array_equal(_bits(p._level_steps), _bits(w0 * p._count_steps))
+        assert np.array_equal(_bits(p.level_steps), _bits(w0 * p.count_steps))
         assert_paths_bit_identical(p, reference_build_path(s, t0, t0 + span))
 
     @pytest.mark.parametrize(
@@ -299,7 +299,7 @@ def test_build_path_releases_sessions_passed_inline(kind, params, arrays):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    path_bytes = path.times.nbytes + path._level_steps.nbytes + path._count_steps.nbytes
+    path_bytes = path.times.nbytes + path.level_steps.nbytes + path.count_steps.nbytes
     assert peak < path_bytes + arrays * path.times.nbytes
 
 
@@ -307,8 +307,7 @@ class TestShotNoisePathChecks:
     # one event at 1.0 on [0, 2]: one step before it and one after
     def test_a_valid_path(self):
         p = traffic.ShotNoisePath(0.0, 2.0, [1.0], [0.0, 1.5], [0, 1])
-        assert p.init_level == 0.0 and p.init_count == 0
-        assert np.array_equal(p.levels, [1.5]) and np.array_equal(p.counts, [1])
+        assert np.array_equal(p.level_steps, [0.0, 1.5]) and np.array_equal(p.count_steps, [0, 1])
 
     @pytest.mark.parametrize("times", [[0.0], [-0.5], [2.5]])
     def test_times_outside_the_span(self, times):
@@ -335,6 +334,15 @@ class TestShotNoisePathChecks:
     def test_needs_t0_before_t1(self):
         with pytest.raises(ValueError, match="t0 < t1"):
             traffic.ShotNoisePath(1.0, 1.0, [], [0.0], [0])
+
+    # equal rates take the count route at t0 >= 0, mixed ones the level
+    # route; both end in the constructor's range check
+    @pytest.mark.parametrize("w", [[0.5, 0.5, 0.5], [0.5, 1.0, 0.5]])
+    @pytest.mark.parametrize("t0, t1", [(1.0, 1.0), (2.0, 1.0), (-1.0, -1.0), (-1.0, -2.0)])
+    def test_build_path_needs_t0_before_t1(self, w, t0, t1):
+        s = Sessions([-3.0, 0.5, 1.5], [5.0, 1.0, 1.0], w)
+        with pytest.raises(ValueError, match="t0 < t1"):
+            build_path(s, t0, t1)
 
 
 class TestSessionsValidation:
@@ -697,4 +705,4 @@ class TestLevelMatchesCount:
     def test_level_is_zero_exactly_when_idle(self, sessions):
         gamma, y, w = (np.array(c, dtype=float) for c in zip(*sessions))
         p = build_path(Sessions(gamma, y, w), 0.0, 20.0)
-        assert np.array_equal(p.levels == 0.0, p.counts == 0)
+        assert np.array_equal(p.level_steps == 0.0, p.count_steps == 0)
