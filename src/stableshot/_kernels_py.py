@@ -3,10 +3,12 @@
 * ``compensated_cumsum`` -- running sum of deltas, a plain ``np.cumsum``:
   int64 for integer deltas, float64 otherwise.  On a path with mixed
   rates it runs the float level, which carries a rounding slack of
-  ``1e-9 * accumulated |w|``; on a constant-rate path it runs the integer
-  occupancy count, exact, and the level is ``w0 * count`` (see
-  ``traffic.build_path``).  The function keeps its name because the
-  benchmark traces it by that name.
+  ``1e-9 * accumulated |w|``.  On a constant-rate path built without a
+  workspace it runs the integer occupancy count, exact; with one,
+  ``traffic.build_path`` runs that count as an in-place ``np.cumsum`` of
+  its step array, since this kernel returns a new array.  The function
+  keeps its name and its one argument because the benchmark traces it by
+  both.
 * ``busy_bounds`` -- indices where an integer occupancy sequence leaves /
   enters zero.
 * ``sliding_range_max`` -- max of ``values[lo[i]:hi[i]+1]`` per query.  A

@@ -60,21 +60,23 @@ class TailDist:
             raise ValueError("pareto mean is infinite for tail index <= 1")
         return a * self.xm / (a - 1)
 
-    def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
-        """n draws: ppf_sf of n uniforms."""
-        return self._pareto(n, self.declared_alpha, gen)
+    def sample(self, n: int, gen: np.random.Generator, out=None) -> np.ndarray:
+        """n draws: ppf_sf of n uniforms, written into ``out`` when given."""
+        return self._pareto(n, self.declared_alpha, gen, out)
 
-    def sample_size_biased(self, n: int, gen: np.random.Generator) -> np.ndarray:
+    def sample_size_biased(self, n: int, gen: np.random.Generator, out=None) -> np.ndarray:
         """Draws from the duration-weighted law y P(Y in dy) / E[Y], a
-        Pareto law of tail index alpha - 1."""
+        Pareto law of tail index alpha - 1; into ``out`` when given."""
         a = self.declared_alpha
         if a <= 1:
             raise ValueError("size-biased pareto needs tail index > 1")
-        return self._pareto(n, a - 1, gen)
+        return self._pareto(n, a - 1, gen, out)
 
-    def _pareto(self, n: int, alpha: float, gen: np.random.Generator) -> np.ndarray:
-        """n Pareto(alpha, xm) draws xm * U^(-1/alpha), in the uniforms' array."""
-        u = gen.uniform(size=n)
+    def _pareto(self, n: int, alpha: float, gen: np.random.Generator, out=None) -> np.ndarray:
+        """n Pareto(alpha, xm) draws xm * U^(-1/alpha), in the uniforms' array:
+        ``out`` (of length n) when given, else a new one."""
+        u = np.empty(n) if out is None else out
+        gen.random(out=u)  # the bits of gen.uniform(size=n)
         np.power(u, -1.0 / alpha, out=u)
         u *= self.xm
         return u

@@ -14,6 +14,7 @@ construction is used instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "JointLaw",
     "TrafficConfig",
     "ShotNoisePath",
+    "Workspace",
     "simulate_sessions",
     "build_path",
     "stationary_window_draws",
@@ -127,14 +129,22 @@ class JointLaw:
     def common_rate(self):
         return self.w_params[0] if self.w_kind == "constant" else None
 
-    def sample_rates(self, n: int, gen: np.random.Generator) -> np.ndarray:
-        """n draws of W, which are also draws of G; a constant law's are one
-        read-only broadcast of w0, with no array of its own."""
+    def sample_rates(self, n: int, gen: np.random.Generator, out=None) -> np.ndarray:
+        """n draws of W, which are also draws of G, written into ``out`` when
+        given; a constant law's are one read-only broadcast of w0, with no
+        array of its own, and it ignores ``out``."""
         if self.w_kind == "constant":
             return np.broadcast_to(self.w_params[0], n)
+        w = np.empty(n) if out is None else out
         if self.w_kind == "uniform":
-            return gen.uniform(self.w_params[0], self.w_params[1], n)
-        return gen.exponential(self.w_params[0], n)
+            a, b = self.w_params
+            gen.random(out=w)
+            w *= b - a
+            w += a  # the bits of gen.uniform(a, b, n)
+        else:
+            gen.standard_exponential(out=w)
+            w *= self.w_params[0]  # the bits of gen.exponential(mean, n)
+        return w
 
     def sample_pairs(self, n: int, gen: np.random.Generator):
         return self.y_dist.sample(n, gen), self.sample_rates(n, gen)
@@ -174,14 +184,19 @@ class ShotNoisePath:
     build_path makes every level exactly 0 wherever the count is 0, so
     level-based functionals such as ``idle`` see the same idle time as the
     count-based cycles whatever the rates.
+
+    ``level_steps`` may be given as a number w0, the common rate of every
+    session: the level is then ``count_steps * w0``, formed when first read.
     """
 
     def __init__(self, t0, t1, times, level_steps, count_steps):
         self.t0 = float(t0)
         self.t1 = float(t1)
         self.times = np.asarray(times, dtype=float)
-        self.level_steps = np.asarray(level_steps, dtype=float)
         self.count_steps = np.asarray(count_steps, dtype=np.int64)
+        self._level = float(level_steps) if np.ndim(level_steps) == 0 else (
+            np.asarray(level_steps, dtype=float)
+        )
         if self.t0 >= self.t1:
             raise ValueError("need t0 < t1")
         if len(self.times) and (
@@ -191,10 +206,16 @@ class ShotNoisePath:
         if np.any(self.times[1:] <= self.times[:-1]):
             raise ValueError("event times must be strictly increasing (merged)")
         n = len(self.times) + 1
-        if len(self.level_steps) != n or len(self.count_steps) != n:
+        if len(self.count_steps) != n or np.ndim(self._level) and len(self._level) != n:
             raise ValueError(f"each step array needs len(times) + 1 = {n} entries")
-        if np.any(self.count_steps < 0):
+        if self.count_steps.min() < 0:
             raise ValueError("occupancy count went negative")
+
+    @property
+    def level_steps(self) -> np.ndarray:
+        if np.ndim(self._level) == 0:
+            self._level = self.count_steps * self._level
+        return self._level
 
     def __len__(self):
         return len(self.times)
@@ -219,21 +240,89 @@ class ShotNoisePath:
         return bounds, levels, counts
 
 
-def simulate_sessions(config: TrafficConfig) -> Sessions:
+class Workspace:
+    """Named numpy buffers that one task's replicates take in turn, so that
+    each replicate writes its sessions and its path where the last one's
+    were in place of fresh arrays.
+
+    ``take(name, n, dtype)`` returns the first n entries of the buffer
+    called ``name``, allocated at exactly n on first use and regrown by at
+    least an eighth when a later take needs more.  What a call writes into
+    a workspace stays valid until the next call that takes the same
+    buffer: sessions until the next simulation, a path until the next
+    build.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name: str, n: int, dtype=np.float64) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < n:
+            size = n if buf is None else max(n, buf.size + buf.size // 8)
+            # free the old buffer before its successor is allocated
+            self._buffers[name] = buf = None
+            self._buffers[name] = buf = np.empty(size, dtype)
+        return buf[:n]
+
+
+def _column(ws, name: str, n: int, dtype=np.float64) -> np.ndarray:
+    """A length-n array: the workspace's buffer ``name``, or a new array
+    when ``ws`` is None."""
+    return np.empty(n, dtype) if ws is None else ws.take(name, n, dtype)
+
+
+def simulate_sessions(config: TrafficConfig, ws: Workspace | None = None) -> Sessions:
     """Fresh Poisson arrivals on [0, horizon], plus the exact stationary
-    population alive at time 0."""
+    population alive at time 0, drawn in that order; the stationary
+    sessions come first in the columns.
+
+    With a workspace the columns are its buffers ``gamma``, ``y`` and, for
+    random rates, ``w``: the fresh draws go straight into them behind a
+    head of room for the stationary sessions, which are drawn later.
+    Without one, every column is allocated at its exact length.
+    """
     gen = config.rng.generator()
-    gamma_f = fresh_arrivals(config.lam, config.horizon, gen)
-    n_fresh = gamma_f.size
-    y_f, w_f = config.law.sample_pairs(n_fresh, gen)
-    n0 = gen.poisson(config.lam * config.law.mean_y)
-    y0, w0 = config.law.sample_size_biased_pairs(n0, gen)
-    gamma0 = -gen.uniform(size=n0) * y0
-    # the stationary sessions first, then the fresh arrivals; constant
-    # rates stay one broadcast
-    w = config.law.common_rate
-    w = np.concatenate([w0, w_f]) if w is None else np.broadcast_to(w, n0 + n_fresh)
-    return Sessions(np.concatenate([gamma0, gamma_f]), np.concatenate([y0, y_f]), w)
+    law, w0 = config.law, config.law.common_rate
+    nu = config.lam * law.mean_y
+    n_fresh = gen.poisson(config.lam * config.horizon)
+    # room for the Poisson(nu) stationary sessions, which exceed it with
+    # probability below 1e-14
+    head = 0 if ws is None else int(nu + 8 * math.sqrt(nu)) + 8
+    n = head + n_fresh
+    gamma, y = _column(ws, "gamma", n), _column(ws, "y", n)
+    # constant rates stay one broadcast, which sample_rates does not write
+    w = np.broadcast_to(w0, n) if w0 is not None else _column(ws, "w", n)
+    fresh = slice(head, n)
+    gen.random(out=gamma[fresh])
+    gamma[fresh] *= config.horizon  # the bits of gen.uniform(0.0, horizon, n_fresh)
+    gamma[fresh].sort()
+    # the draws of law.sample_pairs, then of law.sample_size_biased_pairs
+    law.y_dist.sample(n_fresh, gen, y[fresh])
+    law.sample_rates(n_fresh, gen, w[fresh])
+    n0 = gen.poisson(nu)
+    if n0 > head:  # no room (without a workspace, whenever n0 > 0): copy to make some
+        gamma, y = _with_room(gamma, head, n0), _with_room(y, head, n0)
+        if w0 is None:
+            w = _with_room(w, head, n0)
+        head = n0
+    init = slice(head - n0, head)
+    law.y_dist.sample_size_biased(n0, gen, y[init])
+    law.sample_rates(n0, gen, w[init])
+    gamma0 = gamma[init]
+    gen.random(out=gamma0)
+    np.negative(gamma0, out=gamma0)
+    gamma0 *= y[init]  # the bits of -gen.uniform(size=n0) * y0
+    live = slice(head - n0, None)
+    w = np.broadcast_to(w0, n0 + n_fresh) if w0 is not None else w[live]
+    return Sessions(gamma[live], y[live], w)
+
+
+def _with_room(col: np.ndarray, head: int, n0: int) -> np.ndarray:
+    """A new column of n0 free entries followed by col[head:]."""
+    out = np.empty(n0 + col.size - head)
+    out[n0:] = col[head:]
+    return out
 
 
 def fresh_arrivals(lam: float, horizon: float, gen: np.random.Generator) -> np.ndarray:
@@ -245,37 +334,54 @@ def fresh_arrivals(lam: float, horizon: float, gen: np.random.Generator) -> np.n
     return gamma
 
 
-def build_path(sessions: Sessions, t0: float, t1: float) -> ShotNoisePath:
+def build_path(
+    sessions: Sessions, t0: float, t1: float, ws: Workspace | None = None
+) -> ShotNoisePath:
     """Assemble the event-sorted path of the session superposition.
 
     Sessions straddling t0 are folded into the initial level/count;
     departures past t1 are dropped (the level simply never decreases
     there).  Coincident deltas are merged into one net event.  When every
-    session has the same rate and t0 >= 0, the path is built from the
-    occupancy count alone (level = w0 * count, exact whatever the order).
+    session has the same rate w0 and t0 >= 0, the path is built from the
+    occupancy count alone, and its level w0 * count (exact whatever the
+    order) is formed when first read.  That route's times are a view of
+    one array of every session's arrival and departure; with a workspace,
+    that array and the counts are its buffers ``times`` and ``steps``.
     """
     w0 = sessions.common_rate
     if w0 is not None and t0 >= 0:
-        times, _, n_arr, _, init_count = _session_events(sessions, t0, t1, rates=False)
+        # each session's arrival, then each one's departure: the candidate
+        # events, of which those in (t0, t1] are the path's
+        n = len(sessions)
+        times = _column(ws, "times", 2 * n)
+        times[:n] = sessions.gamma
+        np.add(sessions.gamma, sessions.y, out=times[n:])
+        del sessions  # the last reference when the caller passed them inline
+        # candidates before t0 are moved to t0, so every time is >= t0 >= 0
+        # and the bit patterns of these floats sort as unsigned integers;
+        # shifted left, they carry is_departure in the low bit (an arrival
+        # sorts before a departure at the same time, as in the stable
+        # argsort), and one in-place sort orders the candidates
+        np.maximum(times, t0, out=times)
+        keys = times.view(np.uint64)
+        keys <<= 1
+        keys[n:] |= 1
+        keys.sort()
+        # the arrivals at t0, then the departures at t0, then the events,
+        # then the candidates past t1; the sessions alive at t0 are the
+        # arrivals by t0 less the departures by t0
+        k0, k1 = np.array([t0, t1]).view(np.uint64) << 1 | 1
+        lo, hi = keys.searchsorted([k0, k1], "right")
+        init_count = 2 * int(keys.searchsorted(k0, "left")) - int(lo)
+        keys, times = keys[lo:hi], times[lo:hi]
         # one int64 step array: each event's delta 1 - 2 * is_departure
         # goes into steps[1:], ties merge into a prefix of it, and the
         # running count (exact in int64) plus the initial count is written
-        # back over the deltas.  It is allocated before the sessions are
-        # freed, so their space goes to the cumsum and then to the next
-        # replicate's sessions; allocated after, it took that space, and
-        # glibc trimmed the heap top and faulted it in again on every
-        # replicate (28k page faults per replicate-fanout run, not 7k)
-        steps = np.empty(times.size + 1, dtype=np.int64)
-        del sessions  # the last reference when the caller passed them inline
-        # every time exceeds t0 >= 0, so the bit patterns of these positive
-        # floats sort as unsigned integers; shifted left, they carry
-        # is_departure in the low bit (an arrival sorts before a departure
-        # at the same time, as in the stable argsort), and one in-place
-        # sort orders the events
-        keys = times.view(np.uint64)
-        keys <<= 1
-        keys[n_arr:] |= 1
-        keys.sort()
+        # over the deltas.  With a workspace the candidates and the steps
+        # reuse the last replicate's buffers: fresh arrays per replicate
+        # were handed back to the OS and faulted in again, 2.3k minor
+        # faults per T = 1e5 replicate, and 87 with the workspace
+        steps = _column(ws, "steps", keys.size + 1, np.int64)
         deltas = steps[1:]
         np.bitwise_and(keys, 1, out=deltas.view(np.uint64))
         deltas *= -2
@@ -286,10 +392,13 @@ def build_path(sessions: Sessions, t0: float, t1: float) -> ShotNoisePath:
             steps = steps[: merged.size + 1]
             steps[1:] = merged
         steps[0] = init_count
-        # the kernel takes no out argument: the benchmark's tracer counts
-        # its calls by their one argument
-        np.add(kernels.compensated_cumsum(steps[1:]), init_count, out=steps[1:])
-        return ShotNoisePath(t0, t1, times, steps * w0, steps)
+        if ws is None:
+            # the kernel takes no out argument: the benchmark's tracer counts
+            # its calls by their one argument
+            np.add(kernels.compensated_cumsum(steps[1:]), init_count, out=steps[1:])
+        else:
+            np.cumsum(steps, out=steps)  # in place, from steps[0] = init_count
+        return ShotNoisePath(t0, t1, times, w0, steps)
     times, r_delta, n_arr, init_level, init_count = _session_events(sessions, t0, t1)
     del sessions
     # gather one column at a time and drop the permutation before the steps
@@ -330,12 +439,12 @@ def _merge_ties(times, *deltas):
     return times[start_idx], tuple(np.add.reduceat(d, start_idx) for d in deltas)
 
 
-def _session_events(sessions: Sessions, t0: float, t1: float, rates: bool = True):
+def _session_events(sessions: Sessions, t0: float, t1: float):
     """(times, rate deltas, arrival count, init level, init count) of
-    build_path: the arrivals in (t0, t1], then the departures in (t0, t1]
-    of sessions arriving by t1, each in session order, written straight
-    into the two event arrays; and the sessions alive at t0.  Without
-    ``rates`` the rate deltas and the init level are None."""
+    build_path's route by rates: the arrivals in (t0, t1], then the
+    departures in (t0, t1] of sessions arriving by t1, each in session
+    order, written straight into the two event arrays; and the sessions
+    alive at t0."""
     gamma, w = sessions.gamma, sessions.w
     dep = gamma + sessions.y
     dep_after = dep > t0
@@ -353,8 +462,6 @@ def _session_events(sessions: Sessions, t0: float, t1: float, rates: bool = True
     times = np.empty(n_ev)
     np.compress(arr_mask, gamma, out=times[:n_arr])
     np.compress(dep_mask, dep, out=times[n_arr:])
-    if not rates:
-        return times, None, n_arr, None, init_count
     init_level = float(w[at_init].sum())
     r_delta = np.empty(n_ev)
     np.compress(arr_mask, w, out=r_delta[:n_arr])

@@ -474,9 +474,9 @@ class TestOnePathPerReplicate:
         horizons, curves, stages = [], [], []
         simulate, curve, z_matrix = harness.simulate_sessions, harness.response_curve, _z_matrix
 
-        def counted_simulate(config):
+        def counted_simulate(config, ws=None):
             horizons.append(config.horizon)
-            return simulate(config)
+            return simulate(config, ws)
 
         def counted_curve(scenario, phi, *args, **kwargs):
             curves.append(phi.name)
@@ -722,7 +722,7 @@ def test_occupation_z_is_exact_on_dyadic_paths(monkeypatch, w0, kind):
     T = 16.0
     sc = tiny_scenario(w_params=(w0,), window_h=1.0, T_ladder=(T,), replicates=1)
     sessions = _EDGE_SESSIONS[kind](w0, T)
-    monkeypatch.setattr(harness, "simulate_sessions", lambda cfg: sessions)
+    monkeypatch.setattr(harness, "simulate_sessions", lambda cfg, ws=None: sessions)
     phis = tuple(make_functional(s, sc.window_h) for s in _OCC_SPECS)
     got = harness._z_task((sc, 0, 0, 1, phis, _OCC_CENTERINGS))[:, 0]
     a_T = float(tail_quantile_a(sc.y_dist(), T))
@@ -784,6 +784,55 @@ def test_z_task_replicate_peak_memory():
     path = build_path(simulate_sessions(sc.config(1e4, rng)), 0.0, 1e4)
     path_bytes = path.times.nbytes + path.level_steps.nbytes + path.count_steps.nbytes
     assert peak < path_bytes + 3 * path.times.nbytes
+
+
+# unit rates at h = 0 (the occupation route) and uniform rates at h = 1
+# (window sups and per-segment areas), each with every functional form
+_CHUNK_LAWS = {
+    "unit_h0": dict(window_h=0.0),
+    "uniform_h1": dict(w_kind="uniform", w_params=(0.1, 1.0), window_h=1.0),
+}
+_CHUNK_SPECS = ("identity", "idle", "cdf:1", "clipped:2", "winsup:3")
+
+
+@pytest.mark.parametrize("kind", sorted(_CHUNK_LAWS))
+def test_a_chunk_equals_its_replicates_each_run_alone(kind):
+    # a chunk's replicates take one workspace in turn, and a one-replicate
+    # task has a new one: no replicate may read what an earlier one left
+    sc = tiny_scenario(replicates=8, seed=7, **_CHUNK_LAWS[kind])
+    T, h = sc.T_ladder[0], sc.window_h
+    phis = tuple(make_functional(s, h) for s in _CHUNK_SPECS)
+    centerings = (3.0, 0.05, 0.2, 1.1, 0.9)
+    # the event count falls and then rises across the chunk, so the
+    # buffers are taken shorter than their last use and then longer
+    streams = [RngStream(sc.seed, stream_id=r).substream(0) for r in range(sc.replicates)]
+    configs = [sc.config(T + 2 * h, rng) for rng in streams]
+    events = [len(build_path(simulate_sessions(cfg), 0.0, T + h)) for cfg in configs]
+    assert any(a > b < c for a, b, c in zip(events, events[1:], events[2:]))
+    chunk = harness._z_task((sc, 0, 0, sc.replicates, phis, centerings))
+    alone = [harness._z_task((sc, 0, r, r + 1, phis, centerings)) for r in range(sc.replicates)]
+    assert chunk.tobytes() == np.hstack(alone).tobytes()
+
+
+def test_z_task_peak_memory_does_not_grow_with_the_chunk():
+    # 20 unit-rate replicates at T = 1e4 reuse one workspace, whose buffers
+    # regrow by an eighth when a replicate needs more room: the chunk may
+    # peak at most a quarter above one replicate alone (it read 1.16x),
+    # where arrays kept per replicate would add a path each
+    phis = tuple(make_functional(s) for s in ("identity", "idle", "cdf:1", "clipped:2"))
+
+    def peak(replicates):
+        sc = tiny_scenario(T_ladder=(1e4,), replicates=replicates)
+        task = (sc, 0, 0, replicates, phis, (3.0, 0.05, 0.2, 1.1))
+        harness._z_task(task)  # first-call allocations are not the chunk's
+        tracemalloc.start()
+        try:
+            harness._z_task(task)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20) < 1.25 * peak(1)
 
 
 def _record_pool(monkeypatch):

@@ -282,11 +282,12 @@ class TestCountRoute:
 )
 def test_build_path_releases_sessions_passed_inline(kind, params, arrays):
     # sessions passed inline die once their events are drawn, so at
-    # T = 1e4 (about 20k events) the build peaks 0.83 event-length arrays
-    # above the finished path at unit rates, where the deltas are written
-    # into the step array (1.42 with a delta array and a step array of
-    # their own), and 2.33 at uniform ones; holding them through the sort
-    # and the cumsum gave 2.43 and 3.64
+    # T = 1e4 (about 20k events) the build peaks 0.01 event-length arrays
+    # above the finished path at unit rates, whose candidate times are
+    # sorted in place, whose deltas are written into the step array and
+    # whose level is formed only when read (0.83 when the build formed the
+    # level), and 2.33 at uniform ones; holding them through the sort and
+    # the cumsum gave 2.43 and 3.64
     T = 1e4
     cfg = TrafficConfig(lam=1.0, law=JointLaw(TailDist.pareto(1.5, 1.0), kind, params),
                         horizon=T, rng=RngStream(0, stream_id=0))
@@ -538,6 +539,33 @@ class TestRateModels:
         j = JointLaw(TailDist.pareto(1.5), kind, RATE_KINDS[kind][0])
         cfg = TrafficConfig(lam=1.0, law=j, horizon=200.0, rng=RngStream(15))
         assert simulate_sessions(cfg).common_rate == j.common_rate
+
+
+@pytest.mark.parametrize("kind", RATE_KINDS)
+def test_sessions_and_paths_in_a_workspace_equal_new_ones(kind):
+    # a long horizon, a short one, then the long one again: the buffers
+    # are taken shorter than their last use and then about as long, so a
+    # replicate that read what the last one left would differ
+    ws = traffic.Workspace()
+    j = JointLaw(TailDist.pareto(1.5), kind, RATE_KINDS[kind][0])
+    for horizon, stream in ((2000.0, 40), (300.0, 41), (2000.0, 42)):
+        cfg = TrafficConfig(lam=1.5, law=j, horizon=horizon, rng=RngStream(stream))
+        got, want = simulate_sessions(cfg, ws), simulate_sessions(cfg)
+        for name in ("gamma", "y", "w"):
+            assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
+        assert got.common_rate == want.common_rate
+        assert_paths_bit_identical(build_path(got, 0.0, horizon, ws), build_path(want, 0.0, horizon))
+
+
+def test_a_second_build_into_a_workspace_shares_its_memory():
+    ws = traffic.Workspace()
+    cfg = TrafficConfig(lam=1.0, law=law(w0=0.5), horizon=1000.0, rng=RngStream(43))
+    first = build_path(simulate_sessions(cfg, ws), 0.0, 1000.0, ws)
+    times, counts = first.times.copy(), first.count_steps.copy()
+    second = build_path(simulate_sessions(cfg, ws), 0.0, 1000.0, ws)
+    assert np.shares_memory(second.times, first.times)
+    assert np.shares_memory(second.count_steps, first.count_steps)
+    assert np.array_equal(second.times, times) and np.array_equal(second.count_steps, counts)
 
 
 class TestConstantRatesAreOneBroadcast:
