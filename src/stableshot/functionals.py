@@ -6,7 +6,9 @@ s -> phi(X_h(s)) is piecewise constant with breakpoints in the event times
 and the event times shifted by -h, so time integrals are computed exactly
 as sum(value * segment length) -- no quadrature.  A functional is built
 from its spec string (``identity``, ``cdf:1``, ``winsup:2``, ...) by
-``harness.make_functional``.
+``harness.make_functional``.  An indicator's integral is the time its
+window stays at or below b, which ``le_time`` reads from the path's
+exceedance runs without the step decomposition.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .traffic import ShotNoisePath
 __all__ = [
     "WindowFunctional",
     "functional_steps",
+    "le_time",
     "sorted_response",
     "empirical_cdf",
 ]
@@ -32,7 +35,8 @@ class WindowFunctional:
     phi reads the statistic s = sup of x over [0, h], which is x(0) at
     h = 0.  ``form`` says what phi does with s: ``("le", b)`` for
     1{s <= b}, ``("min", b)`` for min(s, b), ``("id", None)`` for s
-    itself.  Equal functionals compare equal, and all of them pickle.
+    itself.  Only the indicator reads a window (h > 0): the other forms
+    take h = 0.  Equal functionals compare equal, and all of them pickle.
     """
 
     name: str
@@ -44,6 +48,8 @@ class WindowFunctional:
             raise ValueError(f"unsupported functional form {self.form!r}")
         if not 0 <= self.h < np.inf:
             raise ValueError("window length must be nonnegative and finite")
+        if self.h > 0 and self.form[0] != "le":
+            raise ValueError(f"form {self.form!r} reads no window: it needs h = 0")
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -66,6 +72,11 @@ def functional_steps(path: ShotNoisePath, phi: WindowFunctional, t0: float, t1: 
     range max of the level steps between the counts #{j : times[j] <=
     start} and #{j : times[j] - h <= start}.  At h = 0 the lists coincide:
     the steps are the path's own segments, each window one level step.
+
+    This is the reference decomposition, for any form: the tests and the
+    oracles integrate it, and no run calls it.  The z stage reads an
+    indicator's integral from ``le_time`` and the other forms' (all at
+    h = 0) from the path's own segments.
     """
     if t0 < path.t0 or t1 + phi.h > path.t1 or t0 >= t1:
         raise ValueError("path must cover [t0, t1 + h]")
@@ -97,6 +108,39 @@ def _merged_steps(times, h, t0, t1):
     lo = np.append(i0[0], i0[0] + last + 1 - n_hi)
     hi = np.append(i0[1], i0[1] + n_hi)
     return bounds, lo, hi
+
+
+def le_time(path: ShotNoisePath, phi: WindowFunctional, t0: float, t1: float) -> float:
+    """The measure of {s in [t0, t1] : sup of X over [s, s + h] <= b} for
+    phi of form ("le", b): phi's exact integral over [t0, t1].
+
+    The level exceeds b on runs [a_i, e_i) whose ends are event times
+    (-inf or +inf where a run holds at an end of the path), and a start s
+    sees one in its window exactly when fl(a_i - h) <= s < e_i: the test
+    ``functional_steps`` makes, on the same ``times - h`` floats.  Both
+    ends increase with i, so the starts that see none are the gaps
+    [e_{i-1}, fl(a_i - h)), and the result is the sum of their clipped
+    lengths: one comparison of the levels and one scan for the runs, no
+    sort and no range max.  Requires path data up to t1 + h.
+    """
+    op, b = phi.form
+    if op != "le":
+        raise ValueError(f"le_time needs an indicator functional, got form {phi.form!r}")
+    if t0 < path.t0 or t1 + phi.h > path.t1 or t0 >= t1:
+        raise ValueError("path must cover [t0, t1 + h]")
+    over = path.level_steps > b
+    # the run edges in time order, a_0, e_0, a_1, ..., behind an opening
+    # -inf where the path starts <= b and before a closing +inf where it
+    # ends <= b: gap i is then [edges[2i], fl(edges[2i + 1] - h))
+    flips = path.times[np.flatnonzero(over[1:] != over[:-1])]
+    head = [] if over[0] else [-np.inf]
+    tail = [] if over[-1] else [np.inf]
+    edges = np.concatenate([head, flips, tail])
+    lo = np.maximum(edges[0::2], t0)
+    hi = np.minimum(edges[1::2] - phi.h, t1)
+    # an empty gap clips to a length <= 0 (-inf where a run holds at an
+    # end of the path), never nan
+    return float(np.maximum(hi - lo, 0.0).sum())
 
 
 def sorted_response(form, s):

@@ -19,8 +19,10 @@ horizon's first: one task per horizon at one worker, 4 * workers per
 horizon otherwise.  A task receives the functionals, builds a(T) and the
 law once and returns a block of z-values.  On a constant-rate path each
 h = 0 functional's z is read from the path's occupation measure, the time
-it spends at each count; every other z is the last entry of one in-place
-cumsum over the path's segments.
+it spends at each count; every other indicator's (a window sup, or idle
+and cdf:x at random rates) from the gaps between its exceedance runs;
+and the rest is the last entry of one in-place cumsum over the path's
+segments.
 """
 
 from __future__ import annotations
@@ -429,14 +431,21 @@ def _z_task(task):
     last one's were, so the worker's heap neither grows nor shrinks from
     one replicate to the next (a warm replicate-fanout run cost its two
     workers 21k minor faults with fresh arrays per replicate, 2.8k with
-    the workspace).  With a constant rate w0 the level on [0, T]
-    is w0 times the occupancy count, so an h = 0 functional's z is
-    sum_k (phi(w0 k) - c) L_k / a(T), with L_k the time the path spends
-    at count k: one bincount of the segment lengths serves every such
-    functional.  Otherwise z is the last entry of the sequential cumsum
-    of (phi - c) times the segment lengths, divided by a(T): the prefix
-    integral at T, bit for bit.  Functionals with h = 0 read the path's
-    own segments, so they share the lengths.
+    the workspace).  z takes one of three routes:
+
+    * occupation: with a constant rate w0 the level on [0, T] is w0 times
+      the occupancy count, so an h = 0 functional's z is
+      sum_k (phi(w0 k) - c) L_k / a(T), with L_k the time the path spends
+      at count k: one bincount of the segment lengths serves every such
+      functional;
+    * exceedance runs: any other indicator 1{sup over the window <= b}
+      (every window functional, as only indicators take h > 0) has z =
+      (le_time - c T) / a(T), with ``fns.le_time`` the exact time in
+      [0, T] whose window stays at or below b, summed over the gaps
+      between the runs where the level exceeds b;
+    * cumsum: identity and clipped at random rates (h = 0) take the last
+      entry of the sequential cumsum of (phi - c) times the segment
+      lengths, divided by a(T): the prefix integral at T, bit for bit.
     """
     scenario, t_index, r_lo, r_hi, phis, centerings = task
     T = scenario.T_ladder[t_index]
@@ -465,19 +474,17 @@ def _z_task(task):
             if phi.h == 0.0 and occ is not None:
                 out[i, j] = (phi(w0 * np.arange(occ.size)) - c) @ occ / a_T
                 continue
-            if phi.h == 0.0:
-                vals, seg = phi(levels), dt
-            else:
-                bounds, vals = fns.functional_steps(path, phi, 0.0, T)
-                seg = np.diff(bounds)
-                del bounds
-            # (phi - c) * seg in phi's own output where it makes one:
+            if phi.form[0] == "le":
+                out[i, j] = (fns.le_time(path, phi, 0.0, T) - c * T) / a_T
+                continue
+            # (phi - c) * dt in phi's own output where it makes one:
             # identity returns the read-only level view, so it gets a copy
+            vals = phi(levels)
             area = np.subtract(vals, c, out=vals if vals.flags.writeable else None)
-            area *= seg
+            area *= dt
             out[i, j] = np.cumsum(area, out=area)[-1] / a_T
             # free this functional's arrays before the next one makes its own
-            del vals, seg, area
+            del vals, area
         # hold one path at a time: drop this one before the next is built
         del path, levels, dt
     return out

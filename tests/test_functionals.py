@@ -21,7 +21,7 @@ from stableshot import (
     simulate_sessions,
 )
 from stableshot._backend import kernels
-from stableshot.functionals import WindowFunctional, functional_steps
+from stableshot.functionals import WindowFunctional, functional_steps, le_time
 from stableshot.harness import Scenario, make_functional, response_curve
 
 from oracles import cycle_integrals, eval_level, fresh_sessions, integrate_phi
@@ -74,6 +74,11 @@ class TestBuiltins:
             assert pickle.loads(pickle.dumps(phi)) == phi
         with pytest.raises(ValueError, match="form"):
             WindowFunctional(name="bad", h=1.0, form=("max", 1.0))
+        # only the indicator reads a window
+        for form in (("min", 1.0), ("id", None)):
+            with pytest.raises(ValueError, match="needs h = 0"):
+                WindowFunctional(name="bad", h=1.0, form=form)
+            assert WindowFunctional(name="flat", h=0.0, form=form).h == 0.0
 
 
 class TestIntegration:
@@ -237,6 +242,62 @@ class TestStepsMatchMidpointReference:
             levels += 1.0
         assert not levels.flags.writeable and not counts.flags.writeable
         assert p.level_steps.flags.writeable and p.count_steps.flags.writeable
+
+
+def assert_same_float(got, want):
+    assert float(got).hex() == float(want).hex()
+
+
+class TestLeTimeMatchesStepIntegral:
+    """``le_time`` against the integral of the reference steps: bit for bit
+    where every length and sum is exact, to rounding elsewhere."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=grid_cases())
+    def test_grid_paths_bit_identical(self, case):
+        path, phi, t0, t1 = case
+        if phi.form[0] != "le":
+            with pytest.raises(ValueError, match="indicator"):
+                le_time(path, phi, t0, t1)
+            return
+        assert_same_float(le_time(path, phi, t0, t1), integrate_phi(path, phi, t0, t1))
+
+    @pytest.mark.parametrize(
+        "phi", [make_functional("winsup:0.5", 0.15), make_functional("winsup:1.5", 1.0)]
+    )
+    def test_event_at_path_end_reached_by_rounding(self, phi):
+        # the inputs of the steps' test of that name: the last gap's window
+        # reaches the event at path.t1
+        path = build_path(Sessions([0.5], [0.5], [1.0]), 0.0, 1.0)
+        t1 = np.nextafter(path.t1 - phi.h, 1.0)
+        assert_same_float(le_time(path, phi, 0.0, t1), integrate_phi(path, phi, 0.0, t1))
+
+    @pytest.mark.parametrize(
+        "phi", [make_functional("idle"), make_functional("cdf:1.0"), make_functional("winsup:1.0", 1.0)],
+        ids=lambda phi: phi.name,
+    )
+    def test_path_without_events(self, phi):
+        # no session (idle throughout) and one across the path (level 2 throughout)
+        for sessions in (Sessions([], [], []), Sessions([-3.0], [10.0], [2.0])):
+            path = build_path(sessions, 0.0, 4.0)
+            assert len(path) == 0
+            got = le_time(path, phi, 0.5, 2.5)
+            assert got in (0.0, 2.0)
+            assert_same_float(got, integrate_phi(path, phi, 0.5, 2.5))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_simulated_paths_agree_to_rounding(self, seed):
+        rates = JointLaw(TailDist.pareto(1.5, 1.0), "uniform", (0.1, 1.0))
+        cfg = TrafficConfig(lam=1.0, law=rates, horizon=4002.0, rng=RngStream(seed))
+        path = build_path(simulate_sessions(cfg), 0.0, 4002.0)
+        for phi in (make_functional("idle"), make_functional("cdf:1.5"), make_functional("winsup:3.0", 1.0),
+                    make_functional("winsup:2.0", 2.0)):
+            want = integrate_phi(path, phi, 1.0, 4000.0)
+            assert le_time(path, phi, 1.0, 4000.0) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_rejects_a_short_path(self):
+        with pytest.raises(ValueError, match="cover"):
+            le_time(hand_path(t1=3.0), make_functional("winsup:1.0", 1.0), 0.0, 3.0)
 
 
 H0_FUNCTIONALS = (make_functional("identity"), make_functional("idle"), make_functional("clipped:1.0"), make_functional("cdf:2.0"))
