@@ -171,11 +171,11 @@ def collect_cycle_lengths(
 
     Simulates fresh-start chunks (X(0) = 0, so cycles are i.i.d. from the
     first arrival on) with independent substreams until enough cycles are
-    banked.  A chunk draws its sorted arrivals as ``simulate_sessions``
-    does (``fresh_arrivals``), then each block of durations from the same
-    generator as ``fresh_start_cycle_lengths`` reads it, so the durations
-    equal the sessions' and are never all held; rates, drawn after the
-    durations, are never drawn.  No path is built.
+    banked.  A chunk draws its Poisson count and then its sorted arrivals
+    as ``simulate_sessions`` does (``fresh_arrivals``), then each block of
+    durations from the same generator as ``fresh_start_cycle_lengths``
+    reads it, so the durations equal the sessions' and are never all held;
+    rates, drawn after the durations, are never drawn.  No path is built.
     """
     if not lam > 0:
         raise ValueError("arrival intensity must be positive")
@@ -186,7 +186,7 @@ def collect_cycle_lengths(
     while have < n_target:
         gen = rng.substream(chunk).generator()
         lengths = fresh_start_cycle_lengths(
-            fresh_arrivals(lam, chunk_horizon, gen),
+            fresh_arrivals(gen.poisson(lam * chunk_horizon), chunk_horizon, gen),
             lambda a, b: law.y_dist.sample(b - a, gen),
             chunk_horizon,
         )

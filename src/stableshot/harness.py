@@ -62,9 +62,9 @@ __all__ = [
 ]
 
 # expected sessions one replicate path of a z analysis may draw: a T = 1e5
-# replicate peaks near 85 B per session with h = 0 functionals and 335 B
-# with a window functional at h = 1, so this is about 1.3 GB per worker,
-# or 5 GB
+# replicate, its workspace included, peaks near 64 B per session on unit
+# rates with h = 0 functionals, 96 B with a window functional at h = 1,
+# and 97-104 B on uniform rates, so this is about 1.6 GB per worker
 MAX_PATH_SESSIONS = 1.5e7
 # window draws of one Monte Carlo response curve; their drawn session
 # columns are all held at once (only the sups are reduced a block of draws

@@ -294,9 +294,7 @@ def simulate_sessions(config: TrafficConfig, ws: Workspace | None = None) -> Ses
     # constant rates stay one broadcast, which sample_rates does not write
     w = np.broadcast_to(w0, n) if w0 is not None else _column(ws, "w", n)
     fresh = slice(head, n)
-    gen.random(out=gamma[fresh])
-    gamma[fresh] *= config.horizon  # the bits of gen.uniform(0.0, horizon, n_fresh)
-    gamma[fresh].sort()
+    fresh_arrivals(n_fresh, config.horizon, gen, gamma[fresh])
     # the draws of law.sample_pairs, then of law.sample_size_biased_pairs
     law.y_dist.sample(n_fresh, gen, y[fresh])
     law.sample_rates(n_fresh, gen, w[fresh])
@@ -325,11 +323,15 @@ def _with_room(col: np.ndarray, head: int, n0: int) -> np.ndarray:
     return out
 
 
-def fresh_arrivals(lam: float, horizon: float, gen: np.random.Generator) -> np.ndarray:
-    """The sorted arrival times of intensity ``lam`` on [0, horizon]: a Poisson
-    count, then that many uniforms, the first draws ``simulate_sessions`` takes
-    from ``gen``.  The sessions' durations come next in the stream."""
-    gamma = gen.uniform(0.0, horizon, gen.poisson(lam * horizon))
+def fresh_arrivals(n: int, horizon: float, gen: np.random.Generator, out=None) -> np.ndarray:
+    """n sorted arrival times uniform on [0, horizon], written into ``out``
+    when given.  With n a Poisson(lam * horizon) draw they are a Poisson
+    process of intensity lam on [0, horizon]: ``simulate_sessions`` and the
+    cycle chunks draw that count from ``gen`` just before them, and the
+    sessions' durations come next in the stream."""
+    gamma = np.empty(n) if out is None else out
+    gen.random(out=gamma)
+    gamma *= horizon  # the bits of gen.uniform(0.0, horizon, n)
     gamma.sort()
     return gamma
 
@@ -337,137 +339,131 @@ def fresh_arrivals(lam: float, horizon: float, gen: np.random.Generator) -> np.n
 def build_path(
     sessions: Sessions, t0: float, t1: float, ws: Workspace | None = None
 ) -> ShotNoisePath:
-    """Assemble the event-sorted path of the session superposition.
+    """Assemble the event-sorted path of the session superposition on
+    [t0, t1], for t0 >= 0.
 
     Sessions straddling t0 are folded into the initial level/count;
     departures past t1 are dropped (the level simply never decreases
-    there).  Coincident deltas are merged into one net event.  When every
-    session has the same rate w0 and t0 >= 0, the path is built from the
-    occupancy count alone, and its level w0 * count (exact whatever the
-    order) is formed when first read.  That route's times are a view of
-    one array of every session's arrival and departure; with a workspace,
-    that array and the counts are its buffers ``times`` and ``steps``.
+    there).  Coincident deltas are merged into one net event.  Every
+    session's arrival and departure is a candidate event packed into one
+    integer key, and the times and counts are read from the sorted keys.
+    When every session has the same rate w0 the keys are sorted in place,
+    and the level w0 * count (exact whatever the order) is formed when
+    first read.  Otherwise a stable argsort of the keys also gathers each
+    event's rate, and the level is the running sum of the signed rates on
+    top of the rates alive at t0.  With a workspace the times, the counts
+    and the levels are its buffers ``times``, ``steps`` and ``levels``.
     """
+    if not t0 >= 0:
+        raise ValueError(f"build_path needs t0 >= 0, got t0 = {t0!r}")
     w0 = sessions.common_rate
-    if w0 is not None and t0 >= 0:
-        # each session's arrival, then each one's departure: the candidate
-        # events, of which those in (t0, t1] are the path's
-        n = len(sessions)
-        times = _column(ws, "times", 2 * n)
-        times[:n] = sessions.gamma
-        np.add(sessions.gamma, sessions.y, out=times[n:])
-        del sessions  # the last reference when the caller passed them inline
-        # candidates before t0 are moved to t0, so every time is >= t0 >= 0
-        # and the bit patterns of these floats sort as unsigned integers;
-        # shifted left, they carry is_departure in the low bit (an arrival
-        # sorts before a departure at the same time, as in the stable
-        # argsort), and one in-place sort orders the candidates
-        np.maximum(times, t0, out=times)
-        keys = times.view(np.uint64)
-        keys <<= 1
-        keys[n:] |= 1
+    # each session's arrival, then each one's departure: the candidate
+    # events, of which those in (t0, t1] are the path's
+    n = len(sessions)
+    times = _column(ws, "times", 2 * n)
+    times[:n] = sessions.gamma
+    np.add(sessions.gamma, sessions.y, out=times[n:])
+    if w0 is None:
+        # the rates alive at t0, summed in session order
+        w = sessions.w
+        alive = sessions.gamma <= t0
+        alive &= times[n:] > t0
+        init_level = float(w[alive].sum())
+        del alive
+    del sessions  # the last reference when the caller passed them inline (w stays)
+    # candidates before t0 are moved to t0, so every time is >= t0 >= 0
+    # and the bit patterns of these floats sort as unsigned integers;
+    # shifted left, they carry is_departure in the low bit, so an arrival
+    # sorts before a departure at the same time.  Equal rates need only
+    # the sorted keys; mixed ones need the order, stable so that equal
+    # keys keep session order
+    np.maximum(times, t0, out=times)
+    keys = times.view(np.uint64)
+    keys <<= 1
+    keys[n:] |= 1
+    order = None
+    if w0 is None:
+        order = np.argsort(keys, kind="stable")
+    else:
         keys.sort()
-        # the arrivals at t0, then the departures at t0, then the events,
-        # then the candidates past t1; the sessions alive at t0 are the
-        # arrivals by t0 less the departures by t0
-        k0, k1 = np.array([t0, t1]).view(np.uint64) << 1 | 1
-        lo, hi = keys.searchsorted([k0, k1], "right")
-        init_count = 2 * int(keys.searchsorted(k0, "left")) - int(lo)
-        keys, times = keys[lo:hi], times[lo:hi]
-        # one int64 step array: each event's delta 1 - 2 * is_departure
-        # goes into steps[1:], ties merge into a prefix of it, and the
-        # running count (exact in int64) plus the initial count is written
-        # over the deltas.  With a workspace the candidates and the steps
-        # reuse the last replicate's buffers: fresh arrays per replicate
-        # were handed back to the OS and faulted in again, 2.3k minor
-        # faults per T = 1e5 replicate, and 87 with the workspace
-        steps = _column(ws, "steps", keys.size + 1, np.int64)
-        deltas = steps[1:]
+    # the arrivals at t0, then the departures at t0, then the events,
+    # then the candidates past t1; the sessions alive at t0 are the
+    # arrivals by t0 less the departures by t0
+    k0, k1 = np.array([t0, t1]).view(np.uint64) << 1 | 1
+    lo, hi = keys.searchsorted([k0, k1], "right", sorter=order)
+    init_count = 2 * int(keys.searchsorted(k0, "left", sorter=order)) - int(lo)
+    # one int64 step array: each event's delta 1 - 2 * is_departure goes
+    # into steps[1:], ties merge into a prefix of it, and the running count
+    # (exact in int64) plus the initial count is written over the deltas.
+    # With a workspace the times and the steps reuse the last replicate's
+    # buffers: fresh arrays per replicate were handed back to the OS and
+    # faulted in again, 2.3k minor faults per T = 1e5 unit-rate replicate,
+    # and 87 with the workspace (a uniform-rate simulate and build: 2.5k
+    # without it, 30 with it)
+    times = times[lo:hi]
+    steps = _column(ws, "steps", times.size + 1, np.int64)
+    deltas = steps[1:]
+    if w0 is not None:
+        keys = keys[lo:hi]
         np.bitwise_and(keys, 1, out=deltas.view(np.uint64))
-        deltas *= -2
-        deltas += 1
         keys >>= 1
-        times, (merged,) = _merge_ties(times, deltas)
-        if merged.size < deltas.size:
-            steps = steps[: merged.size + 1]
-            steps[1:] = merged
-        steps[0] = init_count
-        if ws is None:
-            # the kernel takes no out argument: the benchmark's tracer counts
-            # its calls by their one argument
-            np.add(kernels.compensated_cumsum(steps[1:]), init_count, out=steps[1:])
-        else:
-            np.cumsum(steps, out=steps)  # in place, from steps[0] = init_count
+    else:
+        # the events' keys go into the deltas' place and their times back
+        # into the candidates' buffer; each event's rate is its session's,
+        # candidate i's session being i mod n ('wrap', which also writes
+        # straight into out, where 'raise' would gather into a copy first)
+        order = order[lo:hi]
+        keys = np.take(keys, order, out=deltas.view(np.uint64), mode="wrap")
+        levels = _column(ws, "levels", times.size + 1)
+        np.take(w, order, out=levels[1:], mode="wrap")
+        del order, w
+        np.right_shift(keys, 1, out=times.view(np.uint64))
+        keys &= 1
+    deltas *= -2
+    deltas += 1
+    if w0 is not None:
+        m = _merge_ties(times, deltas)
+    else:
+        levels[1:] *= deltas  # each event's signed rate, exactly
+        m = _merge_ties(times, deltas, levels[1:])
+    times, steps = times[:m], steps[: m + 1]
+    steps[0] = init_count
+    if ws is None:
+        # the kernel takes no out argument: the benchmark's tracer counts
+        # its calls by their one argument
+        np.add(kernels.compensated_cumsum(steps[1:]), init_count, out=steps[1:])
+    else:
+        np.cumsum(steps, out=steps)  # in place, from steps[0] = init_count
+    if w0 is not None:
         return ShotNoisePath(t0, t1, times, w0, steps)
-    times, r_delta, n_arr, init_level, init_count = _session_events(sessions, t0, t1)
-    del sessions
-    # gather one column at a time and drop the permutation before the steps
-    # are formed (numpy frees each source as it is rebound)
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    r_delta = r_delta[order]
-    c_delta = np.where(order < n_arr, 1, -1)  # the first n_arr events are the arrivals
-    del order
-    times, (r_delta, c_delta) = _merge_ties(times, r_delta, c_delta)
-    level_steps = _steps(kernels.compensated_cumsum(r_delta), init_level)
-    count_steps = _steps(np.cumsum(c_delta, out=c_delta), init_count)
-    level_steps[count_steps == 0] = 0.0  # drop float residues of departed rates
+    levels = levels[: m + 1]
+    running = kernels.compensated_cumsum(levels[1:])
     # a running float sum may dip below 0 by a slack of 1e-9 * accumulated
     # |w| (|deltas| in place: they are not read again)
-    if np.any(level_steps < -1e-9 * float(np.abs(r_delta, out=r_delta).sum())):
+    slack = 1e-9 * float(np.abs(levels[1:], out=levels[1:]).sum())
+    levels[0] = init_level
+    np.add(running, init_level, out=levels[1:])
+    del running
+    levels[steps == 0] = 0.0  # drop float residues of departed rates
+    if np.any(levels < -slack):
         raise ValueError("level went below numerical slack")
-    return ShotNoisePath(t0, t1, times, level_steps, count_steps)
+    return ShotNoisePath(t0, t1, times, levels, steps)
 
 
-def _steps(running, init):
-    """A path's step array: ``init`` before the first event, then
-    ``init + running`` after each."""
-    steps = np.empty(running.size + 1, dtype=running.dtype)
-    steps[0] = init
-    np.add(running, init, out=steps[1:])
-    return steps
-
-
-def _merge_ties(times, *deltas):
-    """Sorted ``times`` with each run of equal times merged into one event
-    whose deltas are the run's sums."""
+def _merge_ties(times, *deltas) -> int:
+    """Merge each run of equal sorted ``times`` into one event, in place:
+    the runs' times, and each delta array's sums over the runs, go into a
+    prefix of each array, whose length is returned."""
     tie = times[1:] == times[:-1]
     if not tie.any():
-        return times, deltas
+        return times.size
     # first event of each run of equal times
     start_idx = np.flatnonzero(np.r_[True, ~tie])
-    return times[start_idx], tuple(np.add.reduceat(d, start_idx) for d in deltas)
-
-
-def _session_events(sessions: Sessions, t0: float, t1: float):
-    """(times, rate deltas, arrival count, init level, init count) of
-    build_path's route by rates: the arrivals in (t0, t1], then the
-    departures in (t0, t1] of sessions arriving by t1, each in session
-    order, written straight into the two event arrays; and the sessions
-    alive at t0."""
-    gamma, w = sessions.gamma, sessions.w
-    dep = gamma + sessions.y
-    dep_after = dep > t0
-    arr_by = gamma <= t1
-    at_init = gamma <= t0
-    at_init &= dep_after
-    init_count = int(np.count_nonzero(at_init))
-    arr_mask = gamma > t0
-    arr_mask &= arr_by
-    dep_mask = dep <= t1
-    dep_mask &= dep_after
-    dep_mask &= arr_by
-    n_arr = int(np.count_nonzero(arr_mask))
-    n_ev = n_arr + int(np.count_nonzero(dep_mask))
-    times = np.empty(n_ev)
-    np.compress(arr_mask, gamma, out=times[:n_arr])
-    np.compress(dep_mask, dep, out=times[n_arr:])
-    init_level = float(w[at_init].sum())
-    r_delta = np.empty(n_ev)
-    np.compress(arr_mask, w, out=r_delta[:n_arr])
-    np.compress(dep_mask, w, out=r_delta[n_arr:])
-    np.negative(r_delta[n_arr:], out=r_delta[n_arr:])
-    return times, r_delta, n_arr, init_level, init_count
+    del tie
+    times[: start_idx.size] = times[start_idx]
+    for d in deltas:
+        d[: start_idx.size] = np.add.reduceat(d, start_idx)
+    return start_idx.size
 
 
 def stationary_window_draws(config: TrafficConfig, n: int, rng: RngStream, h: float = 0.0):

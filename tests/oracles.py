@@ -74,7 +74,7 @@ def fresh_sessions(config):
     arrivals and then their (duration, rate) pairs, drawn from one
     generator as ``simulate_sessions`` draws its fresh sessions."""
     gen = config.rng.generator()
-    gamma = fresh_arrivals(config.lam, config.horizon, gen)
+    gamma = fresh_arrivals(gen.poisson(config.lam * config.horizon), config.horizon, gen)
     return Sessions(gamma, *config.law.sample_pairs(gamma.size, gen))
 
 

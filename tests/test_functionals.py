@@ -314,11 +314,12 @@ def assert_steps_are_segments(path, t0, t1):
 @st.composite
 def level_cases(draw, common_rate):
     """(path, t0, t1) with every event time and range end on GRID, so
-    sessions tie and range ends sit on events.  With ``common_rate`` every
-    session has one rate and build_path counts occupancy from t0 = 0;
-    otherwise each session draws its own rate and the path starts at
-    t0 = -1, so build_path sums rate steps."""
-    start, end = (0, 40) if common_rate else (-4, 40)
+    sessions tie and range ends sit on events.  The path starts at t0 = 0,
+    and sessions start up to 8 grid steps earlier, so some straddle it.
+    With ``common_rate`` every session has one rate and the level is w0
+    times the count; otherwise each session draws its own rate and
+    build_path sums rate steps."""
+    start, end = 0, 40
     n = draw(st.integers(0, 25))
     starts = draw(st.lists(st.integers(start - 8, end + 2), min_size=n, max_size=n))
     lengths = draw(st.lists(st.integers(1, 24), min_size=n, max_size=n))

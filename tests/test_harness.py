@@ -798,7 +798,7 @@ def test_window_replicate_peak_memory():
     # one uniform-rate replicate at T = 1e4 with winsup:3 at h = 1, about
     # 20k events: the window's integral adds at most one event-length float
     # array to what the replicate holds without it (its sessions, its path
-    # and build_path's sort by rates).  Merged steps and a sparse table
+    # and build_path's argsort).  Merged steps and a sparse table
     # added about 16 such arrays
     sc = tiny_scenario(w_kind="uniform", w_params=(0.1, 1.0), window_h=1.0, T_ladder=(1e4,),
                        replicates=1)

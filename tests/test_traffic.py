@@ -75,6 +75,19 @@ class TestBuildPath:
         assert np.array_equal(p.count_steps[1:], [2, 2, 4, 3, 1, 0])
         assert_paths_bit_identical(p, reference_build_path(s, 0.0, 3.0))
 
+    def test_tied_rates_add_in_session_order(self):
+        # 300 sessions arrive at 1, 2 and 3 in turn and leave 4 later, with
+        # rates whose float sums depend on their order: each merged event
+        # adds its 100 rates in session order, which a stable sort of the
+        # interleaved keys keeps and an unstable one does not
+        w = np.random.default_rng(12).uniform(0.1, 1.0, 300)
+        assert np.add.reduce(w[::3]) != np.add.reduce(w[::-3])
+        s = Sessions(1.0 + np.arange(300) % 3, np.full(300, 4.0), w)
+        p = build_path(s, 0.0, 8.0)
+        assert np.array_equal(p.times, [1.0, 2.0, 3.0, 5.0, 6.0, 7.0])
+        assert p.level_steps[1] == np.add.reduce(w[::3])
+        assert_paths_bit_identical(p, reference_build_path(s, 0.0, 8.0))
+
     def test_merge_matches_unique_on_tied_grid(self):
         # arrivals and durations on a quarter grid, so many events tie
         gen = np.random.default_rng(11)
@@ -257,14 +270,9 @@ class TestCountRoute:
         assert np.array_equal(_bits(p.level_steps), _bits(w0 * p.count_steps))
         assert_paths_bit_identical(p, reference_build_path(s, t0, t0 + span))
 
-    @pytest.mark.parametrize(
-        "w, t0",
-        [([0.1, 0.1, 0.1, 0.1], -1.0), ([1.0, 1.0, 1.0, 1.0], -0.25),
-         ([0.1, 0.7, 0.1, 0.1], 0.0), ([1.0, 2.0, 1.0, 1.0], 0.5)],
-    )
-    def test_mixed_rates_or_negative_t0_keep_the_rate_sums(self, w, t0):
-        # ties at 0.5 and 1.0; one session straddles each t0, and one
-        # arrives at -0.5, inside the path when t0 = -1
+    @pytest.mark.parametrize("w, t0", [([0.1, 0.7, 0.1, 0.1], 0.0), ([1.0, 2.0, 1.0, 1.0], 0.5)])
+    def test_mixed_rates_keep_the_rate_sums(self, w, t0):
+        # ties at 0.5 and 1.0, and one session straddles each t0
         s = Sessions([-2.0, -0.5, 1.0, 1.0], [2.5, 1.0, 0.5, 2.0], w)
         p = build_path(s, t0, 4.0)
         # the reference's levels here are the running sums of the rate deltas
@@ -281,13 +289,15 @@ class TestCountRoute:
     "kind, params, arrays", [("constant", (1.0,), 1.0), ("uniform", (0.1, 1.0), 2.75)]
 )
 def test_build_path_releases_sessions_passed_inline(kind, params, arrays):
-    # sessions passed inline die once their events are drawn, so at
-    # T = 1e4 (about 20k events) the build peaks 0.01 event-length arrays
-    # above the finished path at unit rates, whose candidate times are
-    # sorted in place, whose deltas are written into the step array and
-    # whose level is formed only when read (0.83 when the build formed the
-    # level), and 2.33 at uniform ones; holding them through the sort and
-    # the cumsum gave 2.43 and 3.64
+    # sessions passed inline die once their candidate events are drawn, so
+    # at T = 1e4 (about 20k events) the build peaks 0.01 event-length
+    # arrays above the finished path at unit rates, whose candidate keys
+    # are sorted in place, whose deltas are written into the step array
+    # and whose level is formed only when read, and 1.51 at uniform ones,
+    # whose argsort indices and the sessions' rate column live until the
+    # rates are gathered (2.33 with a second route that gathered the
+    # events by masks); holding the sessions through the sort and the
+    # cumsum gave 2.43 and 3.64
     T = 1e4
     cfg = TrafficConfig(lam=1.0, law=JointLaw(TailDist.pareto(1.5, 1.0), kind, params),
                         horizon=T, rng=RngStream(0, stream_id=0))
@@ -336,13 +346,26 @@ class TestShotNoisePathChecks:
         with pytest.raises(ValueError, match="t0 < t1"):
             traffic.ShotNoisePath(1.0, 1.0, [], [0.0], [0])
 
-    # equal rates take the count route at t0 >= 0, mixed ones the level
-    # route; both end in the constructor's range check
+    # equal rates sort their keys in place, mixed ones argsort them; both
+    # end in the constructor's range check
     @pytest.mark.parametrize("w", [[0.5, 0.5, 0.5], [0.5, 1.0, 0.5]])
-    @pytest.mark.parametrize("t0, t1", [(1.0, 1.0), (2.0, 1.0), (-1.0, -1.0), (-1.0, -2.0)])
+    @pytest.mark.parametrize("t0, t1", [(1.0, 1.0), (2.0, 1.0)])
     def test_build_path_needs_t0_before_t1(self, w, t0, t1):
         s = Sessions([-3.0, 0.5, 1.5], [5.0, 1.0, 1.0], w)
         with pytest.raises(ValueError, match="t0 < t1"):
+            build_path(s, t0, t1)
+
+    # a time below 0 has the sign bit set, so its bit pattern would not
+    # sort as an unsigned integer among the candidate keys: build_path
+    # rejects t0 < 0 (and NaN) before it reads a session, whatever the rates
+    @pytest.mark.parametrize("w", [[0.5, 0.5, 0.5], [0.5, 1.0, 0.5]])
+    @pytest.mark.parametrize(
+        "t0, t1",
+        [(-1.0, 4.0), (-0.25, 4.0), (-5.0, 2000.0), (-1.0, -1.0), (-1.0, -2.0), (math.nan, 4.0)],
+    )
+    def test_build_path_rejects_t0_below_0(self, w, t0, t1):
+        s = Sessions([-3.0, 0.5, 1.5], [5.0, 1.0, 1.0], w)
+        with pytest.raises(ValueError, match=rf"needs t0 >= 0, got t0 = {t0!r}$"):
             build_path(s, t0, t1)
 
 
@@ -379,9 +402,20 @@ class TestSessionsValidation:
 
 class TestSimulate:
     def test_arrival_rate(self):
-        gamma = fresh_arrivals(2.0, 5000.0, RngStream(6).generator())
+        cfg = TrafficConfig(lam=2.0, law=law(), horizon=5000.0, rng=RngStream(6))
+        gamma = fresh_sessions(cfg).gamma
         n_inside = int(((gamma >= 0) & (gamma <= 5000.0)).sum())
         assert n_inside == pytest.approx(10_000, rel=0.05)
+
+    def test_fresh_arrivals_are_sorted_uniform_draws(self):
+        # written into out when given, with the bits of gen.uniform(0, horizon)
+        gen, ref = RngStream(6).generator(), RngStream(6).generator()
+        out = np.empty(1000)
+        assert fresh_arrivals(1000, 50.0, gen, out) is out
+        assert np.array_equal(_bits(out), _bits(np.sort(ref.uniform(0.0, 50.0, 1000))))
+        fresh = fresh_arrivals(10, 50.0, gen)
+        assert np.array_equal(_bits(fresh), _bits(np.sort(ref.uniform(0.0, 50.0, 10))))
+        assert gen.random() == ref.random()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -557,15 +591,22 @@ def test_sessions_and_paths_in_a_workspace_equal_new_ones(kind):
         assert_paths_bit_identical(build_path(got, 0.0, horizon, ws), build_path(want, 0.0, horizon))
 
 
-def test_a_second_build_into_a_workspace_shares_its_memory():
+@pytest.mark.parametrize("kind", RATE_KINDS)
+def test_a_second_build_into_a_workspace_shares_its_memory(kind):
+    # every rate law's times and counts, and random rates' levels, are
+    # workspace buffers (a constant law's level is formed when read)
     ws = traffic.Workspace()
-    cfg = TrafficConfig(lam=1.0, law=law(w0=0.5), horizon=1000.0, rng=RngStream(43))
+    j = JointLaw(TailDist.pareto(1.5), kind, RATE_KINDS[kind][0])
+    cfg = TrafficConfig(lam=1.0, law=j, horizon=1000.0, rng=RngStream(43))
     first = build_path(simulate_sessions(cfg, ws), 0.0, 1000.0, ws)
     times, counts = first.times.copy(), first.count_steps.copy()
+    levels = first.level_steps.copy()
     second = build_path(simulate_sessions(cfg, ws), 0.0, 1000.0, ws)
     assert np.shares_memory(second.times, first.times)
     assert np.shares_memory(second.count_steps, first.count_steps)
+    assert np.shares_memory(second.level_steps, first.level_steps) == (j.common_rate is None)
     assert np.array_equal(second.times, times) and np.array_equal(second.count_steps, counts)
+    assert np.array_equal(_bits(second.level_steps), _bits(levels))
 
 
 class TestConstantRatesAreOneBroadcast:
@@ -581,8 +622,9 @@ class TestConstantRatesAreOneBroadcast:
         assert s.w.strides == (0,) and not s.w.flags.writeable
         assert len(s.w) == len(s) and s.common_rate == 0.7
 
-    # t0 = 0 takes the count route, t0 < 0 the rate sums (1/3 leaves residues)
-    @pytest.mark.parametrize("t0", [0.0, -5.0])
+    # t0 = 37.5 moves the stationary sessions' candidates and the early
+    # ones to t0
+    @pytest.mark.parametrize("t0", [0.0, 37.5])
     def test_paths_equal_those_of_full_rate_arrays(self, t0):
         cfg = TrafficConfig(lam=1.5, law=law(w0=1.0 / 3.0), horizon=2000.0, rng=RngStream(31))
         s = simulate_sessions(cfg)
