@@ -74,9 +74,9 @@ def functional_steps(path: ShotNoisePath, phi: WindowFunctional, t0: float, t1: 
     the steps are the path's own segments, each window one level step.
 
     This is the reference decomposition, for any form: the tests and the
-    oracles integrate it, and no run calls it.  The z stage reads an
-    indicator's integral from ``le_time`` and the other forms' (all at
-    h = 0) from the path's own segments.
+    oracles integrate it, and no run calls it.  The z stage reads a window
+    indicator's integral from ``le_time`` and every h = 0 functional's
+    from the path's occupation measure.
     """
     if t0 < path.t0 or t1 + phi.h > path.t1 or t0 >= t1:
         raise ValueError("path must cover [t0, t1 + h]")
@@ -184,12 +184,14 @@ def _count_le(s, w, b):
 
 
 def empirical_cdf(path: ShotNoisePath, T: float, x_grid) -> np.ndarray:
-    """Time-average CDF E(x) = T^{-1} * measure{s <= T : X(s) <= x}, exact."""
+    """Time-average CDF E(x) = (T - t0)^{-1} * measure{s in [t0, T] : X(s) <= x},
+    exact: the distribution function of ``path.occupation(T)``."""
     x_grid = np.asarray(x_grid, dtype=float)
-    if np.any(np.diff(x_grid) < 0):
-        raise ValueError("x grid must be sorted")
-    bounds, levels, _ = path.segments(path.t0, T)
+    # NaN fails every comparison, so the test for a descent lets it through
+    if np.isnan(x_grid).any() or np.any(np.diff(x_grid) < 0):
+        raise ValueError("x grid must be sorted and hold no NaN")
+    levels, lengths = path.occupation(T)
     # time spent at levels in (x_grid[j-1], x_grid[j]], then summed up the grid
     bins = np.searchsorted(x_grid, levels, side="left")
-    time_in = np.bincount(bins, weights=np.diff(bounds), minlength=x_grid.size + 1)
+    time_in = np.bincount(bins, weights=lengths, minlength=x_grid.size + 1)
     return np.cumsum(time_in[: x_grid.size]) / (T - path.t0)

@@ -17,12 +17,10 @@ path is simulated once per horizon for the whole run.
 Replicates go to the worker pool in contiguous chunks, the longest
 horizon's first: one task per horizon at one worker, 4 * workers per
 horizon otherwise.  A task receives the functionals, builds a(T) and the
-law once and returns a block of z-values.  On a constant-rate path each
-h = 0 functional's z is read from the path's occupation measure, the time
-it spends at each count; every other indicator's (a window sup, or idle
-and cdf:x at random rates) from the gaps between its exceedance runs;
-and the rest is the last entry of one in-place cumsum over the path's
-segments.
+law once and returns a block of z-values.  Each h = 0 functional's z is
+its integral against the path's occupation measure, the time the path
+spends at each level, read as the last entry of one in-place cumsum; a
+window functional's is read from the gaps between its exceedance runs.
 """
 
 from __future__ import annotations
@@ -62,9 +60,9 @@ __all__ = [
 ]
 
 # expected sessions one replicate path of a z analysis may draw: a T = 1e5
-# replicate, its workspace included, peaks near 64 B per session on unit
+# replicate, its workspace included, peaks near 71 B per session on unit
 # rates with h = 0 functionals, 96 B with a window functional at h = 1,
-# and 97-104 B on uniform rates, so this is about 1.6 GB per worker
+# and 97-106 B on uniform rates, so this is about 1.6 GB per worker
 MAX_PATH_SESSIONS = 1.5e7
 # window draws of one Monte Carlo response curve; their drawn session
 # columns are all held at once (only the sups are reduced a block of draws
@@ -427,81 +425,50 @@ def _z_task(task):
 
     a(T) and the law are built once per chunk, and each replicate's path
     is simulated once.  The chunk's replicates share one workspace: each
-    writes its sessions, its count path and its segment lengths where the
-    last one's were, so the worker's heap neither grows nor shrinks from
-    one replicate to the next (a warm replicate-fanout run cost its two
+    writes its sessions, its path and its segment lengths where the last
+    one's were, so the worker's heap neither grows nor shrinks from one
+    replicate to the next (a warm replicate-fanout run cost its two
     workers 21k minor faults with fresh arrays per replicate, 2.8k with
-    the workspace).  z takes one of three routes:
+    the workspace).  z takes one of two routes, by phi's window:
 
-    * occupation: with a constant rate w0 the level on [0, T] is w0 times
-      the occupancy count, so an h = 0 functional's z is
-      sum_k (phi(w0 k) - c) L_k / a(T), with L_k the time the path spends
-      at count k: one bincount of the segment lengths serves every such
-      functional;
-    * exceedance runs: any other indicator 1{sup over the window <= b}
-      (every window functional, as only indicators take h > 0) has z =
-      (le_time - c T) / a(T), with ``fns.le_time`` the exact time in
+    * h = 0: z is the integral of phi - c against the path's occupation
+      measure on [0, T] (``path.occupation``), over a(T): the last entry
+      of one in-place cumsum of (phi(levels) - c) * lengths.  The measure
+      is in time order on a random-rate path, so this is the prefix
+      integral at T bit for bit, and in count order on a common-rate one;
+    * h > 0 (only indicators 1{sup over the window <= b} read a window):
+      z = (le_time - c T) / a(T), with ``fns.le_time`` the exact time in
       [0, T] whose window stays at or below b, summed over the gaps
-      between the runs where the level exceeds b;
-    * cumsum: identity and clipped at random rates (h = 0) take the last
-      entry of the sequential cumsum of (phi - c) times the segment
-      lengths, divided by a(T): the prefix integral at T, bit for bit.
+      between the runs where the level exceeds b.
     """
     scenario, t_index, r_lo, r_hi, phis, centerings = task
     T = scenario.T_ladder[t_index]
     h = scenario.window_h
     a_T = float(tail_quantile_a(scenario.y_dist(), T))
-    law = scenario.law()
-    w0 = law.common_rate
     # replicate streams have always been drawn on [0, T + 2h], though the
     # path reads only [0, T + h]: perfbench/reference.json pins those streams
-    base = TrafficConfig(lam=scenario.lam, law=law, horizon=T + 2 * h)
+    base = TrafficConfig(lam=scenario.lam, law=scenario.law(), horizon=T + 2 * h)
     ws = Workspace()
     out = np.empty((len(phis), r_hi - r_lo))
     for j, r in enumerate(range(r_lo, r_hi)):
         cfg = replace(base, rng=RngStream(scenario.seed, stream_id=r).substream(t_index))
         path = build_path(simulate_sessions(cfg, ws), 0.0, T + h, ws)
-        # the segments of [0, T]: path step i spans dt[i]
-        dt = _segment_lengths(path.times, T, ws)
-        occ = levels = None
-        if w0 is not None:
-            # occ[k]: the time in [0, T] at count k, whose level is w0 * k
-            occ = np.bincount(path.count_steps[: dt.size], weights=dt)
-        else:
-            levels = path.level_steps[: dt.size]
-            levels.flags.writeable = False
+        levels, lengths = path.occupation(T, ws)
         for i, (phi, c) in enumerate(zip(phis, centerings)):
-            if phi.h == 0.0 and occ is not None:
-                out[i, j] = (phi(w0 * np.arange(occ.size)) - c) @ occ / a_T
-                continue
-            if phi.form[0] == "le":
+            if phi.h > 0:
                 out[i, j] = (fns.le_time(path, phi, 0.0, T) - c * T) / a_T
                 continue
-            # (phi - c) * dt in phi's own output where it makes one:
-            # identity returns the read-only level view, so it gets a copy
+            # (phi - c) * lengths in phi's own output where it makes one:
+            # identity returns the read-only levels, so it gets a copy
             vals = phi(levels)
             area = np.subtract(vals, c, out=vals if vals.flags.writeable else None)
-            area *= dt
+            area *= lengths
             out[i, j] = np.cumsum(area, out=area)[-1] / a_T
             # free this functional's arrays before the next one makes its own
             del vals, area
         # hold one path at a time: drop this one before the next is built
-        del path, levels, dt
+        del path, levels, lengths
     return out
-
-
-def _segment_lengths(times, T: float, ws) -> np.ndarray:
-    """np.diff of the segment bounds of [0, T], 0, then the event times
-    before T, then T, written into the workspace's buffer ``dt``."""
-    k = int(np.searchsorted(times, T, side="left"))
-    dt = ws.take("dt", k + 1)
-    if k == 0:
-        dt[0] = T
-        return dt
-    dt[0] = times[0]  # times[0] - 0.0
-    np.subtract(times[1:k], times[: k - 1], out=dt[1:k])
-    dt[k] = T - times[k - 1]
-    return dt
 
 
 def _z_matrix(scenario: Scenario, phis, centerings, workers: int) -> np.ndarray:

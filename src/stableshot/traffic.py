@@ -186,7 +186,8 @@ class ShotNoisePath:
     count-based cycles whatever the rates.
 
     ``level_steps`` may be given as a number w0, the common rate of every
-    session: the level is then ``count_steps * w0``, formed when first read.
+    session: ``common_rate`` is then w0 (otherwise None), and the level
+    ``count_steps * w0`` is formed when first read.
     """
 
     def __init__(self, t0, t1, times, level_steps, count_steps):
@@ -194,9 +195,8 @@ class ShotNoisePath:
         self.t1 = float(t1)
         self.times = np.asarray(times, dtype=float)
         self.count_steps = np.asarray(count_steps, dtype=np.int64)
-        self._level = float(level_steps) if np.ndim(level_steps) == 0 else (
-            np.asarray(level_steps, dtype=float)
-        )
+        self.common_rate = float(level_steps) if np.ndim(level_steps) == 0 else None
+        self._level = None if self.common_rate is not None else np.asarray(level_steps, float)
         if self.t0 >= self.t1:
             raise ValueError("need t0 < t1")
         if len(self.times) and (
@@ -206,19 +206,49 @@ class ShotNoisePath:
         if np.any(self.times[1:] <= self.times[:-1]):
             raise ValueError("event times must be strictly increasing (merged)")
         n = len(self.times) + 1
-        if len(self.count_steps) != n or np.ndim(self._level) and len(self._level) != n:
+        if len(self.count_steps) != n or self._level is not None and len(self._level) != n:
             raise ValueError(f"each step array needs len(times) + 1 = {n} entries")
         if self.count_steps.min() < 0:
             raise ValueError("occupancy count went negative")
 
     @property
     def level_steps(self) -> np.ndarray:
-        if np.ndim(self._level) == 0:
-            self._level = self.count_steps * self._level
+        if self._level is None:
+            self._level = self.count_steps * self.common_rate
         return self._level
 
     def __len__(self):
         return len(self.times)
+
+    def occupation(self, T: float, ws: Workspace | None = None):
+        """(levels, lengths), read-only: the path's occupation measure on
+        [t0, T], the time ``lengths[i]`` it spends at level ``levels[i]``.
+
+        On a common-rate path levels is w0 * k for k = 0..K, the largest
+        count on [t0, T], and lengths one bincount of the segment lengths
+        by count, so it adds in count order.  Otherwise each entry is one
+        segment of [t0, T], in time order, its level a view of
+        ``level_steps``.  The segment lengths are the workspace's buffer
+        ``dt`` when ``ws`` is given.
+        """
+        if not self.t0 < T <= self.t1:
+            raise ValueError(
+                f"occupation needs t0 < T <= t1, got T = {T!r} on [{self.t0}, {self.t1}]"
+            )
+        # the segments are [t0, times[0]), ..., [times[k - 1], T]
+        k = int(np.searchsorted(self.times, T, side="left"))
+        lengths = _column(ws, "dt", k + 1)
+        if k:
+            lengths[0] = self.times[0] - self.t0
+            np.subtract(self.times[1:k], self.times[: k - 1], out=lengths[1:k])
+        lengths[k] = T - (self.times[k - 1] if k else self.t0)
+        if self.common_rate is None:
+            levels = self.level_steps[: k + 1]
+        else:
+            lengths = np.bincount(self.count_steps[: k + 1], weights=lengths)
+            levels = self.common_rate * np.arange(lengths.size)
+        levels.flags.writeable = lengths.flags.writeable = False
+        return levels, lengths
 
     def segments(self, lo=None, hi=None):
         """(bounds, levels, counts) of the step decomposition on [lo, hi].
@@ -250,7 +280,7 @@ class Workspace:
     least an eighth when a later take needs more.  What a call writes into
     a workspace stays valid until the next call that takes the same
     buffer: sessions until the next simulation, a path until the next
-    build.
+    build, an occupation measure's segment lengths until the next one.
     """
 
     def __init__(self):

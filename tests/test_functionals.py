@@ -426,6 +426,17 @@ class TestEmpiricalCdf:
         assert got[1] == np.diff(bounds)[levels == 0].sum() / 96.0
         assert got[0] == 0.0 and got[-1] == 1.0
 
+    @pytest.mark.parametrize(
+        "x_grid", [[math.nan], [math.nan, 0.0], [0.0, math.nan], [0.0, math.nan, 1.0]]
+    )
+    def test_nan_in_the_x_grid_raises(self, x_grid):
+        # NaN fails every comparison, so a test for a descent alone let
+        # [nan, 0.0] through and read [2/3, 2/3] on this path: 2 on
+        # [0.5, 1.5), 0 elsewhere in [0, 3]
+        p = build_path(Sessions([0.5], [1.0], [2.0]), 0.0, 3.0)
+        with pytest.raises(ValueError, match="x grid must be sorted and hold no NaN"):
+            empirical_cdf(p, 3.0, x_grid)
+
     def test_monotone_in_x(self):
         cfg = TrafficConfig(lam=1.0, law=law(), horizon=500.0, rng=RngStream(6))
         p = build_path(simulate_sessions(cfg), 0.0, 500.0)

@@ -692,19 +692,24 @@ def test_occupation_z_matches_the_prefix_integral(w0):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
-def _dyadic_sessions(w0, T):
+def _dyadic_sessions(w0, T, rates=None):
     """Sessions whose arrivals lie on the grid of 1/8 in [-4, T + 1), with
-    durations on it in [1/8, 4)."""
+    durations on it in [1/8, 4), each at rate w0, or at one of ``rates``."""
     gen = np.random.default_rng(5)
     gamma = gen.integers(-32, 8 * (T + 1), 16) / 8
-    return Sessions(gamma, gen.integers(1, 32, 16) / 8, np.broadcast_to(w0, 16))
+    y = gen.integers(1, 32, 16) / 8
+    w = np.broadcast_to(w0, 16) if rates is None else gen.choice(rates, 16)
+    return Sessions(gamma, y, w)
 
 
-# a dyadic path whose count runs from 0 to 3 and has events past T, and
-# three paths with no event in [0, T]: no session at all, one session
-# alive over all of [0, T + h], and sessions that arrive in (T, T + h]
+# a dyadic path whose count runs from 0 to 3 and has events past T, the
+# same at mixed dyadic rates (whose idle and cdf:1 then sum their areas
+# in time order), and three paths with no event in [0, T]: no session at
+# all, one session alive over all of [0, T + h], and sessions that arrive
+# in (T, T + h]
 _EDGE_SESSIONS = {
     "dyadic": _dyadic_sessions,
+    "mixed": lambda w0, T: _dyadic_sessions(w0, T, rates=[0.25, 0.5, 1.5]),
     "empty": lambda w0, T: Sessions([], [], []),
     "one_across": lambda w0, T: Sessions([-0.5], [T + 8.0], [w0]),
     "after_T": lambda w0, T: Sessions([T + 0.25, T + 0.5], [4.0, 0.125], [w0, w0]),
@@ -728,9 +733,11 @@ def test_occupation_z_is_exact_on_dyadic_paths(monkeypatch, w0, kind):
     assert got.tobytes() == want.tobytes()
 
 
-# every functional form at h = 0 beside a window sup: identity and clipped
-# sum their areas over the path's own segments, the indicators read their
-# exceedance runs
+# every functional form at h = 0 beside a window sup: at random rates
+# every h = 0 form sums its area over the path's segments in time order,
+# so idle and cdf:1 keep their bits as identity and clipped do, though
+# the test below holds every indicator, winsup's gaps between exceedance
+# runs included, to rounding only
 _TASK_PHIS = tuple(
     make_functional(s, 1.0) for s in ("identity", "idle", "cdf:1", "clipped:2", "winsup:3")
 )
@@ -781,17 +788,25 @@ def _task_peak(task) -> int:
         tracemalloc.stop()
 
 
-def test_z_task_replicate_peak_memory():
-    # one unit-rate replicate at T = 1e4, about 20k events: at most three
-    # event-length float arrays above the path itself, in build_path or
-    # in any functional's area
-    sc = tiny_scenario(T_ladder=(1e4,), replicates=1)
+@pytest.mark.parametrize(
+    "rates, arrays",
+    [
+        pytest.param(dict(), 3, id="unit"),
+        pytest.param(dict(w_kind="uniform", w_params=(0.1, 1.0)), 4, id="uniform"),
+    ],
+)
+def test_z_task_replicate_peak_memory(rates, arrays):
+    # one replicate at T = 1e4, about 20k events: at most three (unit
+    # rates) or four (uniform rates) event-length float arrays above the
+    # path itself, in build_path or in any functional's area.  Uniform
+    # rates read 3.67, and 4.55 with a copy of phi - c that is not in place
+    sc = tiny_scenario(T_ladder=(1e4,), replicates=1, **rates)
     phis = tuple(make_functional(s) for s in ("identity", "idle", "cdf:1", "clipped:2"))
     peak = _task_peak((sc, 0, 0, 1, phis, (3.0, 0.05, 0.2, 1.1)))
     rng = RngStream(sc.seed, stream_id=0).substream(0)
     path = build_path(simulate_sessions(sc.config(1e4, rng)), 0.0, 1e4)
     path_bytes = path.times.nbytes + path.level_steps.nbytes + path.count_steps.nbytes
-    assert peak < path_bytes + 3 * path.times.nbytes
+    assert peak < path_bytes + arrays * path.times.nbytes
 
 
 def test_window_replicate_peak_memory():

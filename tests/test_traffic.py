@@ -609,6 +609,75 @@ def test_a_second_build_into_a_workspace_shares_its_memory(kind):
     assert np.array_equal(_bits(second.level_steps), _bits(levels))
 
 
+def _law_path(kind, t0=0.0, ws=None):
+    """A simulated path of the RATE_KINDS law ``kind`` on [t0, 1000]."""
+    j = JointLaw(TailDist.pareto(1.5), kind, RATE_KINDS[kind][0])
+    cfg = TrafficConfig(lam=1.0, law=j, horizon=1000.0, rng=RngStream(44))
+    return build_path(simulate_sessions(cfg, ws), t0, 1000.0, ws)
+
+
+@pytest.mark.parametrize("kind", RATE_KINDS)
+class TestOccupation:
+    @pytest.mark.parametrize("t0", [0.0, 50.0])
+    def test_integrates_every_h0_functional(self, kind, t0):
+        p = _law_path(kind, t0)
+        # an event time, a time between events, and the end of the path
+        for T in (float(p.times[len(p) // 2]), 777.7, p.t1):
+            levels, lengths = p.occupation(T)
+            assert lengths.sum() == pytest.approx(T - t0, rel=1e-12, abs=0)
+            for spec in ("identity", "idle", "cdf:1", "clipped:0.5"):
+                phi = make_functional(spec)
+                want = integrate_phi(p, phi, t0, T)
+                assert float(np.sum(phi(levels) * lengths)) == pytest.approx(want, rel=1e-12)
+
+    def test_arrays_are_read_only(self, kind):
+        p = _law_path(kind)
+        levels, lengths = p.occupation(500.0)
+        assert not levels.flags.writeable and not lengths.flags.writeable
+        # the path's own level stays writeable
+        assert p.level_steps.flags.writeable
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, 1000.5, math.inf, math.nan])
+    def test_T_outside_the_path_raises(self, kind, T):
+        with pytest.raises(ValueError, match="occupation needs t0 < T <= t1"):
+            _law_path(kind).occupation(T)
+
+    def test_a_second_call_into_a_workspace_shares_its_memory(self, kind):
+        # random rates hand back the workspace's segment lengths; a
+        # common rate sums them by count into a new array of K + 1 entries
+        ws = traffic.Workspace()
+        p = _law_path(kind, ws=ws)
+        first = p.occupation(600.0, ws)
+        copies = [a.copy() for a in first]
+        second = p.occupation(600.0, ws)
+        assert np.shares_memory(second[1], first[1]) == (p.common_rate is None)
+        for got, want, new in zip(second, copies, p.occupation(600.0)):
+            assert np.array_equal(_bits(got), _bits(want))
+            assert np.array_equal(_bits(got), _bits(new))
+
+    def test_common_rate(self, kind):
+        j = JointLaw(TailDist.pareto(1.5), kind, RATE_KINDS[kind][0])
+        assert _law_path(kind).common_rate == j.common_rate
+
+    def test_reading_the_level_first_changes_no_byte(self, kind):
+        fresh, read = _law_path(kind), _law_path(kind)
+        read.level_steps
+        for a, b in zip(fresh.occupation(700.0), read.occupation(700.0)):
+            assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_occupation_of_hand_paths():
+    # rate 2 on [0.5, 1.5) over [0, 3]: at a common rate the time at each
+    # count, at mixed rates each segment's in time order
+    levels, lengths = hand_path(3.0).occupation(3.0)
+    assert levels.tolist() == [0.0, 2.0] and lengths.tolist() == [2.0, 1.0]
+    p = build_path(Sessions([0.5, 1.0], [1.0, 1.5], [2.0, 0.5]), 0.0, 3.0)
+    assert p.common_rate is None
+    levels, lengths = p.occupation(2.0)
+    assert levels.tolist() == [0.0, 2.0, 2.5, 0.5] and lengths.tolist() == [0.5, 0.5, 0.5, 0.5]
+    assert traffic.ShotNoisePath(0.0, 2.0, [1.0], [0.0, 1.5], [0, 1]).common_rate is None
+
+
 class TestConstantRatesAreOneBroadcast:
     def test_sample_rates_is_a_read_only_broadcast(self):
         w = law(w0=2.5).sample_rates(1000, RngStream(0).generator())
