@@ -11,9 +11,8 @@
   both.
 * ``busy_bounds`` -- indices where an integer occupancy sequence leaves /
   enters zero.
-* ``sliding_range_max`` -- max of ``values[lo[i]:hi[i]+1]`` per query.  A
-  sparse table (Bender & Farach-Colton 2000) answers every query with two
-  lookups, so any windows with ``0 <= lo <= hi < len(values)`` work.
+* ``sliding_range_max`` -- max of ``values[lo[i]:hi[i]+1]`` per query, one
+  ``np.maximum.reduceat``; only the reference step decomposition calls it.
 * ``frechet_minimax`` -- minimax dynamic program between two polylines
   under the max(|dt|, |dv|) ground metric (the discrete Frechet distance
   of Eiter & Mannila 1994), found without the DP table: a lower bound,
@@ -23,9 +22,8 @@
   float temporary of its size.
 
 The max/min selections and the cost comparisons are exact: no rounding
-enters, so the sparse table returns the same values as a monotone-deque
-sweep, and ``frechet_minimax`` the same value as a row-by-row sweep of the
-DP.
+enters, so ``frechet_minimax`` returns the same value as a row-by-row sweep
+of the DP.
 """
 
 import numpy as np
@@ -64,32 +62,22 @@ def sliding_range_max(values, lo, hi):
 
     Requires ``0 <= lo[i] <= hi[i] < len(values)`` (ValueError otherwise);
     the windows need not slide monotonically.  Zero queries give an empty
-    array.  Sparse table: level k holds the maxima of the 2**k-wide
-    windows, and a query of width w reads the two (possibly overlapping)
-    level-floor(log2 w) windows that cover it.  Only the levels up to the
-    widest query are built, one at a time.
+    array.  One ``np.maximum.reduceat`` over the index pairs (lo, hi + 1):
+    the even entries are the windows, and a -inf sentinel makes
+    hi + 1 = len(values) a valid index.  It reads every entry of every
+    window, so a query costs its width.
     """
     values = np.asarray(values, dtype=np.float64)
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
     if lo.shape != hi.shape or lo.ndim != 1:
         raise ValueError("lo and hi must be 1-D arrays of the same length")
-    out = np.empty(len(lo), dtype=np.float64)
     if not len(lo):
-        return out
+        return np.empty(0, dtype=np.float64)
     if np.any(lo > hi) or lo.min() < 0 or hi.max() >= len(values):
         raise ValueError("need 0 <= lo <= hi < len(values) for every query")
-    # floor(log2(width)), exact for integer widths: frexp(2**k) = (0.5, k + 1)
-    level = np.frexp((hi - lo + 1).astype(np.float64))[1] - 1
-    table = values
-    for k in range(int(level.max()) + 1):
-        if k:
-            half = 1 << (k - 1)
-            table = np.maximum(table[:-half], table[half:])
-        sel = np.flatnonzero(level == k)
-        if sel.size:
-            out[sel] = np.maximum(table[lo[sel]], table[hi[sel] - (1 << k) + 1])
-    return out
+    pairs = np.stack([lo, hi + 1], axis=1).ravel()
+    return np.maximum.reduceat(np.append(values, -np.inf), pairs)[::2]
 
 
 def _free_path(free):

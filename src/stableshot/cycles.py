@@ -53,7 +53,8 @@ _SCAN_SESSIONS = 1 << 16
 # above MAX_CYCLE_LOAD = lam E[Y] that floor alone exceeds _CHUNK_SESSIONS
 _MIN_CHUNK_CYCLES = 200
 MAX_CYCLE_LOAD = math.log(_CHUNK_SESSIONS / _MIN_CHUNK_CYCLES)
-# chunks collect_cycle_lengths simulates before it gives up
+# the most chunks collect_cycle_lengths simulates: it raises when they bank
+# fewer cycles than its target
 MAX_CHUNKS = 10_000
 # cycles collect_cycle_lengths may bank: their float64 lengths, and the
 # copy that joins the chunks, take about 240 MB at the cap
@@ -184,6 +185,8 @@ def collect_cycle_lengths(
     have = 0
     chunk = 0
     while have < n_target:
+        if chunk == MAX_CHUNKS:
+            raise RuntimeError("cycle collection is not converging")
         gen = rng.substream(chunk).generator()
         lengths = fresh_start_cycle_lengths(
             fresh_arrivals(gen.poisson(lam * chunk_horizon), chunk_horizon, gen),
@@ -193,8 +196,6 @@ def collect_cycle_lengths(
         out.append(lengths)
         have += lengths.size
         chunk += 1
-        if chunk > MAX_CHUNKS:
-            raise RuntimeError("cycle collection is not converging")
     return np.concatenate(out)[:n_target]
 
 

@@ -67,11 +67,11 @@ def functional_steps(path: ShotNoisePath, phi: WindowFunctional, t0: float, t1: 
     Returns (bounds, values): segment i is [bounds[i], bounds[i+1]) with
     constant value values[i].  Requires path data up to t1 + h.
 
-    The sup over [s, s + h] is constant between consecutive entries of the
-    merged lists ``times`` and ``times - h``; a segment reads it as the
-    range max of the level steps between the counts #{j : times[j] <=
-    start} and #{j : times[j] - h <= start}.  At h = 0 the lists coincide:
-    the steps are the path's own segments, each window one level step.
+    The sup over [s, s + h] is constant between consecutive distinct
+    values of ``times`` and ``times - h``; a segment reads it as the range
+    max of the level steps between the counts #{j : times[j] <= start}
+    and #{j : times[j] - h <= start}.  At h = 0 the lists coincide: the
+    steps are the path's own segments, each window one level step.
 
     This is the reference decomposition, for any form: the tests and the
     oracles integrate it, and no run calls it.  The z stage reads a window
@@ -80,34 +80,14 @@ def functional_steps(path: ShotNoisePath, phi: WindowFunctional, t0: float, t1: 
     """
     if t0 < path.t0 or t1 + phi.h > path.t1 or t0 >= t1:
         raise ValueError("path must cover [t0, t1 + h]")
-    bounds, lo, hi = _merged_steps(path.times, phi.h, t0, t1)
-    # counts run to len(times), past segments()' end
+    shifted = path.times - phi.h
+    cuts = np.unique(np.concatenate([path.times, shifted]))
+    bounds = np.concatenate([[t0], cuts[(cuts > t0) & (cuts < t1)], [t1]])
+    # the counts run to len(times): the last level step is the path's end
+    lo = np.searchsorted(path.times, bounds[:-1], side="right")
+    hi = np.searchsorted(shifted, bounds[:-1], side="right")
     s = kernels.sliding_range_max(path.level_steps, lo, hi)
     return bounds, np.asarray(phi(s), dtype=float)
-
-
-def _merged_steps(times, h, t0, t1):
-    """(bounds, lo, hi) of the merged lists ``times`` and ``times - h``.
-
-    bounds is t0, the distinct merged values strictly inside (t0, t1), then
-    t1; lo[i] = #{j : times[j] <= bounds[i]} and hi[i] = #{j : times[j] - h
-    <= bounds[i]}.  Each list is sorted, so the stable sort is a linear
-    merge of its two runs.
-    """
-    parts = [times, times - h]
-    i0 = [int(np.searchsorted(p, t0, side="right")) for p in parts]
-    parts = [p[a : int(np.searchsorted(p, t1, side="left"))] for p, a in zip(parts, i0)]
-    merged = np.concatenate(parts)
-    order = np.argsort(merged, kind="stable")
-    merged = merged[order]
-    # the last entry of each run of equal values, where the counts include every tie
-    last = np.flatnonzero(np.append(merged[1:] != merged[:-1], merged.size > 0))
-    bounds = np.concatenate([[t0], merged[last], [t1]])
-    # entries of the shifted list up to each run end; the rest are times
-    n_hi = np.cumsum(order >= len(parts[0]))[last]
-    lo = np.append(i0[0], i0[0] + last + 1 - n_hi)
-    hi = np.append(i0[1], i0[1] + n_hi)
-    return bounds, lo, hi
 
 
 def le_time(path: ShotNoisePath, phi: WindowFunctional, t0: float, t1: float) -> float:

@@ -250,25 +250,6 @@ class ShotNoisePath:
         levels.flags.writeable = lengths.flags.writeable = False
         return levels, lengths
 
-    def segments(self, lo=None, hi=None):
-        """(bounds, levels, counts) of the step decomposition on [lo, hi].
-
-        ``bounds`` has one more entry than the value arrays; segment i is
-        [bounds[i], bounds[i+1]) with constant level/count.  The value
-        arrays are read-only views of the path's own.
-        """
-        lo = self.t0 if lo is None else float(lo)
-        hi = self.t1 if hi is None else float(hi)
-        if lo < self.t0 or hi > self.t1 or lo >= hi:
-            raise ValueError("bad segment range")
-        i0 = int(np.searchsorted(self.times, lo, side="right"))
-        i1 = int(np.searchsorted(self.times, hi, side="left"))
-        bounds = np.concatenate([[lo], self.times[i0:i1], [hi]])
-        levels = self.level_steps[i0 : i1 + 1]
-        counts = self.count_steps[i0 : i1 + 1]
-        levels.flags.writeable = counts.flags.writeable = False
-        return bounds, levels, counts
-
 
 class Workspace:
     """Named numpy buffers that one task's replicates take in turn, so that

@@ -2,10 +2,11 @@
 
 Nothing in the package calls these: each is an independent, plainly
 written route to a number the package computes another way (the level at
-a time point, a functional's integral, per-cycle integrals, cycle lengths
-from one scan of the departures, the stable characteristic function and
-its distance from an empirical one), or, in ``fresh_sessions``, test
-traffic the package only draws inside ``collect_cycle_lengths``.
+a time point, the path's segments, a functional's integral, per-cycle
+integrals, cycle lengths from one scan of the departures, the stable
+characteristic function and its distance from an empirical one), or, in
+``fresh_sessions``, test traffic the package only draws inside
+``collect_cycle_lengths``.
 """
 
 import math
@@ -34,6 +35,26 @@ def eval_count(path, t):
     """The occupancy count at t, cadlag like the level."""
     out = _eval_steps(path, path.count_steps, t)
     return int(out) if np.isscalar(t) else out
+
+
+def segments(path, lo=None, hi=None):
+    """(bounds, levels, counts) of the path's step decomposition on [lo, hi].
+
+    ``bounds`` has one more entry than the value arrays; segment i is
+    [bounds[i], bounds[i+1]) with constant level/count.  The value
+    arrays are read-only views of the path's own.
+    """
+    lo = path.t0 if lo is None else float(lo)
+    hi = path.t1 if hi is None else float(hi)
+    if lo < path.t0 or hi > path.t1 or lo >= hi:
+        raise ValueError("bad segment range")
+    i0 = int(np.searchsorted(path.times, lo, side="right"))
+    i1 = int(np.searchsorted(path.times, hi, side="left"))
+    bounds = np.concatenate([[lo], path.times[i0:i1], [hi]])
+    levels = path.level_steps[i0 : i1 + 1]
+    counts = path.count_steps[i0 : i1 + 1]
+    levels.flags.writeable = counts.flags.writeable = False
+    return bounds, levels, counts
 
 
 def integrate_phi(path, phi, t0: float, t1: float) -> float:

@@ -423,3 +423,26 @@ class TestHill:
     def test_degenerate_sample(self):
         with pytest.raises(ValueError):
             hill_alpha(np.ones(100), 10)
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_collect_cycle_lengths_runs_at_most_max_chunks(monkeypatch, cap):
+    # seed 2's first chunk banks fewer than 300 cycles and its first two
+    # bank 534: one chunk at the cap raises without drawing a second, and
+    # two return the lengths of an uncapped run
+    want = collect_cycle_lengths(1.0, law(), 300, RngStream(2))
+    chunks = []
+
+    def counted(gamma, durations, T):
+        chunks.append(T)
+        return fresh_start_cycle_lengths(gamma, durations, T)
+
+    monkeypatch.setattr(cycles, "fresh_start_cycle_lengths", counted)
+    monkeypatch.setattr(cycles, "MAX_CHUNKS", cap)
+    if cap == 1:
+        with pytest.raises(RuntimeError, match="not converging"):
+            collect_cycle_lengths(1.0, law(), 300, RngStream(2))
+    else:
+        got = collect_cycle_lengths(1.0, law(), 300, RngStream(2))
+        assert got.tobytes() == want.tobytes()
+    assert len(chunks) == cap

@@ -24,7 +24,7 @@ from stableshot._backend import kernels
 from stableshot.functionals import WindowFunctional, functional_steps, le_time
 from stableshot.harness import Scenario, make_functional, response_curve
 
-from oracles import cycle_integrals, eval_level, fresh_sessions, integrate_phi
+from oracles import cycle_integrals, eval_level, fresh_sessions, integrate_phi, segments
 
 
 def law():
@@ -140,7 +140,7 @@ def midpoint_steps(path, phi, t0, t1):
     mids = 0.5 * (bounds[:-1] + bounds[1:])
     if phi.h == 0:
         return bounds, np.asarray(phi(eval_level(path, mids)), dtype=float)
-    seg_bounds, seg_levels, _ = path.segments()
+    seg_bounds, seg_levels, _ = segments(path)
     lo = np.searchsorted(seg_bounds, mids, side="right") - 1
     hi = np.searchsorted(seg_bounds, mids + phi.h, side="right") - 1
     hi = np.minimum(hi, len(seg_levels) - 1)
@@ -237,7 +237,7 @@ class TestStepsMatchMidpointReference:
         assert np.array_equal(p.level_steps, before)
         assert integrate_phi(p, make_functional("identity"), 0.0, 3.0) == 4.5
         # the views are read-only, the path's own arrays are not
-        _, levels, counts = p.segments()
+        _, levels, counts = segments(p)
         with pytest.raises(ValueError, match="read-only"):
             levels += 1.0
         assert not levels.flags.writeable and not counts.flags.writeable
@@ -304,9 +304,9 @@ H0_FUNCTIONALS = (make_functional("identity"), make_functional("idle"), make_fun
 
 
 def assert_steps_are_segments(path, t0, t1):
-    # at h = 0 the merge of times and times - h gives the path's own
+    # at h = 0 the cuts at times and times - h are the path's own
     # segments, and one-entry windows read their levels
-    bounds, levels, _ = path.segments(t0, t1)
+    bounds, levels, _ = segments(path, t0, t1)
     for phi in H0_FUNCTIONALS:
         assert_same_steps(functional_steps(path, phi, t0, t1), (bounds, phi(levels)))
 
@@ -389,7 +389,7 @@ class TestCycleIntegrals:
 
 def sorted_levels_cdf(path, T, x_grid):
     """Reference CDF: cumulative segment lengths over the sorted levels."""
-    bounds, levels, _ = path.segments(path.t0, T)
+    bounds, levels, _ = segments(path, path.t0, T)
     order = np.argsort(levels, kind="stable")
     cum_time = np.concatenate([[0.0], np.cumsum(np.diff(bounds)[order])])
     idx = np.searchsorted(levels[order], np.asarray(x_grid, dtype=float), side="right")
@@ -422,7 +422,7 @@ class TestEmpiricalCdf:
         x_grid = [-1.0, 0.0, 0.5, 1.0, 2.0, 2.0, 3.0, 7.0, 100.0]
         got = empirical_cdf(p, 96.0, x_grid)
         assert np.array_equal(got, sorted_levels_cdf(p, 96.0, x_grid))
-        bounds, levels, _ = p.segments(0.0, 96.0)
+        bounds, levels, _ = segments(p, 0.0, 96.0)
         assert got[1] == np.diff(bounds)[levels == 0].sum() / 96.0
         assert got[0] == 0.0 and got[-1] == 1.0
 

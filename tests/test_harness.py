@@ -21,11 +21,14 @@ from scipy import stats as sps
 from stableshot import (
     RngStream,
     Scenario,
+    _kernels_py,
     build_path,
     builtin_scenarios,
     cli,
+    cycles,
     emit,
     empirical_cdf,
+    functionals,
     harness,
     iqr,
     run,
@@ -41,7 +44,7 @@ from stableshot.heavy_rand import StableParams, TailDist
 from stableshot.stats import ks_threshold
 from stableshot.traffic import Sessions, TrafficConfig, stationary_window_draws
 
-from oracles import prefix_integral
+from oracles import prefix_integral, segments
 
 
 def tiny_scenario(**overrides):
@@ -735,9 +738,8 @@ def test_occupation_z_is_exact_on_dyadic_paths(monkeypatch, w0, kind):
 
 # every functional form at h = 0 beside a window sup: at random rates
 # every h = 0 form sums its area over the path's segments in time order,
-# so idle and cdf:1 keep their bits as identity and clipped do, though
-# the test below holds every indicator, winsup's gaps between exceedance
-# runs included, to rounding only
+# so idle and cdf:1 keep their bits as identity and clipped do; only
+# winsup sums its gaps between exceedance runs, equal to rounding
 _TASK_PHIS = tuple(
     make_functional(s, 1.0) for s in ("identity", "idle", "cdf:1", "clipped:2", "winsup:3")
 )
@@ -765,13 +767,14 @@ def test_z_task_areas_equal_each_functional_alone_and_write_no_path(monkeypatch)
         for i, (phi, c) in enumerate(zip(_TASK_PHIS, centerings)):
             bounds, vals = functional_steps(path, phi, 0.0, T)
             want[i, r] = np.cumsum((vals - c) * np.diff(bounds))[-1] / a_T
-    # the areas are the time-ordered cumsum's, bit for bit; the indicators
-    # sum the gaps between their exceedance runs, equal up to rounding
-    le = np.array([phi.form[0] == "le" for phi in _TASK_PHIS])
-    assert got[~le].tobytes() == want[~le].tobytes()
-    np.testing.assert_allclose(got[le], want[le], rtol=1e-12, atol=0)
+    # the h = 0 areas are the time-ordered cumsum's, bit for bit; the
+    # window sup sums the gaps between its exceedance runs, equal up to
+    # rounding
+    window = np.array([phi.h > 0 for phi in _TASK_PHIS])
+    assert got[~window].tobytes() == want[~window].tobytes()
+    np.testing.assert_allclose(got[window], want[window], rtol=1e-12, atol=0)
     # identity hands back the path's own levels, as a read-only view
-    levels = path.segments(0.0, T)[1]
+    levels = segments(path, 0.0, T)[1]
     same = _TASK_PHIS[0](levels)
     assert np.shares_memory(same, path.level_steps) and not same.flags.writeable
 
@@ -993,6 +996,38 @@ def test_winsup_without_a_window_is_the_cdf():
         Scenario(functionals=("cdf:1", "winsup:1"), T_ladder=(200.0,), replicates=10), 1
     )
     assert rows["cdf:1"] is rows["winsup:1"] and rows["cdf:1"][0].name == "cdf_le_1"
+
+
+# a run's analyses at unit rates, and a window sup beside a clipped level
+# at random rates
+_GUARDED_RUNS = {
+    "unit_rates": _z_scenario(
+        analyses=_Z_ANALYSES + ("cycle_mean", "cycle_tail", "hill"), n_cycles=500, hill_k=50,
+    ),
+    "uniform_window": tiny_scenario(
+        functionals=("winsup:3", "clipped:2"), w_kind="uniform", w_params=(0.1, 1.0),
+        window_h=1.0, T_ladder=(200.0, 400.0), replicates=20,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GUARDED_RUNS))
+def test_no_run_calls_the_reference_layer(monkeypatch, kind):
+    # the reference range max reads every entry of every window, so a run
+    # routed through the step decomposition, or through the path-reading
+    # CDF and cycle references, would slow a workload with no other test
+    # failing
+    def reference(*args, **kwargs):
+        raise AssertionError("a run called the reference layer")
+
+    for owner, name in ((functionals, "functional_steps"), (functionals, "empirical_cdf"),
+                        (cycles, "decompose_cycles"), (_kernels_py, "sliding_range_max"),
+                        (_kernels_py, "busy_bounds")):
+        monkeypatch.setattr(owner, name, reference)
+    sc = _GUARDED_RUNS[kind]
+    report = run(sc, workers=1)
+    assert list(report.blocks) == list(sc.analyses)
+    assert {name: block["error"] for name, block in report.blocks.items() if "error" in block} == {}
 
 
 class TestEmit:

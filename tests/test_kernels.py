@@ -37,7 +37,7 @@ def _row_loop_frechet(p, q):
 
 def _deque_range_max(values, lo, hi):
     """Monotone-deque sliding maximum, for windows whose lo and hi are both
-    nondecreasing: the reference the sparse table must match exactly."""
+    nondecreasing: the reference the range max must match exactly."""
     out = np.empty(len(lo))
     dq = deque()  # indices into values, decreasing values
     nxt = 0

@@ -23,7 +23,7 @@ from stableshot import (
 from stableshot.functionals import functional_steps
 from stableshot.traffic import fresh_arrivals
 
-from oracles import eval_count, eval_level, fresh_sessions, integrate_phi
+from oracles import eval_count, eval_level, fresh_sessions, integrate_phi, segments
 
 
 def law(alpha=1.5, xm=1.0, w0=1.0):
@@ -121,7 +121,7 @@ class TestBuildPath:
             p = build_path(s, 0.0, 2.0)
             assert len(p) == 0 and p.level_steps.size == 1 and p.count_steps.size == 1
             assert eval_level(p, 1.0) == level and eval_count(p, 2.0) == int(level > 0)
-            bounds, levels, counts = p.segments()
+            bounds, levels, counts = segments(p)
             assert np.array_equal(bounds, [0.0, 2.0])
             assert np.array_equal(levels, [level]) and np.array_equal(counts, [int(level > 0)])
 
@@ -152,7 +152,7 @@ class TestBuildPath:
 
     def test_segments_partition(self):
         p = hand_path()
-        bounds, levels, counts = p.segments(0.0, 2.0)
+        bounds, levels, counts = segments(p, 0.0, 2.0)
         assert bounds[0] == 0.0 and bounds[-1] == 2.0
         assert np.all(np.diff(bounds) > 0)
         assert len(levels) == len(bounds) - 1 == len(counts)
@@ -506,7 +506,7 @@ class TestStationarity:
         # ergodicity sanity: long-run time average of X equals lam E[Y] E[W]
         cfg = TrafficConfig(lam=1.0, law=law(), horizon=20_000.0, rng=RngStream(11))
         p = build_path(simulate_sessions(cfg), 0.0, 20_000.0)
-        bounds, levels, _ = p.segments()
+        bounds, levels, _ = segments(p)
         avg = float(np.dot(levels, np.diff(bounds))) / 20_000.0
         # heavy-tailed sessions make this average converge at rate T^(-1/3),
         # so the band is wide even at T = 2e4
@@ -825,7 +825,7 @@ class TestLevelMatchesCount:
             horizon=2e4, rng=RngStream(1),
         )
         p = build_path(simulate_sessions(cfg), 0.0, 2e4)
-        bounds, levels, counts = p.segments(0.0, 2e4)
+        bounds, levels, counts = segments(p, 0.0, 2e4)
         idle = (counts == 0).astype(float)
         assert np.array_equal(levels == 0.0, counts == 0)
         assert np.array_equal(functional_steps(p, make_functional("idle"), 0.0, 2e4)[1], idle)
