@@ -1,14 +1,12 @@
 """The numpy kernels behind the path, cycle, window and M1 layers.
 
 * ``compensated_cumsum`` -- running sum of deltas, a plain ``np.cumsum``:
-  int64 for integer deltas, float64 otherwise.  On a path with mixed
-  rates it runs the float level, which carries a rounding slack of
-  ``1e-9 * accumulated |w|``.  On a constant-rate path built without a
-  workspace it runs the integer occupancy count, exact; with one,
-  ``traffic.build_path`` runs that count as an in-place ``np.cumsum`` of
-  its step array, since this kernel returns a new array.  The function
-  keeps its name and its one argument because the benchmark traces it by
-  both.
+  int64 for integer deltas, float64 otherwise.  ``traffic.build_path``
+  calls it only for the integer occupancy count of a path built without a
+  workspace (exact); with one, and for a random-rate float level, the
+  build sums in place with ``np.cumsum``, since this kernel returns a new
+  array.  It stays, with its name and its one argument, because the
+  benchmark's tracer and its tests count its calls by both.
 * ``busy_bounds`` -- indices where an integer occupancy sequence leaves /
   enters zero.
 * ``sliding_range_max`` -- max of ``values[lo[i]:hi[i]+1]`` per query, one

@@ -60,8 +60,8 @@ __all__ = [
 ]
 
 # expected sessions one replicate path of a z analysis may draw: a T = 1e5
-# replicate, its workspace included, peaks near 71 B per session on unit
-# rates with h = 0 functionals, 96 B with a window functional at h = 1,
+# replicate, its workspace included, peaks near 64 B per session on unit
+# rates with h = 0 functionals, 82 B with a window functional at h = 1,
 # and 97-106 B on uniform rates, so this is about 1.6 GB per worker
 MAX_PATH_SESSIONS = 1.5e7
 # window draws of one Monte Carlo response curve; their drawn session

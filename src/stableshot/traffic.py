@@ -187,7 +187,7 @@ class ShotNoisePath:
 
     ``level_steps`` may be given as a number w0, the common rate of every
     session: ``common_rate`` is then w0 (otherwise None), and the level
-    ``count_steps * w0`` is formed when first read.
+    ``count_steps * w0`` is computed on each read, never stored.
     """
 
     def __init__(self, t0, t1, times, level_steps, count_steps):
@@ -213,9 +213,9 @@ class ShotNoisePath:
 
     @property
     def level_steps(self) -> np.ndarray:
-        if self._level is None:
-            self._level = self.count_steps * self.common_rate
-        return self._level
+        if self.common_rate is None:
+            return self._level
+        return self.count_steps * self.common_rate
 
     def __len__(self):
         return len(self.times)
@@ -359,11 +359,11 @@ def build_path(
     session's arrival and departure is a candidate event packed into one
     integer key, and the times and counts are read from the sorted keys.
     When every session has the same rate w0 the keys are sorted in place,
-    and the level w0 * count (exact whatever the order) is formed when
-    first read.  Otherwise a stable argsort of the keys also gathers each
-    event's rate, and the level is the running sum of the signed rates on
-    top of the rates alive at t0.  With a workspace the times, the counts
-    and the levels are its buffers ``times``, ``steps`` and ``levels``.
+    and the level w0 * count is computed on each read, never stored.
+    Otherwise a stable argsort of the keys also gathers each event's rate,
+    and the level is the in-place running sum of the signed rates on top
+    of the rates alive at t0.  With a workspace the times, the counts and
+    the levels are its buffers ``times``, ``steps`` and ``levels``.
     """
     if not t0 >= 0:
         raise ValueError(f"build_path needs t0 >= 0, got t0 = {t0!r}")
@@ -448,13 +448,11 @@ def build_path(
     if w0 is not None:
         return ShotNoisePath(t0, t1, times, w0, steps)
     levels = levels[: m + 1]
-    running = kernels.compensated_cumsum(levels[1:])
-    # a running float sum may dip below 0 by a slack of 1e-9 * accumulated
-    # |w| (|deltas| in place: they are not read again)
-    slack = 1e-9 * float(np.abs(levels[1:], out=levels[1:]).sum())
+    # a running float sum may dip below 0 by a slack of 1e-9 * accumulated |w|
+    slack = 1e-9 * float(np.abs(levels[1:]).sum())
+    np.cumsum(levels[1:], out=levels[1:])
     levels[0] = init_level
-    np.add(running, init_level, out=levels[1:])
-    del running
+    levels[1:] += init_level
     levels[steps == 0] = 0.0  # drop float residues of departed rates
     if np.any(levels < -slack):
         raise ValueError("level went below numerical slack")

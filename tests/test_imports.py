@@ -1,6 +1,7 @@
 """Every top-level import of the package and of the tests is read, and
-every parameter of the package's functions; and no module of the package
-touches another object's private attributes."""
+every parameter of the package's functions; no module of the package
+touches another object's private attributes, and no method of it but a
+constructor sets an attribute of its own object."""
 
 import ast
 from pathlib import Path
@@ -128,3 +129,68 @@ def test_the_scan_finds_a_private_read():
 def test_no_private_state_of_another_object_is_read(path):
     found = private_reads(path.read_text())
     assert not found, f"{path.relative_to(ROOT)} reads another object's private state: {found}"
+
+
+# the methods that may set their object's own attributes, and the calls
+# that set or delete an attribute of their first argument
+CONSTRUCTORS = ("__init__", "__post_init__")
+SETTERS = ("setattr", "delattr", "object.__setattr__")
+
+
+def self_writes(source: str) -> list:
+    """(class.method, line) for each write to an attribute of a method's
+    first parameter (``self``) outside the constructors: an assignment,
+    augmented or annotated, a ``del``, or a ``setattr`` or
+    ``object.__setattr__`` call on it.  A write through a subscript into
+    an object the attribute holds (``self._buffers[k] = v``) is not one."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+            if fn.name in CONSTRUCTORS or static or not fn.args.posonlyargs + fn.args.args:
+                continue
+            me = (fn.args.posonlyargs + fn.args.args)[0].arg
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                    owner = node.value
+                elif isinstance(node, ast.Call) and node.args and ast.unparse(node.func) in SETTERS:
+                    owner = node.args[0]
+                else:
+                    continue
+                if isinstance(owner, ast.Name) and owner.id == me:
+                    found.append((f"{cls.name}.{fn.name}", node.lineno))
+    return sorted(found)
+
+
+def test_the_scan_finds_a_write_to_self():
+    source = (
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.a = {}\n"
+        "    def m(self, v):\n"
+        "        self.a[v] = v\n"
+        "        self.a.b = v\n"
+        "        self.c = v\n"
+        "    def n(me):\n"
+        "        me.d += 1\n"
+        "        x, me.e = 1, 2\n"
+        "        del me.f\n"
+        "        object.__setattr__(me, 'g', 1)\n"
+        "        setattr(me, 'h', 1)\n"
+        "    @staticmethod\n"
+        "    def s(self):\n"
+        "        self.i = 1\n"
+    )
+    assert self_writes(source) == [
+        ("C.m", 7), ("C.n", 9), ("C.n", 10), ("C.n", 11), ("C.n", 12), ("C.n", 13)
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_method_but_a_constructor_sets_its_object(path):
+    found = self_writes(path.read_text())
+    assert not found, f"{path.relative_to(ROOT)} sets attributes of self outside __init__: {found}"

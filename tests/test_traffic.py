@@ -20,7 +20,7 @@ from stableshot import (
     stationary_window_draws,
     traffic,
 )
-from stableshot.functionals import functional_steps
+from stableshot.functionals import functional_steps, le_time
 from stableshot.traffic import fresh_arrivals
 
 from oracles import eval_count, eval_level, fresh_sessions, integrate_phi, segments
@@ -594,7 +594,7 @@ def test_sessions_and_paths_in_a_workspace_equal_new_ones(kind):
 @pytest.mark.parametrize("kind", RATE_KINDS)
 def test_a_second_build_into_a_workspace_shares_its_memory(kind):
     # every rate law's times and counts, and random rates' levels, are
-    # workspace buffers (a constant law's level is formed when read)
+    # workspace buffers (a constant law's level is computed on each read)
     ws = traffic.Workspace()
     j = JointLaw(TailDist.pareto(1.5), kind, RATE_KINDS[kind][0])
     cfg = TrafficConfig(lam=1.0, law=j, horizon=1000.0, rng=RngStream(43))
@@ -607,6 +607,81 @@ def test_a_second_build_into_a_workspace_shares_its_memory(kind):
     assert np.shares_memory(second.level_steps, first.level_steps) == (j.common_rate is None)
     assert np.array_equal(second.times, times) and np.array_equal(second.count_steps, counts)
     assert np.array_equal(_bits(second.level_steps), _bits(levels))
+
+
+class _ForcedStationaryCount:
+    """A generator that draws as ``gen`` does, except that its second
+    ``poisson`` call, simulate_sessions' count of sessions alive at 0,
+    returns ``n0``."""
+
+    def __init__(self, gen, n0):
+        self._gen, self._n0, self._calls = gen, n0, 0
+
+    def poisson(self, lam):
+        self._calls += 1
+        return self._n0 if self._calls == 2 else self._gen.poisson(lam)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+class _ForcedStream:
+    """A duck-typed ``TrafficConfig.rng`` whose generators force the
+    stationary count to ``n0``."""
+
+    def __init__(self, stream, n0):
+        self._stream, self._n0 = stream, n0
+
+    def generator(self):
+        return _ForcedStationaryCount(self._stream.generator(), self._n0)
+
+
+@pytest.mark.parametrize("kind", ["constant", "uniform"])
+def test_more_stationary_sessions_than_the_workspace_head(kind, monkeypatch):
+    # simulate_sessions leaves a head of room for the stationary sessions
+    # that a Poisson(nu) count exceeds with probability below 1e-14; force
+    # a count past it, so that the workspace route copies its columns too
+    j = JointLaw(TailDist.pareto(1.5), kind, RATE_KINDS[kind][0])
+    nu = 1.5 * j.mean_y
+    head = int(nu + 8 * math.sqrt(nu)) + 8
+    n0 = head + 5
+    with_room, copies = traffic._with_room, []
+    monkeypatch.setattr(traffic, "_with_room", lambda *a: copies.append(a) or with_room(*a))
+
+    def run(ws):
+        cfg = TrafficConfig(lam=1.5, law=j, horizon=400.0, rng=_ForcedStream(RngStream(45), n0))
+        return simulate_sessions(cfg, ws)
+
+    ws = traffic.Workspace()
+    got = run(ws)
+    assert copies, "the workspace route made no room"
+    want = run(None)
+    assert len(got) == len(want) > n0
+    for name in ("gamma", "y", "w"):
+        assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
+    # the columns are the copies, not the workspace's buffers, which were
+    # taken whole at the head plus the fresh sessions
+    n_fresh = len(got) - n0
+    for name in ("gamma", "y") if j.common_rate is not None else ("gamma", "y", "w"):
+        assert not np.shares_memory(getattr(got, name), ws.take(name, head + n_fresh)), name
+    assert_paths_bit_identical(build_path(got, 0.0, 400.0, ws), build_path(want, 0.0, 400.0))
+
+
+def _state(obj) -> dict:
+    """(identity, bytes) of each attribute of ``obj``."""
+    return {k: (id(v), np.asarray(v).tobytes()) for k, v in vars(obj).items()}
+
+
+@pytest.mark.parametrize("kind", ["constant", "uniform"])
+def test_reading_a_path_never_rewrites_it(kind):
+    j = JointLaw(TailDist.pareto(1.5), kind, (1.0,) if kind == "constant" else (0.1, 1.0))
+    cfg = TrafficConfig(lam=1.0, law=j, horizon=1000.0, rng=RngStream(46))
+    p = build_path(simulate_sessions(cfg), 0.0, 1000.0)
+    before = _state(p)
+    p.level_steps
+    p.occupation(900.0)
+    le_time(p, make_functional("winsup:3", 0.5), 0.0, 900.0)
+    assert _state(p) == before
 
 
 def _law_path(kind, t0=0.0, ws=None):
